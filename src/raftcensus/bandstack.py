@@ -113,10 +113,6 @@ class BandStack:
         """N x 10 feature matrix for the given pixel coordinates."""
         return np.stack([self.planes[b][rows, cols] for b in order], axis=1)
 
-    def plane_stack(self, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
-        """All planes as one (height, width, 10) array in feature order."""
-        return np.stack([self.planes[b] for b in order], axis=-1)
-
 
 def read_pgm16(path) -> np.ndarray:
     """Read a binary PGM (P5) with maxval 65535 into a uint16 array."""
@@ -208,9 +204,9 @@ def resample_plane(p: np.ndarray, factor: int, method: str = "bilinear") -> np.n
     c0, c1, fx = axis_coords(w * factor, w)
     fy = fy[:, None]
     fx = fx[None, :]
-    top = p[r0][:, c0] * (1 - fx) + p[r0][:, c1] * fx
-    bot = p[r1][:, c0] * (1 - fx) + p[r1][:, c1] * fx
-    return top * (1 - fy) + bot * fy
+    # Interpolate along columns once at input height, then along rows.
+    row = p[:, c0] * (1 - fx) + p[:, c1] * fx
+    return row[r0] * (1 - fy) + row[r1] * fy
 
 
 def load_band_stack(manifest_path) -> BandStack:

@@ -6,16 +6,14 @@ score it against ground truth, and render an overlay image. Exit codes:
 0 success, 1 usage error, 2 data error.
 
 All randomness is seeded through flags, so identical invocations
-produce byte-identical output files. The RAFT_CENSUS_THREADS
-environment variable caps the pixel-classification worker pool
-(default 1).
+produce byte-identical output files. The census is single-threaded;
+pixels are scored in row blocks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -135,19 +133,6 @@ def _census_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-solidity", type=float, default=0.8)
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("RAFT_CENSUS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise _UsageError(f"RAFT_CENSUS_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise _UsageError("RAFT_CENSUS_THREADS must be >= 1")
-    return workers
-
-
 def _census_config(args) -> CensusConfig:
     platform_model = mlp.load_model(args.platform_model)
     if args.water_method == "mlp":
@@ -169,7 +154,6 @@ def _census_config(args) -> CensusConfig:
             max_equivalent_diameter=args.max_eqdiam,
             min_solidity=args.min_solidity,
         ),
-        workers=_workers_from_env(),
     )
 
 

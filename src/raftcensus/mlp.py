@@ -11,13 +11,14 @@ its input model.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bandstack import FEATURE_ORDER, BandId
-from .errors import ModelFormatError, TrainingError
+from .errors import DimensionError, ModelFormatError, TrainingError
 
 __all__ = [
     "MlpModel",
@@ -26,6 +27,7 @@ __all__ = [
     "init_model",
     "forward",
     "forward_batch",
+    "threshold_planes",
     "loss_and_gradient",
     "train",
     "evaluate_confusion",
@@ -37,15 +39,18 @@ PLATFORM_LAYERS = (10, 2, 1)
 WATER_LAYERS = (10, 8, 3)
 WATER_CLASS_INDEX = 3  # 1-based output index of the water class
 
+# Most pixels per forward_batch call in threshold_planes: small enough
+# that a block's features and activations stay in cache, large enough to
+# keep per-call overhead negligible.
+_BLOCK_PIXELS = 16384
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows. For z >= 0 this is 1 / (1 + exp(-z)),
+    # for z < 0 it is exp(z) / (1 + exp(z)).
+    ez = np.exp(-np.abs(z))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,40 @@ def forward(m: MlpModel, x) -> np.ndarray:
     if x.shape != (m.n_in,):
         raise ValueError(f"expected a {m.n_in}-vector, got shape {x.shape}")
     return forward_batch(m, x[None, :])[0]
+
+
+def threshold_planes(
+    m: MlpModel,
+    planes: Mapping[BandId, np.ndarray],
+    out_index: int,
+    thr: float,
+    where: np.ndarray | None = None,
+) -> np.ndarray:
+    """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
+
+    ``planes`` maps every band of ``m.feature_order`` to an (H, W) plane.
+    Pixels are scored through ``forward_batch`` a block of rows at a
+    time, so each score equals the one ``forward_batch`` gives for that
+    pixel's feature vector. With a boolean (H, W) ``where``, row blocks
+    holding no true pixel are not scored and the result is restricted to
+    ``where``.
+    """
+    h, w = planes[m.feature_order[0]].shape
+    if where is not None and where.shape != (h, w):
+        raise DimensionError(f"mask shape {where.shape} does not match planes {(h, w)}")
+    out = np.zeros((h, w), dtype=bool)
+    # Rows are split evenly, so a block is a single pixel only in a 1x1
+    # image: numpy scores a one-row batch on another BLAS path, whose sums
+    # can differ in the last bit from the same row inside a larger batch.
+    n_blocks = -(-h // max(1, _BLOCK_PIXELS // max(w, 1)))
+    for i in range(n_blocks):
+        r0, r1 = h * i // n_blocks, h * (i + 1) // n_blocks
+        if where is not None and not where[r0:r1].any():
+            continue
+        x = np.stack([planes[b][r0:r1] for b in m.feature_order], axis=-1)
+        y = forward_batch(m, x.reshape(-1, m.n_in))[:, out_index]
+        out[r0:r1] = (y >= thr).reshape(r1 - r0, w)
+    return out if where is None else out & where
 
 
 def _targets(labels: np.ndarray, n_out: int) -> np.ndarray:

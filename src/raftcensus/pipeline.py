@@ -17,13 +17,12 @@ import numpy as np
 
 from .bandstack import BandStack
 from .blobs import BlobFilter, compute_features, filter_blobs, label_components
-from .errors import DegenerateHistogramError, DimensionError, RaftCensusError
-from .mlp import MlpModel
+from .errors import DegenerateHistogramError, RaftCensusError
+from .mlp import PLATFORM_LAYERS, MlpModel, threshold_planes
 from .morphology import StructElem, closing, square
 from .waterdetect import (
     NdwiOtsu,
     WaterMethod,
-    _batched_scores,
     clean_water_mask,
     water_mask_mlp,
     water_mask_ndwi,
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 PLATFORM_THRESHOLD_DEFAULT = 0.5
-_PLATFORM_LAYERS = (10, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -57,18 +55,15 @@ class CensusConfig:
     coast_erode_se: StructElem = field(default_factory=lambda: square(5))
     platform_close_se: StructElem = field(default_factory=lambda: square(3))
     blob_filter: BlobFilter = field(default_factory=BlobFilter)
-    workers: int = 1
 
     def __post_init__(self):
-        if self.platform_model.layer_sizes != _PLATFORM_LAYERS:
+        if self.platform_model.layer_sizes != PLATFORM_LAYERS:
             raise ValueError(
-                f"platform model must have layers {list(_PLATFORM_LAYERS)}, "
+                f"platform model must have layers {list(PLATFORM_LAYERS)}, "
                 f"got {list(self.platform_model.layer_sizes)}"
             )
         if not 0.0 < self.platform_threshold < 1.0:
             raise ValueError("platform_threshold must be in (0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def digest(self) -> str:
         """Short stable hash of the configuration, model included."""
@@ -128,23 +123,13 @@ class Census:
 def platform_mask(s: BandStack, water: np.ndarray, cfg: CensusConfig) -> np.ndarray:
     """Platform pixels: water-true AND platform score >= threshold.
 
-    Non-water pixels are never evaluated by the network.
+    Row blocks without water are skipped; other non-water pixels are
+    scored and then masked out.
     """
     water = np.asarray(water).astype(bool, copy=False)
-    if water.shape != (s.height, s.width):
-        raise DimensionError(
-            f"water mask shape {water.shape} does not match stack "
-            f"{(s.height, s.width)}"
-        )
-    out = np.zeros_like(water)
-    rows, cols = np.nonzero(water)
-    if len(rows) == 0:
-        return out
-    features = s.features(rows, cols, cfg.platform_model.feature_order)
-    scores = _batched_scores(cfg.platform_model, features, 0, cfg.workers)
-    hits = scores >= cfg.platform_threshold
-    out[rows[hits], cols[hits]] = True
-    return out
+    return threshold_planes(
+        cfg.platform_model, s.planes, 0, cfg.platform_threshold, where=water
+    )
 
 
 def _build_water_mask(s: BandStack, cfg: CensusConfig) -> np.ndarray:
@@ -158,7 +143,6 @@ def _build_water_mask(s: BandStack, cfg: CensusConfig) -> np.ndarray:
         cfg.water_method.model,
         cfg.water_method.water_class_index,
         cfg.water_method.threshold,
-        cfg.workers,
     )
 
 

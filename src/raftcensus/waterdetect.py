@@ -12,7 +12,7 @@ import numpy as np
 
 from .bandstack import BandId, BandStack
 from .errors import DegenerateHistogramError, DimensionError
-from .mlp import MlpModel, forward_batch
+from .mlp import MlpModel, threshold_planes
 from .morphology import StructElem, closing, erode, opening, square
 
 __all__ = [
@@ -144,7 +144,6 @@ def water_mask_mlp(
     m: MlpModel,
     water_class_index: int = 3,
     thr: float = DEFAULT_WATER_THRESHOLD,
-    workers: int = 1,
 ) -> np.ndarray:
     """Per-pixel water mask from an MLP: water output >= thr.
 
@@ -158,38 +157,7 @@ def water_mask_mlp(
             f"water_class_index {water_class_index} out of range for "
             f"{m.n_out} outputs"
         )
-    features = s.plane_stack(m.feature_order).reshape(-1, m.n_in)
-    scores = _batched_scores(m, features, water_class_index - 1, workers)
-    return (scores >= thr).reshape(s.height, s.width)
-
-
-def _batched_scores(
-    m: MlpModel, features: np.ndarray, out_index: int, workers: int
-) -> np.ndarray:
-    """One output column of the network over a large pixel batch.
-
-    With workers > 1 the rows are scored in fixed-size chunks on a
-    thread pool; chunk outputs land in disjoint slices, so the result
-    is identical for any worker count.
-    """
-    n = len(features)
-    if n == 0:
-        return np.empty(0)
-    if workers <= 1:
-        return forward_batch(m, features)[:, out_index]
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunk = 65536
-    out = np.empty(n)
-    spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-
-    def score(span):
-        lo, hi = span
-        out[lo:hi] = forward_batch(m, features[lo:hi])[:, out_index]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(score, spans))
-    return out
+    return threshold_planes(m, s.planes, water_class_index - 1, thr)
 
 
 def clean_water_mask(

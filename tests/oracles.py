@@ -5,7 +5,9 @@ library code: morphology walks pixel neighborhoods via coordinate sets,
 the Otsu reference recomputes between-class variance from prefix sums
 with exact integer arithmetic, Euler numbers come from flood-filling
 enclosed background, solidity from Qhull half-space containment, and
-matching from exhaustive assignment search.
+matching from exhaustive assignment search. The pixel-scoring and
+four-gather resampling references are the whole-image formulations the
+library once used; its cheaper forms must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -214,4 +216,60 @@ def ref_bilinear(p: np.ndarray, factor: int) -> np.ndarray:
                 + p[y1, x0] * fy * (1 - fx)
                 + p[y1, x1] * fy * fx
             )
+    return out
+
+
+def ref_bilinear_gathers(p: np.ndarray, factor: int) -> np.ndarray:
+    """Pixel-center bilinear upsampling from four whole-output gathers."""
+    p = np.asarray(p, dtype=np.float64)
+    h, w = p.shape
+
+    def axis_coords(n_out, n_in):
+        x = np.clip((np.arange(n_out) + 0.5) / factor - 0.5, 0.0, n_in - 1.0)
+        lo = np.floor(x).astype(int)
+        return lo, np.minimum(lo + 1, n_in - 1), x - lo
+
+    r0, r1, fy = axis_coords(h * factor, h)
+    c0, c1, fx = axis_coords(w * factor, w)
+    fy = fy[:, None]
+    fx = fx[None, :]
+    top = p[r0][:, c0] * (1 - fx) + p[r0][:, c1] * fx
+    bot = p[r1][:, c0] * (1 - fx) + p[r1][:, c1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+# --- pixel scoring --------------------------------------------------------
+
+def ref_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function split by sign, so exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_forward_batch(m, x: np.ndarray) -> np.ndarray:
+    """(n, n_out) network outputs for an (n, n_in) batch."""
+    h = ref_sigmoid(x @ m.weights[0].T + m.biases[0])
+    return ref_sigmoid(h @ m.weights[1].T + m.biases[1])
+
+
+def ref_whole_image_mask(m, planes, out_index: int, thr: float) -> np.ndarray:
+    """Score every pixel from one (H * W, n_in) copy of the whole stack."""
+    h, w = planes[m.feature_order[0]].shape
+    x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, m.n_in)
+    return (ref_forward_batch(m, x)[:, out_index] >= thr).reshape(h, w)
+
+
+def ref_gather_mask(m, planes, out_index: int, thr: float, where: np.ndarray) -> np.ndarray:
+    """Gather the ``where`` pixels, score only them, scatter the hits."""
+    out = np.zeros(where.shape, dtype=bool)
+    rows, cols = np.nonzero(where)
+    if len(rows) == 0:
+        return out
+    x = np.stack([planes[b][rows, cols] for b in m.feature_order], axis=1)
+    hits = ref_forward_batch(m, x)[:, out_index] >= thr
+    out[rows[hits], cols[hits]] = True
     return out

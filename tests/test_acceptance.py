@@ -295,7 +295,7 @@ def test_criterion_8_census_performance(platform_model):
     stack, truth = generate_synthetic_scene(
         SynthParams(width=1024, height=1024, raft_count=10, seed=888)
     )
-    cfg = CensusConfig(water_method=NdwiOtsu(), platform_model=platform_model, workers=1)
+    cfg = CensusConfig(water_method=NdwiOtsu(), platform_model=platform_model)
     start = time.perf_counter()
     census = run_census(stack, cfg)
     elapsed = time.perf_counter() - start

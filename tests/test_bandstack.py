@@ -16,7 +16,7 @@ from raftcensus import (
 )
 from raftcensus.errors import DimensionError, ManifestError, PgmError
 
-from oracles import ref_bilinear
+from oracles import ref_bilinear, ref_bilinear_gathers
 
 
 def write_manifest(tmp_path, dims=None, geo=None, skip=(), dn=100):
@@ -89,6 +89,15 @@ class TestResample:
         assert np.allclose(
             resample_plane(p, factor, "bilinear"), ref_bilinear(p, factor), atol=1e-12
         )
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (5, 7), (6, 8), (64, 33)])
+    def test_bilinear_bit_identical_to_four_gathers(self, rng, factor, shape):
+        p = rng.uniform(0, 1.5, size=shape)
+        got = resample_plane(p, factor, "bilinear")
+        want = ref_bilinear_gathers(p, factor)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_factor_one_is_identity(self, rng):
         p = rng.uniform(0, 1, size=(4, 4))

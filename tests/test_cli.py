@@ -277,23 +277,3 @@ class TestEndToEndDeterminism:
         first = chain(tmp_path / "run1")
         second = chain(tmp_path / "run2")
         assert first == second
-
-
-class TestThreadsEnv:
-    def test_invalid_thread_env_is_usage_error(self, scene_dir, model_path, tmp_path,
-                                               monkeypatch, capsys):
-        monkeypatch.setenv("RAFT_CENSUS_THREADS", "zero")
-        assert run_cli("census", "--manifest", str(scene_dir / "manifest.json"),
-                       "--platform-model", str(model_path),
-                       "--out", str(tmp_path / "c.csv")) == 1
-
-    def test_threads_do_not_change_output(self, scene_dir, model_path, tmp_path,
-                                          monkeypatch):
-        out1 = tmp_path / "c1.csv"
-        assert run_cli("census", "--manifest", str(scene_dir / "manifest.json"),
-                       "--platform-model", str(model_path), "--out", str(out1)) == 0
-        monkeypatch.setenv("RAFT_CENSUS_THREADS", "4")
-        out2 = tmp_path / "c2.csv"
-        assert run_cli("census", "--manifest", str(scene_dir / "manifest.json"),
-                       "--platform-model", str(model_path), "--out", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()

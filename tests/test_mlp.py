@@ -13,8 +13,11 @@ from raftcensus import (
     save_model,
     train,
 )
-from raftcensus.errors import ModelFormatError, TrainingError
-from raftcensus.mlp import _targets, split_data
+from raftcensus.bandstack import FEATURE_ORDER, BandId
+from raftcensus.errors import DimensionError, ModelFormatError, TrainingError
+from raftcensus.mlp import _BLOCK_PIXELS, _sigmoid, _targets, split_data, threshold_planes
+
+from oracles import ref_forward_batch, ref_gather_mask, ref_whole_image_mask, ref_sigmoid
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -63,6 +66,164 @@ class TestForward:
         m = init_model((10, 2, 1), seed=0)
         with pytest.raises(ValueError):
             forward(m, np.full(10, np.nan))
+
+
+def bits(a):
+    """Raw IEEE bit patterns, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def random_planes(rng, h, w):
+    return {b: rng.uniform(0.0, 1.5, size=(h, w)) for b in BandId}
+
+
+def scaled_model(layers, seed, scale, feature_order=FEATURE_ORDER):
+    """Seeded random model; a large ``scale`` drives units into saturation."""
+    m = init_model(layers, seed=seed, feature_order=feature_order)
+    return MlpModel(m.layer_sizes, tuple(scale * w for w in m.weights),
+                    tuple(scale * b for b in m.biases), m.feature_order)
+
+
+SHUFFLED_ORDER = tuple(FEATURE_ORDER[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5))
+
+# (layers, seed, weight scale, feature order)
+SCORING_MODELS = [
+    ((10, 2, 1), 1, 1.0, FEATURE_ORDER),
+    ((10, 8, 3), 2, 1.0, FEATURE_ORDER),
+    ((10, 8, 3), 3, 40.0, SHUFFLED_ORDER),
+    ((10, 2, 1), 4, 400.0, FEATURE_ORDER),
+]
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 710.0, -710.0,
+               5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 36.7, -36.7, 1e300, -1e300]
+
+    def test_matches_split_by_sign_reference_bitwise(self, rng):
+        z = np.concatenate([rng.normal(scale=s, size=20000) for s in (1.0, 30.0, 500.0)]
+                           + [np.array(self.SPECIAL)])
+        assert np.array_equal(bits(_sigmoid(z)), bits(ref_sigmoid(z)))
+
+    def test_matrix_input_bitwise(self, rng):
+        z = rng.normal(scale=20.0, size=(300, 8))
+        out = _sigmoid(z)
+        assert out.shape == z.shape
+        assert np.array_equal(bits(out), bits(ref_sigmoid(z)))
+
+    def test_nan_stays_nan(self):
+        out = _sigmoid(np.array([np.nan, -np.nan, 1.0]))
+        assert np.isnan(out[:2]).all() and out[2] == ref_sigmoid(np.array([1.0]))[0]
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """Rows of every forward_batch call threshold_planes makes."""
+    from raftcensus import mlp
+
+    sizes = []
+
+    def counting(m, x):
+        sizes.append(len(x))
+        return forward_batch(m, x)
+
+    monkeypatch.setattr(mlp, "forward_batch", counting)
+    return sizes
+
+
+class TestThresholdPlanes:
+    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    def test_forward_batch_rows_match_whole_batch_reference(self, rng, layers, seed,
+                                                            scale, order):
+        # Row blocks rely on this: a row's outputs do not depend on which
+        # other rows share its batch, for batches of two or more rows.
+        m = scaled_model(layers, seed, scale, order)
+        x = rng.uniform(0.0, 1.5, size=(3 * _BLOCK_PIXELS + 17, 10))
+        want = ref_forward_batch(m, x)
+        for lo, hi in [(0, _BLOCK_PIXELS), (_BLOCK_PIXELS, 2 * _BLOCK_PIXELS + 5),
+                       (len(x) - 3, len(x)), (100, 102)]:
+            assert np.array_equal(bits(forward_batch(m, x[lo:hi])), bits(want[lo:hi]))
+        pick = np.sort(rng.choice(len(x), size=5000, replace=False))
+        assert np.array_equal(bits(forward_batch(m, x[pick])), bits(want[pick]))
+
+    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    @pytest.mark.parametrize("shape", [(50, 700), (1, 20000), (2 * _BLOCK_PIXELS + 9, 1),
+                                       (_BLOCK_PIXELS + 1, 1), (1, 1), (7, 3)])
+    def test_matches_whole_image_reference(self, rng, layers, seed, scale, order, shape):
+        m = scaled_model(layers, seed, scale, order)
+        planes = random_planes(rng, *shape)
+        x = np.stack([planes[b] for b in order], axis=-1).reshape(-1, 10)
+        scores = ref_forward_batch(m, x)
+        for out_index in range(m.n_out):
+            # Thresholds equal to actual scores put pixels exactly on the
+            # boundary, where a one-ulp difference would flip the result.
+            picks = rng.integers(0, len(x), size=3)
+            for thr in [0.5, *scores[picks, out_index]]:
+                got = threshold_planes(m, planes, out_index, thr)
+                assert got.shape == shape and got.dtype == bool
+                assert np.array_equal(got, ref_whole_image_mask(m, planes, out_index, thr))
+
+    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    def test_where_matches_gather_reference(self, rng, layers, seed, scale, order):
+        h, w = 203, 512  # not a multiple of the 32-row block size
+        m = scaled_model(layers, seed, scale, order)
+        planes = random_planes(rng, h, w)
+        few = np.zeros((h, w), dtype=bool)
+        few[40, 7] = few[41, 500] = few[150:152, 100:300] = few[202, :] = True
+        wheres = {
+            "none": np.zeros((h, w), dtype=bool),
+            "all": np.ones((h, w), dtype=bool),
+            "few_blocks": few,
+            "random": rng.random((h, w)) < 0.3,
+        }
+        for name, where in wheres.items():
+            for thr in (0.2, 0.5, 0.9):
+                got = threshold_planes(m, planes, m.n_out - 1, thr, where=where)
+                want = ref_gather_mask(m, planes, m.n_out - 1, thr, where)
+                assert np.array_equal(got, want), name
+
+    def test_where_only_restricts_the_result(self, rng):
+        # A pixel's result does not depend on which other pixels are in
+        # ``where``, down to a lone pixel.
+        m = scaled_model((10, 8, 3), 5, 40.0)
+        h, w = 100, 300
+        planes = random_planes(rng, h, w)
+        x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        scores = ref_forward_batch(m, x)[:, 2].reshape(h, w)
+        where = rng.random((h, w)) < 0.5
+        for r, c in [(0, 0), (57, 123), (99, 299)]:
+            thr = scores[r, c]  # the pixel sits exactly on the threshold
+            full = threshold_planes(m, planes, 2, thr)
+            assert full[r, c]
+            lone = np.zeros((h, w), dtype=bool)
+            lone[r, c] = True
+            assert np.array_equal(threshold_planes(m, planes, 2, thr, where=lone), lone)
+            assert np.array_equal(threshold_planes(m, planes, 2, thr, where=where), full & where)
+
+    def test_row_blocks_without_where_pixels_are_not_scored(self, rng, batch_sizes):
+        m = init_model((10, 2, 1), seed=0)
+        h, w = 208, 1024  # thirteen 16-row blocks
+        planes = random_planes(rng, h, w)
+        where = np.zeros((h, w), dtype=bool)
+        assert not threshold_planes(m, planes, 0, 0.5, where=where).any()
+        assert batch_sizes == []
+        where[20, 3] = where[150, 1000] = True
+        threshold_planes(m, planes, 0, 0.5, where=where)
+        assert batch_sizes == [_BLOCK_PIXELS, _BLOCK_PIXELS]
+
+    def test_no_single_pixel_block_unless_the_image_is_one(self, rng, batch_sizes):
+        m = init_model((10, 2, 1), seed=0)
+        for shape in [(_BLOCK_PIXELS + 1, 1), (2 * _BLOCK_PIXELS + 1, 1), (3, 16383)]:
+            batch_sizes.clear()
+            threshold_planes(m, random_planes(rng, *shape), 0, 0.5)
+            assert sum(batch_sizes) == shape[0] * shape[1]
+            assert min(batch_sizes) >= 2 and max(batch_sizes) <= _BLOCK_PIXELS
+
+    def test_where_shape_mismatch_rejected(self, rng):
+        m = init_model((10, 2, 1), seed=0)
+        with pytest.raises(DimensionError, match="shape"):
+            threshold_planes(m, random_planes(rng, 4, 5), 0, 0.5,
+                             where=np.ones((5, 4), dtype=bool))
 
 
 class TestLossAndGradient:

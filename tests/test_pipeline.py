@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from raftcensus import (
     square,
     water_mask_ndwi,
 )
-from raftcensus.errors import RaftCensusError
+from raftcensus.errors import DimensionError, RaftCensusError
+
+from oracles import ref_forward_batch, ref_gather_mask
 
 
 def constant_platform_model(value: float) -> MlpModel:
@@ -70,6 +73,28 @@ class TestPlatformMask:
         half[:, :48] = True
         out = platform_mask(stack, half, census_cfg)
         assert not (out & ~half).any()
+
+
+    def test_water_shape_mismatch_rejected(self, census_cfg):
+        stack, _ = generate_synthetic_scene(SynthParams(width=48, height=40, raft_count=0, seed=1))
+        with pytest.raises(DimensionError, match="shape"):
+            platform_mask(stack, np.ones((48, 40), dtype=bool), census_cfg)
+
+    def test_matches_gather_reference(self, census_cfg, rng):
+        stack, _ = generate_synthetic_scene(
+            SynthParams(width=256, height=200, raft_count=12, seed=21)
+        )
+        water = clean_water_mask(water_mask_ndwi(stack))
+        model = census_cfg.platform_model
+        rows, cols = np.nonzero(water)
+        x = np.stack([stack.planes[b][rows, cols] for b in model.feature_order], axis=1)
+        scores = ref_forward_batch(model, x)[:, 0]
+        for thr in [0.5, *scores[rng.integers(0, len(scores), size=4)]]:
+            cfg = replace(census_cfg, platform_threshold=thr)
+            assert np.array_equal(
+                platform_mask(stack, water, cfg),
+                ref_gather_mask(model, stack.planes, 0, thr, water),
+            )
 
 
 class TestRunCensus:

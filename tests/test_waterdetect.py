@@ -19,7 +19,7 @@ from raftcensus import (
 from raftcensus.errors import DegenerateHistogramError, DimensionError
 from raftcensus.waterdetect import quantize_ndwi
 
-from oracles import ref_otsu
+from oracles import ref_forward_batch, ref_otsu, ref_whole_image_mask
 
 
 def constant_model(value: float) -> MlpModel:
@@ -162,6 +162,16 @@ class TestWaterMaskMlp:
         hi = water_mask_mlp(stack, water_model, 3, 0.95)
         assert not (hi & ~lo).any()
 
+    def test_matches_whole_image_reference(self, water_model, rng):
+        stack, _ = generate_synthetic_scene(SynthParams(width=97, height=130, raft_count=5, seed=13))
+        x = np.stack([stack.planes[b] for b in water_model.feature_order], axis=-1)
+        scores = ref_forward_batch(water_model, x.reshape(-1, 10))[:, 2]
+        for thr in [0.5, 0.9, *scores[rng.integers(0, len(scores), size=4)]]:
+            assert np.array_equal(
+                water_mask_mlp(stack, water_model, 3, thr),
+                ref_whole_image_mask(water_model, stack.planes, 2, thr),
+            )
+
     def test_bad_class_index(self, water_model):
         stack, _ = generate_synthetic_scene(SynthParams(width=48, height=48, raft_count=0, seed=1))
         with pytest.raises(ValueError):
@@ -173,12 +183,6 @@ class TestWaterMaskMlp:
         stack, _ = generate_synthetic_scene(SynthParams(width=48, height=48, raft_count=0, seed=1))
         with pytest.raises(ValueError, match="inputs"):
             water_mask_mlp(stack, init_model((2, 2, 1), seed=0), 1, 0.9)
-
-    def test_workers_do_not_change_result(self, water_model):
-        stack, _ = generate_synthetic_scene(SynthParams(width=80, height=80, raft_count=4, seed=9))
-        a = water_mask_mlp(stack, water_model, 3, 0.9, workers=1)
-        b = water_mask_mlp(stack, water_model, 3, 0.9, workers=4)
-        assert np.array_equal(a, b)
 
 
 class TestCleanWaterMask:
