@@ -205,8 +205,19 @@ def resample_plane(p: np.ndarray, factor: int, method: str = "bilinear") -> np.n
     fy = fy[:, None]
     fx = fx[None, :]
     # Interpolate along columns once at input height, then along rows.
-    row = p[:, c0] * (1 - fx) + p[:, c1] * fx
-    return row[r0] * (1 - fy) + row[r1] * fy
+    # Each axis gathers into a fresh array and weights it in place, so
+    # every output element gets a * (1 - f) + b * f in that order.
+    row = np.take(p, c0, axis=1)
+    row *= 1 - fx
+    t = np.take(p, c1, axis=1)
+    t *= fx
+    row += t
+    out = np.take(row, r0, axis=0)
+    out *= 1 - fy
+    t = np.take(row, r1, axis=0)
+    t *= fy
+    out += t
+    return out
 
 
 def load_band_stack(manifest_path) -> BandStack:

@@ -2,7 +2,10 @@
 
 Detections are matched to truth centroids greedily by ascending
 distance with a gate (default 3 px, about one raft diagonal); each side
-is matched at most once. Rates:
+is matched at most once. The gate must be finite and positive. Candidate
+truths for a detection come from a window of twice the gate on either
+side of its row; each candidate then gets the exact distance test, so
+the matches are those of testing every pair. Rates:
 
 - TFA (false acceptance): unmatched detections over total detections.
 - TFR (false rejection): unmatched platforms over total platforms.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import EvaluationError
@@ -63,14 +67,32 @@ def match_centroids(
     """Greedy one-to-one matching by ascending centroid distance.
 
     ``detections`` are (id, row, col) triples. Pairs farther apart than
-    ``max_dist`` are never matched. Ties in distance resolve by
-    detection order then truth order, so the result is deterministic.
+    ``max_dist`` are never matched; the gate must be finite and
+    positive. Ties in distance resolve by detection order then truth
+    order, so the result is deterministic.
+
+    Only truths whose row lies within ``2 * max_dist`` of a detection's
+    row are tested; the factor 2 is slack for rounding, so every pair
+    the exact ``hypot`` test passes is among them. A coordinate that is
+    NaN or infinite never passes a finite gate, so such points are
+    skipped.
     """
-    if max_dist <= 0:
-        raise EvaluationError(f"max_dist must be positive, got {max_dist}")
+    if not (math.isfinite(max_dist) and max_dist > 0):
+        raise EvaluationError(f"max_dist must be finite and positive, got {max_dist}")
+    by_row = sorted(
+        (tr, ti, tc)
+        for ti, (tr, tc) in enumerate(truth_centroids)
+        if math.isfinite(tr) and math.isfinite(tc)
+    )
+    rows = [tr for tr, _, _ in by_row]
+    slack = 2 * max_dist
     pairs = []
     for di, (_, dr, dc) in enumerate(detections):
-        for ti, (tr, tc) in enumerate(truth_centroids):
+        if not (math.isfinite(dr) and math.isfinite(dc)):
+            continue
+        lo = bisect_left(rows, dr - slack)
+        hi = bisect_right(rows, dr + slack)
+        for tr, ti, tc in by_row[lo:hi]:
             d = math.hypot(dr - tr, dc - tc)
             if d <= max_dist:
                 pairs.append((d, di, ti))

@@ -5,9 +5,10 @@ library code: morphology walks pixel neighborhoods via coordinate sets,
 the Otsu reference recomputes between-class variance from prefix sums
 with exact integer arithmetic, Euler numbers come from flood-filling
 enclosed background, solidity from Qhull half-space containment, and
-matching from exhaustive assignment search. The pixel-scoring and
-four-gather resampling references are the whole-image formulations the
-library once used; its cheaper forms must match them bit for bit.
+matching from exhaustive assignment search. The pixel-scoring,
+four-gather resampling and all-pairs matching references are the plain
+formulations the library once used; its cheaper forms must match them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from collections import deque
 
 import numpy as np
+
+from raftcensus.evaluation import MatchPair
 
 
 # --- morphology -----------------------------------------------------------
@@ -191,6 +194,27 @@ def ref_max_matching_count(detections, truths, max_dist: float) -> int:
         if best == r:
             break
     return best
+
+
+def ref_match_all_pairs(detections, truths, max_dist: float) -> list:
+    """Greedy one-to-one matching after the exact test on every pair."""
+    pairs = []
+    for di, (_, dr, dc) in enumerate(detections):
+        for ti, (tr, tc) in enumerate(truths):
+            d = math.hypot(dr - tr, dc - tc)
+            if d <= max_dist:
+                pairs.append((d, di, ti))
+    pairs.sort()
+    used_det: set[int] = set()
+    used_truth: set[int] = set()
+    matches = []
+    for d, di, ti in pairs:
+        if di in used_det or ti in used_truth:
+            continue
+        used_det.add(di)
+        used_truth.add(ti)
+        matches.append(MatchPair(detections[di][0], ti, d))
+    return matches
 
 
 # --- interpolation -----------------------------------------------------------

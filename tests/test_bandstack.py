@@ -90,7 +90,7 @@ class TestResample:
             resample_plane(p, factor, "bilinear"), ref_bilinear(p, factor), atol=1e-12
         )
 
-    @pytest.mark.parametrize("factor", [2, 3])
+    @pytest.mark.parametrize("factor", [2, 3, 4])
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (5, 7), (6, 8), (64, 33)])
     def test_bilinear_bit_identical_to_four_gathers(self, rng, factor, shape):
         p = rng.uniform(0, 1.5, size=shape)
@@ -98,6 +98,31 @@ class TestResample:
         want = ref_bilinear_gathers(p, factor)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["strided", "uint16", "float32"])
+    def test_bilinear_bit_identical_for_input_kinds(self, rng, factor, kind):
+        if kind == "strided":
+            p = rng.uniform(0, 1.5, size=(23, 40))[1::2, ::3]
+            assert not p.flags.c_contiguous
+        elif kind == "uint16":
+            p = rng.integers(0, 65536, size=(9, 13)).astype(np.uint16)
+        else:
+            p = rng.uniform(0, 1.5, size=(9, 13)).astype(np.float32)
+        got = resample_plane(p, factor, "bilinear")
+        want = ref_bilinear_gathers(p, factor)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("method", ["nearest", "bilinear"])
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_input_left_unmodified(self, rng, method, factor):
+        base = rng.uniform(0, 1.5, size=(12, 10))
+        for p in (base, base[::2, 1:]):
+            before = p.copy()
+            out = resample_plane(p, factor, method)
+            assert np.array_equal(p.view(np.uint64), before.view(np.uint64))
+            assert not np.shares_memory(out, p)
 
     def test_factor_one_is_identity(self, rng):
         p = rng.uniform(0, 1, size=(4, 4))

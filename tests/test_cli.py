@@ -122,6 +122,18 @@ class TestCensusEvalCli:
         report = json.loads(report_path.read_text())
         assert report["missed"] == 0 and report["false_detections"] == 0
 
+    @pytest.mark.parametrize("gate", ["nan", "inf"])
+    def test_eval_rejects_non_finite_gate(self, scene_dir, tmp_path, capsys, gate):
+        census_csv = tmp_path / "census.csv"
+        census_csv.write_text("id,row,col,area_px\n1,10.0,10.0,4\n")
+        report_path = tmp_path / "report.json"
+        code = run_cli("eval", "--census", str(census_csv),
+                       "--truth", str(scene_dir / "truth.json"),
+                       "--max-match-dist", gate, "--out", str(report_path))
+        assert code == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_census_writes_geojson_when_geo(self, model_path, tmp_path):
         scene = tmp_path / "geoscene"
         assert run_cli("synth", "--out", str(scene), "--width", "128", "--height", "128",

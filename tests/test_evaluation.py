@@ -5,7 +5,7 @@ import pytest
 from raftcensus import MatchPair, compute_rates, match_centroids
 from raftcensus.errors import EvaluationError
 
-from oracles import ref_max_matching_count
+from oracles import ref_match_all_pairs, ref_max_matching_count
 
 
 def make_instance(rng, max_dist=3.0, n_truth=None):
@@ -63,6 +63,121 @@ class TestMatching:
     def test_invalid_gate(self):
         with pytest.raises(EvaluationError):
             match_centroids([], [], max_dist=0.0)
+
+    @pytest.mark.parametrize("gate", [-1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_negative_gate_rejected(self, gate):
+        # a NaN gate would match nothing and an infinite one everything
+        with pytest.raises(EvaluationError, match="finite and positive"):
+            match_centroids([(1, 0.0, 0.0)], [(0.0, 0.0)], max_dist=gate)
+
+
+def bitwise(matches):
+    return [(m.detection_id, m.truth_index, m.distance_px.hex()) for m in matches]
+
+
+def assert_same_as_all_pairs(dets, truths, gate):
+    got = match_centroids(dets, truths, gate)
+    want = ref_match_all_pairs(dets, truths, gate)
+    assert got == want
+    assert bitwise(got) == bitwise(want)
+    return got
+
+
+def points(rng, n, lo, hi):
+    return [tuple(float(v) for v in rng.uniform(lo, hi, size=2)) for _ in range(n)]
+
+
+class TestMatchingEquivalence:
+    """The row-windowed matcher against the exact test on every pair."""
+
+    @pytest.mark.parametrize("gate", [0.5, 3.0, 12.0])
+    def test_dense_random(self, rng, gate):
+        n_matched = 0
+        for _ in range(20):
+            truths = points(rng, int(rng.integers(0, 80)), 0, 20)
+            dets = [(i + 1, r, c) for i, (r, c) in enumerate(points(rng, 80, -2, 22))]
+            n_matched += len(assert_same_as_all_pairs(dets, truths, gate))
+        assert n_matched > 50  # the instances do match, not only reject
+
+    def test_duplicates_and_ties(self, rng):
+        base = points(rng, 6, 0, 8)
+        truths = base + base[:3] + [base[0]] * 2
+        dets = [(i + 1, r, c) for i, (r, c) in enumerate(base * 2 + base[2:4])]
+        # equidistant detections around one truth
+        dets += [(50, 4.0, 1.0), (51, 4.0, -1.0), (52, 5.0, 0.0), (53, 3.0, 0.0)]
+        truths.append((4.0, 0.0))
+        for gate in (0.5, 1.0, 3.0):
+            assert_same_as_all_pairs(dets, truths, gate)
+
+    def test_distances_at_the_gate(self):
+        cases = [
+            ([(1, 3.0, 4.0)], [(0.0, 0.0)], 5.0),  # 3-4-5: hypot exact
+            ([(1, 2.5, 7.0)], [(0.0, 7.0)], 2.5),  # along the row axis
+            ([(1, -7.0, 0.0)], [(-1.0, 0.0)], 6.0),
+            ([(1, 0.0, 1.0)], [(0.0, 0.0)], 1.0),  # same row, along columns
+            ([(1, 0.1, 0.2)], [(0.4, 0.6)], math.hypot(0.1 - 0.4, 0.2 - 0.6)),
+        ]
+        for dets, truths, gate in cases:
+            n_match = []
+            for g in (math.nextafter(gate, 0.0), gate, math.nextafter(gate, math.inf)):
+                n_match.append(len(assert_same_as_all_pairs(dets, truths, g)))
+            assert n_match[1:] == [1, 1]
+
+    def test_rows_at_the_window_edge(self):
+        # truths whose row is exactly, or one ulp inside or outside,
+        # twice the gate away; none can pass the exact test
+        gate = 0.25
+        dr = 10.0
+        rows = [dr - 2 * gate, dr + 2 * gate, dr - gate, dr + gate]
+        rows += [math.nextafter(r, d) for r in rows[:2] for d in (0.0, math.inf)]
+        truths = [(r, 5.0) for r in rows]
+        got = assert_same_as_all_pairs([(1, dr, 5.0)], truths, gate)
+        assert [m.truth_index for m in got] == [2]
+
+    def test_negative_coordinates(self, rng):
+        for _ in range(10):
+            truths = points(rng, 40, -30, -5)
+            dets = [(i + 1, r, c) for i, (r, c) in enumerate(points(rng, 40, -31, -4))]
+            assert_same_as_all_pairs(dets, truths, 3.0)
+
+    def test_large_coordinates_small_gate(self, rng):
+        # at 1e15 a float step is 0.125, far above the gate
+        base = 1e15
+        truths = [(base + 0.125 * int(k), base + 0.125 * int(j))
+                  for k, j in rng.integers(-4, 5, size=(30, 2))]
+        dets = [(i + 1, base + 0.125 * int(k), base + 0.125 * int(j))
+                for i, (k, j) in enumerate(rng.integers(-4, 5, size=(30, 2)))]
+        dets.append((99, math.nextafter(base, math.inf), base))
+        truths.append((base, base))
+        for gate in (1e-3, 0.125, 0.2):
+            assert_same_as_all_pairs(dets, truths, gate)
+        assert len(match_centroids(dets, truths, 1e-3)) > 0
+
+    def test_non_finite_coordinates(self, rng):
+        bad = [math.nan, math.inf, -math.inf]
+        truths = points(rng, 10, 0, 10)
+        truths += [(v, 5.0) for v in bad] + [(5.0, v) for v in bad] + [(v, v) for v in bad]
+        dets = [(i + 1, r, c) for i, (r, c) in enumerate(points(rng, 10, 0, 10))]
+        dets += [(100 + i, v, 5.0) for i, v in enumerate(bad)]
+        dets += [(200 + i, 5.0, v) for i, v in enumerate(bad)]
+        dets += [(300 + i, v, v) for i, v in enumerate(bad)]
+        for gate in (1.0, 4.0, 1e300):
+            got = assert_same_as_all_pairs(dets, truths, gate)
+            assert all(m.detection_id < 100 and m.truth_index < 10 for m in got)
+
+    def test_nan_truths_interleaved(self, rng):
+        # NaN rows mixed into a dense field must not upset the row order
+        for _ in range(10):
+            truths = points(rng, 60, 0, 20)
+            for i in rng.choice(len(truths), size=8, replace=False):
+                truths[i] = (math.nan, truths[i][1])
+            dets = [(i + 1, r, c) for i, (r, c) in enumerate(points(rng, 60, 0, 20))]
+            assert_same_as_all_pairs(dets, truths, 2.0)
+
+    def test_empty_lists(self):
+        assert_same_as_all_pairs([], [], 3.0)
+        assert_same_as_all_pairs([], [(1.0, 1.0)], 3.0)
+        assert_same_as_all_pairs([(1, 1.0, 1.0)], [], 3.0)
 
 
 class TestRates:
