@@ -7,7 +7,7 @@ score it against ground truth, and render an overlay image. Exit codes:
 
 All randomness is seeded through flags, so identical invocations
 produce byte-identical output files. The census is single-threaded;
-pixels are scored in row blocks.
+pixels are scored in row blocks through reused buffers.
 """
 
 from __future__ import annotations

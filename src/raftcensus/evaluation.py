@@ -152,9 +152,10 @@ def compute_rates(
 def evaluate_census(
     census, truth_centroids, max_dist: float = DEFAULT_MAX_MATCH_DIST
 ) -> MetricsReport:
-    """Match and rate in one step."""
-    matches = match_detections(census, truth_centroids, max_dist)
-    return compute_rates(matches, len(census.records), len(list(truth_centroids)))
+    """Match and rate in one step; ``truth_centroids`` is read once."""
+    truth = list(truth_centroids)
+    matches = match_detections(census, truth, max_dist)
+    return compute_rates(matches, len(census.records), len(truth))
 
 
 def report_to_json(report: MetricsReport) -> str:

@@ -5,6 +5,10 @@ by full-batch gradient descent with momentum on mean squared error.
 The platform classifier uses layers [10, 2, 1]; the water classifier
 defaults to [10, 8, 3] with the water class last.
 
+Image pixels are scored a block of rows at a time. The blocks of one
+``threshold_planes`` call reuse buffers allocated once for that call,
+and the sigmoid works in place, so scoring allocates nothing per block.
+
 Models are value objects: training copies parameters and never mutates
 its input model.
 """
@@ -39,18 +43,35 @@ PLATFORM_LAYERS = (10, 2, 1)
 WATER_LAYERS = (10, 8, 3)
 WATER_CLASS_INDEX = 3  # 1-based output index of the water class
 
-# Most pixels per forward_batch call in threshold_planes: small enough
-# that a block's features and activations stay in cache, large enough to
-# keep per-call overhead negligible.
+# Most pixels per block in threshold_planes: small enough that a block's
+# features and activations stay in cache, large enough to keep per-block
+# overhead negligible.
 _BLOCK_PIXELS = 16384
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows. For z >= 0 this is 1 / (1 + exp(-z)),
-    # for z < 0 it is exp(z) / (1 + exp(z)).
-    ez = np.exp(-np.abs(z))
-    d = 1.0 + ez
-    return np.where(z >= 0, 1.0 / d, ez / d)
+def _sigmoid(
+    z: np.ndarray, t: np.ndarray | None = None, pos: np.ndarray | None = None
+) -> np.ndarray:
+    """Logistic function of ``z``, computed in place: ``z`` is overwritten
+    and returned.
+
+    ``t`` and ``pos`` are flat float64 and bool scratch arrays of at least
+    ``z.size`` elements, allocated when not given. Per element this is
+    1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise, each
+    one correctly rounded division; exp(-|z|) never overflows, and NaN
+    stays NaN.
+    """
+    if t is None or pos is None:
+        t, pos = np.empty(z.size), np.empty(z.size, dtype=bool)
+    t = t[: z.size].reshape(z.shape)
+    pos = pos[: z.size].reshape(z.shape)
+    np.abs(z, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.greater_equal(z, 0.0, out=pos)
+    np.add(t, 1.0, out=z)
+    np.putmask(t, pos, 1.0)
+    return np.divide(t, z, out=z)
 
 
 @dataclass(frozen=True)
@@ -148,15 +169,47 @@ def init_model(
     return MlpModel(tuple(layer_sizes), (w1, w2), (b1, b2), tuple(feature_order))
 
 
+def _work_arrays(m: MlpModel, rows: int) -> tuple[np.ndarray, ...]:
+    """Flat hidden, output, float scratch and bool scratch arrays for
+    scoring up to ``rows`` rows, and at least two, through ``m``."""
+    rows = max(rows, 2)
+    n_in, n_hid, n_out = m.layer_sizes
+    k = max(n_in, n_hid, n_out)
+    return (np.empty(rows * n_hid), np.empty(rows * n_out),
+            np.empty(rows * k), np.empty(rows * k, dtype=bool))
+
+
+def _forward_into(m: MlpModel, x: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(n, n_out) outputs for the (n, n_in) float64 rows ``x``, computed in
+    ``work`` from ``_work_arrays`` and returned as a view of it.
+
+    A one-row batch is scored as two copies of the row: numpy multiplies a
+    single row on another BLAS path, whose sums can differ in the last bit
+    from the same row inside a larger batch.
+    """
+    hid_buf, out_buf, t, pos = work
+    n = len(x)
+    fin = pos[: x.size].reshape(x.shape)
+    if not np.isfinite(x, out=fin).all():
+        raise ValueError("inputs must be finite")
+    if n == 1:
+        x = np.concatenate([x, x])
+    rows = len(x)
+    n_hid, n_out = m.layer_sizes[1:]
+    h = np.matmul(x, m.weights[0].T, out=hid_buf[: rows * n_hid].reshape(rows, n_hid))
+    h += m.biases[0]
+    _sigmoid(h, t, pos)
+    y = np.matmul(h, m.weights[1].T, out=out_buf[: rows * n_out].reshape(rows, n_out))
+    y += m.biases[1]
+    return _sigmoid(y, t, pos)[:n]
+
+
 def forward_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network outputs for an (n, n_in) batch; returns (n, n_out) in (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.n_in:
         raise ValueError(f"expected (n, {m.n_in}) inputs, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("inputs must be finite")
-    h = _sigmoid(x @ m.weights[0].T + m.biases[0])
-    return _sigmoid(h @ m.weights[1].T + m.biases[1])
+    return _forward_into(m, x, _work_arrays(m, len(x)))
 
 
 def forward(m: MlpModel, x) -> np.ndarray:
@@ -177,27 +230,33 @@ def threshold_planes(
     """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
 
     ``planes`` maps every band of ``m.feature_order`` to an (H, W) plane.
-    Pixels are scored through ``forward_batch`` a block of rows at a
-    time, so each score equals the one ``forward_batch`` gives for that
-    pixel's feature vector. With a boolean (H, W) ``where``, row blocks
-    holding no true pixel are not scored and the result is restricted to
-    ``where``.
+    Pixels are scored a block of rows at a time through buffers allocated
+    once per call, so each score equals the one ``forward_batch`` gives
+    for that pixel's feature vector. With a boolean (H, W) ``where``, row
+    blocks holding no true pixel are not scored and the result is
+    restricted to ``where``.
     """
     h, w = planes[m.feature_order[0]].shape
     if where is not None and where.shape != (h, w):
         raise DimensionError(f"mask shape {where.shape} does not match planes {(h, w)}")
     out = np.zeros((h, w), dtype=bool)
-    # Rows are split evenly, so a block is a single pixel only in a 1x1
-    # image: numpy scores a one-row batch on another BLAS path, whose sums
-    # can differ in the last bit from the same row inside a larger batch.
+    # Rows are split evenly, so blocks differ in height by at most one row
+    # and the buffers fit the tallest. Only a 1x1 image makes a one-pixel
+    # block, which _forward_into scores as two copies of the pixel.
     n_blocks = -(-h // max(1, _BLOCK_PIXELS // max(w, 1)))
+    block_px = -(-h // max(n_blocks, 1)) * w
+    x = np.empty((block_px, m.n_in))
+    work = _work_arrays(m, block_px)
     for i in range(n_blocks):
         r0, r1 = h * i // n_blocks, h * (i + 1) // n_blocks
         if where is not None and not where[r0:r1].any():
             continue
-        x = np.stack([planes[b][r0:r1] for b in m.feature_order], axis=-1)
-        y = forward_batch(m, x.reshape(-1, m.n_in))[:, out_index]
-        out[r0:r1] = (y >= thr).reshape(r1 - r0, w)
+        xb = x[: (r1 - r0) * w]
+        cols = xb.reshape(r1 - r0, w, m.n_in)
+        for j, b in enumerate(m.feature_order):
+            cols[:, :, j] = planes[b][r0:r1]
+        y = _forward_into(m, xb, work)
+        np.greater_equal(y[:, out_index], thr, out=out[r0:r1].reshape(-1))
     return out if where is None else out & where
 
 

@@ -275,7 +275,14 @@ def ref_sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def ref_forward_batch(m, x: np.ndarray) -> np.ndarray:
-    """(n, n_out) network outputs for an (n, n_in) batch."""
+    """(n, n_out) network outputs for an (n, n_in) batch.
+
+    A row's outputs are the ones it gets inside a batch of two or more
+    rows, so a lone row is scored as two copies: numpy multiplies a single
+    row on a vector BLAS path whose sums can differ in the last bit.
+    """
+    if len(x) == 1:
+        return ref_forward_batch(m, np.concatenate([x, x]))[:1]
     h = ref_sigmoid(x @ m.weights[0].T + m.biases[0])
     return ref_sigmoid(h @ m.weights[1].T + m.biases[1])
 

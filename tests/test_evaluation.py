@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from raftcensus import MatchPair, compute_rates, match_centroids
+from raftcensus import (Census, CensusRecord, MatchPair, compute_rates, evaluate_census,
+                        match_centroids)
 from raftcensus.errors import EvaluationError
 
 from oracles import ref_match_all_pairs, ref_max_matching_count
@@ -243,3 +244,28 @@ class TestRates:
         base = compute_rates([MatchPair(1, 0, 0.0)], 2, 4)
         more = compute_rates([MatchPair(1, 0, 0.0)], 3, 4)
         assert more.tfa_percent > base.tfa_percent
+
+
+def census_of(centroids):
+    records = tuple(CensusRecord(id=i, centroid_px=c, area_px=4, bbox=(0, 0, 1, 1))
+                    for i, c in enumerate(centroids, start=1))
+    return Census(records=records, count=len(records), source="", config_digest="")
+
+
+class TestEvaluateCensus:
+    TRUTHS = [(10.0, 10.0), (50.0, 50.0)]
+
+    def test_generator_truths_read_once(self):
+        census = census_of([(10.5, 10.0)])
+        report = evaluate_census(census, (t for t in self.TRUTHS))
+        assert report.total_platforms == 2 and report.true_positives == 1
+        assert report.tfr_percent == 50.0 and report.tfa_percent == 0.0
+
+    def test_generator_truths_without_detections(self):
+        report = evaluate_census(census_of([]), (t for t in self.TRUTHS))
+        assert report.total_platforms == 2 and report.tfr_percent == 100.0
+        assert report.no_detections and not report.no_platforms
+
+    def test_generator_matches_list(self):
+        census = census_of([(10.5, 10.0), (49.0, 51.0), (90.0, 90.0)])
+        assert evaluate_census(census, iter(self.TRUTHS)) == evaluate_census(census, self.TRUTHS)

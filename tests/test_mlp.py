@@ -68,6 +68,29 @@ class TestForward:
             forward(m, np.full(10, np.nan))
 
 
+class TestOneRowBatch:
+    # numpy multiplies a lone row on a vector BLAS path; scored that way,
+    # these models give 59 and 3 of these 69 rows other last bits.
+    @pytest.mark.parametrize("layers,seed,scale", [((10, 8, 3), 3, 40.0), ((10, 2, 1), 1, 1.0)])
+    def test_single_row_matches_row_inside_batch(self, layers, seed, scale):
+        m = scaled_model(layers, seed, scale)
+        x = np.random.default_rng(0).uniform(0.0, 1.5, size=(69, 10))
+        whole = forward_batch(m, x)
+        for i in range(len(x)):
+            assert np.array_equal(bits(forward(m, x[i])), bits(whole[i]))
+            assert np.array_equal(bits(forward_batch(m, x[i : i + 1])), bits(whole[i : i + 1]))
+
+    def test_single_row_confusion_uses_batch_score(self):
+        m = scaled_model((10, 2, 1), 1, 1.0)
+        x = np.random.default_rng(0).uniform(0.0, 1.5, size=(69, 10))
+        scores = forward_batch(m, x)[:, 0]
+        for i in range(len(x)):
+            at = evaluate_confusion(m, x[i : i + 1], np.array([1]), thr=scores[i])
+            above = evaluate_confusion(m, x[i : i + 1], np.array([1]),
+                                       thr=np.nextafter(scores[i], 1.0))
+            assert at.counts[1, 1] == 1 and above.counts[1, 0] == 1
+
+
 def bits(a):
     """Raw IEEE bit patterns, so -0.0 and 0.0 compare unequal."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
@@ -103,11 +126,11 @@ class TestSigmoid:
     def test_matches_split_by_sign_reference_bitwise(self, rng):
         z = np.concatenate([rng.normal(scale=s, size=20000) for s in (1.0, 30.0, 500.0)]
                            + [np.array(self.SPECIAL)])
-        assert np.array_equal(bits(_sigmoid(z)), bits(ref_sigmoid(z)))
+        assert np.array_equal(bits(_sigmoid(z.copy())), bits(ref_sigmoid(z)))
 
     def test_matrix_input_bitwise(self, rng):
         z = rng.normal(scale=20.0, size=(300, 8))
-        out = _sigmoid(z)
+        out = _sigmoid(z.copy())
         assert out.shape == z.shape
         assert np.array_equal(bits(out), bits(ref_sigmoid(z)))
 
@@ -115,20 +138,54 @@ class TestSigmoid:
         out = _sigmoid(np.array([np.nan, -np.nan, 1.0]))
         assert np.isnan(out[:2]).all() and out[2] == ref_sigmoid(np.array([1.0]))[0]
 
+    def test_overwrites_its_input_using_oversized_scratch(self, rng):
+        z = rng.normal(scale=20.0, size=(300, 8))
+        want = ref_sigmoid(z)
+        t = rng.normal(size=z.size + 50)  # stale contents and a spare tail
+        pos = rng.random(z.size + 50) < 0.5
+        out = _sigmoid(z, t, pos)
+        assert out is z
+        assert np.array_equal(bits(z), bits(want))
+
+    def test_strided_input_bitwise(self, rng):
+        y = rng.normal(scale=30.0, size=(500, 3))
+        col = y[:, 1]
+        want = ref_sigmoid(col.copy())
+        _sigmoid(col)
+        assert np.array_equal(bits(y[:, 1]), bits(want))
+
 
 @pytest.fixture
 def batch_sizes(monkeypatch):
-    """Rows of every forward_batch call threshold_planes makes."""
+    """Rows of every block threshold_planes scores."""
     from raftcensus import mlp
 
     sizes = []
+    forward_into = mlp._forward_into
 
-    def counting(m, x):
+    def counting(m, x, work):
         sizes.append(len(x))
-        return forward_batch(m, x)
+        return forward_into(m, x, work)
 
-    monkeypatch.setattr(mlp, "forward_batch", counting)
+    monkeypatch.setattr(mlp, "_forward_into", counting)
     return sizes
+
+
+@pytest.fixture
+def block_scores(monkeypatch):
+    """(features, outputs) copies of every block threshold_planes scores."""
+    from raftcensus import mlp
+
+    blocks = []
+    forward_into = mlp._forward_into
+
+    def recording(m, x, work):
+        y = forward_into(m, x, work)
+        blocks.append((x.copy(), y.copy()))
+        return y
+
+    monkeypatch.setattr(mlp, "_forward_into", recording)
+    return blocks
 
 
 class TestThresholdPlanes:
@@ -218,6 +275,78 @@ class TestThresholdPlanes:
             threshold_planes(m, random_planes(rng, *shape), 0, 0.5)
             assert sum(batch_sizes) == shape[0] * shape[1]
             assert min(batch_sizes) >= 2 and max(batch_sizes) <= _BLOCK_PIXELS
+
+    def test_unequal_blocks_score_like_the_whole_image(self, rng, block_scores):
+        # Ten rows of 5461 pixels split into blocks of 2, 3, 2 and 3 rows:
+        # a shorter block follows a taller one in the same buffers.
+        m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
+        h, w = 10, _BLOCK_PIXELS // 3
+        planes = random_planes(rng, h, w)
+        threshold_planes(m, planes, 2, 0.5)
+        assert [len(xb) // w for xb, _ in block_scores] == [2, 3, 2, 3]
+        x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        assert np.array_equal(np.concatenate([xb for xb, _ in block_scores]), x)
+        assert np.array_equal(bits(np.concatenate([yb for _, yb in block_scores])),
+                              bits(ref_forward_batch(m, x)))
+
+    def test_skipped_middle_blocks_leave_no_stale_rows(self, rng, block_scores):
+        m = scaled_model((10, 8, 3), 2, 1.0)
+        h, w = 10, _BLOCK_PIXELS // 3  # blocks of rows 0-1, 2-4, 5-6, 7-9
+        planes = random_planes(rng, h, w)
+        where = np.zeros((h, w), dtype=bool)
+        where[3, 10] = where[8, :] = True  # blocks 1 and 3 only
+        x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(h, w, 10)
+        scores = ref_forward_batch(m, x.reshape(-1, 10))[:, 1].reshape(h, w)
+        for thr in (0.5, scores[3, 10], scores[8, 77]):
+            block_scores.clear()
+            got = threshold_planes(m, planes, 1, thr, where=where)
+            assert np.array_equal(got, ref_gather_mask(m, planes, 1, thr, where))
+            assert [len(xb) // w for xb, _ in block_scores] == [3, 3]
+            for (xb, yb), (r0, r1) in zip(block_scores, [(2, 5), (7, 10)]):
+                assert np.array_equal(xb, x[r0:r1].reshape(-1, 10))
+                assert np.array_equal(bits(yb), bits(ref_forward_batch(m, xb)))
+
+    def test_back_to_back_models_of_different_width(self, rng):
+        planes = random_planes(rng, 70, 600)
+        models = [scaled_model((10, 2, 1), 1, 1.0), scaled_model((10, 8, 3), 3, 40.0),
+                  scaled_model((10, 2, 1), 4, 400.0), scaled_model((10, 8, 3), 2, 1.0)]
+        for m in models + models[::-1]:
+            out_index = m.n_out - 1
+            assert np.array_equal(threshold_planes(m, planes, out_index, 0.5),
+                                  ref_whole_image_mask(m, planes, out_index, 0.5))
+
+    def test_inputs_left_unmodified(self, rng):
+        m = scaled_model((10, 8, 3), 3, 40.0)
+        planes = random_planes(rng, 40, 900)
+        where = rng.random((40, 900)) < 0.5
+        before = {b: p.copy() for b, p in planes.items()}
+        where_before = where.copy()
+        threshold_planes(m, planes, 2, 0.5)
+        threshold_planes(m, planes, 2, 0.5, where=where)
+        assert all(np.array_equal(bits(planes[b]), bits(before[b])) for b in planes)
+        assert np.array_equal(where, where_before)
+        x = rng.uniform(0.0, 1.5, size=(33, 10))
+        x_before = x.copy()
+        forward_batch(m, x)
+        forward_batch(m, x[:1])
+        assert np.array_equal(bits(x), bits(x_before))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_in_scored_block_rejected(self, rng, bad):
+        m = init_model((10, 2, 1), seed=0)
+        h, w = 10, _BLOCK_PIXELS // 3
+        planes = random_planes(rng, h, w)
+        planes[BandId.B11][8, 5] = bad  # in the last block, rows 7-9
+        with pytest.raises(ValueError, match="finite"):
+            threshold_planes(m, planes, 0, 0.5)
+        where = np.zeros((h, w), dtype=bool)
+        where[9, 0] = True
+        with pytest.raises(ValueError, match="finite"):
+            threshold_planes(m, planes, 0, 0.5, where=where)
+        # A block that holds no ``where`` pixel is neither scored nor checked.
+        where[9, 0], where[0, 0] = False, True
+        assert np.array_equal(threshold_planes(m, planes, 0, 0.5, where=where),
+                              ref_gather_mask(m, planes, 0, 0.5, where))
 
     def test_where_shape_mismatch_rejected(self, rng):
         m = init_model((10, 2, 1), seed=0)
