@@ -171,13 +171,12 @@ def write_pgm16(path, values: np.ndarray) -> None:
     Path(path).write_bytes(header + a.astype(">u2").tobytes())
 
 
-def resample_plane(p: np.ndarray, factor: int, method: str = "bilinear") -> np.ndarray:
-    """Upsample a plane by an integer factor.
+def resample_plane(p: np.ndarray, factor: int) -> np.ndarray:
+    """Upsample a plane by an integer factor, bilinearly.
 
-    ``nearest`` replicates each pixel into a factor x factor block.
-    ``bilinear`` aligns pixel centers: output center (i + 0.5) / factor
-    maps to input coordinate (i + 0.5) / factor - 0.5, clamped to the
-    valid range so edges extend rather than shrink.
+    Pixel centers align: output center (i + 0.5) / factor maps to input
+    coordinate (i + 0.5) / factor - 0.5, clamped to the valid range so
+    edges extend rather than shrink.
     """
     if factor < 1:
         raise ValueError(f"resample factor must be >= 1, got {factor}")
@@ -186,10 +185,6 @@ def resample_plane(p: np.ndarray, factor: int, method: str = "bilinear") -> np.n
         raise DimensionError(f"plane must be 2-D, got shape {p.shape}")
     if factor == 1:
         return p.copy()
-    if method == "nearest":
-        return np.repeat(np.repeat(p, factor, axis=0), factor, axis=1)
-    if method != "bilinear":
-        raise ValueError(f"unknown resample method {method!r}")
 
     h, w = p.shape
 

@@ -7,7 +7,8 @@ score it against ground truth, and render an overlay image. Exit codes:
 
 All randomness is seeded through flags, so identical invocations
 produce byte-identical output files. The census is single-threaded;
-pixels are scored in row blocks through reused buffers.
+pixels are scored in row blocks, each unit's sum in one fixed order, so
+a score depends neither on its block nor on BLAS (training uses BLAS).
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _build_parser() -> _Parser:
                    help="geo origin of pixel (0,0) top-left corner, meters")
     p.add_argument("--crs", default="EPSG:32629", help="CRS code for --origin")
 
-    for name, hidden, help_text in (
-        ("train-platform", 2, "train the binary platform classifier"),
-        ("train-water", 8, "train the three-class water classifier"),
+    for name, help_text in (
+        ("train-platform", "train the binary platform classifier"),
+        ("train-water", "train the three-class water classifier"),
     ):
         p = sub.add_parser(name, help=help_text)
         src = p.add_mutually_exclusive_group(required=True)
@@ -95,7 +96,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--correction",
                            help="PGM mask vetting mined candidates (nonzero = keep)")
         p.add_argument("--out", required=True, help="output model file")
-        p.add_argument("--hidden", type=int, default=hidden)
+        if name == "train-water":
+            p.add_argument("--hidden", type=int, default=mlp.WATER_LAYERS[1])
         p.add_argument("--epochs", type=int, default=2000)
         p.add_argument("--lr", type=float, default=2.0)
         p.add_argument("--momentum", type=float, default=0.9)
@@ -219,8 +221,8 @@ def _training_data(args, binary: bool) -> datasets.LabeledPixels:
 
 def _cmd_train(args, binary: bool) -> int:
     data = _training_data(args, binary)
-    n_out = 1 if binary else len(data.class_names)
-    model = mlp.init_model((10, args.hidden, n_out), seed=args.seed)
+    layers = mlp.PLATFORM_LAYERS if binary else (10, args.hidden, len(data.class_names))
+    model = mlp.init_model(layers, seed=args.seed)
     cfg = mlp.TrainConfig(
         max_epochs=args.epochs,
         target_loss=args.target_loss,

@@ -5,9 +5,11 @@ by full-batch gradient descent with momentum on mean squared error.
 The platform classifier uses layers [10, 2, 1]; the water classifier
 defaults to [10, 8, 3] with the water class last.
 
-Image pixels are scored a block of rows at a time. The blocks of one
-``threshold_planes`` call reuse buffers allocated once for that call,
-and the sigmoid works in place, so scoring allocates nothing per block.
+Scoring sums each unit's weighted inputs in one fixed order, first input
+first, so a pixel's scores depend only on its features: not on the batch
+or block it is scored in, nor on the BLAS library. Image pixels are
+scored in row blocks through buffers allocated once per call. Training
+stays on matrix products.
 
 Models are value objects: training copies parameters and never mutates
 its input model.
@@ -44,8 +46,8 @@ WATER_LAYERS = (10, 8, 3)
 WATER_CLASS_INDEX = 3  # 1-based output index of the water class
 
 # Most pixels per block in threshold_planes: small enough that a block's
-# features and activations stay in cache, large enough to keep per-block
-# overhead negligible.
+# activations stay in cache, large enough to keep per-block overhead
+# negligible.
 _BLOCK_PIXELS = 16384
 
 
@@ -169,47 +171,49 @@ def init_model(
     return MlpModel(tuple(layer_sizes), (w1, w2), (b1, b2), tuple(feature_order))
 
 
-def _work_arrays(m: MlpModel, rows: int) -> tuple[np.ndarray, ...]:
-    """Flat hidden, output, float scratch and bool scratch arrays for
-    scoring up to ``rows`` rows, and at least two, through ``m``."""
-    rows = max(rows, 2)
-    n_in, n_hid, n_out = m.layer_sizes
-    k = max(n_in, n_hid, n_out)
-    return (np.empty(rows * n_hid), np.empty(rows * n_out),
-            np.empty(rows * k), np.empty(rows * k, dtype=bool))
+def _work_arrays(m: MlpModel, n_units: int, n: int) -> tuple[np.ndarray, ...]:
+    """Hidden, output, float scratch and bool scratch arrays for scoring up
+    to ``n`` pixels through ``m``, ``n_units`` outputs of it."""
+    return (np.empty((m.layer_sizes[1], n)), np.empty((n_units, n)),
+            np.empty(n), np.empty(n, dtype=bool))
 
 
-def _forward_into(m: MlpModel, x: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
-    """(n, n_out) outputs for the (n, n_in) float64 rows ``x``, computed in
-    ``work`` from ``_work_arrays`` and returned as a view of it.
+def _sigmoid_units(w, b, inputs, out, tmp, pos) -> np.ndarray:
+    """out[j] = sigmoid(w[j, 0] x_0 + w[j, 1] x_1 + ... + b[j]) for the
+    equal-length 1-D ``inputs`` x_k, summed left to right."""
+    for j, acc in enumerate(out):
+        np.multiply(inputs[0], w[j, 0], out=acc)
+        for k in range(1, len(inputs)):
+            acc += np.multiply(inputs[k], w[j, k], out=tmp)
+        acc += b[j]
+        _sigmoid(acc, tmp, pos)
+    return out
 
-    A one-row batch is scored as two copies of the row: numpy multiplies a
-    single row on another BLAS path, whose sums can differ in the last bit
-    from the same row inside a larger batch.
-    """
-    hid_buf, out_buf, t, pos = work
-    n = len(x)
-    fin = pos[: x.size].reshape(x.shape)
-    if not np.isfinite(x, out=fin).all():
-        raise ValueError("inputs must be finite")
-    if n == 1:
-        x = np.concatenate([x, x])
-    rows = len(x)
-    n_hid, n_out = m.layer_sizes[1:]
-    h = np.matmul(x, m.weights[0].T, out=hid_buf[: rows * n_hid].reshape(rows, n_hid))
-    h += m.biases[0]
-    _sigmoid(h, t, pos)
-    y = np.matmul(h, m.weights[1].T, out=out_buf[: rows * n_out].reshape(rows, n_out))
-    y += m.biases[1]
-    return _sigmoid(y, t, pos)[:n]
+
+def _score(m: MlpModel, cols, units, work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Output-layer units ``units`` (an index) for the n pixels whose k-th
+    feature is the 1-D ``cols[k]``, one row per unit, as a view of ``work``."""
+    hid, out, tmp, pos = work
+    n = len(cols[0])
+    tmp, pos = tmp[:n], pos[:n]
+    for c in cols:
+        if not np.isfinite(c, out=pos).all():
+            raise ValueError("inputs must be finite")
+    h = _sigmoid_units(m.weights[0], m.biases[0], cols, hid[:, :n], tmp, pos)
+    return _sigmoid_units(m.weights[1][units], m.biases[1][units], h, out[:, :n], tmp, pos)
 
 
 def forward_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Network outputs for an (n, n_in) batch; returns (n, n_out) in (0, 1)."""
+    """Network outputs for an (n, n_in) batch; returns (n, n_out) in (0, 1).
+
+    Each unit sums its weighted inputs first input first, then adds its
+    bias, without BLAS: a row's outputs do not depend on the rest of the
+    batch.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.n_in:
         raise ValueError(f"expected (n, {m.n_in}) inputs, got shape {x.shape}")
-    return _forward_into(m, x, _work_arrays(m, len(x)))
+    return _score(m, x.T, slice(None), _work_arrays(m, m.n_out, len(x))).T.copy()
 
 
 def forward(m: MlpModel, x) -> np.ndarray:
@@ -230,33 +234,25 @@ def threshold_planes(
     """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
 
     ``planes`` maps every band of ``m.feature_order`` to an (H, W) plane.
-    Pixels are scored a block of rows at a time through buffers allocated
-    once per call, so each score equals the one ``forward_batch`` gives
-    for that pixel's feature vector. With a boolean (H, W) ``where``, row
-    blocks holding no true pixel are not scored and the result is
-    restricted to ``where``.
+    Pixels are scored a block of rows at a time, straight from the plane
+    rows, in the fixed summation order of ``forward_batch``: a score
+    depends neither on its block nor on BLAS. Only output ``out_index`` is
+    computed. With a boolean (H, W) ``where``, row blocks holding no true
+    pixel are not scored and the result is restricted to ``where``.
     """
-    h, w = planes[m.feature_order[0]].shape
+    cols = [np.asarray(planes[b], dtype=np.float64) for b in m.feature_order]
+    h, w = cols[0].shape
     if where is not None and where.shape != (h, w):
         raise DimensionError(f"mask shape {where.shape} does not match planes {(h, w)}")
     out = np.zeros((h, w), dtype=bool)
-    # Rows are split evenly, so blocks differ in height by at most one row
-    # and the buffers fit the tallest. Only a 1x1 image makes a one-pixel
-    # block, which _forward_into scores as two copies of the pixel.
-    n_blocks = -(-h // max(1, _BLOCK_PIXELS // max(w, 1)))
-    block_px = -(-h // max(n_blocks, 1)) * w
-    x = np.empty((block_px, m.n_in))
-    work = _work_arrays(m, block_px)
-    for i in range(n_blocks):
-        r0, r1 = h * i // n_blocks, h * (i + 1) // n_blocks
+    rows = max(1, _BLOCK_PIXELS // max(w, 1))
+    work = _work_arrays(m, 1, min(h, rows) * w)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
         if where is not None and not where[r0:r1].any():
             continue
-        xb = x[: (r1 - r0) * w]
-        cols = xb.reshape(r1 - r0, w, m.n_in)
-        for j, b in enumerate(m.feature_order):
-            cols[:, :, j] = planes[b][r0:r1]
-        y = _forward_into(m, xb, work)
-        np.greater_equal(y[:, out_index], thr, out=out[r0:r1].reshape(-1))
+        y = _score(m, [c[r0:r1].reshape(-1) for c in cols], [out_index], work)
+        np.greater_equal(y[0], thr, out=out[r0:r1].reshape(-1))
     return out if where is None else out & where
 
 

@@ -75,23 +75,22 @@ def _as_mask(m) -> np.ndarray:
     return a.astype(bool, copy=False)
 
 
-def _shifted(m: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Array s with s[y, x] = m[y+dy, x+dx], out-of-bounds = False."""
+def _neighbors(m: np.ndarray, se: StructElem):
+    """For each se offset (dy, dx), the view s with s[y, x] = m[y+dy, x+dx],
+    False outside the image."""
     h, w = m.shape
-    s = np.zeros_like(m)
-    ys = slice(max(0, -dy), min(h, h - dy))
-    xs = slice(max(0, -dx), min(w, w - dx))
-    if ys.start < ys.stop and xs.start < xs.stop:
-        s[ys, xs] = m[max(0, dy) : min(h, h + dy), max(0, dx) : min(w, w + dx)]
-    return s
+    r = se.radius
+    p = np.pad(m, r)
+    for dy, dx in se.offsets:
+        yield p[r + dy : r + dy + h, r + dx : r + dx + w]
 
 
 def erode(m, se: StructElem) -> np.ndarray:
     """Pixel true iff every se-offset neighbor is true (border = False)."""
     m = _as_mask(m)
     out = np.ones_like(m)
-    for dy, dx in se.offsets:
-        out &= _shifted(m, dy, dx)
+    for s in _neighbors(m, se):
+        out &= s
     return out
 
 
@@ -99,8 +98,8 @@ def dilate(m, se: StructElem) -> np.ndarray:
     """Pixel true iff any se-offset neighbor is true."""
     m = _as_mask(m)
     out = np.zeros_like(m)
-    for dy, dx in se.offsets:
-        out |= _shifted(m, dy, dx)
+    for s in _neighbors(m, se):
+        out |= s
     return out
 
 

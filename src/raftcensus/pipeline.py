@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -74,12 +74,7 @@ class CensusConfig:
             "water_se": sorted(self.water_se.offsets),
             "coast_erode_se": sorted(self.coast_erode_se.offsets),
             "platform_close_se": sorted(self.platform_close_se.offsets),
-            "blob_filter": [
-                self.blob_filter.max_area,
-                self.blob_filter.max_equivalent_diameter,
-                self.blob_filter.min_solidity,
-                self.blob_filter.required_euler,
-            ],
+            "blob_filter": astuple(self.blob_filter),
         }
         h.update(json.dumps(desc, sort_keys=True).encode())
         for w, b in zip(self.platform_model.weights, self.platform_model.biases):

@@ -5,9 +5,10 @@ library code: morphology walks pixel neighborhoods via coordinate sets,
 the Otsu reference recomputes between-class variance from prefix sums
 with exact integer arithmetic, Euler numbers come from flood-filling
 enclosed background, solidity from Qhull half-space containment, and
-matching from exhaustive assignment search. The pixel-scoring,
-four-gather resampling and all-pairs matching references are the plain
-formulations the library once used; its cheaper forms must match them
+matching from exhaustive assignment search. The four-gather resampling
+and all-pairs matching references are the plain formulations the
+library once used, and the pixel-scoring reference is the library's
+summation order written over whole arrays; the library must match them
 bit for bit.
 """
 
@@ -277,14 +278,18 @@ def ref_sigmoid(z: np.ndarray) -> np.ndarray:
 def ref_forward_batch(m, x: np.ndarray) -> np.ndarray:
     """(n, n_out) network outputs for an (n, n_in) batch.
 
-    A row's outputs are the ones it gets inside a batch of two or more
-    rows, so a lone row is scored as two copies: numpy multiplies a single
-    row on a vector BLAS path whose sums can differ in the last bit.
+    Each unit sums its weighted inputs over whole columns, left to right
+    from the first input, then adds its bias:
+    ((w_0 x_0 + w_1 x_1) + w_2 x_2 + ...) + b.
     """
-    if len(x) == 1:
-        return ref_forward_batch(m, np.concatenate([x, x]))[:1]
-    h = ref_sigmoid(x @ m.weights[0].T + m.biases[0])
-    return ref_sigmoid(h @ m.weights[1].T + m.biases[1])
+    def layer(w, b, a):
+        z = a[:, :1] * w[:, 0]
+        for k in range(1, a.shape[1]):
+            z = z + a[:, k : k + 1] * w[:, k]
+        return ref_sigmoid(z + b)
+
+    x = np.asarray(x, dtype=np.float64)
+    return layer(m.weights[1], m.biases[1], layer(m.weights[0], m.biases[0], x))
 
 
 def ref_whole_image_mask(m, planes, out_index: int, thr: float) -> np.ndarray:

@@ -198,6 +198,14 @@ class TestTrainCli:
     def test_requires_exactly_one_source(self, tmp_path):
         assert run_cli("train-platform", "--out", str(tmp_path / "x.mlp")) == 1
 
+    def test_platform_hidden_width_is_not_an_option(self, tmp_path, capsys):
+        # The census takes only [10, 2, 1] platform nets.
+        model_out = tmp_path / "p.mlp"
+        assert run_cli("train-platform", "--synthetic-default", "--hidden", "3",
+                       "--epochs", "5", "--out", str(model_out)) == 1
+        assert "--hidden" in capsys.readouterr().err
+        assert not model_out.exists()
+
 
 class TestRender:
     def test_render_cli(self, scene_dir, model_path, tmp_path):

@@ -69,9 +69,10 @@ class TestForward:
 
 
 class TestOneRowBatch:
-    # numpy multiplies a lone row on a vector BLAS path; scored that way,
-    # these models give 59 and 3 of these 69 rows other last bits.
-    @pytest.mark.parametrize("layers,seed,scale", [((10, 8, 3), 3, 40.0), ((10, 2, 1), 1, 1.0)])
+    # Scored through BLAS matrix products, these models give 59, 3 and 19
+    # of these 69 rows other last bits alone than inside the batch.
+    @pytest.mark.parametrize("layers,seed,scale", [((10, 8, 3), 3, 40.0), ((10, 2, 1), 1, 1.0),
+                                                   ((10, 8, 1), 3, 40.0)])
     def test_single_row_matches_row_inside_batch(self, layers, seed, scale):
         m = scaled_model(layers, seed, scale)
         x = np.random.default_rng(0).uniform(0.0, 1.5, size=(69, 10))
@@ -89,6 +90,26 @@ class TestOneRowBatch:
             above = evaluate_confusion(m, x[i : i + 1], np.array([1]),
                                        thr=np.nextafter(scores[i], 1.0))
             assert at.counts[1, 1] == 1 and above.counts[1, 0] == 1
+
+    def test_sums_left_to_right_in_python_floats(self):
+        # Pins the summation order: (((w_0 x_0 + w_1 x_1) + w_2 x_2) ...) + b
+        # in plain Python floats; another order changes last bits here.
+        m = scaled_model((10, 8, 3), 3, 40.0)
+        x = np.random.default_rng(1).uniform(0.0, 1.5, size=(6, 10))
+
+        def units(w, b, a):
+            z = []
+            for wj, bj in zip(w.tolist(), b.tolist()):
+                acc = wj[0] * a[0]
+                for wk, ak in zip(wj[1:], a[1:]):
+                    acc = acc + wk * ak
+                z.append(acc + bj)
+            return ref_sigmoid(np.array(z)).tolist()
+
+        for row in x:
+            hid = units(m.weights[0], m.biases[0], row.tolist())
+            want = units(m.weights[1], m.biases[1], hid)
+            assert np.array_equal(bits(forward(m, row)), bits(np.array(want)))
 
 
 def bits(a):
@@ -115,6 +136,7 @@ SCORING_MODELS = [
     ((10, 8, 3), 2, 1.0, FEATURE_ORDER),
     ((10, 8, 3), 3, 40.0, SHUFFLED_ORDER),
     ((10, 2, 1), 4, 400.0, FEATURE_ORDER),
+    ((10, 8, 1), 3, 40.0, FEATURE_ORDER),
 ]
 
 
@@ -157,34 +179,35 @@ class TestSigmoid:
 
 @pytest.fixture
 def batch_sizes(monkeypatch):
-    """Rows of every block threshold_planes scores."""
+    """Pixels of every block threshold_planes scores."""
     from raftcensus import mlp
 
     sizes = []
-    forward_into = mlp._forward_into
+    score = mlp._score
 
-    def counting(m, x, work):
-        sizes.append(len(x))
-        return forward_into(m, x, work)
+    def counting(m, cols, units, work):
+        sizes.append(len(cols[0]))
+        return score(m, cols, units, work)
 
-    monkeypatch.setattr(mlp, "_forward_into", counting)
+    monkeypatch.setattr(mlp, "_score", counting)
     return sizes
 
 
 @pytest.fixture
 def block_scores(monkeypatch):
-    """(features, outputs) copies of every block threshold_planes scores."""
+    """(n, n_in) features and (n, n_units) outputs of every block
+    threshold_planes scores, copied."""
     from raftcensus import mlp
 
     blocks = []
-    forward_into = mlp._forward_into
+    score = mlp._score
 
-    def recording(m, x, work):
-        y = forward_into(m, x, work)
-        blocks.append((x.copy(), y.copy()))
+    def recording(m, cols, units, work):
+        y = score(m, cols, units, work)
+        blocks.append((np.stack(cols, axis=1), y.T.copy()))
         return y
 
-    monkeypatch.setattr(mlp, "_forward_into", recording)
+    monkeypatch.setattr(mlp, "_score", recording)
     return blocks
 
 
@@ -193,12 +216,12 @@ class TestThresholdPlanes:
     def test_forward_batch_rows_match_whole_batch_reference(self, rng, layers, seed,
                                                             scale, order):
         # Row blocks rely on this: a row's outputs do not depend on which
-        # other rows share its batch, for batches of two or more rows.
+        # other rows share its batch.
         m = scaled_model(layers, seed, scale, order)
         x = rng.uniform(0.0, 1.5, size=(3 * _BLOCK_PIXELS + 17, 10))
         want = ref_forward_batch(m, x)
         for lo, hi in [(0, _BLOCK_PIXELS), (_BLOCK_PIXELS, 2 * _BLOCK_PIXELS + 5),
-                       (len(x) - 3, len(x)), (100, 102)]:
+                       (len(x) - 3, len(x)), (100, 102), (7, 8)]:
             assert np.array_equal(bits(forward_batch(m, x[lo:hi])), bits(want[lo:hi]))
         pick = np.sort(rng.choice(len(x), size=5000, replace=False))
         assert np.array_equal(bits(forward_batch(m, x[pick])), bits(want[pick]))
@@ -268,43 +291,69 @@ class TestThresholdPlanes:
         threshold_planes(m, planes, 0, 0.5, where=where)
         assert batch_sizes == [_BLOCK_PIXELS, _BLOCK_PIXELS]
 
-    def test_no_single_pixel_block_unless_the_image_is_one(self, rng, batch_sizes):
-        m = init_model((10, 2, 1), seed=0)
-        for shape in [(_BLOCK_PIXELS + 1, 1), (2 * _BLOCK_PIXELS + 1, 1), (3, 16383)]:
-            batch_sizes.clear()
-            threshold_planes(m, random_planes(rng, *shape), 0, 0.5)
-            assert sum(batch_sizes) == shape[0] * shape[1]
-            assert min(batch_sizes) >= 2 and max(batch_sizes) <= _BLOCK_PIXELS
+    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    def test_one_pixel_tail_block_scores_like_the_reference(self, rng, block_scores,
+                                                            layers, seed, scale, order):
+        m = scaled_model(layers, seed, scale, order)
+        planes = random_planes(rng, _BLOCK_PIXELS + 1, 1)
+        x = np.stack([planes[b] for b in order], axis=-1).reshape(-1, 10)
+        want = ref_forward_batch(m, x)[:, -1:]
+        got = threshold_planes(m, planes, m.n_out - 1, want[-1, 0])
+        assert [len(xb) for xb, _ in block_scores] == [_BLOCK_PIXELS, 1]
+        assert got[-1, 0] and np.array_equal(got[:, 0], want[:, 0] >= want[-1, 0])
+        assert np.array_equal(bits(block_scores[1][1]), bits(want[-1:]))
+
+    @pytest.mark.parametrize("layers", [(10, 2, 1), (10, 8, 3), (10, 8, 1)])
+    def test_every_batch_size_and_block_split_scores_alike(self, rng, monkeypatch,
+                                                          block_scores, layers):
+        from raftcensus import mlp
+
+        m = scaled_model(layers, 3, 40.0)
+        planes = random_planes(rng, 69, 1)
+        x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        whole = forward_batch(m, x)
+        assert np.array_equal(bits(whole), bits(ref_forward_batch(m, x)))
+        for i in range(len(x)):
+            assert np.array_equal(bits(forward(m, x[i])), bits(whole[i]))
+        for n in range(1, len(x) + 1):
+            parts = [forward_batch(m, x[i : i + n]) for i in range(0, len(x), n)]
+            assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
+            monkeypatch.setattr(mlp, "_BLOCK_PIXELS", n)  # blocks of n rows
+            block_scores.clear()
+            threshold_planes(m, planes, m.n_out - 1, 0.5)
+            assert [len(xb) for xb, _ in block_scores][:1] == [n]
+            got = np.concatenate([yb for _, yb in block_scores])
+            assert np.array_equal(bits(got), bits(whole[:, -1:]))
 
     def test_unequal_blocks_score_like_the_whole_image(self, rng, block_scores):
-        # Ten rows of 5461 pixels split into blocks of 2, 3, 2 and 3 rows:
-        # a shorter block follows a taller one in the same buffers.
+        # Ten rows of 5461 pixels make blocks of 3, 3, 3 and 1 rows: a
+        # shorter block follows taller ones in the same buffers.
         m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
         h, w = 10, _BLOCK_PIXELS // 3
         planes = random_planes(rng, h, w)
         threshold_planes(m, planes, 2, 0.5)
-        assert [len(xb) // w for xb, _ in block_scores] == [2, 3, 2, 3]
+        assert [len(xb) // w for xb, _ in block_scores] == [3, 3, 3, 1]
         x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
         assert np.array_equal(np.concatenate([xb for xb, _ in block_scores]), x)
         assert np.array_equal(bits(np.concatenate([yb for _, yb in block_scores])),
-                              bits(ref_forward_batch(m, x)))
+                              bits(ref_forward_batch(m, x)[:, 2:]))
 
     def test_skipped_middle_blocks_leave_no_stale_rows(self, rng, block_scores):
         m = scaled_model((10, 8, 3), 2, 1.0)
-        h, w = 10, _BLOCK_PIXELS // 3  # blocks of rows 0-1, 2-4, 5-6, 7-9
+        h, w = 10, _BLOCK_PIXELS // 3  # blocks of rows 0-2, 3-5, 6-8, 9
         planes = random_planes(rng, h, w)
         where = np.zeros((h, w), dtype=bool)
-        where[3, 10] = where[8, :] = True  # blocks 1 and 3 only
+        where[3, 10] = where[9, :] = True  # blocks 1 and 3 only
         x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(h, w, 10)
         scores = ref_forward_batch(m, x.reshape(-1, 10))[:, 1].reshape(h, w)
-        for thr in (0.5, scores[3, 10], scores[8, 77]):
+        for thr in (0.5, scores[3, 10], scores[9, 77]):
             block_scores.clear()
             got = threshold_planes(m, planes, 1, thr, where=where)
             assert np.array_equal(got, ref_gather_mask(m, planes, 1, thr, where))
-            assert [len(xb) // w for xb, _ in block_scores] == [3, 3]
-            for (xb, yb), (r0, r1) in zip(block_scores, [(2, 5), (7, 10)]):
+            assert [len(xb) // w for xb, _ in block_scores] == [3, 1]
+            for (xb, yb), (r0, r1) in zip(block_scores, [(3, 6), (9, 10)]):
                 assert np.array_equal(xb, x[r0:r1].reshape(-1, 10))
-                assert np.array_equal(bits(yb), bits(ref_forward_batch(m, xb)))
+                assert np.array_equal(bits(yb), bits(ref_forward_batch(m, xb)[:, 1:2]))
 
     def test_back_to_back_models_of_different_width(self, rng):
         planes = random_planes(rng, 70, 600)
@@ -336,15 +385,15 @@ class TestThresholdPlanes:
         m = init_model((10, 2, 1), seed=0)
         h, w = 10, _BLOCK_PIXELS // 3
         planes = random_planes(rng, h, w)
-        planes[BandId.B11][8, 5] = bad  # in the last block, rows 7-9
+        planes[BandId.B11][8, 5] = bad  # in the third block, rows 6-8
         with pytest.raises(ValueError, match="finite"):
             threshold_planes(m, planes, 0, 0.5)
         where = np.zeros((h, w), dtype=bool)
-        where[9, 0] = True
+        where[7, 0] = True
         with pytest.raises(ValueError, match="finite"):
             threshold_planes(m, planes, 0, 0.5, where=where)
         # A block that holds no ``where`` pixel is neither scored nor checked.
-        where[9, 0], where[0, 0] = False, True
+        where[7, 0], where[0, 0] = False, True
         assert np.array_equal(threshold_planes(m, planes, 0, 0.5, where=where),
                               ref_gather_mask(m, planes, 0, 0.5, where))
 

@@ -87,9 +87,14 @@ class TestDefinitions:
 @pytest.mark.parametrize("se", SES, ids=["sq3", "sq5", "disk2"])
 class TestAgainstReference:
     def test_random_masks_match_naive(self, rng, se):
+        # Also one-row and one-column masks and masks smaller than the element.
+        small = [(1, 1), (1, 7), (7, 1), (2, 3), (3, 2)]
+        masks = [np.ones(shape, dtype=bool) for shape in small]
+        masks += [rng.random(shape) < 0.5 for shape in small]
         for _ in range(25):
             h, w = rng.integers(5, 33, size=2)
-            m = rng.random((h, w)) < rng.uniform(0.2, 0.8)
+            masks.append(rng.random((h, w)) < rng.uniform(0.2, 0.8))
+        for m in masks:
             assert np.array_equal(erode(m, se), ref_erode(m, se.offsets))
             assert np.array_equal(dilate(m, se), ref_dilate(m, se.offsets))
             assert np.array_equal(opening(m, se), ref_open(m, se.offsets))

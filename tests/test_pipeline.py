@@ -201,6 +201,14 @@ class TestRunCensus:
         want_n = 2000.0 - (rec.centroid_px[0] + 0.5) * 10.0
         assert rec.centroid_geo == (want_e, want_n)
 
+    def test_digest_pinned(self):
+        # Digests recorded by earlier runs stay comparable only while these hold.
+        cfg = CensusConfig(water_method=NdwiOtsu(), platform_model=init_model())
+        assert cfg.digest() == "3c2a30ddfca0bbbb"
+        tight = BlobFilter(max_area=30, max_equivalent_diameter=5.5, min_solidity=0.9,
+                           required_euler=0)
+        assert replace(cfg, blob_filter=tight).digest() == "3eb1663bf92af5fe"
+
     def test_platform_model_arity_enforced(self):
         with pytest.raises(ValueError, match="platform model"):
             CensusConfig(water_method=NdwiOtsu(), platform_model=init_model((10, 8, 3)))
