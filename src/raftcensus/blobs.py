@@ -15,7 +15,6 @@ standard complementary pair. Features:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,10 +47,6 @@ class Blob:
     convex_area: int | None = None
     solidity: float | None = None
 
-    @property
-    def has_features(self) -> bool:
-        return self.solidity is not None
-
 
 @dataclass(frozen=True)
 class BlobFilter:
@@ -70,6 +65,8 @@ class BlobFilter:
     def __post_init__(self):
         if self.max_area <= 0:
             raise ValueError("max_area must be positive")
+        if not self.max_equivalent_diameter > 0:  # also rejects NaN
+            raise ValueError("max_equivalent_diameter must be positive")
         if not 0.0 < self.min_solidity <= 1.0:
             raise ValueError("min_solidity must be in (0, 1]")
 
@@ -82,29 +79,28 @@ def label_components(m: np.ndarray) -> list[Blob]:
 
     Labels are dense 1..N, assigned by each component's first pixel in
     row-major scan order. Returned blobs carry pixels, area, centroid,
-    and bbox; call compute_features for the geometric features.
+    and bbox; their geometric features are left unset (filter_blobs
+    measures the blobs it needs).
     """
     m = np.asarray(m)
     if m.ndim != 2:
         raise DimensionError(f"mask must be 2-D, got shape {m.shape}")
-    m = m.astype(bool, copy=False)
-    h, w = m.shape
-    visited = np.zeros_like(m)
+    starts = list(zip(*(a.tolist() for a in np.nonzero(m))))
+    # Unreached foreground pixels; a pixel leaves the set when a fill
+    # reaches it, so out-of-image neighbours are never members.
+    fg = set(starts)
     blobs: list[Blob] = []
-    for r0, c0 in zip(*np.nonzero(m)):
-        if visited[r0, c0]:
+    for start in starts:
+        if start not in fg:
             continue
-        queue = deque([(int(r0), int(c0))])
-        visited[r0, c0] = True
-        pixels = []
-        while queue:
-            r, c = queue.popleft()
-            pixels.append((r, c))
+        fg.remove(start)
+        pixels = [start]
+        for r, c in pixels:  # breadth-first: the list grows while it is read
             for dr, dc in _NEIGHBORS8:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w and m[rr, cc] and not visited[rr, cc]:
-                    visited[rr, cc] = True
-                    queue.append((rr, cc))
+                p = (r + dr, c + dc)
+                if p in fg:
+                    fg.remove(p)
+                    pixels.append(p)
         pixels.sort()
         px = np.array(pixels, dtype=np.int64)
         blobs.append(
@@ -127,10 +123,11 @@ def label_components(m: np.ndarray) -> list[Blob]:
 def _euler_number(window: np.ndarray) -> int:
     """Euler number (components - holes) of an 8-connected foreground.
 
-    Bit-quad counting over all 2x2 windows of the zero-padded image:
+    ``window`` is a bool image whose border rows and columns are empty.
+    Bit-quad counting over all its 2x2 windows:
     E = (Q1 - Q3 - 2*Qd) / 4 with Qd the two diagonal patterns.
     """
-    p = np.pad(window, 1).astype(np.int8)
+    p = window.view(np.int8)
     a = p[:-1, :-1]
     b = p[:-1, 1:]
     c = p[1:, :-1]
@@ -168,7 +165,7 @@ def _hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return half(pts)[:-1] + half(reversed(pts))[:-1]
 
 
-def _convex_area(pixels: np.ndarray) -> int:
+def _convex_area(pixels: np.ndarray, bbox: tuple[int, int, int, int]) -> int:
     """Count pixel centers inside or on the hull of pixel corner points.
 
     Works in coordinates doubled so corners and centers are integers:
@@ -182,12 +179,7 @@ def _convex_area(pixels: np.ndarray) -> int:
         corners.update(((r2, c2), (r2 + 2, c2), (r2, c2 + 2), (r2 + 2, c2 + 2)))
     hull = _hull(list(corners))
     edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-    r0, c0, r1, c1 = (
-        int(pixels[:, 0].min()),
-        int(pixels[:, 1].min()),
-        int(pixels[:, 0].max()),
-        int(pixels[:, 1].max()),
-    )
+    r0, c0, r1, c1 = bbox
     count = 0
     for r in range(r0, r1 + 1):
         for c in range(c0, c1 + 1):
@@ -200,9 +192,10 @@ def _convex_area(pixels: np.ndarray) -> int:
 def compute_features(b: Blob) -> Blob:
     """Blob with equivalent_diameter, euler_number, convex_area, solidity."""
     r0, c0, r1, c1 = b.bbox
-    window = np.zeros((r1 - r0 + 1, c1 - c0 + 1), dtype=bool)
-    window[b.pixels[:, 0] - r0, b.pixels[:, 1] - c0] = True
-    convex_area = _convex_area(b.pixels)
+    # The bbox plus a one-pixel empty margin, as _euler_number needs.
+    window = np.zeros((r1 - r0 + 3, c1 - c0 + 3), dtype=bool)
+    window[b.pixels[:, 0] - (r0 - 1), b.pixels[:, 1] - (c0 - 1)] = True
+    convex_area = _convex_area(b.pixels, b.bbox)
     return replace(
         b,
         equivalent_diameter=math.sqrt(4.0 * b.area / math.pi),
@@ -217,13 +210,16 @@ def filter_blobs(
 ) -> tuple[list[Blob], list[tuple[Blob, str]]]:
     """Split blobs into accepted and (rejected, reason) lists.
 
-    The reason is the first failing criterion in REJECT_ORDER.
+    The reason is the first failing criterion in REJECT_ORDER. The area
+    test runs first and needs no features, so only the blobs that pass
+    it are measured (with compute_features, unless they already carry
+    features); blobs rejected for "area" are returned as given.
     """
     accepted: list[Blob] = []
     rejected: list[tuple[Blob, str]] = []
     for b in blobs:
-        if not b.has_features:
-            raise ValueError(f"blob {b.label} has unfilled features")
+        if b.area < f.max_area and b.solidity is None:
+            b = compute_features(b)
         if not b.area < f.max_area:
             rejected.append((b, "area"))
         elif not b.equivalent_diameter < f.max_equivalent_diameter:

@@ -130,9 +130,9 @@ def _census_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--water-class", type=int, default=mlp.WATER_CLASS_INDEX,
                    help="1-based water output index of the water model")
     p.add_argument("--platform-threshold", type=float, default=PLATFORM_THRESHOLD_DEFAULT)
-    p.add_argument("--max-area", type=int, default=25)
-    p.add_argument("--max-eqdiam", type=float, default=6.0)
-    p.add_argument("--min-solidity", type=float, default=0.8)
+    p.add_argument("--max-area", type=int, default=BlobFilter.max_area)
+    p.add_argument("--max-eqdiam", type=float, default=BlobFilter.max_equivalent_diameter)
+    p.add_argument("--min-solidity", type=float, default=BlobFilter.min_solidity)
 
 
 def _census_config(args) -> CensusConfig:
@@ -264,11 +264,14 @@ def _read_census_csv(path) -> list[tuple[int, float, float]]:
     if not lines or not lines[0].startswith("id,row,col,area_px"):
         raise RaftCensusError(f"{path}: not a census CSV")
     dets = []
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        dets.append((int(parts[0]), float(parts[1]), float(parts[2])))
+        try:
+            dets.append((int(parts[0]), float(parts[1]), float(parts[2])))
+        except (IndexError, ValueError) as exc:
+            raise RaftCensusError(f"{path}: line {n}: bad census row {line!r}") from exc
     return dets
 
 

@@ -242,6 +242,9 @@ def threshold_planes(
     """
     cols = [np.asarray(planes[b], dtype=np.float64) for b in m.feature_order]
     h, w = cols[0].shape
+    for b, c in zip(m.feature_order, cols):
+        if c.shape != (h, w):
+            raise DimensionError(f"plane {b.value} has shape {c.shape}, expected {(h, w)}")
     if where is not None and where.shape != (h, w):
         raise DimensionError(f"mask shape {where.shape} does not match planes {(h, w)}")
     out = np.zeros((h, w), dtype=bool)

@@ -16,11 +16,13 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .bandstack import BandStack
-from .blobs import BlobFilter, compute_features, filter_blobs, label_components
+from .blobs import BlobFilter, filter_blobs, label_components
 from .errors import DegenerateHistogramError, RaftCensusError
 from .mlp import PLATFORM_LAYERS, MlpModel, threshold_planes
 from .morphology import StructElem, closing, square
 from .waterdetect import (
+    COAST_ERODE_SE,
+    WATER_SE,
     NdwiOtsu,
     WaterMethod,
     clean_water_mask,
@@ -51,8 +53,8 @@ class CensusConfig:
     water_method: WaterMethod
     platform_model: MlpModel
     platform_threshold: float = PLATFORM_THRESHOLD_DEFAULT
-    water_se: StructElem = field(default_factory=lambda: square(3))
-    coast_erode_se: StructElem = field(default_factory=lambda: square(5))
+    water_se: StructElem = WATER_SE
+    coast_erode_se: StructElem = COAST_ERODE_SE
     platform_close_se: StructElem = field(default_factory=lambda: square(3))
     blob_filter: BlobFilter = field(default_factory=BlobFilter)
 
@@ -162,11 +164,7 @@ def run_pipeline(s: BandStack, cfg: CensusConfig, source: str = "") -> PipelineA
     pmask = platform_mask(s, cleaned, cfg)
     pmask = closing(pmask, cfg.platform_close_se)
 
-    blobs = label_components(pmask)
-    # Oversized blobs fail the area gate first; skip their (expensive)
-    # hull and hole features.
-    small = [b for b in blobs if b.area < cfg.blob_filter.max_area]
-    accepted, _ = filter_blobs([compute_features(b) for b in small], cfg.blob_filter)
+    accepted, _ = filter_blobs(label_components(pmask), cfg.blob_filter)
 
     accepted.sort(key=lambda b: b.centroid)
     records = []

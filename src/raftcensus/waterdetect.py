@@ -12,7 +12,7 @@ import numpy as np
 
 from .bandstack import BandId, BandStack
 from .errors import DegenerateHistogramError, DimensionError
-from .mlp import MlpModel, threshold_planes
+from .mlp import WATER_CLASS_INDEX, MlpModel, threshold_planes
 from .morphology import StructElem, closing, erode, opening, square
 
 __all__ = [
@@ -28,6 +28,10 @@ __all__ = [
 
 NDWI_BINS = 256
 DEFAULT_WATER_THRESHOLD = 0.90
+# Default structuring elements of the water-mask cleanup: closing and
+# opening, then the coastline erosion.
+WATER_SE = square(3)
+COAST_ERODE_SE = square(5)
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class MlpWater:
     """
 
     model: MlpModel
-    water_class_index: int = 3
+    water_class_index: int = WATER_CLASS_INDEX
     threshold: float = DEFAULT_WATER_THRESHOLD
 
     def __post_init__(self):
@@ -142,7 +146,7 @@ def water_mask_ndwi(s: BandStack) -> np.ndarray:
 def water_mask_mlp(
     s: BandStack,
     m: MlpModel,
-    water_class_index: int = 3,
+    water_class_index: int = WATER_CLASS_INDEX,
     thr: float = DEFAULT_WATER_THRESHOLD,
 ) -> np.ndarray:
     """Per-pixel water mask from an MLP: water output >= thr.
@@ -162,8 +166,8 @@ def water_mask_mlp(
 
 def clean_water_mask(
     mask: np.ndarray,
-    se: StructElem | None = None,
-    se_erode: StructElem | None = None,
+    se: StructElem = WATER_SE,
+    se_erode: StructElem = COAST_ERODE_SE,
 ) -> np.ndarray:
     """Closing, opening, then erosion, in that order.
 
@@ -172,8 +176,4 @@ def clean_water_mask(
     from the coastline. Defaults: 3x3 square for close/open, 5x5 square
     for the erosion.
     """
-    if se is None:
-        se = square(3)
-    if se_erode is None:
-        se_erode = square(5)
     return erode(opening(closing(mask, se), se), se_erode)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,13 @@ from oracles import ref_convex_area, ref_euler, ref_label_partition
 
 def mask_from(rows):
     return np.array([[ch == "#" for ch in row] for row in rows])
+
+
+def label_image(shape, blobs):
+    img = np.zeros(shape, dtype=np.int64)
+    for b in blobs:
+        img[b.pixels[:, 0], b.pixels[:, 1]] = b.label
+    return img
 
 
 def random_blob_mask(rng, size=24):
@@ -50,6 +58,21 @@ class TestLabeling:
             blobs = label_components(m)
             got = {frozenset(map(tuple, b.pixels.tolist())) for b in blobs}
             assert got == ref_label_partition(m)
+
+    def test_label_image_matches_scipy(self, rng):
+        from scipy import ndimage
+
+        masks = [rng.random((int(h), int(w))) < rng.uniform(0.1, 0.8)
+                 for h, w in rng.integers(1, 48, size=(30, 2))]
+        masks += [rng.random((1, 40)) < 0.5, rng.random((40, 1)) < 0.5,
+                  np.ones((9, 13), dtype=bool), np.zeros((9, 13), dtype=bool)]
+        m = rng.random((30, 30)) < 0.4
+        masks += [m.astype(np.uint8) * 7, np.where(m, rng.uniform(0.1, 2.0, m.shape), 0.0)]
+        for m in masks:
+            want, n = ndimage.label(m, structure=np.ones((3, 3)))
+            blobs = label_components(m)
+            assert len(blobs) == n
+            assert np.array_equal(label_image(m.shape, blobs), want)
 
     def test_union_covers_mask_disjointly(self, rng):
         m = rng.random((20, 20)) < 0.5
@@ -157,13 +180,29 @@ class TestFilter:
         assert {b.label for b in acc1} == {b.label for b in acc2}
         assert {(b.label, r) for b, r in rej1} == {(b.label, r) for b, r in rej2}
 
-    def test_unfilled_features_rejected(self):
-        raw = label_components(mask_from(["##", "##"]))[0]
-        with pytest.raises(ValueError, match="unfilled"):
-            filter_blobs([raw], BlobFilter())
+    def test_raw_blobs_filter_like_featured_blobs(self, rng):
+        raw = []
+        while len(raw) < 40:
+            raw += label_components(random_blob_mask(rng, size=16))
+        raw = [replace(b, label=i) for i, b in enumerate(raw)]  # unique labels
+        for f in (BlobFilter(), BlobFilter(max_area=40), BlobFilter(min_solidity=0.95)):
+            acc1, rej1 = filter_blobs(raw, f)
+            acc2, rej2 = filter_blobs([compute_features(b) for b in raw], f)
+            assert acc1 == acc2
+            assert [(b.label, r) for b, r in rej1] == [(b.label, r) for b, r in rej2]
+
+    def test_area_rejects_are_not_measured(self):
+        blobs = label_components(mask_from(["#" * 40, "." * 40, "##" + "." * 38]))
+        accepted, rejected = filter_blobs(blobs, BlobFilter())
+        assert [(b.label, r) for b, r in rejected] == [(1, "area")]
+        assert rejected[0][0].solidity is None
+        assert accepted[0].solidity == 1.0
 
     def test_filter_validation(self):
         with pytest.raises(ValueError):
             BlobFilter(max_area=0)
         with pytest.raises(ValueError):
             BlobFilter(min_solidity=0.0)
+        for bad in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="max_equivalent_diameter"):
+                BlobFilter(max_equivalent_diameter=bad)

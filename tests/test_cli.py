@@ -134,6 +134,28 @@ class TestCensusEvalCli:
         assert "finite and positive" in capsys.readouterr().err
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("row", ["1", "2,abc,3.0,4"])
+    def test_eval_rejects_bad_census_row(self, scene_dir, tmp_path, capsys, row):
+        census_csv = tmp_path / "census.csv"
+        census_csv.write_text(f"id,row,col,area_px\n1,10.0,10.0,4\n{row}\n")
+        report_path = tmp_path / "report.json"
+        code = run_cli("eval", "--census", str(census_csv),
+                       "--truth", str(scene_dir / "truth.json"), "--out", str(report_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{census_csv}: line 3" in err and "Traceback" not in err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_census_rejects_bad_max_eqdiam(self, scene_dir, model_path, tmp_path, capsys, value):
+        out_csv = tmp_path / "c.csv"
+        code = run_cli("census", "--manifest", str(scene_dir / "manifest.json"),
+                       "--platform-model", str(model_path), "--max-eqdiam", value,
+                       "--out", str(out_csv))
+        assert code == 2
+        assert "max_equivalent_diameter" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_census_writes_geojson_when_geo(self, model_path, tmp_path):
         scene = tmp_path / "geoscene"
         assert run_cli("synth", "--out", str(scene), "--width", "128", "--height", "128",

@@ -262,6 +262,14 @@ class TestThresholdPlanes:
                 want = ref_gather_mask(m, planes, m.n_out - 1, thr, where)
                 assert np.array_equal(got, want), name
 
+    @pytest.mark.parametrize("odd_shape", [(1, 1), (4, 1)])
+    def test_plane_shape_mismatch_rejected(self, rng, odd_shape):
+        m = init_model((10, 2, 1), seed=0)
+        planes = random_planes(rng, 4, 5)
+        planes[m.feature_order[3]] = rng.uniform(size=odd_shape)
+        with pytest.raises(DimensionError, match="shape"):
+            threshold_planes(m, planes, 0, 0.5)
+
     def test_where_only_restricts_the_result(self, rng):
         # A pixel's result does not depend on which other pixels are in
         # ``where``, down to a lone pixel.
