@@ -1,13 +1,17 @@
 """Connected components and the geometric features used to vet them.
 
 Foreground uses 8-connectivity, holes (background) 4-connectivity, the
-standard complementary pair. Features:
+standard complementary pair. Labeling joins horizontal runs of
+foreground pixels with a union-find (Wu, Otoo & Suzuki 2009) and never
+builds a label image. Features are measured for a whole list of blobs
+at once:
 
-- euler_number: 1 - number of enclosed holes, computed with the 2x2
-  bit-quad count for 8-connected foreground.
+- euler_number: 1 - number of enclosed holes, from per-blob counts of
+  2x2 bit-quad patterns for 8-connected foreground (Gray 1971).
 - convex_area: pixels whose centers lie inside or on the convex hull of
   the blob's pixel corner points (each pixel a closed unit square). The
-  hull test runs in doubled integer coordinates, so it is exact.
+  hull test runs in doubled integer coordinates, so it is exact. A blob
+  that fills its bbox skips the hull: its convex area is its area.
 - solidity: area / convex_area, 1.0 for solid rectangles.
 - equivalent_diameter: diameter of the circle with the blob's area.
 """
@@ -15,7 +19,7 @@ standard complementary pair. Features:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +34,10 @@ __all__ = [
     "filter_blobs",
 ]
 
-_NEIGHBORS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+# Four times the Euler number a 2x2 window adds, by bit pattern (1
+# top-left, 2 top-right, 4 bottom-left, 8 bottom-right): +1 for one
+# pixel, -1 for three, -2 for a diagonal pair (Gray 1971).
+_QUAD_EULER4 = np.array([0, 1, 1, 0, 1, 0, -2, -1, 1, -2, 0, -1, 0, -1, -1, 0])
 
 
 @dataclass(frozen=True)
@@ -81,62 +88,74 @@ def label_components(m: np.ndarray) -> list[Blob]:
     row-major scan order. Returned blobs carry pixels, area, centroid,
     and bbox; their geometric features are left unset (filter_blobs
     measures the blobs it needs).
+
+    Works on horizontal runs of foreground pixels, never on a label
+    image: each run is joined to the runs it 8-touches in the row above
+    by a union-find whose root is always the smaller run index, so a
+    component's root is its first run in scan order (Wu, Otoo & Suzuki
+    2009). Blob statistics are then segment reductions over the pixels
+    grouped by label; integer sums are exact, so each centroid equals
+    the mean of its pixel coordinates.
     """
     m = np.asarray(m)
     if m.ndim != 2:
         raise DimensionError(f"mask must be 2-D, got shape {m.shape}")
-    starts = list(zip(*(a.tolist() for a in np.nonzero(m))))
-    # Unreached foreground pixels; a pixel leaves the set when a fill
-    # reaches it, so out-of-image neighbours are never members.
-    fg = set(starts)
-    blobs: list[Blob] = []
-    for start in starts:
-        if start not in fg:
-            continue
-        fg.remove(start)
-        pixels = [start]
-        for r, c in pixels:  # breadth-first: the list grows while it is read
-            for dr, dc in _NEIGHBORS8:
-                p = (r + dr, c + dc)
-                if p in fg:
-                    fg.remove(p)
-                    pixels.append(p)
-        pixels.sort()
-        px = np.array(pixels, dtype=np.int64)
-        blobs.append(
-            Blob(
-                label=len(blobs) + 1,
-                pixels=px,
-                area=len(px),
-                centroid=(float(px[:, 0].mean()), float(px[:, 1].mean())),
-                bbox=(
-                    int(px[:, 0].min()),
-                    int(px[:, 1].min()),
-                    int(px[:, 0].max()),
-                    int(px[:, 1].max()),
-                ),
-            )
+    flat = np.flatnonzero(m)
+    if flat.size == 0:
+        return []
+    w = m.shape[1]
+    rows, cols = np.divmod(flat, w)
+    # A run starts where the flat index jumps or a row begins.
+    run_start = np.flatnonzero((np.diff(flat, prepend=-2) != 1) | (cols == 0))
+    run_len = np.diff(run_start, append=flat.size)
+    run_end = run_start + run_len - 1
+    # A run 8-touches the runs of the row above that end at or after its
+    # first column - 1 and start at or before its last column + 1, both
+    # bounds clipped to that row; runs are sorted, so these are a range.
+    above = (rows[run_start] - 1) * w
+    lo = np.searchsorted(flat[run_end], above + np.maximum(cols[run_start] - 1, 0))
+    hi = np.searchsorted(flat[run_start], above + np.minimum(cols[run_end] + 1, w - 1),
+                         side="right")
+    n_touch = np.maximum(hi - lo, 0)
+    run = np.repeat(np.arange(len(run_start)), n_touch)
+    touched = np.arange(len(run)) - np.repeat(np.cumsum(n_touch) - n_touch - lo, n_touch)
+
+    parent = list(range(len(run_start)))
+    for a, b in zip(run.tolist(), touched.tolist()):
+        while parent[a] != a:  # find, compressing the path by halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]  # p <= i, so parent[p] is already p's root
+    root = np.array(parent)
+    # Roots in run order are the components in first-pixel order.
+    is_root = root == np.arange(len(root))
+    label = np.repeat((np.cumsum(is_root) - 1)[root], run_len)
+
+    order = np.argsort(label, kind="stable")  # blobs in label order, pixels row-major
+    area = np.bincount(label)
+    start = np.cumsum(area) - area
+    pixels = np.stack([rows[order], cols[order]], axis=1)
+    row_sum = np.add.reduceat(pixels[:, 0], start)
+    col_sum = np.add.reduceat(pixels[:, 1], start)
+    bbox = np.stack([
+        pixels[start, 0],
+        np.minimum.reduceat(pixels[:, 1], start),
+        pixels[start + area - 1, 0],
+        np.maximum.reduceat(pixels[:, 1], start),
+    ], axis=1)
+    return [
+        Blob(label=i, pixels=pixels[s : s + n], area=n, centroid=(rs / n, cs / n), bbox=tuple(bb))
+        for i, s, n, rs, cs, bb in zip(
+            range(1, len(area) + 1), start.tolist(), area.tolist(),
+            row_sum.tolist(), col_sum.tolist(), bbox.tolist(),
         )
-    return blobs
-
-
-def _euler_number(window: np.ndarray) -> int:
-    """Euler number (components - holes) of an 8-connected foreground.
-
-    ``window`` is a bool image whose border rows and columns are empty.
-    Bit-quad counting over all its 2x2 windows:
-    E = (Q1 - Q3 - 2*Qd) / 4 with Qd the two diagonal patterns.
-    """
-    p = window.view(np.int8)
-    a = p[:-1, :-1]
-    b = p[:-1, 1:]
-    c = p[1:, :-1]
-    d = p[1:, 1:]
-    s = a + b + c + d
-    q1 = int((s == 1).sum())
-    q3 = int((s == 3).sum())
-    qd = int((((a == 1) & (d == 1) & (b == 0) & (c == 0)) | ((b == 1) & (c == 1) & (a == 0) & (d == 0))).sum())
-    return (q1 - q3 - 2 * qd) // 4
+    ]
 
 
 def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -189,20 +208,63 @@ def _convex_area(pixels: np.ndarray, bbox: tuple[int, int, int, int]) -> int:
     return count
 
 
+def _measure(blobs: list[Blob]) -> list[Blob]:
+    """compute_features for many blobs at once, in their given order.
+
+    Euler numbers come from one pass over all blobs' 2x2 windows (Gray
+    1971). Each window is keyed by its blob and by its top-left corner
+    in that blob's bbox grown by a one-pixel margin, so blobs from
+    different masks never share a window; summing the bits of a
+    window's pixels gives its pattern. Windows without a blob pixel
+    add nothing and are never formed. A blob that fills its bbox is a
+    rectangle whose hull is the bbox, so its convex area is its area;
+    every other blob goes through the exact _convex_area.
+    """
+    if not blobs:
+        return []
+    px = np.concatenate([b.pixels for b in blobs])
+    r0, c0, r1, c1 = np.array([b.bbox for b in blobs]).T
+    owner = np.repeat(np.arange(len(blobs)), [len(b.pixels) for b in blobs])
+    # Blob i numbers its windows row by row from the sum of the earlier
+    # blobs' window counts, grid_w top-left corners per row (margin
+    # included); the window whose top-left pixel is (r, c) has key
+    # r * grid_w[i] + c + shift[i].
+    grid_w = c1 - c0 + 2
+    n_win = (r1 - r0 + 2) * grid_w
+    shift = np.cumsum(n_win) - n_win - (r0 - 1) * grid_w - (c0 - 1)
+    gw = grid_w[owner]
+    key = px[:, 0] * gw + px[:, 1] + shift[owner]
+    # A pixel is also top-right (bit 2) of the window one key lower, and so on.
+    keys = np.concatenate([key, key - 1, key - gw, key - gw - 1])
+    # Any order works; "stable" reuses the one sort kernel the blob stage loads.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    pattern = np.add.reduceat(np.repeat(np.array([1, 2, 4, 8]), len(key))[order], first)
+    euler4 = np.bincount(np.tile(owner, 4)[order[first]], weights=_QUAD_EULER4[pattern],
+                         minlength=len(blobs))
+    box_area = (r1 - r0 + 1) * (c1 - c0 + 1)
+    out = []
+    for b, e4, box in zip(blobs, euler4.astype(np.int64).tolist(), box_area.tolist()):
+        convex_area = box if b.area == box else _convex_area(b.pixels, b.bbox)
+        out.append(Blob(
+            label=b.label, pixels=b.pixels, area=b.area, centroid=b.centroid, bbox=b.bbox,
+            equivalent_diameter=math.sqrt(4.0 * b.area / math.pi),
+            euler_number=e4 // 4,
+            convex_area=convex_area,
+            solidity=b.area / convex_area,
+        ))
+    return out
+
+
 def compute_features(b: Blob) -> Blob:
-    """Blob with equivalent_diameter, euler_number, convex_area, solidity."""
-    r0, c0, r1, c1 = b.bbox
-    # The bbox plus a one-pixel empty margin, as _euler_number needs.
-    window = np.zeros((r1 - r0 + 3, c1 - c0 + 3), dtype=bool)
-    window[b.pixels[:, 0] - (r0 - 1), b.pixels[:, 1] - (c0 - 1)] = True
-    convex_area = _convex_area(b.pixels, b.bbox)
-    return replace(
-        b,
-        equivalent_diameter=math.sqrt(4.0 * b.area / math.pi),
-        euler_number=_euler_number(window),
-        convex_area=convex_area,
-        solidity=b.area / convex_area,
-    )
+    """Blob with equivalent_diameter, euler_number, convex_area, solidity.
+
+    This is filter_blobs's batch measurement applied to one blob: the
+    Euler number from bit-quad counts, and the convex area from the
+    exact hull unless the blob fills its bbox (then it is the area).
+    """
+    return _measure([b])[0]
 
 
 def filter_blobs(
@@ -212,14 +274,17 @@ def filter_blobs(
 
     The reason is the first failing criterion in REJECT_ORDER. The area
     test runs first and needs no features, so only the blobs that pass
-    it are measured (with compute_features, unless they already carry
-    features); blobs rejected for "area" are returned as given.
+    it and carry no features yet are measured, all in one batch (as
+    compute_features would); blobs rejected for "area" are returned as
+    given.
     """
+    blobs = list(blobs)
+    todo = [i for i, b in enumerate(blobs) if b.area < f.max_area and b.solidity is None]
+    for i, b in zip(todo, _measure([blobs[i] for i in todo])):
+        blobs[i] = b
     accepted: list[Blob] = []
     rejected: list[tuple[Blob, str]] = []
     for b in blobs:
-        if b.area < f.max_area and b.solidity is None:
-            b = compute_features(b)
         if not b.area < f.max_area:
             rejected.append((b, "area"))
         elif not b.equivalent_diameter < f.max_equivalent_diameter:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -97,8 +98,8 @@ class SynthParams:
             raise ValueError(f"raft_size_px must be 2 or 3, got {self.raft_size_px}")
         if self.raft_count < 0:
             raise ValueError("raft_count must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.width < 24 or self.height < 24:
             raise ValueError("scene must be at least 24x24 pixels")
 

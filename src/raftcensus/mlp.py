@@ -87,6 +87,8 @@ class MlpModel:
 
     def __post_init__(self):
         n_in, n_hid, n_out = self.layer_sizes
+        if min(self.layer_sizes) < 1:
+            raise ModelFormatError(f"layer sizes {self.layer_sizes} must all be at least 1")
         shapes = [(n_hid, n_in), (n_out, n_hid)]
         for i, (w, b, shape) in enumerate(zip(self.weights, self.biases, shapes)):
             if w.shape != shape or b.shape != (shape[0],):

@@ -5,9 +5,11 @@ library code: morphology walks pixel neighborhoods via coordinate sets,
 the Otsu reference recomputes between-class variance from prefix sums
 with exact integer arithmetic, Euler numbers come from flood-filling
 enclosed background, solidity from Qhull half-space containment, and
-matching from exhaustive assignment search. The four-gather resampling
-and all-pairs matching references are the plain formulations the
-library once used, and the pixel-scoring reference is the library's
+matching from exhaustive assignment search. The four-gather resampling,
+all-pairs matching, flood-fill labeling and per-blob feature references
+are the plain formulations the library once used (the feature reference
+keeps the library's exact hull, ``_convex_area``, which the Qhull
+reference checks), and the pixel-scoring reference is the library's
 summation order written over whole arrays; the library must match them
 bit for bit.
 """
@@ -17,9 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
+from raftcensus.blobs import Blob, _convex_area
 from raftcensus.evaluation import MatchPair
 
 
@@ -164,6 +168,93 @@ def ref_convex_area(pixels: np.ndarray, bbox) -> int:
             if np.all(eqs[:, :2] @ p + eqs[:, 2] <= 1e-9):
                 count += 1
     return count
+
+
+
+# The flood-fill labeling and per-blob feature code the library used
+# before it moved to run-length union-find and batched bit-quads, kept
+# unchanged; the library must match them field for field.
+
+_NEIGHBORS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def ref_label_components(m: np.ndarray) -> list[Blob]:
+    """8-connected components in deterministic row-major label order.
+
+    Labels are dense 1..N, assigned by each component's first pixel in
+    row-major scan order. Returned blobs carry pixels, area, centroid,
+    and bbox; their geometric features are left unset.
+    """
+    m = np.asarray(m)
+    starts = list(zip(*(a.tolist() for a in np.nonzero(m))))
+    # Unreached foreground pixels; a pixel leaves the set when a fill
+    # reaches it, so out-of-image neighbours are never members.
+    fg = set(starts)
+    blobs: list[Blob] = []
+    for start in starts:
+        if start not in fg:
+            continue
+        fg.remove(start)
+        pixels = [start]
+        for r, c in pixels:  # breadth-first: the list grows while it is read
+            for dr, dc in _NEIGHBORS8:
+                p = (r + dr, c + dc)
+                if p in fg:
+                    fg.remove(p)
+                    pixels.append(p)
+        pixels.sort()
+        px = np.array(pixels, dtype=np.int64)
+        blobs.append(
+            Blob(
+                label=len(blobs) + 1,
+                pixels=px,
+                area=len(px),
+                centroid=(float(px[:, 0].mean()), float(px[:, 1].mean())),
+                bbox=(
+                    int(px[:, 0].min()),
+                    int(px[:, 1].min()),
+                    int(px[:, 0].max()),
+                    int(px[:, 1].max()),
+                ),
+            )
+        )
+    return blobs
+
+
+def _ref_window_euler(window: np.ndarray) -> int:
+    """Euler number (components - holes) of an 8-connected foreground.
+
+    ``window`` is a bool image whose border rows and columns are empty.
+    Bit-quad counting over all its 2x2 windows:
+    E = (Q1 - Q3 - 2*Qd) / 4 with Qd the two diagonal patterns.
+    """
+    p = window.view(np.int8)
+    a = p[:-1, :-1]
+    b = p[:-1, 1:]
+    c = p[1:, :-1]
+    d = p[1:, 1:]
+    s = a + b + c + d
+    q1 = int((s == 1).sum())
+    q3 = int((s == 3).sum())
+    qd = int((((a == 1) & (d == 1) & (b == 0) & (c == 0)) | ((b == 1) & (c == 1) & (a == 0) & (d == 0))).sum())
+    return (q1 - q3 - 2 * qd) // 4
+
+
+def ref_compute_features(b: Blob) -> Blob:
+    """Blob with equivalent_diameter, euler_number, convex_area, solidity,
+    measured one blob at a time with an exact hull for every blob."""
+    r0, c0, r1, c1 = b.bbox
+    # The bbox plus a one-pixel empty margin, as _ref_window_euler needs.
+    window = np.zeros((r1 - r0 + 3, c1 - c0 + 3), dtype=bool)
+    window[b.pixels[:, 0] - (r0 - 1), b.pixels[:, 1] - (c0 - 1)] = True
+    convex_area = _convex_area(b.pixels, b.bbox)
+    return replace(
+        b,
+        equivalent_diameter=math.sqrt(4.0 * b.area / math.pi),
+        euler_number=_ref_window_euler(window),
+        convex_area=convex_area,
+        solidity=b.area / convex_area,
+    )
 
 
 # --- matching ---------------------------------------------------------------

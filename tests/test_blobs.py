@@ -4,10 +4,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from raftcensus import BlobFilter, compute_features, filter_blobs, label_components
+from raftcensus import (
+    BlobFilter,
+    CensusConfig,
+    SynthParams,
+    compute_features,
+    filter_blobs,
+    generate_synthetic_scene,
+    label_components,
+    run_pipeline,
+)
 from raftcensus.morphology import dilate, square
+from raftcensus.waterdetect import NdwiOtsu
 
-from oracles import ref_convex_area, ref_euler, ref_label_partition
+from oracles import (
+    ref_compute_features,
+    ref_convex_area,
+    ref_euler,
+    ref_label_components,
+    ref_label_partition,
+)
 
 
 def mask_from(rows):
@@ -19,6 +35,35 @@ def label_image(shape, blobs):
     for b in blobs:
         img[b.pixels[:, 0], b.pixels[:, 1]] = b.label
     return img
+
+
+def _bits(v):
+    """A value with its type and, for floats, its exact bits."""
+    if isinstance(v, tuple):
+        return tuple(_bits(x) for x in v)
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+def assert_same_blob(got, want):
+    assert got.pixels.dtype == want.pixels.dtype
+    assert got.pixels.shape == want.pixels.shape
+    assert got.pixels.tobytes() == want.pixels.tobytes()
+    for name in ("label", "area", "centroid", "bbox", "equivalent_diameter",
+                 "euler_number", "convex_area", "solidity"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+
+
+def serpentine(h, w):
+    """One 8-connected path that sweeps every other row end to end."""
+    m = np.zeros((h, w), dtype=bool)
+    m[::2] = True
+    m[1::4, -1] = True
+    m[3::4, 0] = True
+    return m
+
+
+def checkerboard(h, w):
+    return np.indices((h, w)).sum(axis=0) % 2 == 0
 
 
 def random_blob_mask(rng, size=24):
@@ -82,6 +127,88 @@ class TestLabeling:
             seen[b.pixels[:, 0], b.pixels[:, 1]] += 1
         assert np.array_equal(seen > 0, m)
         assert seen.max() <= 1
+
+
+class TestOracleEquivalence:
+    """Run-length labeling and batched features against the flood fill
+    and per-blob features they replaced, field by field and bit for bit."""
+
+    def _masks(self, rng):
+        masks = [rng.random((int(h), int(w))) < rng.uniform(0.05, 0.9)
+                 for h, w in rng.integers(1, 40, size=(40, 2))]
+        masks += [rng.random((1, 60)) < 0.5, rng.random((60, 1)) < 0.5,
+                  np.ones((1, 7), dtype=bool), np.ones((7, 1), dtype=bool),
+                  np.ones((9, 13), dtype=bool), np.zeros((9, 13), dtype=bool),
+                  np.zeros((0, 5), dtype=bool), checkerboard(11, 17), ~checkerboard(6, 6),
+                  mask_from(["#####", "#.#.#", "#####", "#...#", "#####"]),
+                  np.eye(12, dtype=bool), np.fliplr(np.eye(12, dtype=bool)),
+                  np.eye(30, 8, k=-3, dtype=bool) | np.eye(30, 8, k=4, dtype=bool)]
+        masks += [random_blob_mask(rng) for _ in range(20)]
+        m = rng.random((30, 30)) < 0.4
+        masks += [m.astype(np.uint8) * 7, np.where(m, rng.uniform(0.1, 2.0, m.shape), 0.0)]
+        return masks
+
+    def test_labels_and_features_match_oracles(self, rng):
+        for m in self._masks(rng):
+            got = label_components(m)
+            want = ref_label_components(m)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_blob(g, w)
+                assert_same_blob(compute_features(g), ref_compute_features(w))
+            loose = BlobFilter(max_area=10**6)
+            accepted, rejected = filter_blobs(got, loose)
+            measured = sorted(accepted + [b for b, _ in rejected], key=lambda b: b.label)
+            for g, w in zip(measured, want, strict=True):
+                assert_same_blob(g, ref_compute_features(w))
+
+    def test_closed_platform_mask_of_dense_scene(self, platform_model):
+        stack, _ = generate_synthetic_scene(
+            SynthParams(width=2048, height=2048, raft_count=2000, noise_sigma=0.005, seed=7))
+        pmask = run_pipeline(stack, CensusConfig(water_method=NdwiOtsu(),
+                                                 platform_model=platform_model)).platform_mask
+        got = label_components(pmask)
+        want = ref_label_components(pmask)
+        assert len(got) == len(want) >= 2000
+        for g, w in zip(got, want):
+            assert_same_blob(g, w)
+        accepted, rejected = filter_blobs(got, BlobFilter())
+        assert len(accepted) + len(rejected) == len(got)
+        for b in accepted + [b for b, r in rejected if r != "area"]:
+            assert_same_blob(b, ref_compute_features(want[b.label - 1]))
+
+    def test_filter_mixed_masks_and_featured_blobs(self, rng):
+        # Blobs from different masks overlap in the image; each one is
+        # measured on its own pixels only.
+        raw = []
+        for _ in range(6):
+            raw += label_components(random_blob_mask(rng, size=16))
+            raw += label_components(rng.random((12, 12)) < 0.3)
+        mixed = [ref_compute_features(b) if i % 3 == 0 else b for i, b in enumerate(raw)]
+        shuffled = [mixed[i] for i in rng.permutation(len(mixed))]
+        for f in (BlobFilter(), BlobFilter(max_area=40), BlobFilter(min_solidity=0.95)):
+            for blobs in (raw, mixed, shuffled):
+                # Old semantics: measure each area-passing raw blob alone.
+                want_acc, want_rej = filter_blobs(
+                    [ref_compute_features(b) if b.area < f.max_area and b.solidity is None
+                     else b for b in blobs], f)
+                acc, rej = filter_blobs(blobs, f)
+                assert len(acc) == len(want_acc) and len(rej) == len(want_rej)
+                for g, w in zip(acc, want_acc):
+                    assert_same_blob(g, w)
+                for (g, gr), (w, wr) in zip(rej, want_rej):
+                    assert gr == wr
+                    assert_same_blob(g, w)
+
+    @pytest.mark.parametrize("m", [checkerboard(512, 512), serpentine(512, 512),
+                                   serpentine(512, 512).T], ids=["checker", "serpentine", "columns"])
+    def test_long_chains_match_scipy(self, m):
+        from scipy import ndimage
+
+        want, n = ndimage.label(m, structure=np.ones((3, 3)))
+        blobs = label_components(m)
+        assert len(blobs) == n == 1
+        assert np.array_equal(label_image(m.shape, blobs), want)
 
 
 class TestFeatures:
@@ -190,6 +317,12 @@ class TestFilter:
             acc2, rej2 = filter_blobs([compute_features(b) for b in raw], f)
             assert acc1 == acc2
             assert [(b.label, r) for b, r in rej1] == [(b.label, r) for b, r in rej2]
+
+    def test_featured_blobs_used_as_given(self):
+        blob = replace(self._blob(["##", "##"]), solidity=0.5)  # measured: 1.0
+        accepted, rejected = filter_blobs([blob], BlobFilter())
+        assert not accepted
+        assert rejected[0][0] is blob and rejected[0][1] == "solidity"
 
     def test_area_rejects_are_not_measured(self):
         blobs = label_components(mask_from(["#" * 40, "." * 40, "##" + "." * 38]))

@@ -91,6 +91,15 @@ class TestSynth:
         for name in ("manifest.json", "truth.json", "b8.pgm", "truth_rafts.pgm"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_rejected(self, tmp_path, capsys, sigma):
+        out = tmp_path / "scene"
+        assert run_cli("synth", "--out", str(out), "--width", "64", "--height", "64",
+                       "--noise-sigma", sigma) == 2
+        err = capsys.readouterr().err
+        assert "noise_sigma" in err and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
 
 class TestImport:
     def test_normalizes_and_round_trips(self, scene_dir, tmp_path):
@@ -216,6 +225,24 @@ class TestTrainCli:
         from raftcensus import load_model
 
         assert load_model(model_out).layer_sizes == (10, 8, 3)
+
+    def test_train_water_zero_hidden_rejected(self, tmp_path, capsys):
+        model_out = tmp_path / "w.mlp"
+        assert run_cli("train-water", "--synthetic-default", "--hidden", "0",
+                       "--epochs", "5", "--out", str(model_out)) == 2
+        err = capsys.readouterr().err
+        assert "layer sizes" in err and "Traceback" not in err
+        assert not model_out.exists()
+
+    def test_census_rejects_zero_hidden_model_file(self, scene_dir, model_path, tmp_path, capsys):
+        bad = tmp_path / "bad.mlp"
+        text = model_path.read_text().replace("layers 10 2 1", "layers 10 0 1")
+        bad.write_text(text)
+        out_csv = tmp_path / "c.csv"
+        assert run_cli("census", "--manifest", str(scene_dir / "manifest.json"),
+                       "--platform-model", str(bad), "--out", str(out_csv)) == 2
+        assert "layer sizes" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run_cli("train-platform", "--out", str(tmp_path / "x.mlp")) == 1

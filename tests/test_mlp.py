@@ -617,6 +617,15 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="activation"):
             load_model(tmp_path / "bad.mlp")
 
+    @pytest.mark.parametrize("layers", [(10, 0, 3), (0, 2, 1), (10, 2, 0)])
+    def test_zero_sized_layer_rejected(self, layers):
+        n_in, n_hid, n_out = layers
+        with pytest.raises(ModelFormatError, match="at least 1"):
+            MlpModel(layers, (np.zeros((n_hid, n_in)), np.zeros((n_out, n_hid))),
+                     (np.zeros(n_hid), np.zeros(n_out)))
+        with pytest.raises(ModelFormatError, match="at least 1"):
+            init_model(layers)
+
     def test_not_a_model_file(self, tmp_path):
         (tmp_path / "junk.mlp").write_text("hello\n")
         with pytest.raises(ModelFormatError):
