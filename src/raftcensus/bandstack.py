@@ -3,7 +3,13 @@
 Input format is deliberately plain: one binary 16-bit PGM (P5, maxval
 65535, big-endian) per band plus a JSON manifest mapping band names to
 file paths. Digital numbers are scaled to reflectance by dividing by
-10000. 20 m bands are upsampled x2 to the 10 m grid on load.
+10000; 20 m bands are upsampled x2 to the 10 m grid, bilinearly.
+
+A loaded stack keeps each band's uint16 digital numbers at its native
+resolution and scales and upsamples them one row window at a time, when
+``BandStack.rows`` asks for the window: a census never holds a whole
+float64 plane. Every value equals the one a whole-plane load gives, bit
+for bit.
 
 Manifest schema::
 
@@ -20,6 +26,7 @@ Relative band paths are resolved against the manifest's directory.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -86,32 +93,103 @@ class GeoRef:
 class BandStack:
     """Ten co-registered reflectance planes on a common 10 m grid.
 
-    Planes are float64 arrays of shape (height, width), row-major,
-    finite and non-negative. Treat instances as immutable.
+    ``planes`` maps every band to a float64 plane of shape (height,
+    width), row-major, finite and non-negative. A stack from
+    ``load_band_stack`` holds the bands' uint16 digital numbers instead,
+    and its ``planes`` builds a band's whole plane on each lookup. Census
+    stages read row windows through ``rows``, which only slices in-memory
+    planes. Treat instances as immutable.
     """
 
     width: int
     height: int
     pixel_size: float
-    planes: dict[BandId, np.ndarray]
+    planes: Mapping[BandId, np.ndarray]
     geo: GeoRef | None = None
 
     def __post_init__(self):
         missing = [b.value for b in BandId if b not in self.planes]
         if missing:
             raise ManifestError(f"missing band planes: {', '.join(missing)}")
-        for band, plane in self.planes.items():
-            if plane.shape != (self.height, self.width):
+        dn = isinstance(self.planes, _DnPlanes)
+        for band in BandId:
+            shape = self.planes.shape if dn else self.planes[band].shape
+            if shape != (self.height, self.width):
                 raise DimensionError(
-                    f"band {band.value} has shape {plane.shape}, "
+                    f"band {band.value} has shape {shape}, "
                     f"expected {(self.height, self.width)}"
                 )
+            # uint16 / DN_SCALE under convex bilinear weights is always
+            # finite and non-negative: only in-memory planes need checking.
+            if dn:
+                continue
+            plane = self.planes[band]
             if not np.isfinite(plane).all() or (plane < 0).any():
                 raise ValueError(f"band {band.value} has non-finite or negative values")
+
+    def rows(
+        self, r0: int, r1: int, bands: Iterable[BandId] = FEATURE_ORDER
+    ) -> dict[BandId, np.ndarray]:
+        """Float64 (r1 - r0, width) windows of rows r0..r1-1 of ``bands``.
+
+        In-memory planes are sliced, not copied. A loaded stack divides
+        the digital numbers by DN_SCALE, and upsamples 20 m bands from
+        the input rows under the window plus a one-row halo, with
+        ``resample_plane``'s gathers and weights: every value is bitwise
+        equal to the whole plane's.
+        """
+        if not 0 <= r0 < r1 <= self.height:
+            raise ValueError(f"row window [{r0}, {r1}) is not within [0, {self.height})")
+        if isinstance(self.planes, _DnPlanes):
+            return self.planes.window(r0, r1, bands)
+        return {b: np.asarray(self.planes[b][r0:r1], dtype=np.float64) for b in bands}
 
     def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
         """N x 10 feature matrix for the given pixel coordinates."""
         return np.stack([self.planes[b][rows, cols] for b in order], axis=1)
+
+
+class _DnPlanes(Mapping):
+    """The planes of a loaded stack, kept as uint16 digital numbers at each
+    band's native resolution; 20 m bands are half the 10 m ``shape``.
+
+    ``window`` builds float64 row windows on the 10 m grid. Looking up a
+    band builds its whole plane, the window over all rows.
+    """
+
+    def __init__(self, dn: dict[BandId, np.ndarray]):
+        self.dn = dn
+        self.shape = dn[BandId.B2].shape
+        half = self.shape[1] // 2
+        self._cols = _axis_coords(0, 2 * half, half, 2)  # shared by the 20 m bands
+
+    def __getitem__(self, band: BandId) -> np.ndarray:
+        return self.window(0, self.shape[0], (band,))[band]
+
+    def __contains__(self, band) -> bool:  # Mapping's default would build the plane
+        return band in self.dn
+
+    def __iter__(self):
+        return iter(self.dn)
+
+    def __len__(self) -> int:
+        return len(self.dn)
+
+    def window(self, r0: int, r1: int, bands: Iterable[BandId]) -> dict[BandId, np.ndarray]:
+        out = {}
+        lo, hi, fy = _axis_coords(r0, r1, self.shape[0] // 2, 2)
+        halo = slice(lo[0], hi[-1] + 1)
+        for band in bands:
+            dn = self.dn[band]
+            if band.native_resolution_m == 10:
+                p = dn[r0:r1].astype(np.float64)
+                p /= DN_SCALE
+            else:
+                p = dn[halo].astype(np.float64)
+                p /= DN_SCALE
+                p = _bilinear(p, (lo - halo.start, hi - halo.start, fy), self._cols)
+            out[band] = p
+        return out
 
 
 def read_pgm16(path) -> np.ndarray:
@@ -151,7 +229,7 @@ def read_pgm16(path) -> np.ndarray:
         raise PgmError(f"{path}: maxval must be 65535, got {maxval}")
     pos += 1  # single whitespace byte after maxval
     expected = width * height * 2
-    raster = data[pos : pos + expected]
+    raster = memoryview(data)[pos : pos + expected]
     if len(raster) != expected:
         raise PgmError(f"{path}: expected {expected} raster bytes, got {len(raster)}")
     return np.frombuffer(raster, dtype=">u2").reshape(height, width).astype(np.uint16)
@@ -171,6 +249,39 @@ def write_pgm16(path, values: np.ndarray) -> None:
     Path(path).write_bytes(header + a.astype(">u2").tobytes())
 
 
+def _axis_coords(start: int, stop: int, n_in: int, factor: int):
+    """Bilinear source coordinates of output indices start..stop-1 along an
+    axis of ``n_in`` input samples: (lower index, upper index, fraction)."""
+    x = (np.arange(start, stop) + 0.5) / factor - 0.5
+    x = np.clip(x, 0.0, n_in - 1.0)
+    lo = np.floor(x).astype(int)
+    hi = np.minimum(lo + 1, n_in - 1)
+    return lo, hi, x - lo
+
+
+def _bilinear(p: np.ndarray, rows, cols) -> np.ndarray:
+    """Samples of ``p`` at ``_axis_coords`` triples ``rows`` and ``cols``.
+
+    Interpolates along columns once at input height, then along rows.
+    Each axis gathers into a fresh array and weights it in place, so
+    every output element gets a * (1 - f) + b * f in that order.
+    """
+    r0, r1, fy = rows
+    c0, c1, fx = cols
+    fy = fy[:, None]
+    row = np.take(p, c0, axis=1)
+    row *= 1 - fx
+    t = np.take(p, c1, axis=1)
+    t *= fx
+    row += t
+    out = np.take(row, r0, axis=0)
+    out *= 1 - fy
+    t = np.take(row, r1, axis=0)
+    t *= fy
+    out += t
+    return out
+
+
 def resample_plane(p: np.ndarray, factor: int) -> np.ndarray:
     """Upsample a plane by an integer factor, bilinearly.
 
@@ -185,42 +296,19 @@ def resample_plane(p: np.ndarray, factor: int) -> np.ndarray:
         raise DimensionError(f"plane must be 2-D, got shape {p.shape}")
     if factor == 1:
         return p.copy()
-
     h, w = p.shape
-
-    def axis_coords(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = (np.arange(n_out) + 0.5) / factor - 0.5
-        x = np.clip(x, 0.0, n_in - 1.0)
-        lo = np.floor(x).astype(int)
-        hi = np.minimum(lo + 1, n_in - 1)
-        return lo, hi, x - lo
-
-    r0, r1, fy = axis_coords(h * factor, h)
-    c0, c1, fx = axis_coords(w * factor, w)
-    fy = fy[:, None]
-    fx = fx[None, :]
-    # Interpolate along columns once at input height, then along rows.
-    # Each axis gathers into a fresh array and weights it in place, so
-    # every output element gets a * (1 - f) + b * f in that order.
-    row = np.take(p, c0, axis=1)
-    row *= 1 - fx
-    t = np.take(p, c1, axis=1)
-    t *= fx
-    row += t
-    out = np.take(row, r0, axis=0)
-    out *= 1 - fy
-    t = np.take(row, r1, axis=0)
-    t *= fy
-    out += t
-    return out
+    return _bilinear(
+        p, _axis_coords(0, h * factor, h, factor), _axis_coords(0, w * factor, w, factor)
+    )
 
 
 def load_band_stack(manifest_path) -> BandStack:
-    """Load, scale, and resample a ten-band stack described by a manifest.
+    """Load a ten-band stack described by a manifest.
 
-    Digital numbers are divided by 10000; 20 m bands are brought to the
-    10 m grid with bilinear resampling. 20 m planes must be exactly half
-    the 10 m dimensions.
+    The stack keeps each band's uint16 digital numbers; ``rows`` divides
+    them by 10000 and brings 20 m bands to the 10 m grid with bilinear
+    resampling, one row window at a time. 20 m planes must be exactly
+    half the 10 m dimensions.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -246,7 +334,7 @@ def load_band_stack(manifest_path) -> BandStack:
             dn = read_pgm16(band_path)
         except OSError as exc:
             raise ManifestError(f"cannot read band {band.value}: {exc}") from exc
-        raw[band] = dn.astype(np.float64) / DN_SCALE
+        raw[band] = dn
 
     ref10 = raw[BandId.B2].shape
     for band in BandId:
@@ -266,11 +354,6 @@ def load_band_stack(manifest_path) -> BandStack:
                     f"{ref10[1]}x{ref10[0]}"
                 )
 
-    planes = {
-        band: (plane if band.native_resolution_m == 10 else resample_plane(plane, 2))
-        for band, plane in raw.items()
-    }
-
     geo = None
     geo_entry = manifest.get("geo")
     if geo_entry is not None:
@@ -287,7 +370,7 @@ def load_band_stack(manifest_path) -> BandStack:
         width=ref10[1],
         height=ref10[0],
         pixel_size=PIXEL_SIZE_M,
-        planes=planes,
+        planes=_DnPlanes(raw),
         geo=geo,
     )
 
@@ -340,7 +423,7 @@ def crop(s: BandStack, x0: int, y0: int, w: int, h: int) -> BandStack:
             f"crop rectangle ({x0},{y0},{w},{h}) exceeds stack bounds "
             f"{s.width}x{s.height}"
         )
-    planes = {b: p[y0 : y0 + h, x0 : x0 + w].copy() for b, p in s.planes.items()}
+    planes = {b: p[:, x0 : x0 + w].copy() for b, p in s.rows(y0, y0 + h).items()}
     geo = s.geo
     if geo is not None:
         geo = replace(

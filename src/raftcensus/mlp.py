@@ -8,7 +8,8 @@ defaults to [10, 8, 3] with the water class last.
 Scoring sums each unit's weighted inputs in one fixed order, first input
 first, so a pixel's scores depend only on its features: not on the batch
 or block it is scored in, nor on the BLAS library. Image pixels are
-scored in row blocks through buffers allocated once per call. Training
+scored in row blocks, each read from its stack just before it is scored
+(``BandStack.rows``), through buffers allocated once per call. Training
 stays on matrix products.
 
 Models are value objects: training copies parameters and never mutates
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandstack import FEATURE_ORDER, BandId
+from .bandstack import FEATURE_ORDER, BandId, BandStack
 from .errors import DimensionError, ModelFormatError, TrainingError
 
 __all__ = [
@@ -45,10 +46,20 @@ PLATFORM_LAYERS = (10, 2, 1)
 WATER_LAYERS = (10, 8, 3)
 WATER_CLASS_INDEX = 3  # 1-based output index of the water class
 
-# Most pixels per block in threshold_planes: small enough that a block's
-# activations stay in cache, large enough to keep per-block overhead
-# negligible.
+# Most pixels per row block (or window) of a census stage: small enough
+# that a block's activations stay in cache, large enough to keep
+# per-block overhead negligible.
 _BLOCK_PIXELS = 16384
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of an image ``width`` pixels wide: at least one."""
+    return max(1, _BLOCK_PIXELS // max(width, 1))
+
+
+def _check_layer_sizes(sizes) -> None:
+    if min(sizes) < 1:
+        raise ModelFormatError(f"layer sizes {tuple(sizes)} must all be at least 1")
 
 
 def _sigmoid(
@@ -87,8 +98,7 @@ class MlpModel:
 
     def __post_init__(self):
         n_in, n_hid, n_out = self.layer_sizes
-        if min(self.layer_sizes) < 1:
-            raise ModelFormatError(f"layer sizes {self.layer_sizes} must all be at least 1")
+        _check_layer_sizes(self.layer_sizes)
         shapes = [(n_hid, n_in), (n_out, n_hid)]
         for i, (w, b, shape) in enumerate(zip(self.weights, self.biases, shapes)):
             if w.shape != shape or b.shape != (shape[0],):
@@ -164,6 +174,7 @@ def init_model(
     feature_order: tuple[BandId, ...] = FEATURE_ORDER,
 ) -> MlpModel:
     """Seeded random model with weights and biases uniform in [-0.5, 0.5]."""
+    _check_layer_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
     n_in, n_hid, n_out = layer_sizes
     w1 = rng.uniform(-0.5, 0.5, size=(n_hid, n_in))
@@ -228,35 +239,45 @@ def forward(m: MlpModel, x) -> np.ndarray:
 
 def threshold_planes(
     m: MlpModel,
-    planes: Mapping[BandId, np.ndarray],
+    planes: BandStack | Mapping[BandId, np.ndarray],
     out_index: int,
     thr: float,
     where: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
 
-    ``planes`` maps every band of ``m.feature_order`` to an (H, W) plane.
-    Pixels are scored a block of rows at a time, straight from the plane
-    rows, in the fixed summation order of ``forward_batch``: a score
-    depends neither on its block nor on BLAS. Only output ``out_index`` is
-    computed. With a boolean (H, W) ``where``, row blocks holding no true
-    pixel are not scored and the result is restricted to ``where``.
+    ``planes`` is a BandStack, read one row block at a time through
+    ``BandStack.rows``, or maps every band of ``m.feature_order`` to an
+    (H, W) plane. Pixels are scored a block of rows at a time, straight
+    from the block's rows, in the fixed summation order of
+    ``forward_batch``: a score depends neither on its block nor on BLAS.
+    Only output ``out_index`` is computed. With a boolean (H, W) ``where``,
+    row blocks holding no true pixel are neither read nor scored, and the
+    result is restricted to ``where``.
     """
-    cols = [np.asarray(planes[b], dtype=np.float64) for b in m.feature_order]
-    h, w = cols[0].shape
-    for b, c in zip(m.feature_order, cols):
-        if c.shape != (h, w):
-            raise DimensionError(f"plane {b.value} has shape {c.shape}, expected {(h, w)}")
+    if isinstance(planes, BandStack):
+        h, w, window = planes.height, planes.width, planes.rows
+    else:
+        cols = {b: np.asarray(planes[b], dtype=np.float64) for b in m.feature_order}
+        h, w = cols[m.feature_order[0]].shape
+        for b, c in cols.items():
+            if c.shape != (h, w):
+                raise DimensionError(f"plane {b.value} has shape {c.shape}, expected {(h, w)}")
+
+        def window(r0, r1, bands):
+            return {b: cols[b][r0:r1] for b in bands}
+
     if where is not None and where.shape != (h, w):
         raise DimensionError(f"mask shape {where.shape} does not match planes {(h, w)}")
     out = np.zeros((h, w), dtype=bool)
-    rows = max(1, _BLOCK_PIXELS // max(w, 1))
+    rows = block_rows(w)
     work = _work_arrays(m, 1, min(h, rows) * w)
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
         if where is not None and not where[r0:r1].any():
             continue
-        y = _score(m, [c[r0:r1].reshape(-1) for c in cols], [out_index], work)
+        block = window(r0, r1, m.feature_order)
+        y = _score(m, [block[b].reshape(-1) for b in m.feature_order], [out_index], work)
         np.greater_equal(y[0], thr, out=out[r0:r1].reshape(-1))
     return out if where is None else out & where
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bandstack import BandId, BandStack
 from .errors import DegenerateHistogramError, DimensionError
-from .mlp import WATER_CLASS_INDEX, MlpModel, threshold_planes
+from .mlp import WATER_CLASS_INDEX, MlpModel, block_rows, threshold_planes
 from .morphology import StructElem, closing, erode, opening, square
 
 __all__ = [
@@ -135,10 +135,20 @@ def quantize_ndwi(ndwi: np.ndarray) -> np.ndarray:
 
 
 def water_mask_ndwi(s: BandStack) -> np.ndarray:
-    """Otsu-thresholded NDWI water mask; true where the NDWI bin exceeds t."""
-    ndwi = compute_ndwi(s.planes[BandId.B3], s.planes[BandId.B8])
-    bins = quantize_ndwi(ndwi)
-    hist = np.bincount(bins.ravel(), minlength=NDWI_BINS)
+    """Otsu-thresholded NDWI water mask; true where the NDWI bin exceeds t.
+
+    The NDWI is binned one row block at a time; the histogram sums the
+    blocks' counts and the bins are kept as uint8.
+    """
+    bins = np.empty((s.height, s.width), dtype=np.uint8)
+    hist = np.zeros(NDWI_BINS, dtype=np.int64)
+    step = block_rows(s.width)
+    for r0 in range(0, s.height, step):
+        r1 = min(r0 + step, s.height)
+        block = s.rows(r0, r1, (BandId.B3, BandId.B8))
+        b = quantize_ndwi(compute_ndwi(block[BandId.B3], block[BandId.B8]))
+        bins[r0:r1] = b
+        hist += np.bincount(b.ravel(), minlength=NDWI_BINS)
     t = otsu_threshold(hist)
     return bins > t
 
@@ -161,7 +171,7 @@ def water_mask_mlp(
             f"water_class_index {water_class_index} out of range for "
             f"{m.n_out} outputs"
         )
-    return threshold_planes(m, s.planes, water_class_index - 1, thr)
+    return threshold_planes(m, s, water_class_index - 1, thr)
 
 
 def clean_water_mask(

@@ -10,21 +10,35 @@ all-pairs matching, flood-fill labeling and per-blob feature references
 are the plain formulations the library once used (the feature reference
 keeps the library's exact hull, ``_convex_area``, which the Qhull
 reference checks), and the pixel-scoring reference is the library's
-summation order written over whole arrays; the library must match them
-bit for bit.
+summation order written over whole arrays. The whole-plane band load and
+NDWI mask are the library's former formulations, which scaled and
+upsampled every band to a float64 plane up front. The library must
+match all of these bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+from raftcensus.bandstack import (
+    DN_SCALE,
+    PIXEL_SIZE_M,
+    BandId,
+    BandStack,
+    GeoRef,
+    read_pgm16,
+    resample_plane,
+)
 from raftcensus.blobs import Blob, _convex_area
 from raftcensus.evaluation import MatchPair
+from raftcensus.waterdetect import NDWI_BINS, compute_ndwi, quantize_ndwi
 
 
 # --- morphology -----------------------------------------------------------
@@ -352,6 +366,31 @@ def ref_bilinear_gathers(p: np.ndarray, factor: int) -> np.ndarray:
     top = p[r0][:, c0] * (1 - fx) + p[r0][:, c1] * fx
     bot = p[r1][:, c0] * (1 - fx) + p[r1][:, c1] * fx
     return top * (1 - fy) + bot * fy
+
+
+# --- whole-plane band load and NDWI --------------------------------------------
+
+def ref_load_band_stack(manifest_path) -> BandStack:
+    """Every band read, divided by DN_SCALE and, for 20 m bands, upsampled
+    to a whole float64 plane on load (well-formed manifests only)."""
+    manifest_path = Path(manifest_path)
+    manifest = json.loads(manifest_path.read_text())
+    planes = {}
+    for band in BandId:
+        plane = read_pgm16(manifest_path.parent / manifest["bands"][band.value])
+        plane = plane.astype(np.float64) / DN_SCALE
+        planes[band] = plane if band.native_resolution_m == 10 else resample_plane(plane, 2)
+    geo = manifest.get("geo")
+    if geo is not None:
+        geo = GeoRef(float(geo["origin_easting"]), float(geo["origin_northing"]), str(geo["crs"]))
+    h, w = planes[BandId.B2].shape
+    return BandStack(width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=geo)
+
+
+def ref_water_mask_ndwi(s: BandStack) -> np.ndarray:
+    """NDWI, bins, histogram and Otsu threshold over whole planes."""
+    bins = quantize_ndwi(compute_ndwi(s.planes[BandId.B3], s.planes[BandId.B8]))
+    return bins > ref_otsu(np.bincount(bins.ravel(), minlength=NDWI_BINS))
 
 
 # --- pixel scoring --------------------------------------------------------

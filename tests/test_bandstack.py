@@ -16,7 +16,23 @@ from raftcensus import (
 )
 from raftcensus.errors import DimensionError, ManifestError, PgmError
 
-from oracles import ref_bilinear, ref_bilinear_gathers
+from oracles import ref_bilinear, ref_bilinear_gathers, ref_load_band_stack
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def write_dn_scene(tmp_path, h, w, dn_of):
+    """Ten PGMs at native resolution, DN from ``dn_of(band, shape)``."""
+    bands = {}
+    for b in BandId:
+        shape = (h, w) if b.native_resolution_m == 10 else (h // 2, w // 2)
+        write_pgm16(tmp_path / f"{b.value}.pgm", dn_of(b, shape))
+        bands[b.value] = f"{b.value}.pgm"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"bands": bands}))
+    return path
 
 
 def write_manifest(tmp_path, dims=None, geo=None, skip=(), dn=100):
@@ -188,6 +204,84 @@ class TestLoad:
         assert s2.geo == s.geo
         for b in BandId:
             assert np.array_equal(s.planes[b], s2.planes[b])
+
+
+class TestRows:
+    @pytest.mark.parametrize("h,w", [(22, 18), (2, 2), (6, 40)])
+    def test_every_window_bitwise_equal_to_whole_plane_load(self, tmp_path, rng, h, w):
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        ref = ref_load_band_stack(path)
+        for r0 in range(h):
+            for r1 in range(r0 + 1, h + 1):
+                got = s.rows(r0, r1)
+                assert list(got) == list(BandId)
+                for b in BandId:
+                    assert got[b].dtype == np.float64 and got[b].shape == (r1 - r0, w)
+                    assert np.array_equal(bits(got[b]), bits(ref.planes[b][r0:r1])), (b, r0, r1)
+        for b in BandId:
+            assert np.array_equal(bits(s.planes[b]), bits(ref.planes[b]))
+
+    def test_named_windows_of_a_larger_scene(self, tmp_path, rng):
+        h, w = 130, 96
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 20000, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        ref = ref_load_band_stack(path)
+        windows = {"first row": (0, 1), "last row": (h - 1, h), "one row": (57, 58),
+                   "odd height 3": (10, 13), "odd height 7": (64, 71),
+                   "odd height 33": (97, 130), "whole image": (0, h)}
+        for name, (r0, r1) in windows.items():
+            bands = (BandId.B8, BandId.B11, BandId.B3)
+            got = s.rows(r0, r1, bands)
+            assert list(got) == list(bands), name
+            for b in bands:
+                assert np.array_equal(bits(got[b]), bits(ref.planes[b][r0:r1])), (name, b)
+
+    @pytest.mark.parametrize("pattern", ["checker", "columns", "rows"])
+    def test_extreme_neighbours_finite_non_negative_and_exact(self, tmp_path, pattern):
+        # DN 0 next to 65535 is the widest step the bilinear weights can
+        # see: the windows stay finite and non-negative, which is why a
+        # loaded stack skips the whole-plane check.
+        def dn_of(b, shape):
+            r, c = np.indices(shape)
+            on = {"checker": (r + c) % 2, "columns": c % 2, "rows": r % 2}[pattern]
+            return (on * 65535).astype(np.uint16)
+
+        path = write_dn_scene(tmp_path, 12, 10, dn_of)
+        s = load_band_stack(path)
+        ref = ref_load_band_stack(path)
+        for r0, r1 in [(0, 1), (3, 8), (11, 12), (0, 12)]:
+            for b, got in s.rows(r0, r1).items():
+                assert np.isfinite(got).all() and (got >= 0).all()
+                assert got.max() <= 65535 / 10000
+                assert np.array_equal(bits(got), bits(ref.planes[b][r0:r1]))
+
+    def test_in_memory_rows_are_views(self, rng):
+        planes = {b: rng.uniform(0, 1, size=(5, 4)) for b in BandId}
+        s = BandStack(width=4, height=5, pixel_size=10.0, planes=planes)
+        got = s.rows(1, 3)
+        for b in BandId:
+            assert np.shares_memory(got[b], planes[b])
+            assert np.array_equal(got[b], planes[b][1:3])
+
+    @pytest.mark.parametrize("r0,r1", [(0, 0), (2, 1), (-1, 2), (0, 7)])
+    def test_window_outside_the_image_rejected(self, tmp_path, r0, r1):
+        s = load_band_stack(write_dn_scene(tmp_path, 6, 4, lambda b, shape: np.zeros(shape)))
+        with pytest.raises(ValueError, match="row window"):
+            s.rows(r0, r1)
+
+    def test_loaded_crop_equals_whole_plane_crop(self, tmp_path, rng):
+        path = write_dn_scene(
+            tmp_path, 16, 12, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        got = crop(load_band_stack(path), 3, 5, 7, 9)
+        want = crop(ref_load_band_stack(path), 3, 5, 7, 9)
+        for b in BandId:
+            assert np.array_equal(bits(got.planes[b]), bits(want.planes[b]))
 
 
 class TestCrop:

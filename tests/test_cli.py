@@ -234,6 +234,15 @@ class TestTrainCli:
         assert "layer sizes" in err and "Traceback" not in err
         assert not model_out.exists()
 
+    def test_train_water_negative_hidden_rejected(self, tmp_path, capsys):
+        model_out = tmp_path / "w.mlp"
+        assert run_cli("train-water", "--synthetic-default", "--hidden", "-1",
+                       "--epochs", "5", "--out", str(model_out)) == 2
+        err = capsys.readouterr().err
+        assert "layer sizes (10, -1, 3)" in err and "Traceback" not in err
+        assert "negative dimensions" not in err
+        assert not model_out.exists()
+
     def test_census_rejects_zero_hidden_model_file(self, scene_dir, model_path, tmp_path, capsys):
         bad = tmp_path / "bad.mlp"
         text = model_path.read_text().replace("layers 10 2 1", "layers 10 0 1")

@@ -626,6 +626,11 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="at least 1"):
             init_model(layers)
 
+    @pytest.mark.parametrize("layers", [(10, -1, 3), (-2, 2, 1), (10, 2, -5)])
+    def test_negative_layer_rejected_before_drawing(self, layers):
+        with pytest.raises(ModelFormatError, match=rf"layer sizes \({', '.join(map(str, layers))}\)"):
+            init_model(layers)
+
     def test_not_a_model_file(self, tmp_path):
         (tmp_path / "junk.mlp").write_text("hello\n")
         with pytest.raises(ModelFormatError):

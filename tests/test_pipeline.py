@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,14 +20,25 @@ from raftcensus import (
     evaluate_census,
     generate_synthetic_scene,
     init_model,
+    load_band_stack,
     platform_mask,
     run_census,
+    run_pipeline,
+    save_band_stack,
     square,
+    water_mask_mlp,
     water_mask_ndwi,
 )
 from raftcensus.errors import DimensionError, RaftCensusError
+from raftcensus.mlp import _BLOCK_PIXELS
 
-from oracles import ref_forward_batch, ref_gather_mask
+from oracles import (
+    ref_forward_batch,
+    ref_gather_mask,
+    ref_load_band_stack,
+    ref_water_mask_ndwi,
+    ref_whole_image_mask,
+)
 
 
 def constant_platform_model(value: float) -> MlpModel:
@@ -325,3 +337,72 @@ class TestThreeByThreeRafts:
         report = evaluate_census(census, truth.raft_centroids)
         assert census.count == 8
         assert report.missed == 0 and report.false_detections == 0
+
+
+def saved_scene(tmp_path_factory, name, params):
+    """Manifest of a synthetic scene written to disk."""
+    stack, _ = generate_synthetic_scene(params)
+    return save_band_stack(stack, tmp_path_factory.mktemp(name))
+
+
+class TestLoadedStackCensus:
+    """A census over a loaded stack, which scales and upsamples one row
+    window at a time, equals the census over whole float64 planes."""
+
+    GEO = GeoRef(500000.0, 4680000.0, "EPSG:32629")
+
+    @pytest.fixture(scope="class", params=["square", "wider_than_a_block"])
+    def manifest(self, request, tmp_path_factory):
+        if request.param == "square":
+            params = SynthParams(width=256, height=200, raft_count=12, seed=21, geo=self.GEO)
+        else:  # every row window is a single row
+            params = SynthParams(width=_BLOCK_PIXELS + 34, height=40, raft_count=20,
+                                 seed=4, geo=self.GEO)
+        return saved_scene(tmp_path_factory, request.param, params)
+
+    @pytest.mark.parametrize("route", ["ndwi", "mlp"])
+    def test_masks_and_outputs_equal_whole_plane_path(self, manifest, route,
+                                                      platform_model, water_model):
+        from raftcensus import MlpWater
+
+        method = NdwiOtsu() if route == "ndwi" else MlpWater(model=water_model)
+        cfg = CensusConfig(water_method=method, platform_model=platform_model)
+        stack = load_band_stack(manifest)
+        ref = ref_load_band_stack(manifest)
+
+        if route == "ndwi":
+            water = water_mask_ndwi(stack)
+            ref_water = ref_water_mask_ndwi(ref)
+        else:
+            water = water_mask_mlp(stack, water_model)
+            ref_water = ref_whole_image_mask(water_model, ref.planes, method.water_class_index - 1,
+                                             method.threshold)
+        assert np.array_equal(water, ref_water)
+        ref_cleaned = clean_water_mask(ref_water)
+        ref_pmask = closing(ref_gather_mask(platform_model, ref.planes, 0,
+                                            cfg.platform_threshold, ref_cleaned), square(3))
+
+        got = run_pipeline(stack, cfg, source="scene")
+        assert np.array_equal(got.water_mask, ref_cleaned)
+        assert np.array_equal(got.platform_mask, ref_pmask)
+        want = run_census(ref, cfg, source="scene")
+        assert got.census.count == want.count > 0
+        assert census_to_csv(got.census) == census_to_csv(want)
+        assert census_to_geojson(got.census, self.GEO.crs) == census_to_geojson(want, self.GEO.crs)
+
+
+class TestMemory:
+    def test_loaded_census_peak_under_32_mib(self, tmp_path_factory, census_cfg):
+        # Whole float64 planes alone would take 80 MiB at 1024^2; row
+        # windows keep the census near the size of its uint16 bands.
+        manifest = saved_scene(
+            tmp_path_factory, "mem", SynthParams(width=1024, height=1024, raft_count=400, seed=3)
+        )
+        tracemalloc.start()
+        try:
+            census = run_census(load_band_stack(manifest), census_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert census.count >= 390
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
