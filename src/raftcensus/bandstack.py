@@ -9,7 +9,8 @@ A loaded stack keeps each band's uint16 digital numbers at its native
 resolution and scales and upsamples them one row window at a time, when
 ``BandStack.rows`` asks for the window: a census never holds a whole
 float64 plane. Every value equals the one a whole-plane load gives, bit
-for bit.
+for bit. Census stages walk the stack through ``BandStack.windows``,
+which owns the window size (``_BLOCK_PIXELS`` pixels per window).
 
 Manifest schema::
 
@@ -26,7 +27,7 @@ Relative band paths are resolved against the manifest's directory.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -50,6 +51,11 @@ __all__ = [
 
 DN_SCALE = 10000.0
 PIXEL_SIZE_M = 10.0
+
+# Most pixels per row window of a census stage: small enough that a
+# window's activations stay in cache, large enough to keep per-window
+# overhead negligible.
+_BLOCK_PIXELS = 16384
 
 
 class BandId(str, Enum):
@@ -97,7 +103,8 @@ class BandStack:
     width), row-major, finite and non-negative. A stack from
     ``load_band_stack`` holds the bands' uint16 digital numbers instead,
     and its ``planes`` builds a band's whole plane on each lookup. Census
-    stages read row windows through ``rows``, which only slices in-memory
+    stages walk the stack through ``windows``, which sets the window size,
+    and read each window through ``rows``, which only slices in-memory
     planes. Treat instances as immutable.
     """
 
@@ -143,6 +150,16 @@ class BandStack:
         if isinstance(self.planes, _DnPlanes):
             return self.planes.window(r0, r1, bands)
         return {b: np.asarray(self.planes[b][r0:r1], dtype=np.float64) for b in bands}
+
+    def windows(self, bands: Iterable[BandId] = FEATURE_ORDER, where=None) -> Iterator:
+        """Yield ``(r0, r1, self.rows(r0, r1, bands))`` for consecutive row
+        windows of ``_BLOCK_PIXELS // width`` rows (at least one; the last may be
+        shorter). A window with no true pixel in an (H, W) ``where`` is skipped unread."""
+        step = max(1, _BLOCK_PIXELS // max(self.width, 1))
+        for r0 in range(0, self.height, step):
+            r1 = min(r0 + step, self.height)
+            if where is None or where[r0:r1].any():
+                yield r0, r1, self.rows(r0, r1, bands)
 
     def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
         """N x 10 feature matrix for the given pixel coordinates."""
@@ -318,7 +335,7 @@ def load_band_stack(manifest_path) -> BandStack:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
 
-    bands_entry = manifest.get("bands")
+    bands_entry = manifest.get("bands") if isinstance(manifest, dict) else None
     if not isinstance(bands_entry, dict):
         raise ManifestError(f"manifest {manifest_path} lacks a 'bands' object")
     missing = [b.value for b in BandId if b.value not in bands_entry]
@@ -327,7 +344,10 @@ def load_band_stack(manifest_path) -> BandStack:
 
     raw: dict[BandId, np.ndarray] = {}
     for band in BandId:
-        band_path = Path(bands_entry[band.value])
+        entry = bands_entry[band.value]
+        if not isinstance(entry, str):
+            raise ManifestError(f"manifest {manifest_path}: band {band.value} is not a path")
+        band_path = Path(entry)
         if not band_path.is_absolute():
             band_path = manifest_path.parent / band_path
         try:

@@ -125,6 +125,8 @@ def load_spectra(path=None) -> dict[str, np.ndarray]:
     else:
         text = Path(path).read_text()
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise DatasetError(f"spectra file {path} must hold a JSON object")
     spectra = {}
     for name, values in raw.items():
         if name.startswith("_"):
@@ -257,9 +259,9 @@ def extract_platform_samples(
     pick = rng.choice(len(pool_rows), size=n, replace=False)
     pick.sort()
 
-    plat_feat = s.features(cand_rows, cand_cols)
-    water_feat = s.features(pool_rows[pick], pool_cols[pick])
-    features = np.concatenate([water_feat, plat_feat])
+    rows = np.concatenate([pool_rows[pick], cand_rows])
+    cols = np.concatenate([pool_cols[pick], cand_cols])
+    features = s.features(rows, cols)  # once: each call builds a loaded stack's whole planes
     labels = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     return LabeledPixels(features, labels, PLATFORM_CLASS_NAMES)
 

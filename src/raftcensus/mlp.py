@@ -8,9 +8,9 @@ defaults to [10, 8, 3] with the water class last.
 Scoring sums each unit's weighted inputs in one fixed order, first input
 first, so a pixel's scores depend only on its features: not on the batch
 or block it is scored in, nor on the BLAS library. Image pixels are
-scored in row blocks, each read from its stack just before it is scored
-(``BandStack.rows``), through buffers allocated once per call. Training
-stays on matrix products.
+scored one row window at a time, each read from its stack just before it
+is scored (``BandStack.windows``, which sets the window size), through
+buffers allocated once per call. Training stays on matrix products.
 
 Models are value objects: training copies parameters and never mutates
 its input model.
@@ -18,7 +18,6 @@ its input model.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,16 +44,6 @@ __all__ = [
 PLATFORM_LAYERS = (10, 2, 1)
 WATER_LAYERS = (10, 8, 3)
 WATER_CLASS_INDEX = 3  # 1-based output index of the water class
-
-# Most pixels per row block (or window) of a census stage: small enough
-# that a block's activations stay in cache, large enough to keep
-# per-block overhead negligible.
-_BLOCK_PIXELS = 16384
-
-
-def block_rows(width: int) -> int:
-    """Rows per block of an image ``width`` pixels wide: at least one."""
-    return max(1, _BLOCK_PIXELS // max(width, 1))
 
 
 def _check_layer_sizes(sizes) -> None:
@@ -239,45 +228,31 @@ def forward(m: MlpModel, x) -> np.ndarray:
 
 def threshold_planes(
     m: MlpModel,
-    planes: BandStack | Mapping[BandId, np.ndarray],
+    s: BandStack,
     out_index: int,
     thr: float,
     where: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
 
-    ``planes`` is a BandStack, read one row block at a time through
-    ``BandStack.rows``, or maps every band of ``m.feature_order`` to an
-    (H, W) plane. Pixels are scored a block of rows at a time, straight
-    from the block's rows, in the fixed summation order of
-    ``forward_batch``: a score depends neither on its block nor on BLAS.
-    Only output ``out_index`` is computed. With a boolean (H, W) ``where``,
-    row blocks holding no true pixel are neither read nor scored, and the
-    result is restricted to ``where``.
+    Pixels are scored one ``BandStack.windows`` row window at a time (the
+    stack sets the window size), straight from the window's rows, in the
+    fixed summation order of ``forward_batch``: a score depends neither on
+    its window nor on BLAS. Only output ``out_index`` is computed. With an
+    (H, W) ``where``, cast to bool, windows holding no true pixel are
+    neither read nor scored, and the result is restricted to ``where``.
     """
-    if isinstance(planes, BandStack):
-        h, w, window = planes.height, planes.width, planes.rows
-    else:
-        cols = {b: np.asarray(planes[b], dtype=np.float64) for b in m.feature_order}
-        h, w = cols[m.feature_order[0]].shape
-        for b, c in cols.items():
-            if c.shape != (h, w):
-                raise DimensionError(f"plane {b.value} has shape {c.shape}, expected {(h, w)}")
-
-        def window(r0, r1, bands):
-            return {b: cols[b][r0:r1] for b in bands}
-
-    if where is not None and where.shape != (h, w):
-        raise DimensionError(f"mask shape {where.shape} does not match planes {(h, w)}")
-    out = np.zeros((h, w), dtype=bool)
-    rows = block_rows(w)
-    work = _work_arrays(m, 1, min(h, rows) * w)
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        if where is not None and not where[r0:r1].any():
-            continue
-        block = window(r0, r1, m.feature_order)
-        y = _score(m, [block[b].reshape(-1) for b in m.feature_order], [out_index], work)
+    if where is not None:
+        where = np.asarray(where).astype(bool, copy=False)
+        if where.shape != (s.height, s.width):
+            raise DimensionError(f"mask shape {where.shape} does not match {(s.height, s.width)}")
+    out = np.zeros((s.height, s.width), dtype=bool)
+    work = None
+    for r0, r1, block in s.windows(m.feature_order, where):
+        cols = [block[b].reshape(-1) for b in m.feature_order]
+        if work is None:  # the first window scored is the tallest
+            work = _work_arrays(m, 1, len(cols[0]))
+        y = _score(m, cols, [out_index], work)
         np.greater_equal(y[0], thr, out=out[r0:r1].reshape(-1))
     return out if where is None else out & where
 

@@ -120,10 +120,9 @@ class Census:
 def platform_mask(s: BandStack, water: np.ndarray, cfg: CensusConfig) -> np.ndarray:
     """Platform pixels: water-true AND platform score >= threshold.
 
-    Row blocks without water are neither read from the stack nor scored;
-    other non-water pixels are scored and then masked out.
+    ``BandStack.windows`` row windows (sized by the stack) without water are
+    neither read nor scored; other non-water pixels are scored, then dropped.
     """
-    water = np.asarray(water).astype(bool, copy=False)
     return threshold_planes(
         cfg.platform_model, s, 0, cfg.platform_threshold, where=water
     )

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bandstack import BandId, BandStack
 from .errors import DegenerateHistogramError, DimensionError
-from .mlp import WATER_CLASS_INDEX, MlpModel, block_rows, threshold_planes
+from .mlp import WATER_CLASS_INDEX, MlpModel, threshold_planes
 from .morphology import StructElem, closing, erode, opening, square
 
 __all__ = [
@@ -137,15 +137,12 @@ def quantize_ndwi(ndwi: np.ndarray) -> np.ndarray:
 def water_mask_ndwi(s: BandStack) -> np.ndarray:
     """Otsu-thresholded NDWI water mask; true where the NDWI bin exceeds t.
 
-    The NDWI is binned one row block at a time; the histogram sums the
-    blocks' counts and the bins are kept as uint8.
+    The NDWI is binned one ``BandStack.windows`` row window at a time;
+    the histogram sums the windows' counts and the bins are kept as uint8.
     """
     bins = np.empty((s.height, s.width), dtype=np.uint8)
     hist = np.zeros(NDWI_BINS, dtype=np.int64)
-    step = block_rows(s.width)
-    for r0 in range(0, s.height, step):
-        r1 = min(r0 + step, s.height)
-        block = s.rows(r0, r1, (BandId.B3, BandId.B8))
+    for r0, r1, block in s.windows((BandId.B3, BandId.B8)):
         b = quantize_ndwi(compute_ndwi(block[BandId.B3], block[BandId.B8]))
         bins[r0:r1] = b
         hist += np.bincount(b.ravel(), minlength=NDWI_BINS)

@@ -14,6 +14,8 @@ from raftcensus import (
     save_band_stack,
     write_pgm16,
 )
+from raftcensus import bandstack
+from raftcensus.bandstack import _BLOCK_PIXELS
 from raftcensus.errors import DimensionError, ManifestError, PgmError
 
 from oracles import ref_bilinear, ref_bilinear_gathers, ref_load_band_stack
@@ -284,6 +286,52 @@ class TestRows:
             assert np.array_equal(bits(got.planes[b]), bits(want.planes[b]))
 
 
+class TestWindows:
+    @pytest.mark.parametrize("h,w,step", [(1, 1, 16384), (7, 3, 5461), (50, 700, 23),
+                                          (129, 128, 128), (4, 16384, 1)])
+    def test_windows_cover_the_rows_in_order(self, rng, h, w, step):
+        planes = {b: rng.uniform(0, 1, size=(h, w)) for b in BandId}
+        s = BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
+        spans = []
+        for r0, r1, block in s.windows((BandId.B3, BandId.B11)):
+            spans.append((r0, r1))
+            assert list(block) == [BandId.B3, BandId.B11]
+            for b in block:
+                assert np.array_equal(block[b], planes[b][r0:r1])
+        assert spans == [(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
+
+    def test_width_over_block_pixels_gives_one_row_windows(self):
+        w = _BLOCK_PIXELS + 1
+        planes = {b: np.zeros((3, w)) for b in BandId}
+        s = BandStack(width=w, height=3, pixel_size=10.0, planes=planes)
+        assert [(r0, r1) for r0, r1, _ in s.windows()] == [(0, 1), (1, 2), (2, 3)]
+
+    def test_skipped_windows_are_never_read(self, tmp_path, rng, monkeypatch):
+        h, w = 22, 18
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        ref = ref_load_band_stack(path)
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)  # 3-row windows
+        reads = []
+        window = bandstack._DnPlanes.window
+
+        def counting(self, r0, r1, bands):
+            reads.append((r0, r1))
+            return window(self, r0, r1, bands)
+
+        monkeypatch.setattr(bandstack._DnPlanes, "window", counting)
+        where = np.zeros((h, w), dtype=bool)
+        where[4, 17] = where[20, 0] = where[21, :] = True
+        got = [(r0, r1) for r0, r1, block in s.windows(where=where)]
+        assert got == reads == [(3, 6), (18, 21), (21, 22)]
+        assert list(s.windows(where=np.zeros((h, w), dtype=bool))) == []
+        assert reads == got  # the empty ``where`` read nothing
+        for r0, r1, block in s.windows((BandId.B12,), where=where):
+            assert np.array_equal(bits(block[BandId.B12]), bits(ref.planes[BandId.B12][r0:r1]))
+
+
 class TestCrop:
     def _stack(self, geo=None):
         planes = {
@@ -327,10 +375,11 @@ class TestStackInvariants:
             BandStack(width=2, height=2, pixel_size=10.0, planes=planes)
 
     def test_shape_mismatch_rejected(self):
-        planes = {b: np.zeros((2, 2)) for b in BandId}
-        planes[BandId.B8] = np.zeros((2, 3))
-        with pytest.raises(DimensionError):
-            BandStack(width=2, height=2, pixel_size=10.0, planes=planes)
+        for odd_shape in [(2, 3), (1, 1), (4, 1)]:
+            planes = {b: np.zeros((2, 2)) for b in BandId}
+            planes[BandId.B8] = np.zeros(odd_shape)
+            with pytest.raises(DimensionError, match="shape"):
+                BandStack(width=2, height=2, pixel_size=10.0, planes=planes)
 
     def test_odd_dims_cannot_export(self, tmp_path):
         planes = {b: np.zeros((3, 3)) for b in BandId}

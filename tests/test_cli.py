@@ -75,6 +75,30 @@ class TestDispatch:
         assert code == 2
         assert "missing band" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case,message", [
+        ("manifest_is_a_list", "lacks a 'bands' object"),
+        ("band_entry_is_a_number", "band B2 is not a path"),
+        ("spectra_is_a_list", "must hold a JSON object"),
+    ])
+    def test_malformed_json_is_data_error(self, scene_dir, model_path, tmp_path, capsys,
+                                          case, message):
+        bad = tmp_path / "bad.json"
+        if case == "spectra_is_a_list":
+            bad.write_text("[[0.1, 0.2]]")
+            args = ("synth", "--out", str(tmp_path / "scene"), "--spectra", str(bad))
+        else:
+            manifest = json.loads((scene_dir / "manifest.json").read_text())
+            if case == "manifest_is_a_list":
+                manifest = [manifest]
+            else:
+                manifest["bands"]["B2"] = 5
+            bad.write_text(json.dumps(manifest))
+            args = ("census", "--manifest", str(bad), "--platform-model", str(model_path),
+                    "--out", str(tmp_path / "c.csv"))
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
 
 class TestSynth:
     def test_outputs_present(self, scene_dir):

@@ -13,9 +13,9 @@ from raftcensus import (
     save_model,
     train,
 )
-from raftcensus.bandstack import FEATURE_ORDER, BandId
+from raftcensus.bandstack import _BLOCK_PIXELS, FEATURE_ORDER, BandId, BandStack
 from raftcensus.errors import DimensionError, ModelFormatError, TrainingError
-from raftcensus.mlp import _BLOCK_PIXELS, _sigmoid, _targets, split_data, threshold_planes
+from raftcensus.mlp import _sigmoid, _targets, split_data, threshold_planes
 
 from oracles import ref_forward_batch, ref_gather_mask, ref_whole_image_mask, ref_sigmoid
 
@@ -117,8 +117,10 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def random_planes(rng, h, w):
-    return {b: rng.uniform(0.0, 1.5, size=(h, w)) for b in BandId}
+def random_stack(rng, h, w):
+    """In-memory stack of reflectances uniform in [0, 1.5)."""
+    planes = {b: rng.uniform(0.0, 1.5, size=(h, w)) for b in BandId}
+    return BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
 
 
 def scaled_model(layers, seed, scale, feature_order=FEATURE_ORDER):
@@ -231,23 +233,23 @@ class TestThresholdPlanes:
                                        (_BLOCK_PIXELS + 1, 1), (1, 1), (7, 3)])
     def test_matches_whole_image_reference(self, rng, layers, seed, scale, order, shape):
         m = scaled_model(layers, seed, scale, order)
-        planes = random_planes(rng, *shape)
-        x = np.stack([planes[b] for b in order], axis=-1).reshape(-1, 10)
+        stack = random_stack(rng, *shape)
+        x = np.stack([stack.planes[b] for b in order], axis=-1).reshape(-1, 10)
         scores = ref_forward_batch(m, x)
         for out_index in range(m.n_out):
             # Thresholds equal to actual scores put pixels exactly on the
             # boundary, where a one-ulp difference would flip the result.
             picks = rng.integers(0, len(x), size=3)
             for thr in [0.5, *scores[picks, out_index]]:
-                got = threshold_planes(m, planes, out_index, thr)
+                got = threshold_planes(m, stack, out_index, thr)
                 assert got.shape == shape and got.dtype == bool
-                assert np.array_equal(got, ref_whole_image_mask(m, planes, out_index, thr))
+                assert np.array_equal(got, ref_whole_image_mask(m, stack.planes, out_index, thr))
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
     def test_where_matches_gather_reference(self, rng, layers, seed, scale, order):
         h, w = 203, 512  # not a multiple of the 32-row block size
         m = scaled_model(layers, seed, scale, order)
-        planes = random_planes(rng, h, w)
+        stack = random_stack(rng, h, w)
         few = np.zeros((h, w), dtype=bool)
         few[40, 7] = few[41, 500] = few[150:152, 100:300] = few[202, :] = True
         wheres = {
@@ -258,55 +260,47 @@ class TestThresholdPlanes:
         }
         for name, where in wheres.items():
             for thr in (0.2, 0.5, 0.9):
-                got = threshold_planes(m, planes, m.n_out - 1, thr, where=where)
-                want = ref_gather_mask(m, planes, m.n_out - 1, thr, where)
+                got = threshold_planes(m, stack, m.n_out - 1, thr, where=where)
+                want = ref_gather_mask(m, stack.planes, m.n_out - 1, thr, where)
                 assert np.array_equal(got, want), name
-
-    @pytest.mark.parametrize("odd_shape", [(1, 1), (4, 1)])
-    def test_plane_shape_mismatch_rejected(self, rng, odd_shape):
-        m = init_model((10, 2, 1), seed=0)
-        planes = random_planes(rng, 4, 5)
-        planes[m.feature_order[3]] = rng.uniform(size=odd_shape)
-        with pytest.raises(DimensionError, match="shape"):
-            threshold_planes(m, planes, 0, 0.5)
 
     def test_where_only_restricts_the_result(self, rng):
         # A pixel's result does not depend on which other pixels are in
         # ``where``, down to a lone pixel.
         m = scaled_model((10, 8, 3), 5, 40.0)
         h, w = 100, 300
-        planes = random_planes(rng, h, w)
-        x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        stack = random_stack(rng, h, w)
+        x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
         scores = ref_forward_batch(m, x)[:, 2].reshape(h, w)
         where = rng.random((h, w)) < 0.5
         for r, c in [(0, 0), (57, 123), (99, 299)]:
             thr = scores[r, c]  # the pixel sits exactly on the threshold
-            full = threshold_planes(m, planes, 2, thr)
+            full = threshold_planes(m, stack, 2, thr)
             assert full[r, c]
             lone = np.zeros((h, w), dtype=bool)
             lone[r, c] = True
-            assert np.array_equal(threshold_planes(m, planes, 2, thr, where=lone), lone)
-            assert np.array_equal(threshold_planes(m, planes, 2, thr, where=where), full & where)
+            assert np.array_equal(threshold_planes(m, stack, 2, thr, where=lone), lone)
+            assert np.array_equal(threshold_planes(m, stack, 2, thr, where=where), full & where)
 
     def test_row_blocks_without_where_pixels_are_not_scored(self, rng, batch_sizes):
         m = init_model((10, 2, 1), seed=0)
         h, w = 208, 1024  # thirteen 16-row blocks
-        planes = random_planes(rng, h, w)
+        stack = random_stack(rng, h, w)
         where = np.zeros((h, w), dtype=bool)
-        assert not threshold_planes(m, planes, 0, 0.5, where=where).any()
+        assert not threshold_planes(m, stack, 0, 0.5, where=where).any()
         assert batch_sizes == []
         where[20, 3] = where[150, 1000] = True
-        threshold_planes(m, planes, 0, 0.5, where=where)
+        threshold_planes(m, stack, 0, 0.5, where=where)
         assert batch_sizes == [_BLOCK_PIXELS, _BLOCK_PIXELS]
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
     def test_one_pixel_tail_block_scores_like_the_reference(self, rng, block_scores,
                                                             layers, seed, scale, order):
         m = scaled_model(layers, seed, scale, order)
-        planes = random_planes(rng, _BLOCK_PIXELS + 1, 1)
-        x = np.stack([planes[b] for b in order], axis=-1).reshape(-1, 10)
+        stack = random_stack(rng, _BLOCK_PIXELS + 1, 1)
+        x = np.stack([stack.planes[b] for b in order], axis=-1).reshape(-1, 10)
         want = ref_forward_batch(m, x)[:, -1:]
-        got = threshold_planes(m, planes, m.n_out - 1, want[-1, 0])
+        got = threshold_planes(m, stack, m.n_out - 1, want[-1, 0])
         assert [len(xb) for xb, _ in block_scores] == [_BLOCK_PIXELS, 1]
         assert got[-1, 0] and np.array_equal(got[:, 0], want[:, 0] >= want[-1, 0])
         assert np.array_equal(bits(block_scores[1][1]), bits(want[-1:]))
@@ -314,11 +308,11 @@ class TestThresholdPlanes:
     @pytest.mark.parametrize("layers", [(10, 2, 1), (10, 8, 3), (10, 8, 1)])
     def test_every_batch_size_and_block_split_scores_alike(self, rng, monkeypatch,
                                                           block_scores, layers):
-        from raftcensus import mlp
+        from raftcensus import bandstack
 
         m = scaled_model(layers, 3, 40.0)
-        planes = random_planes(rng, 69, 1)
-        x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        stack = random_stack(rng, 69, 1)
+        x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
         whole = forward_batch(m, x)
         assert np.array_equal(bits(whole), bits(ref_forward_batch(m, x)))
         for i in range(len(x)):
@@ -326,9 +320,9 @@ class TestThresholdPlanes:
         for n in range(1, len(x) + 1):
             parts = [forward_batch(m, x[i : i + n]) for i in range(0, len(x), n)]
             assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
-            monkeypatch.setattr(mlp, "_BLOCK_PIXELS", n)  # blocks of n rows
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", n)  # blocks of n rows
             block_scores.clear()
-            threshold_planes(m, planes, m.n_out - 1, 0.5)
+            threshold_planes(m, stack, m.n_out - 1, 0.5)
             assert [len(xb) for xb, _ in block_scores][:1] == [n]
             got = np.concatenate([yb for _, yb in block_scores])
             assert np.array_equal(bits(got), bits(whole[:, -1:]))
@@ -338,10 +332,10 @@ class TestThresholdPlanes:
         # shorter block follows taller ones in the same buffers.
         m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
         h, w = 10, _BLOCK_PIXELS // 3
-        planes = random_planes(rng, h, w)
-        threshold_planes(m, planes, 2, 0.5)
+        stack = random_stack(rng, h, w)
+        threshold_planes(m, stack, 2, 0.5)
         assert [len(xb) // w for xb, _ in block_scores] == [3, 3, 3, 1]
-        x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
         assert np.array_equal(np.concatenate([xb for xb, _ in block_scores]), x)
         assert np.array_equal(bits(np.concatenate([yb for _, yb in block_scores])),
                               bits(ref_forward_batch(m, x)[:, 2:]))
@@ -349,38 +343,38 @@ class TestThresholdPlanes:
     def test_skipped_middle_blocks_leave_no_stale_rows(self, rng, block_scores):
         m = scaled_model((10, 8, 3), 2, 1.0)
         h, w = 10, _BLOCK_PIXELS // 3  # blocks of rows 0-2, 3-5, 6-8, 9
-        planes = random_planes(rng, h, w)
+        stack = random_stack(rng, h, w)
         where = np.zeros((h, w), dtype=bool)
         where[3, 10] = where[9, :] = True  # blocks 1 and 3 only
-        x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(h, w, 10)
+        x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(h, w, 10)
         scores = ref_forward_batch(m, x.reshape(-1, 10))[:, 1].reshape(h, w)
         for thr in (0.5, scores[3, 10], scores[9, 77]):
             block_scores.clear()
-            got = threshold_planes(m, planes, 1, thr, where=where)
-            assert np.array_equal(got, ref_gather_mask(m, planes, 1, thr, where))
+            got = threshold_planes(m, stack, 1, thr, where=where)
+            assert np.array_equal(got, ref_gather_mask(m, stack.planes, 1, thr, where))
             assert [len(xb) // w for xb, _ in block_scores] == [3, 1]
             for (xb, yb), (r0, r1) in zip(block_scores, [(3, 6), (9, 10)]):
                 assert np.array_equal(xb, x[r0:r1].reshape(-1, 10))
                 assert np.array_equal(bits(yb), bits(ref_forward_batch(m, xb)[:, 1:2]))
 
     def test_back_to_back_models_of_different_width(self, rng):
-        planes = random_planes(rng, 70, 600)
+        stack = random_stack(rng, 70, 600)
         models = [scaled_model((10, 2, 1), 1, 1.0), scaled_model((10, 8, 3), 3, 40.0),
                   scaled_model((10, 2, 1), 4, 400.0), scaled_model((10, 8, 3), 2, 1.0)]
         for m in models + models[::-1]:
             out_index = m.n_out - 1
-            assert np.array_equal(threshold_planes(m, planes, out_index, 0.5),
-                                  ref_whole_image_mask(m, planes, out_index, 0.5))
+            assert np.array_equal(threshold_planes(m, stack, out_index, 0.5),
+                                  ref_whole_image_mask(m, stack.planes, out_index, 0.5))
 
     def test_inputs_left_unmodified(self, rng):
         m = scaled_model((10, 8, 3), 3, 40.0)
-        planes = random_planes(rng, 40, 900)
+        stack = random_stack(rng, 40, 900)
         where = rng.random((40, 900)) < 0.5
-        before = {b: p.copy() for b, p in planes.items()}
+        before = {b: p.copy() for b, p in stack.planes.items()}
         where_before = where.copy()
-        threshold_planes(m, planes, 2, 0.5)
-        threshold_planes(m, planes, 2, 0.5, where=where)
-        assert all(np.array_equal(bits(planes[b]), bits(before[b])) for b in planes)
+        threshold_planes(m, stack, 2, 0.5)
+        threshold_planes(m, stack, 2, 0.5, where=where)
+        assert all(np.array_equal(bits(stack.planes[b]), bits(before[b])) for b in BandId)
         assert np.array_equal(where, where_before)
         x = rng.uniform(0.0, 1.5, size=(33, 10))
         x_before = x.copy()
@@ -392,23 +386,34 @@ class TestThresholdPlanes:
     def test_non_finite_pixel_in_scored_block_rejected(self, rng, bad):
         m = init_model((10, 2, 1), seed=0)
         h, w = 10, _BLOCK_PIXELS // 3
-        planes = random_planes(rng, h, w)
-        planes[BandId.B11][8, 5] = bad  # in the third block, rows 6-8
+        stack = random_stack(rng, h, w)
+        # Written after the stack checked its planes; in the third block, rows 6-8.
+        stack.planes[BandId.B11][8, 5] = bad
         with pytest.raises(ValueError, match="finite"):
-            threshold_planes(m, planes, 0, 0.5)
+            threshold_planes(m, stack, 0, 0.5)
         where = np.zeros((h, w), dtype=bool)
         where[7, 0] = True
         with pytest.raises(ValueError, match="finite"):
-            threshold_planes(m, planes, 0, 0.5, where=where)
+            threshold_planes(m, stack, 0, 0.5, where=where)
         # A block that holds no ``where`` pixel is neither scored nor checked.
         where[7, 0], where[0, 0] = False, True
-        assert np.array_equal(threshold_planes(m, planes, 0, 0.5, where=where),
-                              ref_gather_mask(m, planes, 0, 0.5, where))
+        assert np.array_equal(threshold_planes(m, stack, 0, 0.5, where=where),
+                              ref_gather_mask(m, stack.planes, 0, 0.5, where))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_integer_where_gives_the_bool_result(self, rng, dtype):
+        m = scaled_model((10, 8, 3), 2, 1.0)
+        stack = random_stack(rng, 40, 900)
+        where = rng.random((40, 900)) < 0.3
+        where[:20] = False  # the first windows are skipped
+        want = threshold_planes(m, stack, 2, 0.5, where=where)
+        got = threshold_planes(m, stack, 2, 0.5, where=where.astype(dtype))
+        assert got.dtype == bool and np.array_equal(got, want)
 
     def test_where_shape_mismatch_rejected(self, rng):
         m = init_model((10, 2, 1), seed=0)
         with pytest.raises(DimensionError, match="shape"):
-            threshold_planes(m, random_planes(rng, 4, 5), 0, 0.5,
+            threshold_planes(m, random_stack(rng, 4, 5), 0, 0.5,
                              where=np.ones((5, 4), dtype=bool))
 
 

@@ -30,7 +30,7 @@ from raftcensus import (
     water_mask_ndwi,
 )
 from raftcensus.errors import DimensionError, RaftCensusError
-from raftcensus.mlp import _BLOCK_PIXELS
+from raftcensus.bandstack import _BLOCK_PIXELS
 
 from oracles import (
     ref_forward_batch,
