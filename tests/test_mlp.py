@@ -264,6 +264,17 @@ class TestThresholdPlanes:
                 want = ref_gather_mask(m, stack.planes, m.n_out - 1, thr, where)
                 assert np.array_equal(got, want), name
 
+    @pytest.mark.parametrize("odd_shape", [(1, 1), (4, 1)])
+    def test_plane_shape_mismatch_rejected(self, rng, odd_shape):
+        # A plane whose shape disagrees with the others never reaches the
+        # scorer: the stack handed to threshold_planes cannot be built.
+        m = init_model((10, 2, 1), seed=0)
+        planes = {b: rng.uniform(0.0, 1.5, size=(4, 5)) for b in BandId}
+        planes[m.feature_order[3]] = rng.uniform(size=odd_shape)
+        with pytest.raises(DimensionError, match="shape"):
+            threshold_planes(m, BandStack(width=5, height=4, pixel_size=10.0,
+                                          planes=planes), 0, 0.5)
+
     def test_where_only_restricts_the_result(self, rng):
         # A pixel's result does not depend on which other pixels are in
         # ``where``, down to a lone pixel.
