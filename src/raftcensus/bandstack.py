@@ -8,9 +8,11 @@ file paths. Digital numbers are scaled to reflectance by dividing by
 A loaded stack keeps each band's uint16 digital numbers at its native
 resolution and scales and upsamples them one row window at a time, when
 ``BandStack.rows`` asks for the window: a census never holds a whole
-float64 plane. Every value equals the one a whole-plane load gives, bit
-for bit. Census stages walk the stack through ``BandStack.windows``,
-which owns the window size (``_BLOCK_PIXELS`` pixels per window).
+float64 plane. The window reader upsamples 20 m bands from fixed
+quarter and three-quarter slice sums; every value is bitwise equal to
+``resample_plane`` of the scaled band. Census stages walk the stack
+through ``BandStack.windows``, which owns the window size
+(``_BLOCK_PIXELS`` pixels per window).
 
 Manifest schema::
 
@@ -141,9 +143,8 @@ class BandStack:
 
         In-memory planes are sliced, not copied. A loaded stack divides
         the digital numbers by DN_SCALE, and upsamples 20 m bands from
-        the input rows under the window plus a one-row halo, with
-        ``resample_plane``'s gathers and weights: every value is bitwise
-        equal to the whole plane's.
+        the input rows under the window plus a one-row halo: every value
+        is bitwise equal to ``resample_plane`` of the whole scaled band.
         """
         if not 0 <= r0 < r1 <= self.height:
             raise ValueError(f"row window [{r0}, {r1}) is not within [0, {self.height})")
@@ -154,7 +155,8 @@ class BandStack:
     def windows(self, bands: Iterable[BandId] = FEATURE_ORDER, where=None) -> Iterator:
         """Yield ``(r0, r1, self.rows(r0, r1, bands))`` for consecutive row
         windows of ``_BLOCK_PIXELS // width`` rows (at least one; the last may be
-        shorter). A window with no true pixel in an (H, W) ``where`` is skipped unread."""
+        shorter). A window with no true entry in rows r0..r1-1 of ``where``, an
+        (H, W) mask or one flag per row, is skipped unread."""
         step = max(1, _BLOCK_PIXELS // max(self.width, 1))
         for r0 in range(0, self.height, step):
             r1 = min(r0 + step, self.height)
@@ -162,8 +164,32 @@ class BandStack:
                 yield r0, r1, self.rows(r0, r1, bands)
 
     def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
-        """N x 10 feature matrix for the given pixel coordinates."""
-        return np.stack([self.planes[b][rows, cols] for b in order], axis=1)
+        """N x len(order) float64 features of the pixels (rows[i], cols[i]).
+
+        Gathered from the ``windows`` that hold a requested row, so a loaded
+        stack builds no whole plane; values equal the whole planes', bitwise.
+        Coordinates may come in any order and repeat, but not lie outside.
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise DimensionError(
+                f"pixel rows and cols must be equal-length 1-D, "
+                f"got {rows.shape} and {cols.shape}"
+            )
+        if not ((rows >= 0) & (rows < self.height) & (cols >= 0) & (cols < self.width)).all():
+            raise IndexError(f"pixel coordinates outside the {self.height}x{self.width} stack")
+        out = np.empty((len(rows), len(order)))
+        by_row = np.argsort(rows, kind="stable")
+        sorted_rows = rows[by_row]
+        held = np.zeros(self.height, dtype=bool)
+        held[rows] = True
+        for r0, r1, block in self.windows(order, where=held):
+            lo, hi = np.searchsorted(sorted_rows, (r0, r1))
+            i = by_row[lo:hi]
+            at = (rows[i] - r0, cols[i])
+            for j, band in enumerate(order):
+                out[i, j] = block[band][at]
+        return out
 
 
 class _DnPlanes(Mapping):
@@ -177,8 +203,6 @@ class _DnPlanes(Mapping):
     def __init__(self, dn: dict[BandId, np.ndarray]):
         self.dn = dn
         self.shape = dn[BandId.B2].shape
-        half = self.shape[1] // 2
-        self._cols = _axis_coords(0, 2 * half, half, 2)  # shared by the 20 m bands
 
     def __getitem__(self, band: BandId) -> np.ndarray:
         return self.window(0, self.shape[0], (band,))[band]
@@ -194,19 +218,48 @@ class _DnPlanes(Mapping):
 
     def window(self, r0: int, r1: int, bands: Iterable[BandId]) -> dict[BandId, np.ndarray]:
         out = {}
-        lo, hi, fy = _axis_coords(r0, r1, self.shape[0] // 2, 2)
-        halo = slice(lo[0], hi[-1] + 1)
+        n = self.shape[0] // 2
+        a, b = max(0, (r0 - 1) // 2), min(n - 1, r1 // 2)  # 20 m rows under the window
         for band in bands:
             dn = self.dn[band]
             if band.native_resolution_m == 10:
                 p = dn[r0:r1].astype(np.float64)
                 p /= DN_SCALE
             else:
-                p = dn[halo].astype(np.float64)
+                p = dn[a : b + 1].astype(np.float64)
                 p /= DN_SCALE
-                p = _bilinear(p, (lo - halo.start, hi - halo.start, fy), self._cols)
+                row = np.empty((len(p), 2 * p.shape[1]))
+                _upsample2(p.T, 0, p.shape[1], row.T, 0)  # columns, at input height
+                p = np.empty((r1 - r0, row.shape[1]))
+                _upsample2(row, a, n, p, r0)
             out[band] = p
         return out
+
+
+def _upsample2(p: np.ndarray, a: int, n: int, out: np.ndarray, r0: int) -> None:
+    """Write outputs r0..r0+len(out)-1, along axis 0, of the factor-2
+    bilinear upsampling of an axis of ``n`` input samples x; ``p`` holds
+    x[a], x[a+1], ..., every sample those outputs need.
+
+    The interior weights are exactly 1/4 and 3/4, so slice sums replace
+    ``_bilinear``'s gathers with the same IEEE operations: odd output 2k+1
+    is x[k]*0.75 + x[k+1]*0.25 and even output 2k+2 is x[k]*0.25 +
+    x[k+1]*0.75. Outputs 0 and 2n-1 copy x[0] and x[n-1]: ``_bilinear``
+    weights those 1 and a neighbour 0, and a*1 + b*0 == a for finite
+    a >= +0 and finite b.
+    """
+    r1 = r0 + len(out)
+    q = p * 0.25
+    t = p * 0.75
+    if r0 == 0:
+        out[0] = p[0]
+    if r1 == 2 * n:
+        out[-1] = p[-1]
+    lo, hi = max(r0, 1), min(r1, 2 * n - 1)  # interior outputs
+    for i, first, second in ((lo | 1, t, q), (lo + (lo & 1), q, t)):  # first odd, even
+        k, m = (i - 1) // 2 - a, (hi - i + 1) // 2
+        if m > 0:
+            np.add(first[k : k + m], second[k + 1 : k + 1 + m], out=out[i - r0 :: 2][:m])
 
 
 def read_pgm16(path) -> np.ndarray:

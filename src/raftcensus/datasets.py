@@ -124,13 +124,20 @@ def load_spectra(path=None) -> dict[str, np.ndarray]:
         text = resources.files("raftcensus.data").joinpath("default_spectra.json").read_text()
     else:
         text = Path(path).read_text()
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"spectra file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DatasetError(f"spectra file {path} must hold a JSON object")
     spectra = {}
     for name, values in raw.items():
         if name.startswith("_"):
             continue
+        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+            raise DatasetError(
+                f"spectra file {path}: class {name!r} must be a flat list of numbers"
+            )
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != (len(FEATURE_ORDER),):
             raise DatasetError(
@@ -261,7 +268,7 @@ def extract_platform_samples(
 
     rows = np.concatenate([pool_rows[pick], cand_rows])
     cols = np.concatenate([pool_cols[pick], cand_cols])
-    features = s.features(rows, cols)  # once: each call builds a loaded stack's whole planes
+    features = s.features(rows, cols)  # one pass over the windows holding samples
     labels = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     return LabeledPixels(features, labels, PLATFORM_CLASS_NAMES)
 

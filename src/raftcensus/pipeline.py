@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -205,8 +206,46 @@ def census_to_csv(census: Census) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One GeoJSON feature as ``json.dumps(..., indent=2, sort_keys=True)`` lays
+# it out inside the collection's "features" list; filled with easting,
+# northing, area_px, the four bbox values and id.
+_GEOJSON_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+          %s,
+          %s
+        ],
+        "type": "Point"
+      },
+      "properties": {
+        "area_px": %s,
+        "bbox": [
+          %s,
+          %s,
+          %s,
+          %s
+        ],
+        "id": %s
+      },
+      "type": "Feature"
+    }"""
+
+
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes a float."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
 def census_to_geojson(census: Census, crs: str | None = None) -> str:
-    """GeoJSON FeatureCollection of Point features (easting, northing)."""
+    """GeoJSON FeatureCollection of Point features (easting, northing).
+
+    The text is what ``json.dumps(collection, indent=2, sort_keys=True)``
+    gives, byte for byte; features are filled into a fixed template, since
+    that call would run the pure-Python encoder over every feature.
+    """
     features = []
     for rec in census.records:
         if rec.centroid_geo is None:
@@ -214,28 +253,20 @@ def census_to_geojson(census: Census, crs: str | None = None) -> str:
                 "census has records without geographic centroids; "
                 "load the stack with a geo block to export GeoJSON"
             )
+        easting, northing = rec.centroid_geo
         features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [rec.centroid_geo[0], rec.centroid_geo[1]],
-                },
-                "properties": {
-                    "id": rec.id,
-                    "area_px": rec.area_px,
-                    "bbox": list(rec.bbox),
-                },
-            }
+            _GEOJSON_FEATURE
+            % (_json_float(easting), _json_float(northing), rec.area_px, *rec.bbox, rec.id)
         )
-    payload = {
-        "type": "FeatureCollection",
-        "features": features,
-        "properties": {
-            "count": census.count,
-            "source": census.source,
-            "config_digest": census.config_digest,
-            **({"crs": crs} if crs else {}),
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    listed = "\n" + ",\n".join(features) + "\n  " if features else ""
+    properties = [
+        f'"config_digest": {json.dumps(census.config_digest)}',
+        f'"count": {census.count}',
+        *([f'"crs": {json.dumps(crs)}'] if crs else []),
+        f'"source": {json.dumps(census.source)}',
+    ]
+    return (
+        f'{{\n  "features": [{listed}],\n  "properties": {{\n    '
+        + ",\n    ".join(properties)
+        + '\n  },\n  "type": "FeatureCollection"\n}\n'
+    )

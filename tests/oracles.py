@@ -12,8 +12,9 @@ keeps the library's exact hull, ``_convex_area``, which the Qhull
 reference checks), and the pixel-scoring reference is the library's
 summation order written over whole arrays. The whole-plane band load and
 NDWI mask are the library's former formulations, which scaled and
-upsampled every band to a float64 plane up front. The library must
-match all of these bit for bit.
+upsampled every band to a float64 plane up front, and the GeoJSON
+reference is the former ``json.dumps`` export. The library must match
+all of these bit for bit.
 """
 
 from __future__ import annotations
@@ -391,6 +392,34 @@ def ref_water_mask_ndwi(s: BandStack) -> np.ndarray:
     """NDWI, bins, histogram and Otsu threshold over whole planes."""
     bins = quantize_ndwi(compute_ndwi(s.planes[BandId.B3], s.planes[BandId.B8]))
     return bins > ref_otsu(np.bincount(bins.ravel(), minlength=NDWI_BINS))
+
+
+# --- export ---------------------------------------------------------------------
+
+def ref_census_to_geojson(census, crs=None) -> str:
+    """The census as a FeatureCollection dict, dumped by ``json.dumps``."""
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {
+                "type": "Point",
+                "coordinates": [rec.centroid_geo[0], rec.centroid_geo[1]],
+            },
+            "properties": {"id": rec.id, "area_px": rec.area_px, "bbox": list(rec.bbox)},
+        }
+        for rec in census.records
+    ]
+    payload = {
+        "type": "FeatureCollection",
+        "features": features,
+        "properties": {
+            "count": census.count,
+            "source": census.source,
+            "config_digest": census.config_digest,
+            **({"crs": crs} if crs else {}),
+        },
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # --- pixel scoring --------------------------------------------------------

@@ -15,7 +15,7 @@ from raftcensus import (
     write_pgm16,
 )
 from raftcensus import bandstack
-from raftcensus.bandstack import _BLOCK_PIXELS
+from raftcensus.bandstack import _BLOCK_PIXELS, FEATURE_ORDER
 from raftcensus.errors import DimensionError, ManifestError, PgmError
 
 from oracles import ref_bilinear, ref_bilinear_gathers, ref_load_band_stack
@@ -209,7 +209,7 @@ class TestLoad:
 
 
 class TestRows:
-    @pytest.mark.parametrize("h,w", [(22, 18), (2, 2), (6, 40)])
+    @pytest.mark.parametrize("h,w", [(22, 18), (2, 2), (6, 40), (2, 40), (40, 2)])
     def test_every_window_bitwise_equal_to_whole_plane_load(self, tmp_path, rng, h, w):
         path = write_dn_scene(
             tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
@@ -330,6 +330,61 @@ class TestWindows:
         assert reads == got  # the empty ``where`` read nothing
         for r0, r1, block in s.windows((BandId.B12,), where=where):
             assert np.array_equal(bits(block[BandId.B12]), bits(ref.planes[BandId.B12][r0:r1]))
+
+
+class TestFeatures:
+    def test_loaded_features_bitwise_equal_to_whole_plane_gather(self, tmp_path, rng,
+                                                                  monkeypatch):
+        h, w = 30, 14
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        ref = ref_load_band_stack(path)
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 4 * w)  # 4-row windows
+        reads = []
+        window = bandstack._DnPlanes.window
+
+        def counting(self, r0, r1, bands):
+            reads.append((r0, r1))
+            return window(self, r0, r1, bands)
+
+        def whole_plane(self, band):
+            raise AssertionError("features built a whole plane")
+
+        monkeypatch.setattr(bandstack._DnPlanes, "window", counting)
+        monkeypatch.setattr(bandstack._DnPlanes, "__getitem__", whole_plane)
+        # unsorted, repeated, both image edges, and rows in windows 0, 2, 4 and 7
+        rows = np.array([29, 0, 9, 17, 0, 9, 29, 16, 0, 28])
+        cols = np.array([13, 0, 5, 2, 0, 5, 0, 13, 7, 6])
+        order = (BandId.B11, BandId.B2, BandId.B8A)
+        for bands in (FEATURE_ORDER, order):
+            got = s.features(rows, cols, bands)
+            want = np.stack([ref.planes[b][rows, cols] for b in bands], axis=1)
+            assert got.shape == (len(rows), len(bands)) and got.dtype == np.float64
+            assert np.array_equal(bits(got), bits(want))
+        assert reads == [(0, 4), (8, 12), (16, 20), (28, 30)] * 2
+
+    def test_in_memory_features_equal_plane_gather(self, rng):
+        planes = {b: rng.uniform(0, 1, size=(9, 5)) for b in BandId}
+        s = BandStack(width=5, height=9, pixel_size=10.0, planes=planes)
+        rows, cols = rng.integers(0, 9, size=50), rng.integers(0, 5, size=50)
+        want = np.stack([planes[b][rows, cols] for b in FEATURE_ORDER], axis=1)
+        assert np.array_equal(s.features(rows, cols), want)
+        assert s.features(np.array([], dtype=int), np.array([], dtype=int)).shape == (0, 10)
+
+    @pytest.mark.parametrize("rows,cols", [([9], [0]), ([0], [5]), ([-1], [0]), ([0], [-1])])
+    def test_coordinates_outside_rejected(self, rows, cols):
+        s = BandStack(width=5, height=9, pixel_size=10.0,
+                      planes={b: np.zeros((9, 5)) for b in BandId})
+        with pytest.raises(IndexError, match="outside"):
+            s.features(np.array(rows), np.array(cols))
+
+    def test_mismatched_coordinates_rejected(self):
+        s = BandStack(width=5, height=9, pixel_size=10.0,
+                      planes={b: np.zeros((9, 5)) for b in BandId})
+        with pytest.raises(DimensionError, match="1-D"):
+            s.features(np.array([0, 1]), np.array([0]))
 
 
 class TestCrop:

@@ -79,12 +79,20 @@ class TestDispatch:
         ("manifest_is_a_list", "lacks a 'bands' object"),
         ("band_entry_is_a_number", "band B2 is not a path"),
         ("spectra_is_a_list", "must hold a JSON object"),
+        ("spectra_is_invalid_json", "is not valid JSON"),
+        ("spectra_class_is_an_object", "'water' must be a flat list of numbers"),
+        ("spectra_class_is_nested", "'land' must be a flat list of numbers"),
     ])
     def test_malformed_json_is_data_error(self, scene_dir, model_path, tmp_path, capsys,
                                           case, message):
         bad = tmp_path / "bad.json"
-        if case == "spectra_is_a_list":
-            bad.write_text("[[0.1, 0.2]]")
+        if case.startswith("spectra"):
+            bad.write_text({
+                "spectra_is_a_list": "[[0.1, 0.2]]",
+                "spectra_is_invalid_json": '{"water": [0.1 0.2]}',
+                "spectra_class_is_an_object": '{"water": {"a": 1}}',
+                "spectra_class_is_nested": '{"land": [[0.1, 0.2], [0.3]]}',
+            }[case])
             args = ("synth", "--out", str(tmp_path / "scene"), "--spectra", str(bad))
         else:
             manifest = json.loads((scene_dir / "manifest.json").read_text())

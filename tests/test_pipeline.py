@@ -30,9 +30,11 @@ from raftcensus import (
     water_mask_ndwi,
 )
 from raftcensus.errors import DimensionError, RaftCensusError
+from raftcensus.pipeline import Census, CensusRecord
 from raftcensus.bandstack import _BLOCK_PIXELS
 
 from oracles import (
+    ref_census_to_geojson,
     ref_forward_batch,
     ref_gather_mask,
     ref_load_band_stack,
@@ -268,6 +270,33 @@ class TestSerialization:
         if census.count:
             with pytest.raises(RaftCensusError):
                 census_to_geojson(census)
+
+    def test_geojson_bytes_equal_json_dumps_on_a_census(self, census_cfg):
+        geo = GeoRef(500000.0, 4680000.0, "EPSG:32629")
+        stack, _ = generate_synthetic_scene(
+            SynthParams(width=128, height=128, raft_count=4, seed=29, geo=geo)
+        )
+        census = run_census(stack, census_cfg, source="scene/manifest.json")
+        assert census.count > 0
+        for crs in (None, "", geo.crs):
+            assert census_to_geojson(census, crs) == ref_census_to_geojson(census, crs)
+
+    @pytest.mark.parametrize("coords", [
+        [(500005.0, 4679995.0), (0.1, -0.0), (1e22, 5e-324)],
+        [(float("nan"), 1.5), (float("inf"), float("-inf"))],
+        [],
+    ], ids=["finite", "non_finite", "empty"])
+    @pytest.mark.parametrize("crs", [None, "EPSG:32629", 'odd "crs" \\ é'])
+    @pytest.mark.parametrize("source", ["", 'dir "q"\\b\\ñ/manifest.json\t\u2603'])
+    def test_geojson_bytes_equal_json_dumps(self, coords, crs, source):
+        records = tuple(
+            CensusRecord(id=i, centroid_px=(float(i), 2.5), area_px=4 + i,
+                         bbox=(i, 0, i + 1, 12345678901), centroid_geo=xy)
+            for i, xy in enumerate(coords, start=1)
+        )
+        census = Census(records=records, count=len(records), source=source,
+                        config_digest="0123abcd4567ef89")
+        assert census_to_geojson(census, crs) == ref_census_to_geojson(census, crs)
 
     def test_empty_census_csv_is_bare_header(self, census_cfg):
         stack, _ = generate_synthetic_scene(
