@@ -47,6 +47,7 @@ __all__ = [
     "write_pgm16",
     "load_band_stack",
     "save_band_stack",
+    "check_saveable",
     "resample_plane",
     "crop",
 ]
@@ -306,17 +307,22 @@ def read_pgm16(path) -> np.ndarray:
 
 
 def write_pgm16(path, values: np.ndarray) -> None:
-    """Write a uint16 array as binary PGM (P5, maxval 65535, big-endian)."""
+    """Write 2-D samples as binary PGM (P5, maxval 65535, big-endian).
+
+    Samples that are not uint16 must be whole numbers within [0, 65535];
+    NaN and fractional values are rejected, not truncated.
+    """
     a = np.asarray(values)
     if a.ndim != 2:
         raise DimensionError(f"PGM data must be 2-D, got shape {a.shape}")
     if a.dtype != np.uint16:
-        if (a < 0).any() or (a > 65535).any():
-            raise ValueError("PGM sample values must be within [0, 65535]")
-        a = a.astype(np.uint16)
+        # NaN fails both bounds, so it never reaches the cast.
+        if not ((a >= 0) & (a <= 65535)).all() or not (a.astype(np.uint16) == a).all():
+            raise ValueError("PGM sample values must be whole numbers within [0, 65535]")
     h, w = a.shape
-    header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    Path(path).write_bytes(header + a.astype(">u2").tobytes())
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
+        a.astype(">u2").tofile(f)
 
 
 def _axis_coords(start: int, stop: int, n_in: int, factor: int):
@@ -448,32 +454,45 @@ def load_band_stack(manifest_path) -> BandStack:
     )
 
 
+def check_saveable(width: int, height: int) -> None:
+    """Raise DimensionError unless ``save_band_stack`` can write a stack of
+    this size: 20 m bands are written at half resolution."""
+    if width % 2 or height % 2:
+        raise DimensionError(
+            f"cannot export a {width}x{height} stack: dimensions "
+            f"must be even so 20 m bands can be written at half resolution"
+        )
+
+
 def save_band_stack(stack: BandStack, out_dir) -> Path:
     """Write a stack as band PGMs plus manifest.json; returns manifest path.
 
     Bands are written at their native resolutions: 10 m bands as-is,
     20 m bands reduced to half dimensions by 2x2 block averaging (their
-    manifest representation). Reflectances are converted back to digital
-    numbers (x10000, rounded, clipped to the 16-bit range), so a
-    save/load round trip quantizes 10 m values to 1e-4 and smooths the
+    manifest representation). A block of samples x00 x01 / x10 x11 is
+    written as ((x00 + x01) + (x10 + x11)) / 4, the order in which numpy's
+    ``mean`` over the block sums. Reflectances are converted back to digital
+    numbers (x10000, rounded half to even, clipped to the 16-bit range), so
+    a save/load round trip quantizes 10 m values to 1e-4 and smooths the
     20 m bands. Stack dimensions must be even.
     """
-    if stack.width % 2 or stack.height % 2:
-        raise DimensionError(
-            f"cannot export a {stack.width}x{stack.height} stack: dimensions "
-            f"must be even so 20 m bands can be written at half resolution"
-        )
+    check_saveable(stack.width, stack.height)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bands_entry = {}
     for band in BandId:
-        plane = stack.planes[band]
+        p = np.asarray(stack.planes[band], dtype=np.float64)
         if band.native_resolution_m == 20:
-            h, w = plane.shape
-            plane = plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-        dn = np.clip(np.rint(plane * DN_SCALE), 0, 65535).astype(np.uint16)
+            x = p[0::2, 0::2] + p[0::2, 1::2]
+            x += p[1::2, 0::2] + p[1::2, 1::2]
+            x /= 4
+            x *= DN_SCALE
+        else:
+            x = p * DN_SCALE
+        np.rint(x, out=x)
+        np.clip(x, 0, 65535, out=x)
         name = f"{band.value.lower()}.pgm"
-        write_pgm16(out_dir / name, dn)
+        write_pgm16(out_dir / name, x.astype(np.uint16))
         bands_entry[band.value] = name
     manifest: dict = {"bands": bands_entry}
     if stack.geo is not None:

@@ -21,7 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, mlp
-from .bandstack import BandId, BandStack, load_band_stack, read_pgm16, save_band_stack, write_pgm16
+from .bandstack import (
+    BandId,
+    BandStack,
+    check_saveable,
+    load_band_stack,
+    read_pgm16,
+    save_band_stack,
+    write_pgm16,
+)
 from .blobs import BlobFilter
 from .errors import RaftCensusError
 from .evaluation import (
@@ -183,6 +191,7 @@ def _cmd_synth(args) -> int:
         spectra=spectra,
         geo=geo,
     )
+    check_saveable(params.width, params.height)  # before drawing the whole scene
     stack, truth = datasets.generate_synthetic_scene(params)
     out = Path(args.out)
     save_band_stack(stack, out)

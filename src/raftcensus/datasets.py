@@ -157,9 +157,16 @@ def _border_width(width: int, height: int) -> int:
 
 
 def _place_rafts(params: SynthParams, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Top-left corners for raft squares, fully inside water, well apart."""
+    """Top-left corners for raft squares, fully inside water, well apart.
+
+    A candidate is kept unless a placed corner lies within ``reach`` rows
+    and ``reach`` columns of it. Placed corners are filed in square cells
+    ``reach`` wide, so a clashing corner is in the candidate's cell or one
+    of the 8 around it, and only those are tested.
+    """
     border = _border_width(params.width, params.height)
     size = params.raft_size_px
+    reach = size + _RAFT_GAP_PX
     lo_r = border + _RAFT_COAST_MARGIN_PX
     lo_c = border + _RAFT_COAST_MARGIN_PX
     hi_r = params.height - border - _RAFT_COAST_MARGIN_PX - size
@@ -167,6 +174,7 @@ def _place_rafts(params: SynthParams, rng: np.random.Generator) -> list[tuple[in
     if params.raft_count and (hi_r < lo_r or hi_c < lo_c):
         raise DatasetError("rafts do not fit: water region too small")
     corners: list[tuple[int, int]] = []
+    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
     attempts = 0
     while len(corners) < params.raft_count:
         attempts += 1
@@ -176,11 +184,15 @@ def _place_rafts(params: SynthParams, rng: np.random.Generator) -> list[tuple[in
             )
         r = int(rng.integers(lo_r, hi_r + 1))
         c = int(rng.integers(lo_c, hi_c + 1))
+        gr, gc = r // reach, c // reach
         if all(
-            abs(r - rr) >= size + _RAFT_GAP_PX or abs(c - cc) >= size + _RAFT_GAP_PX
-            for rr, cc in corners
+            abs(r - rr) >= reach or abs(c - cc) >= reach
+            for cell_r in (gr - 1, gr, gr + 1)
+            for cell_c in (gc - 1, gc, gc + 1)
+            for rr, cc in cells.get((cell_r, cell_c), ())
         ):
             corners.append((r, c))
+            cells.setdefault((gr, gc), []).append((r, c))
     return corners
 
 

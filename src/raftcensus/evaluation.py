@@ -158,8 +158,23 @@ def evaluate_census(
     return compute_rates(matches, len(census.records), len(truth))
 
 
+_MATCH_JSON = """\
+    {
+      "detection_id": %d,
+      "distance_px": %s,
+      "truth_index": %d
+    }"""
+
+
 def report_to_json(report: MetricsReport) -> str:
-    """Stable JSON rendering (sorted keys, exact float repr)."""
+    """Stable JSON rendering (sorted keys, exact float repr).
+
+    The text is what ``json.dumps(payload, indent=2, sort_keys=True)``
+    gives, byte for byte. Matches are filled into a fixed template, since
+    that call would run the pure-Python encoder over every match; their
+    distances lie within the finite match gate, so ``float.__repr__``
+    writes them as ``json.dumps`` does.
+    """
     payload = {
         "tfa_percent": report.tfa_percent,
         "tfr_percent": report.tfr_percent,
@@ -170,16 +185,16 @@ def report_to_json(report: MetricsReport) -> str:
         "total_platforms": report.total_platforms,
         "no_detections": report.no_detections,
         "no_platforms": report.no_platforms,
-        "matches": [
-            {
-                "detection_id": m.detection_id,
-                "truth_index": m.truth_index,
-                "distance_px": m.distance_px,
-            }
-            for m in report.matches
-        ],
+        "matches": [],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if report.matches:
+        listed = ",\n".join(
+            _MATCH_JSON % (m.detection_id, float.__repr__(m.distance_px), m.truth_index)
+            for m in report.matches
+        )
+        text = text.replace('"matches": []', f'"matches": [\n{listed}\n  ]', 1)
+    return text + "\n"
 
 
 def format_report(report: MetricsReport) -> str:

@@ -12,9 +12,12 @@ keeps the library's exact hull, ``_convex_area``, which the Qhull
 reference checks), and the pixel-scoring reference is the library's
 summation order written over whole arrays. The whole-plane band load and
 NDWI mask are the library's former formulations, which scaled and
-upsampled every band to a float64 plane up front, and the GeoJSON
-reference is the former ``json.dumps`` export. The library must match
-all of these bit for bit.
+upsampled every band to a float64 plane up front, and the GeoJSON and
+eval-report references are the former ``json.dumps`` exports. Raft
+placement tests each candidate against every raft placed so far, and the
+band writer reduces 20 m bands with ``mean`` and scales into fresh
+arrays, as the library once did. The library must match all of these
+bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from raftcensus.bandstack import (
     resample_plane,
 )
 from raftcensus.blobs import Blob, _convex_area
+from raftcensus.datasets import _RAFT_COAST_MARGIN_PX, _RAFT_GAP_PX, _border_width
+from raftcensus.errors import DatasetError
 from raftcensus.evaluation import MatchPair
 from raftcensus.waterdetect import NDWI_BINS, compute_ndwi, quantize_ndwi
 
@@ -420,6 +425,88 @@ def ref_census_to_geojson(census, crs=None) -> str:
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def ref_report_to_json(report) -> str:
+    """The eval report as a dict, dumped by ``json.dumps``."""
+    payload = {
+        "tfa_percent": report.tfa_percent,
+        "tfr_percent": report.tfr_percent,
+        "true_positives": report.true_positives,
+        "false_detections": report.false_detections,
+        "missed": report.missed,
+        "total_detections": report.total_detections,
+        "total_platforms": report.total_platforms,
+        "no_detections": report.no_detections,
+        "no_platforms": report.no_platforms,
+        "matches": [
+            {
+                "detection_id": m.detection_id,
+                "truth_index": m.truth_index,
+                "distance_px": m.distance_px,
+            }
+            for m in report.matches
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def ref_save_band_stack(stack: BandStack, out_dir) -> None:
+    """Band PGMs and manifest: 20 m bands reduced by a 2x2 block ``mean``,
+    then every band scaled, rounded and clipped into fresh arrays."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    bands_entry = {}
+    for band in BandId:
+        plane = stack.planes[band]
+        if band.native_resolution_m == 20:
+            h, w = plane.shape
+            plane = plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+        dn = np.clip(np.rint(plane * DN_SCALE), 0, 65535).astype(np.uint16)
+        name = f"{band.value.lower()}.pgm"
+        h, w = dn.shape
+        header = f"P5\n{w} {h}\n65535\n".encode("ascii")
+        (out_dir / name).write_bytes(header + dn.astype(">u2").tobytes())
+        bands_entry[band.value] = name
+    manifest: dict = {"bands": bands_entry}
+    if stack.geo is not None:
+        manifest["geo"] = {
+            "origin_easting": stack.geo.origin_easting,
+            "origin_northing": stack.geo.origin_northing,
+            "crs": stack.geo.crs,
+        }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+# --- synthetic scenes -------------------------------------------------------
+
+def ref_place_rafts(params, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Raft corners drawn one by one; each candidate is tested against
+    every raft placed so far."""
+    border = _border_width(params.width, params.height)
+    size = params.raft_size_px
+    lo_r = border + _RAFT_COAST_MARGIN_PX
+    lo_c = border + _RAFT_COAST_MARGIN_PX
+    hi_r = params.height - border - _RAFT_COAST_MARGIN_PX - size
+    hi_c = params.width - border - _RAFT_COAST_MARGIN_PX - size
+    if params.raft_count and (hi_r < lo_r or hi_c < lo_c):
+        raise DatasetError("rafts do not fit: water region too small")
+    corners: list[tuple[int, int]] = []
+    attempts = 0
+    while len(corners) < params.raft_count:
+        attempts += 1
+        if attempts > 1000 * max(params.raft_count, 1):
+            raise DatasetError(
+                f"rafts do not fit: placed {len(corners)} of {params.raft_count}"
+            )
+        r = int(rng.integers(lo_r, hi_r + 1))
+        c = int(rng.integers(lo_c, hi_c + 1))
+        if all(
+            abs(r - rr) >= size + _RAFT_GAP_PX or abs(c - cc) >= size + _RAFT_GAP_PX
+            for rr, cc in corners
+        ):
+            corners.append((r, c))
+    return corners
 
 
 # --- pixel scoring --------------------------------------------------------

@@ -18,7 +18,12 @@ from raftcensus import bandstack
 from raftcensus.bandstack import _BLOCK_PIXELS, FEATURE_ORDER
 from raftcensus.errors import DimensionError, ManifestError, PgmError
 
-from oracles import ref_bilinear, ref_bilinear_gathers, ref_load_band_stack
+from oracles import (
+    ref_bilinear,
+    ref_bilinear_gathers,
+    ref_load_band_stack,
+    ref_save_band_stack,
+)
 
 
 def bits(a):
@@ -77,6 +82,22 @@ class TestPgm:
         (tmp_path / "bad.pgm").write_bytes(b"P5\n2 2\n65535\n\x00\x01")
         with pytest.raises(PgmError, match="raster"):
             read_pgm16(tmp_path / "bad.pgm")
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.7, 0.5, -1.0, 65536.0, np.inf])
+    def test_rejects_values_that_are_not_whole_16_bit_numbers(self, tmp_path, bad):
+        arr = np.array([[0.0, 3.0], [bad, 65535.0]])
+        with pytest.raises(ValueError, match="whole numbers within"):
+            write_pgm16(tmp_path / "a.pgm", arr)
+        assert not (tmp_path / "a.pgm").exists()
+
+    def test_whole_floats_and_non_contiguous_arrays_written_in_row_order(self, tmp_path):
+        arr = np.arange(12, dtype=np.uint16).reshape(3, 4) * 5000
+        write_pgm16(tmp_path / "f.pgm", arr.astype(np.float64))
+        write_pgm16(tmp_path / "t.pgm", np.asfortranarray(arr))
+        write_pgm16(tmp_path / "s.pgm", np.ascontiguousarray(arr.T).T)
+        for name in ("f", "t", "s"):
+            assert np.array_equal(read_pgm16(tmp_path / f"{name}.pgm"), arr)
+        assert (tmp_path / "f.pgm").read_bytes() == b"P5\n4 3\n65535\n" + arr.astype(">u2").tobytes()
 
     def test_comments_allowed_in_header(self, tmp_path):
         (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n1 1\n65535\n\x12\x34")
@@ -206,6 +227,81 @@ class TestLoad:
         assert s2.geo == s.geo
         for b in BandId:
             assert np.array_equal(s.planes[b], s2.planes[b])
+
+
+def half_dn_plane(rng, h, w):
+    """Constant 2x2 blocks whose scaled DN is exactly k + 0.5."""
+    k = rng.integers(0, 65535, size=(h // 2, w // 2))
+    v = (k + 0.5) / 10000.0
+    v = np.where(v * 10000.0 == k + 0.5, v, 0.0)
+    return np.kron(v, np.ones((2, 2)))
+
+
+def order_sensitive_plane(rng, h, w):
+    """2x2 blocks of one large sample and three of widely varying size, the
+    large one anywhere in the block: the block sum depends on the order in
+    which the four are added, often by enough to change the rounded DN."""
+    n = (h // 2) * (w // 2)
+    k = rng.integers(0, 65000, n)
+    target = (k + 0.5) / 10000.0
+    small = target * 10.0 ** rng.uniform(-17, -1, (3, n))
+    blocks = np.concatenate([(4 * target - small.sum(0))[None], small])
+    blocks = np.take_along_axis(blocks, rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1).T, 0)
+    return blocks.reshape(2, 2, h // 2, w // 2).transpose(2, 0, 3, 1).reshape(h, w)
+
+
+def clipped_plane(rng, h, w):
+    """Reflectances around and above 6.5535, where the DN clips at 65535."""
+    p = rng.uniform(6.5, 20.0, (h, w))
+    p.flat[:4] = (6.5535, 6.55355, 6.55345, 6.5534)
+    return p
+
+
+SAVE_PATTERNS = {
+    "order_sensitive": order_sensitive_plane,
+    "half_dn": half_dn_plane,
+    "clipped": clipped_plane,
+    "zeros": lambda rng, h, w: np.zeros((h, w)),
+}
+
+
+class TestSave:
+    def test_order_sensitive_blocks_change_dn_under_a_sequential_sum(self, rng):
+        p = order_sensitive_plane(rng, 64, 64)
+        x00, x01, x10, x11 = p[0::2, 0::2], p[0::2, 1::2], p[1::2, 0::2], p[1::2, 1::2]
+        mean = p.reshape(32, 2, 32, 2).mean(axis=(1, 3))
+        sequential = (((x00 + x01) + x10) + x11) / 4
+        assert (np.rint(mean * 10000.0) != np.rint(sequential * 10000.0)).sum() > 50
+
+    def test_half_dn_blocks_scale_to_exact_halves(self, rng):
+        scaled = half_dn_plane(rng, 64, 64) * 10000.0
+        assert (scaled % 1 == 0.5).mean() > 0.5
+
+    @pytest.mark.parametrize("pattern", sorted(SAVE_PATTERNS))
+    @pytest.mark.parametrize("h,w", [(64, 64), (6, 40), (2, 2)])
+    def test_files_bytes_equal_block_mean_reference(self, tmp_path, rng, pattern, h, w):
+        planes = {b: SAVE_PATTERNS[pattern](rng, h, w) for b in BandId}
+        kept = {b: p.copy() for b, p in planes.items()}
+        geo = GeoRef(500000.0, 4680000.0, "EPSG:32629")
+        s = BandStack(width=w, height=h, pixel_size=10.0, planes=planes, geo=geo)
+        save_band_stack(s, tmp_path / "lib")
+        ref_save_band_stack(s, tmp_path / "ref")
+        names = sorted(f.name for f in (tmp_path / "ref").iterdir())
+        assert sorted(f.name for f in (tmp_path / "lib").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        for b in BandId:  # saving leaves the stack's planes untouched
+            assert np.array_equal(bits(planes[b]), bits(kept[b]))
+
+    def test_loaded_stack_files_bytes_equal_reference(self, tmp_path, rng):
+        path = write_dn_scene(
+            tmp_path, 22, 18, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        save_band_stack(s, tmp_path / "lib")
+        ref_save_band_stack(s, tmp_path / "ref")
+        for f in (tmp_path / "ref").iterdir():
+            assert (tmp_path / "lib" / f.name).read_bytes() == f.read_bytes()
 
 
 class TestRows:

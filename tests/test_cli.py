@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raftcensus import SynthParams, generate_synthetic_scene, run_census, save_model
+from raftcensus import SynthParams, datasets, generate_synthetic_scene, run_census, save_model
 from raftcensus.cli import dispatch, render_overlay
 from raftcensus.pipeline import CensusConfig
 from raftcensus.waterdetect import NdwiOtsu
@@ -131,6 +131,20 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "noise_sigma" in err and "Traceback" not in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("width,height", [(65, 64), (64, 47)])
+    def test_odd_size_rejected_before_drawing(self, tmp_path, capsys, monkeypatch, width, height):
+        drawn = []
+        monkeypatch.setattr(datasets, "generate_synthetic_scene", drawn.append)
+        out = tmp_path / "scene"
+        assert run_cli("synth", "--out", str(out), "--width", str(width),
+                       "--height", str(height)) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot export a {width}x{height} stack: dimensions must be even "
+            f"so 20 m bands can be written at half resolution\n"
+        )
+        assert drawn == []
+        assert not out.exists()
 
 
 class TestImport:

@@ -16,10 +16,13 @@ from raftcensus.datasets import (
     PLATFORM_CLASS_NAMES,
     WATER_CLASS_NAMES,
     default_platform_training_set,
+    _place_rafts,
     load_labeled_csv,
     save_labeled_csv,
 )
 from raftcensus.errors import DatasetError
+
+from oracles import ref_place_rafts
 
 
 class TestSpectra:
@@ -118,6 +121,53 @@ class TestSyntheticScene:
         )
         ndwi = compute_ndwi(stack.planes[BandId.B3], stack.planes[BandId.B8])
         assert ndwi[truth.water_mask].min() - ndwi[truth.class_map == 0].max() > 0.2
+
+
+def placed_both_ways(params):
+    """(outcome, generator state after placement) from the library and
+    from the all-pairs reference; the outcome is the corner list or the
+    DatasetError message."""
+    results = []
+    for place in (_place_rafts, ref_place_rafts):
+        rng = np.random.default_rng(params.seed)
+        try:
+            outcome = place(params, rng)
+        except DatasetError as exc:
+            outcome = str(exc)
+        results.append((outcome, rng.bit_generator.state))
+    return results
+
+
+class TestRaftPlacement:
+    @pytest.mark.parametrize("seed", [0, 1, 5, 9])
+    @pytest.mark.parametrize(
+        "size,width,height,count",
+        [
+            (2, 256, 256, 40),  # sparse
+            (3, 256, 256, 40),
+            (2, 48, 48, 15),  # near full: many candidates rejected
+            (3, 64, 64, 25),
+            (2, 640, 320, 900),  # many cells, wider than high
+            (3, 320, 640, 600),
+        ],
+    )
+    def test_corners_equal_all_pairs_reference(self, seed, size, width, height, count):
+        params = SynthParams(width=width, height=height, raft_count=count,
+                             raft_size_px=size, seed=seed)
+        (corners, state), (ref_corners, ref_state) = placed_both_ways(params)
+        assert corners == ref_corners
+        assert len(corners) == count
+        assert state == ref_state
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("size,side,count", [(2, 48, 20), (3, 64, 30)])
+    def test_same_message_when_rafts_do_not_fit(self, seed, size, side, count):
+        params = SynthParams(width=side, height=side, raft_count=count,
+                             raft_size_px=size, seed=seed)
+        (message, state), (ref_message, ref_state) = placed_both_ways(params)
+        assert isinstance(message, str) and message.startswith("rafts do not fit: placed")
+        assert message == ref_message
+        assert state == ref_state
 
 
 class TestExtractPlatformSamples:

@@ -5,8 +5,9 @@ import pytest
 from raftcensus import (Census, CensusRecord, MatchPair, compute_rates, evaluate_census,
                         match_centroids)
 from raftcensus.errors import EvaluationError
+from raftcensus.evaluation import report_to_json
 
-from oracles import ref_match_all_pairs, ref_max_matching_count
+from oracles import ref_match_all_pairs, ref_max_matching_count, ref_report_to_json
 
 
 def make_instance(rng, max_dist=3.0, n_truth=None):
@@ -269,3 +270,35 @@ class TestEvaluateCensus:
     def test_generator_matches_list(self):
         census = census_of([(10.5, 10.0), (49.0, 51.0), (90.0, 90.0)])
         assert evaluate_census(census, iter(self.TRUTHS)) == evaluate_census(census, self.TRUTHS)
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("totals", [(0, 0), (0, 3), (3, 0), (7, 5)])
+    def test_no_matches_bytes_equal_json_dumps(self, totals):
+        report = compute_rates([], *totals)
+        assert report_to_json(report) == ref_report_to_json(report)
+
+    def test_flags_and_ratios_bytes_equal_json_dumps(self):
+        # 1/3 and 2/3 of the counts are not round; a distance of exactly 0.0
+        report = compute_rates([MatchPair(4, 2, 0.0)], 3, 3)
+        assert report.tfa_percent == 100.0 * 2 / 3
+        assert report_to_json(report) == ref_report_to_json(report)
+        report = compute_rates([MatchPair(1, 0, 1.4142135623730951)], 7, 1)
+        assert report_to_json(report) == ref_report_to_json(report)
+
+    def test_many_matches_bytes_equal_json_dumps(self, rng):
+        n = 2000
+        matches = [MatchPair(i + 1, n - 1 - i, float(rng.uniform(0, 3))) for i in range(n)]
+        matches[7] = MatchPair(8, n - 8, 0.0)
+        matches[9] = MatchPair(10, n - 10, 3.0)
+        report = compute_rates(matches, n + 37, n + 11)
+        text = report_to_json(report)
+        assert text == ref_report_to_json(report)
+        assert text.count('"detection_id"') == n
+
+    def test_census_report_bytes_equal_json_dumps(self, rng):
+        truths = [tuple(map(float, rng.uniform(0, 200, 2))) for _ in range(300)]
+        dets = [(r + rng.normal(0, 1), c + rng.normal(0, 1)) for r, c in truths[:250]]
+        report = evaluate_census(census_of(dets), truths)
+        assert report.true_positives > 0
+        assert report_to_json(report) == ref_report_to_json(report)
