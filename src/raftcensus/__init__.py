@@ -30,6 +30,7 @@ from .datasets import (
     generate_synthetic_scene,
     load_spectra,
     synthetic_pixel_dataset,
+    write_synthetic_scene,
 )
 from .errors import RaftCensusError
 from .evaluation import (

@@ -14,6 +14,11 @@ quarter and three-quarter slice sums; every value is bitwise equal to
 through ``BandStack.windows``, which owns the window size
 (``_BLOCK_PIXELS`` pixels per window).
 
+Writing goes one band and one row chunk at a time: ``write_bands`` turns
+even-height reflectance row chunks (``row_chunks``) into digital numbers
+at each band's native resolution and appends them to the band's PGM, so
+``save_band_stack`` builds no whole float plane either.
+
 Manifest schema::
 
     {
@@ -29,7 +34,9 @@ Relative band paths are resolved against the manifest's directory.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Mapping
+import os
+import sys
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -48,6 +55,9 @@ __all__ = [
     "load_band_stack",
     "save_band_stack",
     "check_saveable",
+    "row_chunks",
+    "write_bands",
+    "write_pgm16_rows",
     "resample_plane",
     "crop",
 ]
@@ -264,8 +274,46 @@ def _upsample2(p: np.ndarray, a: int, n: int, out: np.ndarray, r0: int) -> None:
 
 
 def read_pgm16(path) -> np.ndarray:
-    """Read a binary PGM (P5) with maxval 65535 into a uint16 array."""
-    data = Path(path).read_bytes()
+    """Read a binary PGM (P5) with maxval 65535 into a uint16 array.
+
+    The header is parsed from a prefix of the file, 1 KiB at first and
+    doubled while the header runs past it; the raster is read straight
+    into the array and byteswapped in place.
+    """
+    with open(path, "rb") as f:
+        data, size = b"", 1024
+        while True:
+            data += f.read(size - len(data))
+            try:
+                width, height, maxval, pos = _pgm_header(data, len(data) < size, path)
+                break
+            except _NeedMore:
+                size *= 2
+        if width <= 0 or height <= 0:
+            raise PgmError(f"{path}: bad dimensions {width}x{height}")
+        if maxval != 65535:
+            raise PgmError(f"{path}: maxval must be 65535, got {maxval}")
+        pos += 1  # single whitespace byte after maxval
+        expected = width * height * 2
+        got = min(expected, max(0, f.seek(0, os.SEEK_END) - pos))
+        if got == expected:  # allocate only for a raster the file holds
+            raster = np.empty((height, width), dtype=np.uint16)
+            f.seek(pos)
+            got = f.readinto(memoryview(raster).cast("B"))
+    if got != expected:
+        raise PgmError(f"{path}: expected {expected} raster bytes, got {got}")
+    if sys.byteorder == "little":
+        raster.byteswap(inplace=True)
+    return raster
+
+
+class _NeedMore(Exception):
+    """The header runs past the end of the prefix read so far."""
+
+
+def _pgm_header(data: bytes, complete: bool, path) -> tuple[int, int, int, int]:
+    """(width, height, maxval, end of maxval) from a PGM header prefix;
+    ``complete`` says the prefix is the whole file."""
     pos = 0
 
     def next_token() -> bytes:
@@ -281,6 +329,8 @@ def read_pgm16(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if pos == len(data) and not complete:
+            raise _NeedMore
         if start == pos:
             raise PgmError(f"{path}: truncated header")
         return data[start:pos]
@@ -294,16 +344,7 @@ def read_pgm16(path) -> np.ndarray:
         maxval = int(next_token())
     except ValueError as exc:
         raise PgmError(f"{path}: bad header field") from exc
-    if width <= 0 or height <= 0:
-        raise PgmError(f"{path}: bad dimensions {width}x{height}")
-    if maxval != 65535:
-        raise PgmError(f"{path}: maxval must be 65535, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    expected = width * height * 2
-    raster = memoryview(data)[pos : pos + expected]
-    if len(raster) != expected:
-        raise PgmError(f"{path}: expected {expected} raster bytes, got {len(raster)}")
-    return np.frombuffer(raster, dtype=">u2").reshape(height, width).astype(np.uint16)
+    return width, height, maxval, pos
 
 
 def write_pgm16(path, values: np.ndarray) -> None:
@@ -319,10 +360,25 @@ def write_pgm16(path, values: np.ndarray) -> None:
         # NaN fails both bounds, so it never reaches the cast.
         if not ((a >= 0) & (a <= 65535)).all() or not (a.astype(np.uint16) == a).all():
             raise ValueError("PGM sample values must be whole numbers within [0, 65535]")
-    h, w = a.shape
+    write_pgm16_rows(path, a.shape[1], a.shape[0], (a.astype(">u2", order="C"),))
+
+
+def write_pgm16_rows(path, width: int, height: int, chunks: Iterable[np.ndarray]) -> None:
+    """Write a ``width`` x ``height`` binary PGM (P5, maxval 65535) from
+    uint16 row chunks, top to bottom; each chunk is written before the
+    next is taken from ``chunks``."""
+    rows = 0
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        a.astype(">u2").tofile(f)
+        f.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
+        for chunk in chunks:
+            if chunk.dtype.kind != "u" or chunk.dtype.itemsize != 2:
+                raise ValueError(f"PGM row chunks must be uint16, got {chunk.dtype}")
+            if chunk.ndim != 2 or chunk.shape[1] != width:
+                raise DimensionError(f"row chunk of shape {chunk.shape} for a PGM {width} wide")
+            f.write(np.ascontiguousarray(chunk, dtype=">u2"))
+            rows += len(chunk)
+    if rows != height:
+        raise DimensionError(f"{path}: wrote {rows} rows of a PGM {height} high")
 
 
 def _axis_coords(start: int, stop: int, n_in: int, factor: int):
@@ -464,25 +520,67 @@ def check_saveable(width: int, height: int) -> None:
         )
 
 
-def save_band_stack(stack: BandStack, out_dir) -> Path:
-    """Write a stack as band PGMs plus manifest.json; returns manifest path.
+def row_chunks(width: int, height: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``(r0, r1)`` over ``height`` rows, in which
+    scenes are drawn and written: ``_BLOCK_PIXELS // width`` rows rounded
+    down to even, at least 2 (the last range may be shorter). Even heights
+    keep the 2x2 blocks of a 20 m band whole."""
+    step = max(2, _BLOCK_PIXELS // max(width, 1) // 2 * 2)
+    for r0 in range(0, height, step):
+        yield r0, min(r0 + step, height)
 
-    Bands are written at their native resolutions: 10 m bands as-is,
-    20 m bands reduced to half dimensions by 2x2 block averaging (their
-    manifest representation). A block of samples x00 x01 / x10 x11 is
-    written as ((x00 + x01) + (x10 + x11)) / 4, the order in which numpy's
-    ``mean`` over the block sums. Reflectances are converted back to digital
-    numbers (x10000, rounded half to even, clipped to the 16-bit range), so
-    a save/load round trip quantizes 10 m values to 1e-4 and smooths the
-    20 m bands. Stack dimensions must be even.
+
+def write_bands(
+    out_dir,
+    width: int,
+    height: int,
+    band_rows: Callable[[BandId], Iterable[np.ndarray]],
+    geo: GeoRef | None = None,
+) -> Path:
+    """Write ten band PGMs plus manifest.json; returns the manifest path.
+
+    ``band_rows(band)`` yields the band's float64 reflectances on the 10 m
+    grid as (rows, width) chunks of even height, top to bottom (the ranges
+    of ``row_chunks`` will do). Bands are asked for in ``BandId`` order, and
+    each chunk is written before the next is asked for, so a caller may
+    reuse one buffer. Only chunk-sized buffers are allocated here.
+
+    Bands are written at their native resolutions: 10 m bands as-is, 20 m
+    bands reduced to half dimensions by 2x2 block averaging (their manifest
+    representation). A block of samples x00 x01 / x10 x11 is written as
+    ((x00 + x01) + (x10 + x11)) / 4, the order in which numpy's ``mean``
+    over the block sums. Reflectances are converted to digital numbers
+    (x10000, rounded half to even, clipped to the 16-bit range). Dimensions
+    must be even, which is checked before ``out_dir`` is created.
     """
-    check_saveable(stack.width, stack.height)
+    check_saveable(width, height)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bands_entry = {}
     for band in BandId:
-        p = np.asarray(stack.planes[band], dtype=np.float64)
+        name = f"{band.value.lower()}.pgm"
+        f = 2 if band.native_resolution_m == 20 else 1
+        write_pgm16_rows(out_dir / name, width // f, height // f, _dn_rows(band, band_rows(band)))
+        bands_entry[band.value] = name
+    manifest: dict = {"bands": bands_entry}
+    if geo is not None:
+        manifest["geo"] = {
+            "origin_easting": geo.origin_easting,
+            "origin_northing": geo.origin_northing,
+            "crs": geo.crs,
+        }
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest_path
+
+
+def _dn_rows(band: BandId, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Big-endian uint16 digital numbers of reflectance row chunks at the
+    band's native resolution (see ``write_bands``)."""
+    for p in chunks:
         if band.native_resolution_m == 20:
+            if len(p) % 2:
+                raise DimensionError(f"band {band.value}: row chunk of odd height {len(p)}")
             x = p[0::2, 0::2] + p[0::2, 1::2]
             x += p[1::2, 0::2] + p[1::2, 1::2]
             x /= 4
@@ -491,19 +589,23 @@ def save_band_stack(stack: BandStack, out_dir) -> Path:
             x = p * DN_SCALE
         np.rint(x, out=x)
         np.clip(x, 0, 65535, out=x)
-        name = f"{band.value.lower()}.pgm"
-        write_pgm16(out_dir / name, x.astype(np.uint16))
-        bands_entry[band.value] = name
-    manifest: dict = {"bands": bands_entry}
-    if stack.geo is not None:
-        manifest["geo"] = {
-            "origin_easting": stack.geo.origin_easting,
-            "origin_northing": stack.geo.origin_northing,
-            "crs": stack.geo.crs,
-        }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
+        yield x.astype(">u2")
+
+
+def save_band_stack(stack: BandStack, out_dir) -> Path:
+    """Write a stack as band PGMs plus manifest.json; returns manifest path.
+
+    The bands go through ``write_bands``, one at a time, in the row chunks
+    of ``row_chunks`` read with ``BandStack.rows``: a loaded stack builds no
+    whole float plane. A save/load round trip quantizes 10 m values to 1e-4
+    and smooths the 20 m bands. Stack dimensions must be even.
+    """
+    w, h = stack.width, stack.height
+    return write_bands(
+        out_dir, w, h,
+        lambda band: (stack.rows(r0, r1, (band,))[band] for r0, r1 in row_chunks(w, h)),
+        stack.geo,
+    )
 
 
 def crop(s: BandStack, x0: int, y0: int, w: int, h: int) -> BandStack:

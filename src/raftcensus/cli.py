@@ -28,7 +28,6 @@ from .bandstack import (
     load_band_stack,
     read_pgm16,
     save_band_stack,
-    write_pgm16,
 )
 from .blobs import BlobFilter
 from .errors import RaftCensusError
@@ -191,22 +190,10 @@ def _cmd_synth(args) -> int:
         spectra=spectra,
         geo=geo,
     )
-    check_saveable(params.width, params.height)  # before drawing the whole scene
-    stack, truth = datasets.generate_synthetic_scene(params)
+    check_saveable(params.width, params.height)  # before drawing anything
     out = Path(args.out)
-    save_band_stack(stack, out)
-    write_pgm16(out / "truth_water.pgm", truth.water_mask.astype(np.uint16) * 65535)
-    write_pgm16(out / "truth_rafts.pgm", truth.raft_mask.astype(np.uint16) * 65535)
-    truth_payload = {
-        "raft_centroids": [[r, c] for r, c in truth.raft_centroids],
-        "raft_count": len(truth.raft_centroids),
-        "raft_size_px": args.raft_size,
-        "seed": args.seed,
-        "width": args.width,
-        "height": args.height,
-    }
-    (out / "truth.json").write_text(json.dumps(truth_payload, indent=2, sort_keys=True) + "\n")
-    print(f"synthesized scene with {len(truth.raft_centroids)} rafts -> {out / 'manifest.json'}")
+    centroids = datasets.write_synthetic_scene(params, out)
+    print(f"synthesized scene with {len(centroids)} rafts -> {out / 'manifest.json'}")
     return 0
 
 
@@ -322,22 +309,25 @@ def render_overlay(
     yellow crosses. Pure integer arithmetic, so output bytes are a
     function of the inputs only.
     """
-    g = stack.planes[BandId.B3]
-    lo, hi = float(g.min()), float(g.max())
+    lo, hi = np.inf, -np.inf
+    for _, _, block in stack.windows((BandId.B3,)):
+        g = block[BandId.B3]
+        lo, hi = min(lo, float(g.min())), max(hi, float(g.max()))
+    gray = np.zeros((stack.height, stack.width), dtype=np.uint8)
     if hi > lo:
-        gray = np.rint(255.0 * (g - lo) / (hi - lo)).astype(np.int32)
-    else:
-        gray = np.zeros_like(g, dtype=np.int32)
+        for r0, r1, block in stack.windows((BandId.B3,)):
+            g = block[BandId.B3]
+            gray[r0:r1] = np.rint(255.0 * (g - lo) / (hi - lo))
     img = np.stack([gray, gray, gray], axis=-1)
 
     if water_mask is not None:
         wm = np.asarray(water_mask).astype(bool, copy=False)
         img[wm, 0] = gray[wm] // 2
         img[wm, 1] = gray[wm] // 2
-        img[wm, 2] = (gray[wm] + 255) // 2
+        img[wm, 2] = (gray[wm].astype(np.uint16) + 255) // 2
     if platform_mask is not None:
         pm = np.asarray(platform_mask).astype(bool, copy=False)
-        img[pm, 0] = (gray[pm] + 255) // 2
+        img[pm, 0] = (gray[pm].astype(np.uint16) + 255) // 2
         img[pm, 1] = gray[pm] // 2
         img[pm, 2] = gray[pm] // 2
     if census is not None:
@@ -350,9 +340,10 @@ def render_overlay(
                 if 0 <= rr < h and 0 <= cc < w:
                     img[rr, cc] = _CROSS_COLOR
 
-    data = img.astype(np.uint8)
-    header = f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(img)
 
 
 def dispatch(argv) -> int:

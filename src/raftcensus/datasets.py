@@ -5,7 +5,9 @@ per-class mean reflectances loaded from a JSON config; every pixel is
 its class mean plus seeded Gaussian noise. Scenes are a land frame
 around a water body with small square rafts placed well inside the
 water, so the whole detection pipeline can be exercised against exact
-ground truth.
+ground truth. Scenes are drawn one band and one row chunk at a time, so
+``write_synthetic_scene`` writes one to disk holding only its 1 B/px
+class map and chunk buffers.
 
 Platform training data mirrors the sample-mining procedure: raft
 candidates are the dark holes a closing fills in the water mask
@@ -24,7 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandstack import FEATURE_ORDER, BandStack, PIXEL_SIZE_M, GeoRef
+from .bandstack import (
+    FEATURE_ORDER,
+    PIXEL_SIZE_M,
+    BandId,
+    BandStack,
+    GeoRef,
+    row_chunks,
+    write_bands,
+    write_pgm16_rows,
+)
 from .errors import DatasetError, DimensionError
 from .morphology import bottom_hat, square
 
@@ -34,6 +45,7 @@ __all__ = [
     "SceneTruth",
     "load_spectra",
     "generate_synthetic_scene",
+    "write_synthetic_scene",
     "extract_platform_samples",
     "synthetic_pixel_dataset",
     "default_platform_training_set",
@@ -102,6 +114,10 @@ class SynthParams:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.width < 24 or self.height < 24:
             raise ValueError("scene must be at least 24x24 pixels")
+        if self.spectra is not None:
+            if not isinstance(self.spectra, dict):
+                raise DatasetError("SynthParams.spectra must be a dict of class spectra")
+            _check_spectra(self.spectra, "SynthParams.spectra")
 
 
 @dataclass(frozen=True)
@@ -130,25 +146,37 @@ def load_spectra(path=None) -> dict[str, np.ndarray]:
         raise DatasetError(f"spectra file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DatasetError(f"spectra file {path} must hold a JSON object")
+    return _check_spectra(raw, f"spectra file {path}")
+
+
+def _check_spectra(raw: dict, source: str) -> dict[str, np.ndarray]:
+    """Validated float64 copies of the classes in ``raw`` (underscore keys
+    skipped): each a flat sequence of ten finite, non-negative numbers, and
+    every one of WATER_CLASS_NAMES present. ``source`` names the input in
+    the DatasetError messages."""
     spectra = {}
     for name, values in raw.items():
-        if name.startswith("_"):
+        if str(name).startswith("_"):
             continue
-        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-            raise DatasetError(
-                f"spectra file {path}: class {name!r} must be a flat list of numbers"
+        if isinstance(values, np.ndarray):
+            flat = values.ndim == 1 and values.dtype.kind in "iuf"
+        else:
+            flat = isinstance(values, (list, tuple)) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
             )
-        arr = np.asarray(values, dtype=np.float64)
+        if not flat:
+            raise DatasetError(f"{source}: class {name!r} must be a flat list of numbers")
+        arr = np.array(values, dtype=np.float64)
         if arr.shape != (len(FEATURE_ORDER),):
             raise DatasetError(
-                f"spectra class {name!r} must list {len(FEATURE_ORDER)} values"
+                f"{source}: class {name!r} must list {len(FEATURE_ORDER)} values"
             )
         if (arr < 0).any() or not np.isfinite(arr).all():
-            raise DatasetError(f"spectra class {name!r} has invalid reflectances")
+            raise DatasetError(f"{source}: class {name!r} has invalid reflectances")
         spectra[name] = arr
     for required in WATER_CLASS_NAMES:
         if required not in spectra:
-            raise DatasetError(f"spectra config lacks class {required!r}")
+            raise DatasetError(f"{source} lacks class {required!r}")
     return spectra
 
 
@@ -196,45 +224,138 @@ def _place_rafts(params: SynthParams, rng: np.random.Generator) -> list[tuple[in
     return corners
 
 
+def _scene_layout(
+    params: SynthParams, rng: np.random.Generator
+) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
+    """Class map (0 land, 1 raft, 2 water; 1 B/px) and raft centroids."""
+    h, w = params.height, params.width
+    border = _border_width(w, h)
+    class_map = np.zeros((h, w), dtype=np.int8)  # land
+    class_map[border : h - border, border : w - border] = 2  # water
+    centroids = []
+    size = params.raft_size_px
+    for r, c in _place_rafts(params, rng):
+        class_map[r : r + size, c : c + size] = 1
+        centroids.append((r + (size - 1) / 2.0, c + (size - 1) / 2.0))
+    return class_map, tuple(centroids)
+
+
+class _SceneDrawer:
+    """A scene's layout, and its bands drawn one row chunk at a time from
+    the scene's generator.
+
+    A chunk gets its class means by masked copies, then noise sigma * z
+    with z from ``standard_normal`` in C order, then a clip at zero.
+    ``Generator.normal(0, sigma)`` computes 0.0 + sigma * z from the same
+    stream, and adding 0.0 + sigma * z to a mean gives what adding
+    sigma * z does. So drawing the bands in FEATURE_ORDER, each top to
+    bottom, gives the values of one whole-plane ``normal`` draw per band,
+    bitwise, whatever the chunk heights.
+    """
+
+    def __init__(self, params: SynthParams):
+        spectra = params.spectra if params.spectra is not None else load_spectra()
+        self.rng = np.random.default_rng(params.seed)
+        self.class_map, self.centroids = _scene_layout(params, self.rng)
+        table = np.stack([spectra[name] for name in WATER_CLASS_NAMES])  # (3, 10)
+        self.means = {band: table[:, i] for i, band in enumerate(FEATURE_ORDER)}
+        self.sigma = params.noise_sigma
+        self._buffers = [np.empty(0), np.empty(0)]  # rows, noise; reused
+
+    def _buffer(self, k: int, shape) -> np.ndarray:
+        n = shape[0] * shape[1]
+        if self._buffers[k].size < n:
+            self._buffers[k] = np.empty(n)
+        return self._buffers[k][:n].reshape(shape)
+
+    def draw(self, band: BandId, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows r0..r1-1 of ``band``, drawn into ``out`` (default: a buffer
+        that the next call reuses)."""
+        classes = self.class_map[r0:r1]
+        if out is None:
+            out = self._buffer(0, classes.shape)
+        means = self.means[band]
+        out.fill(means[0])
+        for k in range(1, len(means)):
+            np.copyto(out, means[k], where=classes == k)
+        if self.sigma > 0:
+            z = self._buffer(1, classes.shape)
+            self.rng.standard_normal(out=z)
+            try:
+                with np.errstate(over="raise"):
+                    z *= self.sigma
+                    out += z
+            except FloatingPointError as exc:
+                raise DatasetError(
+                    f"noise_sigma {self.sigma} draws reflectances beyond the float64 range"
+                ) from exc
+            np.maximum(out, 0.0, out=out)
+        return out
+
+
 def generate_synthetic_scene(params: SynthParams) -> tuple[BandStack, SceneTruth]:
     """Deterministic labeled scene: land frame, water body, raft squares.
 
     Reflectance is class mean plus Gaussian noise (clipped at zero);
-    with noise_sigma 0 every pixel equals its class mean exactly.
+    with noise_sigma 0 every pixel equals its class mean exactly. The
+    planes are drawn in row chunks, as ``write_synthetic_scene`` draws.
     """
-    spectra = params.spectra if params.spectra is not None else load_spectra()
-    rng = np.random.default_rng(params.seed)
+    scene = _SceneDrawer(params)
     h, w = params.height, params.width
-    border = _border_width(w, h)
-
-    class_map = np.zeros((h, w), dtype=np.int8)  # land
-    class_map[border : h - border, border : w - border] = 2  # water
-
-    corners = _place_rafts(params, rng)
-    centroids = []
-    size = params.raft_size_px
-    for r, c in corners:
-        class_map[r : r + size, c : c + size] = 1
-        centroids.append((r + (size - 1) / 2.0, c + (size - 1) / 2.0))
-
-    means = np.stack([spectra[name] for name in WATER_CLASS_NAMES])  # (3, 10)
     planes = {}
-    for i, band in enumerate(FEATURE_ORDER):
-        plane = means[class_map, i]
-        if params.noise_sigma > 0:
-            plane = plane + rng.normal(0.0, params.noise_sigma, size=(h, w))
-            plane = np.maximum(plane, 0.0)
+    for band in FEATURE_ORDER:
+        plane = np.empty((h, w))
+        for r0, r1 in row_chunks(w, h):
+            scene.draw(band, r0, r1, out=plane[r0:r1])
         planes[band] = plane
     stack = BandStack(
         width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=params.geo
     )
     truth = SceneTruth(
-        water_mask=class_map == 2,
-        raft_mask=class_map == 1,
-        raft_centroids=tuple(centroids),
-        class_map=class_map,
+        water_mask=scene.class_map == 2,
+        raft_mask=scene.class_map == 1,
+        raft_centroids=scene.centroids,
+        class_map=scene.class_map,
     )
     return stack, truth
+
+
+def write_synthetic_scene(params: SynthParams, out_dir) -> tuple[tuple[float, float], ...]:
+    """Write the scene of ``generate_synthetic_scene(params)``; returns its
+    raft centroids.
+
+    Writes what ``save_band_stack`` writes for that stack, byte for byte,
+    plus ``truth_water.pgm`` and ``truth_rafts.pgm`` (65535 on the class,
+    0 elsewhere) and ``truth.json``. Bands are drawn and written one at a
+    time, one row chunk at a time, so memory is the 1 B/px class map plus
+    chunk buffers. Every error of the parameters or the raft layout comes
+    before ``out_dir`` is created.
+    """
+    scene = _SceneDrawer(params)
+    h, w = params.height, params.width
+    chunks = list(row_chunks(w, h))
+    out_dir = Path(out_dir)
+    write_bands(
+        out_dir, w, h,
+        lambda band: (scene.draw(band, r0, r1) for r0, r1 in chunks),
+        params.geo,
+    )
+    on, off = np.uint16(65535), np.uint16(0)
+    for name, k in (("truth_water.pgm", 2), ("truth_rafts.pgm", 1)):
+        write_pgm16_rows(
+            out_dir / name, w, h,
+            (np.where(scene.class_map[r0:r1] == k, on, off) for r0, r1 in chunks),
+        )
+    truth = {
+        "raft_centroids": [[r, c] for r, c in scene.centroids],
+        "raft_count": len(scene.centroids),
+        "raft_size_px": params.raft_size_px,
+        "seed": params.seed,
+        "width": w,
+        "height": h,
+    }
+    (out_dir / "truth.json").write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n")
+    return scene.centroids
 
 
 def extract_platform_samples(

@@ -16,8 +16,11 @@ upsampled every band to a float64 plane up front, and the GeoJSON and
 eval-report references are the former ``json.dumps`` exports. Raft
 placement tests each candidate against every raft placed so far, and the
 band writer reduces 20 m bands with ``mean`` and scales into fresh
-arrays, as the library once did. The library must match all of these
-bit for bit.
+arrays, as the library once did. The scene generator gathers class means
+into whole float64 planes and draws each band's noise in one ``normal``
+call, the PGM reader parses a whole-file copy, and the overlay renders
+from B3's whole plane: the library's former code. The library must match
+all of these bit for bit.
 """
 
 from __future__ import annotations
@@ -41,8 +44,15 @@ from raftcensus.bandstack import (
     resample_plane,
 )
 from raftcensus.blobs import Blob, _convex_area
-from raftcensus.datasets import _RAFT_COAST_MARGIN_PX, _RAFT_GAP_PX, _border_width
-from raftcensus.errors import DatasetError
+from raftcensus.datasets import (
+    _RAFT_COAST_MARGIN_PX,
+    _RAFT_GAP_PX,
+    WATER_CLASS_NAMES,
+    SceneTruth,
+    _border_width,
+    load_spectra,
+)
+from raftcensus.errors import DatasetError, PgmError
 from raftcensus.evaluation import MatchPair
 from raftcensus.waterdetect import NDWI_BINS, compute_ndwi, quantize_ndwi
 
@@ -399,6 +409,83 @@ def ref_water_mask_ndwi(s: BandStack) -> np.ndarray:
     return bins > ref_otsu(np.bincount(bins.ravel(), minlength=NDWI_BINS))
 
 
+def ref_read_pgm16(path) -> np.ndarray:
+    """The whole file read into bytes, the header parsed from them, and
+    the raster copied out of them by ``astype``."""
+    data = Path(path).read_bytes()
+    pos = 0
+
+    def next_token() -> bytes:
+        nonlocal pos
+        while pos < len(data):
+            if data[pos : pos + 1].isspace():
+                pos += 1
+            elif data[pos : pos + 1] == b"#":
+                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise PgmError(f"{path}: truncated header")
+        return data[start:pos]
+
+    magic = next_token()
+    if magic != b"P5":
+        raise PgmError(f"{path}: not a binary PGM (magic {magic!r})")
+    try:
+        width = int(next_token())
+        height = int(next_token())
+        maxval = int(next_token())
+    except ValueError as exc:
+        raise PgmError(f"{path}: bad header field") from exc
+    if width <= 0 or height <= 0:
+        raise PgmError(f"{path}: bad dimensions {width}x{height}")
+    if maxval != 65535:
+        raise PgmError(f"{path}: maxval must be 65535, got {maxval}")
+    pos += 1
+    expected = width * height * 2
+    raster = memoryview(data)[pos : pos + expected]
+    if len(raster) != expected:
+        raise PgmError(f"{path}: expected {expected} raster bytes, got {len(raster)}")
+    return np.frombuffer(raster, dtype=">u2").reshape(height, width).astype(np.uint16)
+
+
+def ref_render_overlay(stack, water_mask, platform_mask, census, path) -> None:
+    """The overlay from B3's whole float plane, with an int32 image."""
+    g = stack.planes[BandId.B3]
+    lo, hi = float(g.min()), float(g.max())
+    if hi > lo:
+        gray = np.rint(255.0 * (g - lo) / (hi - lo)).astype(np.int32)
+    else:
+        gray = np.zeros_like(g, dtype=np.int32)
+    img = np.stack([gray, gray, gray], axis=-1)
+    if water_mask is not None:
+        wm = np.asarray(water_mask).astype(bool, copy=False)
+        img[wm, 0] = gray[wm] // 2
+        img[wm, 1] = gray[wm] // 2
+        img[wm, 2] = (gray[wm] + 255) // 2
+    if platform_mask is not None:
+        pm = np.asarray(platform_mask).astype(bool, copy=False)
+        img[pm, 0] = (gray[pm] + 255) // 2
+        img[pm, 1] = gray[pm] // 2
+        img[pm, 2] = gray[pm] // 2
+    if census is not None:
+        h, w = gray.shape
+        for rec in census.records:
+            r = int(round(rec.centroid_px[0]))
+            c = int(round(rec.centroid_px[1]))
+            for dr, dc in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w:
+                    img[rr, cc] = (255, 255, 0)
+    data = img.astype(np.uint8)
+    header = f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + data.tobytes())
+
+
 # --- export ---------------------------------------------------------------------
 
 def ref_census_to_geojson(census, crs=None) -> str:
@@ -507,6 +594,55 @@ def ref_place_rafts(params, rng: np.random.Generator) -> list[tuple[int, int]]:
         ):
             corners.append((r, c))
     return corners
+
+
+def ref_generate_synthetic_scene(params):
+    """(stack, truth) with whole float64 planes: class means gathered
+    through the class map, then one ``normal`` draw per band, added and
+    clipped at zero into fresh planes."""
+    spectra = params.spectra if params.spectra is not None else load_spectra()
+    rng = np.random.default_rng(params.seed)
+    h, w = params.height, params.width
+    border = _border_width(w, h)
+    class_map = np.zeros((h, w), dtype=np.int8)
+    class_map[border : h - border, border : w - border] = 2
+    centroids = []
+    size = params.raft_size_px
+    for r, c in ref_place_rafts(params, rng):
+        class_map[r : r + size, c : c + size] = 1
+        centroids.append((r + (size - 1) / 2.0, c + (size - 1) / 2.0))
+    means = np.stack([spectra[name] for name in WATER_CLASS_NAMES])
+    planes = {}
+    for i, band in enumerate(BandId):
+        plane = means[class_map, i]
+        if params.noise_sigma > 0:
+            plane = plane + rng.normal(0.0, params.noise_sigma, size=(h, w))
+            plane = np.maximum(plane, 0.0)
+        planes[band] = plane
+    stack = BandStack(width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=params.geo)
+    truth = SceneTruth(class_map == 2, class_map == 1, tuple(centroids), class_map)
+    return stack, truth
+
+
+def ref_write_synthetic_scene(params, out_dir) -> None:
+    """The files of the ``synth`` command: the whole-plane scene saved by
+    ``ref_save_band_stack``, whole truth masks, and truth.json."""
+    stack, truth = ref_generate_synthetic_scene(params)
+    ref_save_band_stack(stack, out_dir)
+    out_dir = Path(out_dir)
+    for name, mask in (("truth_water.pgm", truth.water_mask), ("truth_rafts.pgm", truth.raft_mask)):
+        dn = mask.astype(np.uint16) * 65535
+        header = f"P5\n{dn.shape[1]} {dn.shape[0]}\n65535\n".encode("ascii")
+        (out_dir / name).write_bytes(header + dn.astype(">u2").tobytes())
+    payload = {
+        "raft_centroids": [[r, c] for r, c in truth.raft_centroids],
+        "raft_count": len(truth.raft_centroids),
+        "raft_size_px": params.raft_size_px,
+        "seed": params.seed,
+        "width": params.width,
+        "height": params.height,
+    }
+    (out_dir / "truth.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --- pixel scoring --------------------------------------------------------

@@ -22,6 +22,7 @@ from oracles import (
     ref_bilinear,
     ref_bilinear_gathers,
     ref_load_band_stack,
+    ref_read_pgm16,
     ref_save_band_stack,
 )
 
@@ -102,6 +103,72 @@ class TestPgm:
     def test_comments_allowed_in_header(self, tmp_path):
         (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n1 1\n65535\n\x12\x34")
         assert read_pgm16(tmp_path / "c.pgm")[0, 0] == 0x1234
+
+
+def read_both_ways(path):
+    """(array or PgmError message) from the library and from the whole-file
+    reference reader."""
+    out = []
+    for read in (read_pgm16, ref_read_pgm16):
+        try:
+            a = read(path)
+            out.append((a.dtype.str, a.shape, a.tobytes()))
+        except PgmError as exc:
+            out.append(str(exc))
+    return out
+
+
+def pgm_with_comment(n: int, w: int = 3, h: int = 2) -> bytes:
+    """A P5 file whose header holds an ``n``-byte comment line, so that
+    its fields straddle any chosen offset."""
+    raster = (np.arange(w * h, dtype=np.uint16) * 2521 + 7).astype(">u2").tobytes()
+    return b"P5\n#" + b"c" * max(0, n - 1) + f"\n{w} {h}\n65535\n".encode() + raster
+
+
+class TestPgmReaderAgainstWholeFileReference:
+    @pytest.mark.parametrize("n", [0, 5, *range(1000, 1030), 2040, 2050, 5000])
+    def test_headers_across_prefix_boundaries(self, tmp_path, n):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(pgm_with_comment(n))
+        lib, ref = read_both_ways(path)
+        assert not isinstance(lib, str) and lib == ref
+
+    @pytest.mark.parametrize("n", [4, 1003, 1015, 2040])
+    def test_every_truncation_gives_the_same_error(self, tmp_path, n):
+        data = pgm_with_comment(n)
+        path = tmp_path / "t.pgm"
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            lib, ref = read_both_ways(path)
+            assert lib == ref, cut
+            assert (cut < len(data)) == isinstance(lib, str)
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"P2\n1 1\n65535\n\x00\x00",
+        b"P5\nx 1\n65535\n\x00\x00",
+        b"P5\n0 1\n65535\n",
+        b"P5\n1 -1\n65535\n",
+        b"P5\n1 1\n255\n\x00",
+        b"P5\n1 1\n65535",
+        b"P5\n1 1\n65535\n\x12\x34trailing bytes",
+        b"P5 2 1 65535 \x12\x34\x56\x78",
+        b"P5\r\n#x\r1\t1\x0b65535\r\xab\xcd",
+        b"P5\n100000 100000\n65535\n\x00\x00",
+        b"P5\n#" + b"c" * 3000,
+    ])
+    def test_malformed_and_odd_files(self, tmp_path, data):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(data)
+        lib, ref = read_both_ways(path)
+        assert lib == ref
+
+    def test_written_scene_band_reads_alike(self, tmp_path, rng):
+        arr = rng.integers(0, 65536, size=(300, 257), dtype=np.uint16)
+        write_pgm16(tmp_path / "b.pgm", arr)
+        lib, ref = read_both_ways(tmp_path / "b.pgm")
+        assert lib == ref
+        assert np.array_equal(read_pgm16(tmp_path / "b.pgm"), arr)
 
 
 class TestResample:
@@ -293,11 +360,39 @@ class TestSave:
         for b in BandId:  # saving leaves the stack's planes untouched
             assert np.array_equal(bits(planes[b]), bits(kept[b]))
 
+    @pytest.mark.parametrize("pattern", sorted(SAVE_PATTERNS))
+    def test_files_in_row_chunks_bytes_equal_block_mean_reference(self, tmp_path, rng,
+                                                                  monkeypatch, pattern):
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 5 * 40)  # chunks of 4 rows
+        planes = {b: SAVE_PATTERNS[pattern](rng, 22, 40) for b in BandId}
+        s = BandStack(width=40, height=22, pixel_size=10.0, planes=planes)
+        save_band_stack(s, tmp_path / "lib")
+        ref_save_band_stack(s, tmp_path / "ref")
+        for f in (tmp_path / "ref").iterdir():
+            assert (tmp_path / "lib" / f.name).read_bytes() == f.read_bytes()
+
     def test_loaded_stack_files_bytes_equal_reference(self, tmp_path, rng):
         path = write_dn_scene(
             tmp_path, 22, 18, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
         )
         s = load_band_stack(path)
+        save_band_stack(s, tmp_path / "lib")
+        ref_save_band_stack(s, tmp_path / "ref")
+        for f in (tmp_path / "ref").iterdir():
+            assert (tmp_path / "lib" / f.name).read_bytes() == f.read_bytes()
+
+    @pytest.mark.parametrize("rows", [None, 3, 7])
+    @pytest.mark.parametrize("h,w", [(200, 96), (30, 18)])
+    def test_loaded_stack_in_row_chunks_bytes_equal_reference(self, tmp_path, rng, monkeypatch,
+                                                             h, w, rows):
+        # rows: chunks of that many rows rounded down to even (None: the
+        # library's chunk height; 96 wide, 200 rows is 170 + 30).
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        if rows:
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
         save_band_stack(s, tmp_path / "lib")
         ref_save_band_stack(s, tmp_path / "ref")
         for f in (tmp_path / "ref").iterdir():

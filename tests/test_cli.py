@@ -1,13 +1,30 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from raftcensus import SynthParams, datasets, generate_synthetic_scene, run_census, save_model
+import raftcensus
+from raftcensus import (
+    BandId,
+    BandStack,
+    GeoRef,
+    SynthParams,
+    datasets,
+    generate_synthetic_scene,
+    load_band_stack,
+    run_census,
+    save_model,
+)
+from raftcensus import bandstack
 from raftcensus.cli import dispatch, render_overlay
-from raftcensus.pipeline import CensusConfig
+from raftcensus.pipeline import CensusConfig, run_pipeline
 from raftcensus.waterdetect import NdwiOtsu
+
+from oracles import ref_render_overlay, ref_write_synthetic_scene
 
 SUBCOMMANDS = ("import", "synth", "train-water", "train-platform", "census", "eval", "render")
 
@@ -135,7 +152,7 @@ class TestSynth:
     @pytest.mark.parametrize("width,height", [(65, 64), (64, 47)])
     def test_odd_size_rejected_before_drawing(self, tmp_path, capsys, monkeypatch, width, height):
         drawn = []
-        monkeypatch.setattr(datasets, "generate_synthetic_scene", drawn.append)
+        monkeypatch.setattr(datasets, "write_synthetic_scene", lambda *a: drawn.append(a))
         out = tmp_path / "scene"
         assert run_cli("synth", "--out", str(out), "--width", str(width),
                        "--height", str(height)) == 2
@@ -145,6 +162,59 @@ class TestSynth:
         )
         assert drawn == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--width", "64", "--height", "48", "--rafts", "3", "--noise-sigma", "0"),
+        ("--width", "96", "--height", "200", "--rafts", "6", "--raft-size", "3",
+         "--noise-sigma", "0.08", "--origin", "500000", "4680000"),
+    ])
+    def test_files_equal_whole_plane_reference(self, tmp_path, flags):
+        assert run_cli("synth", "--out", str(tmp_path / "cli"), "--seed", "11", *flags) == 0
+        opts = dict(zip(flags[::2], flags[1::2]))
+        geo = GeoRef(500000.0, 4680000.0, "EPSG:32629") if "--origin" in opts else None
+        params = SynthParams(
+            width=int(opts["--width"]), height=int(opts["--height"]),
+            raft_count=int(opts["--rafts"]), raft_size_px=int(opts.get("--raft-size", 2)),
+            noise_sigma=float(opts["--noise-sigma"]), seed=11, geo=geo,
+        )
+        ref_write_synthetic_scene(params, tmp_path / "ref")
+        names = sorted(f.name for f in (tmp_path / "ref").iterdir())
+        assert sorted(f.name for f in (tmp_path / "cli").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    @pytest.mark.parametrize("flags,spectra,message", [
+        (("--rafts", "200"), None, "rafts do not fit"),
+        (("--width", "31"), None, "dimensions must be even"),
+        ((), '{"water": [0.1], "land": [0.2], "raft": [0.3]}', "'water' must list 10 values"),
+        ((), '{"water": [NaN, 0, 0, 0, 0, 0, 0, 0, 0, 0]}', "'water' has invalid reflectances"),
+        ((), '{"water": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]}',
+         "lacks class 'land'"),
+    ])
+    def test_data_errors_exit_2_before_the_directory(self, tmp_path, capsys, flags, spectra,
+                                                     message):
+        args = ["synth", "--out", str(tmp_path / "scene"), "--width", "32", "--height", "32",
+                *flags]
+        if spectra is not None:
+            (tmp_path / "s.json").write_text(spectra)
+            args += ["--spectra", str(tmp_path / "s.json")]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "scene").exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_synth_peak_memory_far_below_the_float_planes(self, tmp_path):
+        # Ten float64 planes of this scene take 335 MB; the streamed
+        # synth holds a 4 MB class map plus row-chunk buffers.
+        env = dict(os.environ, PYTHONPATH=str(Path(raftcensus.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(Path(__file__).with_name("peak_rss.py")), "100",
+             "synth", "--out", str(tmp_path / "scene"), "--width", "2048", "--height", "2048",
+             "--rafts", "2000", "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestImport:
@@ -364,6 +434,32 @@ class TestRender:
         assert yellow.sum() == 5 * 5  # five 5-pixel crosses
         for r, c in truth.raft_centroids:
             assert yellow[int(round(r)), int(round(c))]
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_bytes_equal_whole_plane_reference(self, scene_dir, platform_model, tmp_path,
+                                               monkeypatch, rows):
+        if rows:  # windows of 3 rows
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * 192)
+        cfg = CensusConfig(water_method=NdwiOtsu(), platform_model=platform_model)
+        loaded = load_band_stack(scene_dir / "manifest.json")
+        result = run_pipeline(loaded, cfg)
+        memory, _ = generate_synthetic_scene(SynthParams(width=40, height=30, raft_count=1, seed=2))
+        flat = {b: np.full((5, 7), 0.25) for b in BandId}
+        edge = np.zeros((30, 40), dtype=bool)
+        edge[0, :] = edge[:, -1] = True
+        cases = [
+            (loaded, result.water_mask, result.platform_mask, result.census),
+            (loaded, None, None, result.census),
+            (memory, edge, ~edge, None),
+            (memory, np.ones((30, 40), dtype=bool), np.ones((30, 40), dtype=bool), None),
+            (BandStack(width=7, height=5, pixel_size=10.0, planes=flat), None, None, None),
+        ]
+        assert result.census.count > 0
+        for i, (stack, water, platform, census) in enumerate(cases):
+            lib, ref = tmp_path / f"lib{i}.ppm", tmp_path / f"ref{i}.ppm"
+            render_overlay(stack, water, platform, census, lib)
+            ref_render_overlay(stack, water, platform, census, ref)
+            assert lib.read_bytes() == ref.read_bytes()
 
     def test_render_deterministic(self, scene_dir, model_path, tmp_path):
         outs = []

@@ -3,6 +3,7 @@ import pytest
 
 from raftcensus import (
     BandId,
+    GeoRef,
     SynthParams,
     compute_ndwi,
     extract_platform_samples,
@@ -11,6 +12,7 @@ from raftcensus import (
     synthetic_pixel_dataset,
     water_mask_ndwi,
 )
+from raftcensus import bandstack
 from raftcensus.datasets import (
     DEFAULT_TRAINING_TOTAL,
     PLATFORM_CLASS_NAMES,
@@ -19,10 +21,11 @@ from raftcensus.datasets import (
     _place_rafts,
     load_labeled_csv,
     save_labeled_csv,
+    write_synthetic_scene,
 )
 from raftcensus.errors import DatasetError
 
-from oracles import ref_place_rafts
+from oracles import ref_generate_synthetic_scene, ref_place_rafts, ref_write_synthetic_scene
 
 
 class TestSpectra:
@@ -65,6 +68,109 @@ class TestSpectra:
         path.write_text('{"water": [0.1, 0.2]}')
         with pytest.raises(DatasetError):
             load_spectra(path)
+
+
+def ten(v):
+    return [v] * 10
+
+
+class TestSpectraInParams:
+    """SynthParams checks its spectra as load_spectra checks a file's."""
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda s: s.pop("raft"), "lacks class 'raft'"),
+            (lambda s: s.update(water=[0.1, 0.2, 0.3]), "class 'water' must list 10 values"),
+            (lambda s: s.update(land=ten(float("nan"))), "class 'land' has invalid reflectances"),
+            (lambda s: s.update(raft=ten(-0.1)), "class 'raft' has invalid reflectances"),
+            (lambda s: s.update(land=np.full(10, np.inf)), "class 'land' has invalid"),
+            (lambda s: s.update(water=np.zeros((2, 5))), "class 'water' must be a flat list"),
+            (lambda s: s.update(water=ten("0.1")), "class 'water' must be a flat list"),
+            (lambda s: s.update(water=ten(True)), "class 'water' must be a flat list"),
+        ],
+    )
+    def test_bad_spectra_rejected_naming_the_class(self, change, message):
+        spectra = {name: list(v) for name, v in load_spectra().items()}
+        change(spectra)
+        with pytest.raises(DatasetError, match=message):
+            SynthParams(width=32, height=32, spectra=spectra)
+
+    def test_good_spectra_accepted_as_lists_or_arrays(self):
+        spectra = load_spectra()
+        as_lists = {name: v.tolist() for name, v in spectra.items()}
+        as_lists["_note"] = "ignored"
+        for given in (spectra, as_lists):
+            stack, _ = generate_synthetic_scene(
+                SynthParams(width=32, height=32, raft_count=1, seed=1, spectra=given)
+            )
+            ref, _ = ref_generate_synthetic_scene(
+                SynthParams(width=32, height=32, raft_count=1, seed=1, spectra=spectra)
+            )
+            for b in BandId:
+                assert np.array_equal(stack.planes[b], ref.planes[b])
+
+    def test_layout_errors_come_before_the_directory(self, tmp_path):
+        out = tmp_path / "scene"
+        with pytest.raises(DatasetError, match="fit"):
+            write_synthetic_scene(SynthParams(width=32, height=32, raft_count=200), out)
+        assert not out.exists()
+
+
+# Scenes drawn in row chunks against the whole-plane reference: sigma 0
+# and 0.08, 3 px rafts, the smallest scene, and heights that are not a
+# multiple of the chunk height (96 wide: chunks of 170 rows).
+SCENES = [
+    dict(width=64, height=64, raft_count=4, noise_sigma=0.0, seed=2),
+    dict(width=64, height=48, raft_count=4, noise_sigma=0.08, seed=3),
+    dict(width=128, height=96, raft_count=12, raft_size_px=3, seed=4),
+    dict(width=24, height=24, raft_count=0, seed=5),
+    dict(width=96, height=200, raft_count=6, raft_size_px=3, noise_sigma=0.08, seed=6),
+]
+# None keeps the library's chunk height; a number sets _BLOCK_PIXELS to
+# that many rows' worth, so chunks are that many rows rounded down to even.
+CHUNK_ROWS = [None, 7]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+class TestStreamedScene:
+    @pytest.mark.parametrize("rows", CHUNK_ROWS)
+    @pytest.mark.parametrize("kw", SCENES + [dict(width=97, height=130, raft_count=5, seed=13)])
+    def test_planes_and_truth_equal_whole_plane_reference(self, monkeypatch, kw, rows):
+        if rows:
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * kw["width"])
+        stack, truth = generate_synthetic_scene(SynthParams(**kw))
+        ref, ref_truth = ref_generate_synthetic_scene(SynthParams(**kw))
+        for b in BandId:
+            assert np.array_equal(bits(stack.planes[b]), bits(ref.planes[b])), b
+        for name in ("water_mask", "raft_mask", "class_map"):
+            assert np.array_equal(getattr(truth, name), getattr(ref_truth, name))
+        assert truth.raft_centroids == ref_truth.raft_centroids
+
+    @pytest.mark.parametrize("rows", CHUNK_ROWS)
+    @pytest.mark.parametrize("kw", SCENES)
+    def test_written_files_equal_whole_plane_reference(self, tmp_path, monkeypatch, kw, rows):
+        if rows:
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * kw["width"])
+        params = SynthParams(**kw, geo=GeoRef(500000.0, 4680000.0, "EPSG:32629"))
+        centroids = write_synthetic_scene(params, tmp_path / "lib")
+        ref_write_synthetic_scene(params, tmp_path / "ref")
+        names = sorted(f.name for f in (tmp_path / "ref").iterdir())
+        assert len(names) == 14
+        assert sorted(f.name for f in (tmp_path / "lib").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        assert len(centroids) == kw["raft_count"]
+
+    def test_chunks_are_even_and_cover_every_row(self):
+        for width, height in ((2048, 2048), (96, 200), (24, 24), (20000, 6), (1, 4)):
+            chunks = list(bandstack.row_chunks(width, height))
+            assert chunks[0][0] == 0 and chunks[-1][1] == height
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            assert all((r1 - r0) % 2 == 0 for r0, r1 in chunks)
 
 
 class TestSyntheticScene:
@@ -110,6 +216,13 @@ class TestSyntheticScene:
             for j in range(i + 1, len(cents)):
                 d = np.abs(cents[i] - cents[j]).max()
                 assert d >= 3 + 2  # size + minimum gap
+
+    def test_overflowing_noise_rejected(self, tmp_path):
+        params = SynthParams(width=32, height=32, raft_count=1, noise_sigma=1e308, seed=1)
+        with pytest.raises(DatasetError, match="noise_sigma 1e[+]308 draws reflectances beyond"):
+            generate_synthetic_scene(params)
+        with pytest.raises(DatasetError, match="noise_sigma"):
+            write_synthetic_scene(params, tmp_path / "scene")
 
     def test_rafts_do_not_fit(self):
         with pytest.raises(DatasetError, match="fit"):
