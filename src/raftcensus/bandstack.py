@@ -8,11 +8,12 @@ file paths. Digital numbers are scaled to reflectance by dividing by
 A loaded stack keeps each band's uint16 digital numbers at its native
 resolution and scales and upsamples them one row window at a time, when
 ``BandStack.rows`` asks for the window: a census never holds a whole
-float64 plane. The window reader upsamples 20 m bands from fixed
-quarter and three-quarter slice sums; every value is bitwise equal to
-``resample_plane`` of the scaled band. Census stages walk the stack
-through ``BandStack.windows``, which owns the window size
-(``_BLOCK_PIXELS`` pixels per window).
+float64 plane. There is one x2 upsampler, ``_upsample_rows``, built from
+fixed quarter and three-quarter slice sums: the window reader runs it on
+the input rows under a window, and ``resample_plane`` on a whole plane,
+so every window value is bitwise equal to ``resample_plane`` of the
+scaled band. Census stages walk the stack through ``BandStack.windows``,
+which owns the window size (``_BLOCK_PIXELS`` pixels per window).
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
@@ -34,6 +35,7 @@ Relative band paths are resolved against the manifest's directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -107,6 +109,11 @@ class GeoRef:
     origin_northing: float
     crs: str
 
+    def __post_init__(self):
+        if not (math.isfinite(self.origin_easting) and math.isfinite(self.origin_northing)):
+            raise ValueError(f"geo origin must be finite, got "
+                             f"({self.origin_easting!r}, {self.origin_northing!r})")
+
 
 @dataclass(frozen=True)
 class BandStack:
@@ -128,6 +135,8 @@ class BandStack:
     geo: GeoRef | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
+            raise ValueError(f"pixel_size must be finite and positive, got {self.pixel_size!r}")
         missing = [b.value for b in BandId if b not in self.planes]
         if missing:
             raise ManifestError(f"missing band planes: {', '.join(missing)}")
@@ -239,12 +248,20 @@ class _DnPlanes(Mapping):
             else:
                 p = dn[a : b + 1].astype(np.float64)
                 p /= DN_SCALE
-                row = np.empty((len(p), 2 * p.shape[1]))
-                _upsample2(p.T, 0, p.shape[1], row.T, 0)  # columns, at input height
-                p = np.empty((r1 - r0, row.shape[1]))
-                _upsample2(row, a, n, p, r0)
+                p = _upsample_rows(p, a, n, r0, r1)
             out[band] = p
         return out
+
+
+def _upsample_rows(p: np.ndarray, a: int, n: int, r0: int, r1: int) -> np.ndarray:
+    """Rows r0..r1-1 of the x2 bilinear upsampling of an ``n``-row float64
+    plane, from ``p``, its rows a, a+1, ..., every row those outputs need.
+    Columns are upsampled first, at input height, then rows."""
+    row = np.empty((len(p), 2 * p.shape[1]))
+    _upsample2(p.T, 0, p.shape[1], row.T, 0)  # columns, at input height
+    out = np.empty((r1 - r0, row.shape[1]))
+    _upsample2(row, a, n, out, r0)
+    return out
 
 
 def _upsample2(p: np.ndarray, a: int, n: int, out: np.ndarray, r0: int) -> None:
@@ -252,19 +269,20 @@ def _upsample2(p: np.ndarray, a: int, n: int, out: np.ndarray, r0: int) -> None:
     bilinear upsampling of an axis of ``n`` input samples x; ``p`` holds
     x[a], x[a+1], ..., every sample those outputs need.
 
-    The interior weights are exactly 1/4 and 3/4, so slice sums replace
-    ``_bilinear``'s gathers with the same IEEE operations: odd output 2k+1
-    is x[k]*0.75 + x[k+1]*0.25 and even output 2k+2 is x[k]*0.25 +
-    x[k+1]*0.75. Outputs 0 and 2n-1 copy x[0] and x[n-1]: ``_bilinear``
-    weights those 1 and a neighbour 0, and a*1 + b*0 == a for finite
+    Output i is x[lo]*(1 - f) + x[lo+1]*f at input coordinate lo + f =
+    (i + 0.5) / 2 - 0.5, clamped to [0, n - 1]. Interior weights are
+    exactly 1/4 and 3/4, so slice sums do the same IEEE operations: odd
+    output 2k+1 is x[k]*0.75 + x[k+1]*0.25, even output 2k+2 is
+    x[k]*0.25 + x[k+1]*0.75. Outputs 0 and 2n-1 copy x[0] and x[n-1], which
+    the formula weights 1 and a neighbour 0: a*1 + b*0 == a for finite
     a >= +0 and finite b.
     """
     r1 = r0 + len(out)
     q = p * 0.25
     t = p * 0.75
-    if r0 == 0:
+    if r0 == 0 < r1:
         out[0] = p[0]
-    if r1 == 2 * n:
+    if r0 < r1 == 2 * n:
         out[-1] = p[-1]
     lo, hi = max(r0, 1), min(r1, 2 * n - 1)  # interior outputs
     for i, first, second in ((lo | 1, t, q), (lo + (lo & 1), q, t)):  # first odd, even
@@ -381,57 +399,20 @@ def write_pgm16_rows(path, width: int, height: int, chunks: Iterable[np.ndarray]
         raise DimensionError(f"{path}: wrote {rows} rows of a PGM {height} high")
 
 
-def _axis_coords(start: int, stop: int, n_in: int, factor: int):
-    """Bilinear source coordinates of output indices start..stop-1 along an
-    axis of ``n_in`` input samples: (lower index, upper index, fraction)."""
-    x = (np.arange(start, stop) + 0.5) / factor - 0.5
-    x = np.clip(x, 0.0, n_in - 1.0)
-    lo = np.floor(x).astype(int)
-    hi = np.minimum(lo + 1, n_in - 1)
-    return lo, hi, x - lo
-
-
-def _bilinear(p: np.ndarray, rows, cols) -> np.ndarray:
-    """Samples of ``p`` at ``_axis_coords`` triples ``rows`` and ``cols``.
-
-    Interpolates along columns once at input height, then along rows.
-    Each axis gathers into a fresh array and weights it in place, so
-    every output element gets a * (1 - f) + b * f in that order.
-    """
-    r0, r1, fy = rows
-    c0, c1, fx = cols
-    fy = fy[:, None]
-    row = np.take(p, c0, axis=1)
-    row *= 1 - fx
-    t = np.take(p, c1, axis=1)
-    t *= fx
-    row += t
-    out = np.take(row, r0, axis=0)
-    out *= 1 - fy
-    t = np.take(row, r1, axis=0)
-    t *= fy
-    out += t
-    return out
-
-
 def resample_plane(p: np.ndarray, factor: int) -> np.ndarray:
-    """Upsample a plane by an integer factor, bilinearly.
+    """Upsample a whole plane x2, bilinearly, with the window reader's
+    upsampler (``_upsample_rows``); ``factor`` must be 2.
 
-    Pixel centers align: output center (i + 0.5) / factor maps to input
-    coordinate (i + 0.5) / factor - 0.5, clamped to the valid range so
-    edges extend rather than shrink.
+    Pixel centers align: output center (i + 0.5) / 2 maps to input
+    coordinate (i + 0.5) / 2 - 0.5, clamped to the valid range so edges
+    extend rather than shrink.
     """
-    if factor < 1:
-        raise ValueError(f"resample factor must be >= 1, got {factor}")
+    if factor != 2:
+        raise ValueError(f"resample factor must be 2, got {factor}")
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2:
         raise DimensionError(f"plane must be 2-D, got shape {p.shape}")
-    if factor == 1:
-        return p.copy()
-    h, w = p.shape
-    return _bilinear(
-        p, _axis_coords(0, h * factor, h, factor), _axis_coords(0, w * factor, w, factor)
-    )
+    return _upsample_rows(p, 0, len(p), 0, 2 * len(p))
 
 
 def load_band_stack(manifest_path) -> BandStack:

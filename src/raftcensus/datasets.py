@@ -190,7 +190,9 @@ def _place_rafts(params: SynthParams, rng: np.random.Generator) -> list[tuple[in
     A candidate is kept unless a placed corner lies within ``reach`` rows
     and ``reach`` columns of it. Placed corners are filed in square cells
     ``reach`` wide, so a clashing corner is in the candidate's cell or one
-    of the 8 around it, and only those are tested.
+    of the 8 around it, and only those are tested. Two corners in one
+    ``reach`` x ``reach`` block of the corner range would clash, so a count
+    above the number of such blocks is rejected before any draw.
     """
     border = _border_width(params.width, params.height)
     size = params.raft_size_px
@@ -201,6 +203,10 @@ def _place_rafts(params: SynthParams, rng: np.random.Generator) -> list[tuple[in
     hi_c = params.width - border - _RAFT_COAST_MARGIN_PX - size
     if params.raft_count and (hi_r < lo_r or hi_c < lo_c):
         raise DatasetError("rafts do not fit: water region too small")
+    most = -(-(hi_r - lo_r + 1) // reach) * -(-(hi_c - lo_c + 1) // reach)
+    if params.raft_count > most:
+        raise DatasetError(f"rafts do not fit: at most {most} rafts of {size}x{size} px "
+                           f"fit this scene, asked for {params.raft_count}")
     corners: list[tuple[int, int]] = []
     cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
     attempts = 0

@@ -4,6 +4,11 @@ Everything derives from RaftCensusError so callers (and the CLI) can
 distinguish data/usage problems from genuine bugs.
 """
 
+__all__ = [
+    "RaftCensusError", "ManifestError", "PgmError", "DimensionError", "DegenerateHistogramError",
+    "ModelFormatError", "TrainingError", "DatasetError", "EvaluationError",
+]
+
 
 class RaftCensusError(Exception):
     """Base class for all errors raised by this package."""

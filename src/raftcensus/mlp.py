@@ -36,6 +36,7 @@ __all__ = [
     "threshold_planes",
     "loss_and_gradient",
     "train",
+    "split_data",
     "evaluate_confusion",
     "save_model",
     "load_model",

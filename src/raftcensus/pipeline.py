@@ -232,19 +232,14 @@ _GEOJSON_FEATURE = """\
     }"""
 
 
-def _json_float(x: float) -> str:
-    """``x`` as ``json.dumps`` writes a float."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
 def census_to_geojson(census: Census, crs: str | None = None) -> str:
     """GeoJSON FeatureCollection of Point features (easting, northing).
 
     The text is what ``json.dumps(collection, indent=2, sort_keys=True)``
-    gives, byte for byte; features are filled into a fixed template, since
-    that call would run the pure-Python encoder over every feature.
+    gives, byte for byte. Features are filled into a fixed template, since
+    that call would run the pure-Python encoder over every feature; their
+    coordinates must be finite, so ``float.__repr__`` writes them as
+    ``json.dumps`` does and the text holds no NaN or Infinity token.
     """
     features = []
     for rec in census.records:
@@ -254,19 +249,24 @@ def census_to_geojson(census: Census, crs: str | None = None) -> str:
                 "load the stack with a geo block to export GeoJSON"
             )
         easting, northing = rec.centroid_geo
+        if not (math.isfinite(easting) and math.isfinite(northing)):
+            raise RaftCensusError(
+                f"record {rec.id} has a non-finite geographic centroid "
+                f"({easting!r}, {northing!r})"
+            )
         features.append(
             _GEOJSON_FEATURE
-            % (_json_float(easting), _json_float(northing), rec.area_px, *rec.bbox, rec.id)
+            % (float.__repr__(easting), float.__repr__(northing), rec.area_px, *rec.bbox, rec.id)
         )
-    listed = "\n" + ",\n".join(features) + "\n  " if features else ""
-    properties = [
-        f'"config_digest": {json.dumps(census.config_digest)}',
-        f'"count": {census.count}',
-        *([f'"crs": {json.dumps(crs)}'] if crs else []),
-        f'"source": {json.dumps(census.source)}',
-    ]
-    return (
-        f'{{\n  "features": [{listed}],\n  "properties": {{\n    '
-        + ",\n    ".join(properties)
-        + '\n  },\n  "type": "FeatureCollection"\n}\n'
-    )
+    properties = {
+        "config_digest": census.config_digest,
+        "count": census.count,
+        "source": census.source,
+        **({"crs": crs} if crs else {}),
+    }
+    collection = {"features": [], "properties": properties, "type": "FeatureCollection"}
+    text = json.dumps(collection, indent=2, sort_keys=True)
+    if features:
+        listed = ",\n".join(features)
+        text = text.replace('"features": []', f'"features": [\n{listed}\n  ]', 1)
+    return text + "\n"

@@ -21,6 +21,7 @@ __all__ = [
     "WaterMethod",
     "compute_ndwi",
     "otsu_threshold",
+    "quantize_ndwi",
     "water_mask_ndwi",
     "water_mask_mlp",
     "clean_water_mask",

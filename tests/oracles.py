@@ -41,7 +41,6 @@ from raftcensus.bandstack import (
     BandStack,
     GeoRef,
     read_pgm16,
-    resample_plane,
 )
 from raftcensus.blobs import Blob, _convex_area
 from raftcensus.datasets import (
@@ -395,7 +394,7 @@ def ref_load_band_stack(manifest_path) -> BandStack:
     for band in BandId:
         plane = read_pgm16(manifest_path.parent / manifest["bands"][band.value])
         plane = plane.astype(np.float64) / DN_SCALE
-        planes[band] = plane if band.native_resolution_m == 10 else resample_plane(plane, 2)
+        planes[band] = plane if band.native_resolution_m == 10 else ref_bilinear_gathers(plane, 2)
     geo = manifest.get("geo")
     if geo is not None:
         geo = GeoRef(float(geo["origin_easting"]), float(geo["origin_northing"]), str(geo["crs"]))

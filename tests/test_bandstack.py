@@ -184,14 +184,14 @@ class TestResample:
         out = resample_plane(p, 2)
         assert np.allclose(out, [[0.0, 0.5, 1.5, 2.0], [0.0, 0.5, 1.5, 2.0]])
 
-    @pytest.mark.parametrize("factor", [2, 3, 4])
+    @pytest.mark.parametrize("factor", [2])
     def test_bilinear_matches_reference(self, rng, factor):
         p = rng.uniform(0, 1.5, size=(5, 7))
         assert np.allclose(
             resample_plane(p, factor), ref_bilinear(p, factor), atol=1e-12
         )
 
-    @pytest.mark.parametrize("factor", [2, 3, 4])
+    @pytest.mark.parametrize("factor", [2])
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (5, 7), (6, 8), (64, 33)])
     def test_bilinear_bit_identical_to_four_gathers(self, rng, factor, shape):
         p = rng.uniform(0, 1.5, size=shape)
@@ -200,7 +200,7 @@ class TestResample:
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("factor", [2, 3, 4])
+    @pytest.mark.parametrize("factor", [2])
     @pytest.mark.parametrize("kind", ["strided", "uint16", "float32"])
     def test_bilinear_bit_identical_for_input_kinds(self, rng, factor, kind):
         if kind == "strided":
@@ -215,7 +215,7 @@ class TestResample:
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("factor", [1, 2, 3], ids=lambda f: f"{f}-bilinear")
+    @pytest.mark.parametrize("factor", [2], ids=lambda f: f"{f}-bilinear")
     def test_input_left_unmodified(self, rng, factor):
         base = rng.uniform(0, 1.5, size=(12, 10))
         for p in (base, base[::2, 1:]):
@@ -224,18 +224,20 @@ class TestResample:
             assert np.array_equal(p.view(np.uint64), before.view(np.uint64))
             assert not np.shares_memory(out, p)
 
-    def test_factor_one_is_identity(self, rng):
-        p = rng.uniform(0, 1, size=(4, 4))
-        assert np.array_equal(resample_plane(p, 1), p)
+    @pytest.mark.parametrize("factor", [0, 1, 3])
+    def test_factors_other_than_two_rejected(self, factor):
+        with pytest.raises(ValueError, match="must be 2"):
+            resample_plane(np.zeros((2, 2)), factor)
 
     def test_bilinear_bounded_by_input_range(self, rng):
         p = rng.uniform(0, 1.5, size=(6, 6))
-        out = resample_plane(p, 3)
+        out = resample_plane(p, 2)
         assert out.min() >= p.min() - 1e-12 and out.max() <= p.max() + 1e-12
 
-    def test_factor_zero_rejected(self):
-        with pytest.raises(ValueError):
-            resample_plane(np.zeros((2, 2)), 0)
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_plane(self, shape):
+        out = resample_plane(np.zeros(shape), 2)
+        assert out.shape == (2 * shape[0], 2 * shape[1])
 
 
 class TestLoad:
@@ -283,6 +285,14 @@ class TestLoad:
         s2 = load_band_stack(path)
         for b in BandId:
             assert np.array_equal(s1.planes[b], s2.planes[b])
+
+    @pytest.mark.parametrize("origin", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_origin_rejected(self, tmp_path, origin):
+        path = write_manifest(tmp_path, geo={"origin_easting": origin[0],
+                                             "origin_northing": origin[1],
+                                             "crs": "EPSG:32629"})
+        with pytest.raises(ManifestError, match="finite"):
+            load_band_stack(path)
 
     def test_save_load_round_trip_quantized(self, tmp_path, rng):
         path = write_manifest(tmp_path, geo={"origin_easting": 1.0,
@@ -614,6 +624,23 @@ class TestStackInvariants:
         planes[BandId.B4][0, 0] = -0.1
         with pytest.raises(ValueError, match="negative"):
             BandStack(width=2, height=2, pixel_size=10.0, planes=planes)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, value):
+        planes = {b: np.zeros((2, 2)) for b in BandId}
+        planes[BandId.B4][1, 0] = value
+        with pytest.raises(ValueError, match="non-finite or negative"):
+            BandStack(width=2, height=2, pixel_size=10.0, planes=planes)
+
+    def test_empty_planes_accepted(self):
+        planes = {b: np.zeros((0, 3)) for b in BandId}
+        assert BandStack(width=3, height=0, pixel_size=10.0, planes=planes).height == 0
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -10.0])
+    def test_bad_pixel_size_rejected(self, size):
+        planes = {b: np.zeros((2, 2)) for b in BandId}
+        with pytest.raises(ValueError, match="pixel_size"):
+            BandStack(width=2, height=2, pixel_size=size, planes=planes)
 
     def test_missing_plane_rejected(self):
         planes = {b: np.zeros((2, 2)) for b in BandId if b is not BandId.B11}

@@ -33,6 +33,10 @@ def run_cli(*args):
     return dispatch(list(args))
 
 
+def reject_json_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scene")
@@ -186,6 +190,7 @@ class TestSynth:
     @pytest.mark.parametrize("flags,spectra,message", [
         (("--rafts", "200"), None, "rafts do not fit"),
         (("--width", "31"), None, "dimensions must be even"),
+        (("--origin", "nan", "0"), None, "geo origin must be finite"),
         ((), '{"water": [0.1], "land": [0.2], "raft": [0.3]}', "'water' must list 10 values"),
         ((), '{"water": [NaN, 0, 0, 0, 0, 0, 0, 0, 0, 0]}', "'water' has invalid reflectances"),
         ((), '{"water": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]}',
@@ -289,9 +294,26 @@ class TestCensusEvalCli:
         out_csv = tmp_path / "c.csv"
         assert run_cli("census", "--manifest", str(scene / "manifest.json"),
                        "--platform-model", str(model_path), "--out", str(out_csv)) == 0
-        geojson = json.loads(out_csv.with_suffix(".geojson").read_text())
+        geojson = json.loads(out_csv.with_suffix(".geojson").read_text(),
+                             parse_constant=reject_json_constant)
         assert geojson["properties"]["crs"] == "EPSG:32629"
         assert len(geojson["features"]) == 3
+
+    @pytest.mark.parametrize("origin", ["NaN", "Infinity"])
+    def test_census_rejects_non_finite_origin(self, scene_dir, model_path, tmp_path, capsys,
+                                              origin):
+        manifest = json.loads((scene_dir / "manifest.json").read_text())
+        manifest["bands"] = {b: str(scene_dir / name) for b, name in manifest["bands"].items()}
+        manifest["geo"] = {"origin_easting": 500000.0, "origin_northing": float(origin),
+                           "crs": "EPSG:32629"}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        out_csv = tmp_path / "c.csv"
+        code = run_cli("census", "--manifest", str(tmp_path / "manifest.json"),
+                       "--platform-model", str(model_path), "--out", str(out_csv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "geo origin must be finite" in err and "Traceback" not in err
+        assert not out_csv.exists()
 
     def test_water_mlp_route(self, scene_dir, model_path, water_model, tmp_path):
         wm_path = tmp_path / "water.mlp"

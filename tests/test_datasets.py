@@ -273,7 +273,10 @@ class TestRaftPlacement:
         assert state == ref_state
 
     @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("size,side,count", [(2, 48, 20), (3, 64, 30)])
+    # The last two counts are at the bound of _place_rafts: as many rafts as
+    # the corner range has reach x reach blocks.
+    @pytest.mark.parametrize("size,side,count", [(2, 48, 20), (3, 64, 30), (2, 48, 25),
+                                                 (3, 64, 36)])
     def test_same_message_when_rafts_do_not_fit(self, seed, size, side, count):
         params = SynthParams(width=side, height=side, raft_count=count,
                              raft_size_px=size, seed=seed)
@@ -281,6 +284,16 @@ class TestRaftPlacement:
         assert isinstance(message, str) and message.startswith("rafts do not fit: placed")
         assert message == ref_message
         assert state == ref_state
+
+    @pytest.mark.parametrize("size,side,count,most", [(2, 48, 26, 25), (3, 32, 5, 4),
+                                                      (2, 64, 100000, 64)])
+    def test_count_above_the_bound_draws_nothing(self, size, side, count, most):
+        params = SynthParams(width=side, height=side, raft_count=count, raft_size_px=size)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(DatasetError, match=f"do not fit: at most {most} rafts"):
+            _place_rafts(params, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestExtractPlatformSamples:

@@ -228,6 +228,17 @@ class TestRunCensus:
             CensusConfig(water_method=NdwiOtsu(), platform_model=init_model((10, 8, 3)))
 
 
+def hand_built_census(coords, source) -> Census:
+    """A census with one record per (easting, northing) in ``coords``."""
+    records = tuple(
+        CensusRecord(id=i, centroid_px=(float(i), 2.5), area_px=4 + i,
+                     bbox=(i, 0, i + 1, 12345678901), centroid_geo=xy)
+        for i, xy in enumerate(coords, start=1)
+    )
+    return Census(records=records, count=len(records), source=source,
+                  config_digest="0123abcd4567ef89")
+
+
 class TestSerialization:
     def test_csv_shape(self, census_cfg):
         stack, _ = generate_synthetic_scene(
@@ -283,20 +294,21 @@ class TestSerialization:
 
     @pytest.mark.parametrize("coords", [
         [(500005.0, 4679995.0), (0.1, -0.0), (1e22, 5e-324)],
-        [(float("nan"), 1.5), (float("inf"), float("-inf"))],
         [],
-    ], ids=["finite", "non_finite", "empty"])
+    ], ids=["finite", "empty"])
     @pytest.mark.parametrize("crs", [None, "EPSG:32629", 'odd "crs" \\ é'])
-    @pytest.mark.parametrize("source", ["", 'dir "q"\\b\\ñ/manifest.json\t\u2603'])
+    @pytest.mark.parametrize("source", ["", 'dir "q"\\b\\ñ/manifest.json\t\u2603',
+                                        '"features": []'])
     def test_geojson_bytes_equal_json_dumps(self, coords, crs, source):
-        records = tuple(
-            CensusRecord(id=i, centroid_px=(float(i), 2.5), area_px=4 + i,
-                         bbox=(i, 0, i + 1, 12345678901), centroid_geo=xy)
-            for i, xy in enumerate(coords, start=1)
-        )
-        census = Census(records=records, count=len(records), source=source,
-                        config_digest="0123abcd4567ef89")
+        census = hand_built_census(coords, source)
         assert census_to_geojson(census, crs) == ref_census_to_geojson(census, crs)
+
+    @pytest.mark.parametrize("xy", [(float("nan"), 1.5), (1.5, float("inf")),
+                                    (float("-inf"), 1.5)])
+    def test_geojson_rejects_non_finite_centroids(self, xy):
+        census = hand_built_census([(500005.0, 4679995.0), xy], "")
+        with pytest.raises(RaftCensusError, match="record 2 has a non-finite"):
+            census_to_geojson(census)
 
     def test_empty_census_csv_is_bare_header(self, census_cfg):
         stack, _ = generate_synthetic_scene(
