@@ -5,20 +5,24 @@ Input format is deliberately plain: one binary 16-bit PGM (P5, maxval
 file paths. Digital numbers are scaled to reflectance by dividing by
 10000; 20 m bands are upsampled x2 to the 10 m grid, bilinearly.
 
-A loaded stack keeps each band's uint16 digital numbers at its native
-resolution and scales and upsamples them one row window at a time, when
-``BandStack.rows`` asks for the window: a census never holds a whole
-float64 plane. There is one x2 upsampler, ``_upsample_rows``, built from
-fixed quarter and three-quarter slice sums: the window reader runs it on
-the input rows under a window, and ``resample_plane`` on a whole plane,
-so every window value is bitwise equal to ``resample_plane`` of the
-scaled band. Census stages walk the stack through ``BandStack.windows``,
-which owns the window size (``_BLOCK_PIXELS`` pixels per window).
+A loaded stack holds no raster: it keeps each band's PGM file open and
+reads the digital numbers a row window needs when ``BandStack.rows``
+asks for the window, then scales and upsamples them. A census never
+holds a whole band, as digital numbers or as float64. There is one x2
+upsampler, ``_upsample_rows``, built from fixed quarter and
+three-quarter slice sums: the window reader runs it on the input rows
+under a window, and ``resample_plane`` on a whole plane, so every window
+value is bitwise equal to ``resample_plane`` of the scaled band. Census
+stages walk the stack through ``BandStack.windows``, which owns the
+window size (``_BLOCK_PIXELS`` pixels per window).
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
 at each band's native resolution and appends them to the band's PGM, so
-``save_band_stack`` builds no whole float plane either.
+``save_band_stack`` builds no whole float plane either. Each PGM is
+written to a temporary file beside it and then renamed over it, so a
+stack still reading the old file (``import`` into its own directory)
+keeps reading the old data.
 
 Manifest schema::
 
@@ -38,10 +42,13 @@ import json
 import math
 import os
 import sys
+import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -121,11 +128,11 @@ class BandStack:
 
     ``planes`` maps every band to a float64 plane of shape (height,
     width), row-major, finite and non-negative. A stack from
-    ``load_band_stack`` holds the bands' uint16 digital numbers instead,
-    and its ``planes`` builds a band's whole plane on each lookup. Census
-    stages walk the stack through ``windows``, which sets the window size,
-    and read each window through ``rows``, which only slices in-memory
-    planes. Treat instances as immutable.
+    ``load_band_stack`` holds its bands' open PGM files instead and reads
+    them while in use; its ``planes`` builds a band's whole plane on each
+    lookup. Census stages walk the stack through ``windows``, which sets
+    the window size, and read each window through ``rows``, which only
+    slices in-memory planes. Treat instances as immutable.
     """
 
     width: int
@@ -161,10 +168,11 @@ class BandStack:
     ) -> dict[BandId, np.ndarray]:
         """Float64 (r1 - r0, width) windows of rows r0..r1-1 of ``bands``.
 
-        In-memory planes are sliced, not copied. A loaded stack divides
-        the digital numbers by DN_SCALE, and upsamples 20 m bands from
-        the input rows under the window plus a one-row halo: every value
-        is bitwise equal to ``resample_plane`` of the whole scaled band.
+        In-memory planes are sliced, not copied. A loaded stack reads the
+        digital numbers from its files, divides them by DN_SCALE, and
+        upsamples 20 m bands from the input rows under the window plus a
+        one-row halo: every value is bitwise equal to ``resample_plane``
+        of the whole scaled band.
         """
         if not 0 <= r0 < r1 <= self.height:
             raise ValueError(f"row window [{r0}, {r1}) is not within [0, {self.height})")
@@ -212,44 +220,71 @@ class BandStack:
         return out
 
 
-class _DnPlanes(Mapping):
-    """The planes of a loaded stack, kept as uint16 digital numbers at each
-    band's native resolution; 20 m bands are half the 10 m ``shape``.
+@dataclass(frozen=True)
+class _Raster:
+    """A band's raster in its open PGM file: ``height`` rows of ``width``
+    big-endian uint16 samples from byte ``offset`` on."""
 
-    ``window`` builds float64 row windows on the 10 m grid. Looking up a
-    band builds its whole plane, the window over all rows.
+    file: BinaryIO
+    path: Path
+    offset: int
+    height: int
+    width: int
+
+    def scaled_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 read from the file and divided by DN_SCALE, float64."""
+        raw = np.empty((r1 - r0) * self.width * 2, dtype=np.uint8)
+        start, done = self.offset + r0 * self.width * 2, 0
+        while done < len(raw):
+            n = os.preadv(self.file.fileno(), [raw[done:]], start + done)
+            if n == 0:
+                raise PgmError(
+                    f"{self.path}: file ends inside raster rows {r0}..{r1 - 1} "
+                    f"({done} of {len(raw)} bytes read); it shrank after loading"
+                )
+            done += n
+        dn = raw.view(">u2").reshape(r1 - r0, self.width)
+        return np.divide(dn, DN_SCALE, dtype=np.float64)
+
+
+class _DnPlanes(Mapping):
+    """The planes of a loaded stack, read from its bands' open PGM files at
+    each band's native resolution; 20 m bands are half the 10 m ``shape``.
+    No raster is held in memory.
+
+    ``window`` reads the digital numbers under a row window and builds
+    float64 windows on the 10 m grid. Looking up a band builds its whole
+    plane, the window over all rows. ``files`` (which closes the band
+    files) is closed when the mapping is dropped.
     """
 
-    def __init__(self, dn: dict[BandId, np.ndarray]):
-        self.dn = dn
-        self.shape = dn[BandId.B2].shape
+    def __init__(self, rasters: dict[BandId, _Raster], files: ExitStack):
+        self.rasters = rasters
+        self.shape = (rasters[BandId.B2].height, rasters[BandId.B2].width)
+        weakref.finalize(self, files.close)
 
     def __getitem__(self, band: BandId) -> np.ndarray:
         return self.window(0, self.shape[0], (band,))[band]
 
     def __contains__(self, band) -> bool:  # Mapping's default would build the plane
-        return band in self.dn
+        return band in self.rasters
 
     def __iter__(self):
-        return iter(self.dn)
+        return iter(self.rasters)
 
     def __len__(self) -> int:
-        return len(self.dn)
+        return len(self.rasters)
 
     def window(self, r0: int, r1: int, bands: Iterable[BandId]) -> dict[BandId, np.ndarray]:
         out = {}
         n = self.shape[0] // 2
         a, b = max(0, (r0 - 1) // 2), min(n - 1, r1 // 2)  # 20 m rows under the window
         for band in bands:
-            dn = self.dn[band]
+            raster = self.rasters[band]
             if band.native_resolution_m == 10:
-                p = dn[r0:r1].astype(np.float64)
-                p /= DN_SCALE
+                out[band] = raster.scaled_rows(r0, r1)
             else:
-                p = dn[a : b + 1].astype(np.float64)
-                p /= DN_SCALE
-                p = _upsample_rows(p, a, n, r0, r1)
-            out[band] = p
+                out[band] = _upsample_rows(raster.scaled_rows(a, b + 1), a, n, r0, r1)
         return out
 
 
@@ -294,35 +329,46 @@ def _upsample2(p: np.ndarray, a: int, n: int, out: np.ndarray, r0: int) -> None:
 def read_pgm16(path) -> np.ndarray:
     """Read a binary PGM (P5) with maxval 65535 into a uint16 array.
 
-    The header is parsed from a prefix of the file, 1 KiB at first and
-    doubled while the header runs past it; the raster is read straight
+    The header is checked by ``_pgm_raster``; the raster is read straight
     into the array and byteswapped in place.
     """
     with open(path, "rb") as f:
-        data, size = b"", 1024
-        while True:
-            data += f.read(size - len(data))
-            try:
-                width, height, maxval, pos = _pgm_header(data, len(data) < size, path)
-                break
-            except _NeedMore:
-                size *= 2
-        if width <= 0 or height <= 0:
-            raise PgmError(f"{path}: bad dimensions {width}x{height}")
-        if maxval != 65535:
-            raise PgmError(f"{path}: maxval must be 65535, got {maxval}")
-        pos += 1  # single whitespace byte after maxval
-        expected = width * height * 2
-        got = min(expected, max(0, f.seek(0, os.SEEK_END) - pos))
-        if got == expected:  # allocate only for a raster the file holds
-            raster = np.empty((height, width), dtype=np.uint16)
-            f.seek(pos)
-            got = f.readinto(memoryview(raster).cast("B"))
-    if got != expected:
-        raise PgmError(f"{path}: expected {expected} raster bytes, got {got}")
+        height, width, pos = _pgm_raster(f, path)
+        raster = np.empty((height, width), dtype=np.uint16)
+        f.seek(pos)
+        got = f.readinto(memoryview(raster).cast("B"))
+    if got != raster.nbytes:
+        raise PgmError(f"{path}: expected {raster.nbytes} raster bytes, got {got}")
     if sys.byteorder == "little":
         raster.byteswap(inplace=True)
     return raster
+
+
+def _pgm_raster(f: BinaryIO, path) -> tuple[int, int, int]:
+    """(height, width, raster offset) of the binary PGM open as ``f``, once
+    its header is valid (maxval 65535) and the file holds the whole raster.
+
+    The header is parsed from a prefix of the file, 1 KiB at first and
+    doubled while the header runs past it.
+    """
+    data, size = b"", 1024
+    while True:
+        data += f.read(size - len(data))
+        try:
+            width, height, maxval, pos = _pgm_header(data, len(data) < size, path)
+            break
+        except _NeedMore:
+            size *= 2
+    if width <= 0 or height <= 0:
+        raise PgmError(f"{path}: bad dimensions {width}x{height}")
+    if maxval != 65535:
+        raise PgmError(f"{path}: maxval must be 65535, got {maxval}")
+    pos += 1  # single whitespace byte after maxval
+    expected = width * height * 2
+    got = min(expected, max(0, f.seek(0, os.SEEK_END) - pos))
+    if got != expected:
+        raise PgmError(f"{path}: expected {expected} raster bytes, got {got}")
+    return height, width, pos
 
 
 class _NeedMore(Exception):
@@ -384,19 +430,34 @@ def write_pgm16(path, values: np.ndarray) -> None:
 def write_pgm16_rows(path, width: int, height: int, chunks: Iterable[np.ndarray]) -> None:
     """Write a ``width`` x ``height`` binary PGM (P5, maxval 65535) from
     uint16 row chunks, top to bottom; each chunk is written before the
-    next is taken from ``chunks``."""
-    rows = 0
-    with open(path, "wb") as f:
-        f.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
-        for chunk in chunks:
-            if chunk.dtype.kind != "u" or chunk.dtype.itemsize != 2:
-                raise ValueError(f"PGM row chunks must be uint16, got {chunk.dtype}")
-            if chunk.ndim != 2 or chunk.shape[1] != width:
-                raise DimensionError(f"row chunk of shape {chunk.shape} for a PGM {width} wide")
-            f.write(np.ascontiguousarray(chunk, dtype=">u2"))
-            rows += len(chunk)
-    if rows != height:
-        raise DimensionError(f"{path}: wrote {rows} rows of a PGM {height} high")
+    next is taken from ``chunks``.
+
+    The file is written under a temporary name in the same directory and
+    renamed to ``path`` once complete, so an existing ``path`` is replaced,
+    not rewritten: a loaded stack still reading it keeps its data. On an
+    error the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        rows = 0
+        with open(tmp, "wb") as f:
+            f.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
+            for chunk in chunks:
+                if chunk.dtype.kind != "u" or chunk.dtype.itemsize != 2:
+                    raise ValueError(f"PGM row chunks must be uint16, got {chunk.dtype}")
+                if chunk.ndim != 2 or chunk.shape[1] != width:
+                    raise DimensionError(
+                        f"row chunk of shape {chunk.shape} for a PGM {width} wide"
+                    )
+                f.write(np.ascontiguousarray(chunk, dtype=">u2"))
+                rows += len(chunk)
+        if rows != height:
+            raise DimensionError(f"{path}: wrote {rows} rows of a PGM {height} high")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def resample_plane(p: np.ndarray, factor: int) -> np.ndarray:
@@ -418,10 +479,15 @@ def resample_plane(p: np.ndarray, factor: int) -> np.ndarray:
 def load_band_stack(manifest_path) -> BandStack:
     """Load a ten-band stack described by a manifest.
 
-    The stack keeps each band's uint16 digital numbers; ``rows`` divides
-    them by 10000 and brings 20 m bands to the 10 m grid with bilinear
-    resampling, one row window at a time. 20 m planes must be exactly
-    half the 10 m dimensions.
+    Each band's file is opened once, here, and its header and raster size
+    are checked on that handle; no raster is read. The stack keeps the
+    files open until it is dropped and reads them while in use: ``rows``
+    reads the digital numbers under a row window, divides them by 10000
+    and brings 20 m bands to the 10 m grid with bilinear resampling. So a
+    band file must not shrink while its stack is in use (reading then
+    raises ``PgmError``); writers here replace files rather than rewrite
+    them, so a stack keeps reading the data it was loaded from. 20 m
+    planes must be exactly half the 10 m dimensions.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -438,37 +504,40 @@ def load_band_stack(manifest_path) -> BandStack:
     if missing:
         raise ManifestError(f"missing band entries: {', '.join(missing)}")
 
-    raw: dict[BandId, np.ndarray] = {}
-    for band in BandId:
-        entry = bands_entry[band.value]
-        if not isinstance(entry, str):
-            raise ManifestError(f"manifest {manifest_path}: band {band.value} is not a path")
-        band_path = Path(entry)
-        if not band_path.is_absolute():
-            band_path = manifest_path.parent / band_path
-        try:
-            dn = read_pgm16(band_path)
-        except OSError as exc:
-            raise ManifestError(f"cannot read band {band.value}: {exc}") from exc
-        raw[band] = dn
+    with ExitStack() as files:
+        rasters: dict[BandId, _Raster] = {}
+        for band in BandId:
+            entry = bands_entry[band.value]
+            if not isinstance(entry, str):
+                raise ManifestError(f"manifest {manifest_path}: band {band.value} is not a path")
+            band_path = Path(entry)
+            if not band_path.is_absolute():
+                band_path = manifest_path.parent / band_path
+            try:
+                f = files.enter_context(open(band_path, "rb"))
+                height, width, offset = _pgm_raster(f, band_path)
+            except OSError as exc:
+                raise ManifestError(f"cannot read band {band.value}: {exc}") from exc
+            rasters[band] = _Raster(f, band_path, offset, height, width)
 
-    ref10 = raw[BandId.B2].shape
-    for band in BandId:
-        shape = raw[band].shape
-        if band.native_resolution_m == 10:
-            if shape != ref10:
-                raise DimensionError(
-                    f"10 m band {band.value} is {shape[1]}x{shape[0]}, "
-                    f"expected {ref10[1]}x{ref10[0]} (as B2)"
-                )
-        else:
-            want = (ref10[0] // 2, ref10[1] // 2)
-            if ref10[0] % 2 or ref10[1] % 2 or shape != want:
-                raise DimensionError(
-                    f"20 m band {band.value} is {shape[1]}x{shape[0]}, "
-                    f"expected exactly half of the 10 m grid "
-                    f"{ref10[1]}x{ref10[0]}"
-                )
+        ref10 = (rasters[BandId.B2].height, rasters[BandId.B2].width)
+        for band, raster in rasters.items():
+            shape = (raster.height, raster.width)
+            if band.native_resolution_m == 10:
+                if shape != ref10:
+                    raise DimensionError(
+                        f"10 m band {band.value} is {shape[1]}x{shape[0]}, "
+                        f"expected {ref10[1]}x{ref10[0]} (as B2)"
+                    )
+            else:
+                want = (ref10[0] // 2, ref10[1] // 2)
+                if ref10[0] % 2 or ref10[1] % 2 or shape != want:
+                    raise DimensionError(
+                        f"20 m band {band.value} is {shape[1]}x{shape[0]}, "
+                        f"expected exactly half of the 10 m grid "
+                        f"{ref10[1]}x{ref10[0]}"
+                    )
+        planes = _DnPlanes(rasters, files.pop_all())
 
     geo = None
     geo_entry = manifest.get("geo")
@@ -486,7 +555,7 @@ def load_band_stack(manifest_path) -> BandStack:
         width=ref10[1],
         height=ref10[0],
         pixel_size=PIXEL_SIZE_M,
-        planes=_DnPlanes(raw),
+        planes=planes,
         geo=geo,
     )
 

@@ -153,6 +153,8 @@ def _census_config(args) -> CensusConfig:
             threshold=args.water_threshold,
         )
     else:
+        if args.water_model:
+            raise _UsageError("--water-model requires --water-method mlp")
         water = NdwiOtsu()
     return CensusConfig(
         water_method=water,

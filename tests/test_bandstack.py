@@ -1,4 +1,7 @@
 import json
+import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +106,15 @@ class TestPgm:
     def test_comments_allowed_in_header(self, tmp_path):
         (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n1 1\n65535\n\x12\x34")
         assert read_pgm16(tmp_path / "c.pgm")[0, 0] == 0x1234
+
+    def test_failed_row_write_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        write_pgm16(tmp_path / "a.pgm", np.ones((2, 3), dtype=np.uint16))
+        old = (tmp_path / "a.pgm").read_bytes()
+        chunks = (np.zeros((1, 3), dtype=np.uint16),)
+        with pytest.raises(DimensionError, match="wrote 1 rows"):
+            bandstack.write_pgm16_rows(tmp_path / "a.pgm", 3, 2, chunks)
+        assert (tmp_path / "a.pgm").read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["a.pgm"]
 
 
 def read_both_ways(path):
@@ -293,6 +305,46 @@ class TestLoad:
                                              "crs": "EPSG:32629"})
         with pytest.raises(ManifestError, match="finite"):
             load_band_stack(path)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
+    def test_load_and_drop_cycles_leave_no_file_open(self, tmp_path, rng):
+        path = write_dn_scene(
+            tmp_path, 4, 6, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        bad = []  # each fails after opening every band
+        for name, case in (("dims", {"dims": {"B12": (2, 2)}}),
+                           ("geo", {"geo": {"origin_easting": float("nan"),
+                                            "origin_northing": 0.0, "crs": "EPSG:32629"}})):
+            (tmp_path / name).mkdir()
+            bad.append(write_manifest(tmp_path / name, **case))
+        before = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings(record=True) as caught:
+            # a file left for the garbage collector to close warns
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(50):
+                s = load_band_stack(path)
+                s.rows(0, 4)
+                del s
+                for bad_path in bad:
+                    with pytest.raises((DimensionError, ManifestError)):
+                        load_band_stack(bad_path)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert [str(w.message) for w in caught] == []
+
+    def test_band_shrunk_after_load_raises_naming_the_file(self, tmp_path, rng):
+        h, w = 8, 6
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        ref = ref_load_band_stack(path)
+        band = tmp_path / "B11.pgm"
+        os.truncate(band, band.stat().st_size - 1)  # the last 20 m row loses a byte
+        assert np.array_equal(bits(s.rows(0, 5)[BandId.B11]), bits(ref.planes[BandId.B11][:5]))
+        for read in (lambda: s.rows(5, 6), lambda: s.planes[BandId.B11]):
+            with pytest.raises(PgmError, match=f"{band}: file ends inside raster rows"):
+                read()
+        assert np.array_equal(bits(s.planes[BandId.B2]), bits(ref.planes[BandId.B2]))
 
     def test_save_load_round_trip_quantized(self, tmp_path, rng):
         path = write_manifest(tmp_path, geo={"origin_easting": 1.0,
@@ -531,6 +583,30 @@ class TestWindows:
         assert reads == got  # the empty ``where`` read nothing
         for r0, r1, block in s.windows((BandId.B12,), where=where):
             assert np.array_equal(bits(block[BandId.B12]), bits(ref.planes[BandId.B12][r0:r1]))
+
+
+class TestLoadedWindowsAndFeatures:
+    @pytest.mark.parametrize("h,w", [(2, 2), (2, 40), (22, 18)])
+    @pytest.mark.parametrize("window_rows", [1, 3])
+    def test_bitwise_equal_to_whole_plane_load(self, tmp_path, rng, monkeypatch, h, w,
+                                               window_rows):
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        ref = ref_load_band_stack(path)
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", window_rows * w)
+        spans = []
+        for r0, r1, block in s.windows():
+            spans.append((r0, r1))
+            for b in BandId:
+                assert np.array_equal(bits(block[b]), bits(ref.planes[b][r0:r1])), (b, r0, r1)
+        assert spans == [(r0, min(r0 + window_rows, h)) for r0 in range(0, h, window_rows)]
+        rows, cols = np.indices((h, w)).reshape(2, -1)
+        want = np.stack([ref.planes[b][rows, cols] for b in FEATURE_ORDER], axis=1)
+        assert np.array_equal(bits(s.features(rows[::-1], cols[::-1])), bits(want[::-1]))
+        for b in BandId:
+            assert np.array_equal(bits(s.planes[b]), bits(ref.planes[b]))
 
 
 class TestFeatures:

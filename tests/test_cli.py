@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,26 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
+    def test_band_shrunk_after_load_is_data_error(self, scene_dir, model_path, tmp_path,
+                                                  capsys, monkeypatch):
+        # A loaded stack reads its band files while the census runs.
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        band = scene / "b3.pgm"
+
+        def load_then_shrink(path):
+            stack = load_band_stack(path)
+            os.truncate(band, band.stat().st_size - 1000)
+            return stack
+
+        monkeypatch.setattr("raftcensus.cli.load_band_stack", load_then_shrink)
+        code = run_cli("census", "--manifest", str(scene / "manifest.json"),
+                       "--platform-model", str(model_path), "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(band) in err and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestSynth:
     def test_outputs_present(self, scene_dir):
@@ -231,6 +252,21 @@ class TestImport:
         # normalized copy of an already-10m stack is byte-identical band data
         assert (out / "b8.pgm").read_bytes() == (scene_dir / "b8.pgm").read_bytes()
 
+    def test_in_place_import_equals_fresh_import(self, scene_dir, tmp_path):
+        # The loaded stack reads the very files the import replaces; 20 m
+        # bands come out changed (upsampled, then block-averaged again).
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        shutil.copytree(scene_dir, here)
+        assert run_cli("import", "--manifest", str(scene_dir / "manifest.json"),
+                       "--out", str(fresh)) == 0
+        assert run_cli("import", "--manifest", str(here / "manifest.json"),
+                       "--out", str(here)) == 0
+        assert (fresh / "b11.pgm").read_bytes() != (scene_dir / "b11.pgm").read_bytes()
+        names = sorted(f.name for f in scene_dir.iterdir())
+        assert sorted(f.name for f in here.iterdir()) == names  # no temporary left
+        for f in fresh.iterdir():
+            assert (here / f.name).read_bytes() == f.read_bytes(), f.name
+
 
 class TestCensusEvalCli:
     def test_census_and_eval(self, scene_dir, model_path, tmp_path, capsys):
@@ -331,6 +367,37 @@ class TestCensusEvalCli:
                        "--platform-model", str(model_path),
                        "--water-method", "mlp",
                        "--out", str(tmp_path / "c.csv")) == 1
+
+    @pytest.mark.parametrize("command", ["census", "render"])
+    @pytest.mark.parametrize("method", [(), ("--water-method", "ndwi")])
+    def test_water_model_requires_mlp_method(self, scene_dir, model_path, water_model,
+                                             tmp_path, capsys, command, method):
+        wm_path = tmp_path / "water.mlp"
+        save_model(water_model, wm_path)
+        out = tmp_path / "out"
+        assert run_cli(command, "--manifest", str(scene_dir / "manifest.json"),
+                       "--platform-model", str(model_path), *method,
+                       "--water-model", str(wm_path), "--out", str(out)) == 1
+        assert "--water-model requires --water-method mlp" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_census_peak_memory_holds_no_band_raster(self, model_path, tmp_path):
+        # The 2048x2048 scene's 16-bit bands take 44 MB; a loaded stack
+        # reads them one row window at a time, so the census holds its
+        # whole-scene masks and the interpreter (63 MB measured).
+        scene = tmp_path / "scene"
+        assert run_cli("synth", "--out", str(scene), "--width", "2048", "--height", "2048",
+                       "--rafts", "2000", "--seed", "1",
+                       "--origin", "500000", "4680000") == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(raftcensus.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(Path(__file__).with_name("peak_rss.py")), "90",
+             "census", "--manifest", str(scene / "manifest.json"),
+             "--platform-model", str(model_path), "--out", str(tmp_path / "c.csv")],
+            env=env, capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestTrainCli:
