@@ -14,7 +14,10 @@ three-quarter slice sums: the window reader runs it on the input rows
 under a window, and ``resample_plane`` on a whole plane, so every window
 value is bitwise equal to ``resample_plane`` of the scaled band. Census
 stages walk the stack through ``BandStack.windows``, which owns the
-window size (``_BLOCK_PIXELS`` pixels per window).
+window size (``_BLOCK_PIXELS`` pixels per window). A network's first
+layer reads a window through ``BandStack.weighted_sums``: a loaded stack
+sums the 20 m terms of each unit at native resolution and upsamples that
+one sum, not each 20 m band.
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
@@ -78,6 +81,10 @@ PIXEL_SIZE_M = 10.0
 # window's activations stay in cache, large enough to keep per-window
 # overhead negligible.
 _BLOCK_PIXELS = 16384
+# Consecutive windows whose 20 m rows ``BandStack.weighted_sums`` reads
+# and sums at once: each group reads one pair of halo rows, not one per
+# window, and makes one call per band, not one per window.
+_GROUP_WINDOWS = 4
 
 
 class BandId(str, Enum):
@@ -132,7 +139,8 @@ class BandStack:
     them while in use; its ``planes`` builds a band's whole plane on each
     lookup. Census stages walk the stack through ``windows``, which sets
     the window size, and read each window through ``rows``, which only
-    slices in-memory planes. Treat instances as immutable.
+    slices in-memory planes, or through ``weighted_sums``. Treat instances
+    as immutable.
     """
 
     width: int
@@ -184,12 +192,69 @@ class BandStack:
         """Yield ``(r0, r1, self.rows(r0, r1, bands))`` for consecutive row
         windows of ``_BLOCK_PIXELS // width`` rows (at least one; the last may be
         shorter). A window with no true entry in rows r0..r1-1 of ``where``, an
-        (H, W) mask or one flag per row, is skipped unread."""
+        (H, W) mask or one flag per row, is skipped unread. With no ``bands``
+        nothing is read: the caller reads each window its own way, as
+        ``weighted_sums`` does."""
         step = max(1, _BLOCK_PIXELS // max(self.width, 1))
         for r0 in range(0, self.height, step):
             r1 = min(r0 + step, self.height)
             if where is None or where[r0:r1].any():
                 yield r0, r1, self.rows(r0, r1, bands)
+
+    def weighted_sums(
+        self, w: np.ndarray, order: tuple[BandId, ...] = FEATURE_ORDER, where=None
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield ``(r0, r1, sums)`` for the row windows of ``windows``, skipped
+        by ``where`` as there: ``sums`` is a float64 (len(w), r1 - r0, width)
+        array whose plane j is the sum over k of w[j, k] times band
+        ``order[k]`` on rows r0..r1-1. The array is reused for the next
+        window; the caller may overwrite it.
+
+        Each plane sums its 20 m terms first, then its 10 m terms, each group
+        left to right in ``order``. In-memory planes are already on the 10 m
+        grid, so their terms are summed there. A loaded stack sums the 20 m
+        terms on the 20 m grid, from native rows, and upsamples each plane's
+        20 m sum with the x2 bilinear upsampler: it upsamples len(w) planes,
+        not one per 20 m band. The upsampler is linear and its weights sum to
+        1, so this differs from summing the upsampled bands by rounding only.
+        The 20 m rows of up to ``_GROUP_WINDOWS`` consecutive windows are read
+        and summed at once, so neighbouring windows share their halo rows;
+        rows only skipped windows need are not read. Every row read is
+        checked; a non-finite value raises ``ValueError``.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        if not order or w.ndim != 2 or w.shape[1] != len(order):
+            raise ValueError(f"weights of shape {w.shape} for {len(order)} bands")
+        coarse = [k for k, b in enumerate(order) if b.native_resolution_m == 20]
+        fine = [k for k, b in enumerate(order) if b.native_resolution_m == 10]
+        planes = self.planes
+        spans = [(r0, r1) for r0, r1, _ in self.windows((), where)]
+        buf = group = None
+        for i, (r0, r1) in enumerate(spans):
+            if buf is None:  # the first window is the tallest
+                buf, tmp = np.empty((len(w), r1 - r0, self.width)), np.empty((r1 - r0, self.width))
+            out = buf[:, : r1 - r0]
+            if not isinstance(planes, _DnPlanes):
+                xs = (_finite(order[k], np.asarray(planes[order[k]][r0:r1], dtype=np.float64))
+                      for k in coarse + fine)
+                yield r0, r1, _weighted_sums(w[:, coarse + fine], xs, out, tmp[: r1 - r0])
+                continue
+            if coarse:
+                a, b, n = planes.native_rows(r0, r1)
+                if group is None or b >= group[0] + group[1].shape[1]:
+                    end, j = r1, i + 1  # the run of consecutive windows from this one
+                    while j < min(len(spans), i + _GROUP_WINDOWS) and spans[j][0] == end:
+                        end, j = spans[j][1], j + 1
+                    ga, gb, _ = planes.native_rows(r0, end)
+                    native = (_finite(order[k], planes.rasters[order[k]].scaled_rows(ga, gb + 1))
+                              for k in coarse)
+                    sums = np.empty((len(w), gb + 1 - ga, self.width // 2))
+                    _weighted_sums(w[:, coarse], native, sums, np.empty(sums.shape[1:]))
+                    group = ga, _upsample_columns(sums)
+                ga, rows = group
+                _upsample2(rows[:, a - ga : b + 1 - ga].swapaxes(0, 1), a, n, out.swapaxes(0, 1), r0)
+            xs = (_finite(order[k], planes.rasters[order[k]].scaled_rows(r0, r1)) for k in fine)
+            yield r0, r1, _weighted_sums(w[:, fine], xs, out, tmp[: r1 - r0], add=bool(coarse))
 
     def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
         """N x len(order) float64 features of the pixels (rows[i], cols[i]).
@@ -275,10 +340,15 @@ class _DnPlanes(Mapping):
     def __len__(self) -> int:
         return len(self.rasters)
 
+    def native_rows(self, r0: int, r1: int) -> tuple[int, int, int]:
+        """(a, b, n): the 20 m rows a..b that rows r0..r1-1 of the 10 m grid
+        are upsampled from, one-row halo included, of the band's n rows."""
+        n = self.shape[0] // 2
+        return max(0, (r0 - 1) // 2), min(n - 1, r1 // 2), n
+
     def window(self, r0: int, r1: int, bands: Iterable[BandId]) -> dict[BandId, np.ndarray]:
         out = {}
-        n = self.shape[0] // 2
-        a, b = max(0, (r0 - 1) // 2), min(n - 1, r1 // 2)  # 20 m rows under the window
+        a, b, n = self.native_rows(r0, r1)
         for band in bands:
             raster = self.rasters[band]
             if band.native_resolution_m == 10:
@@ -288,14 +358,42 @@ class _DnPlanes(Mapping):
         return out
 
 
+def _finite(band: BandId, x: np.ndarray) -> np.ndarray:
+    """``x``, rows read of ``band``, once every value is finite."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"band {band.value} rows are not finite")
+    return x
+
+
+def _weighted_sums(w: np.ndarray, xs: Iterable[np.ndarray], out: np.ndarray,
+                   tmp: np.ndarray, add: bool = False) -> np.ndarray:
+    """out[j] = w[j, 0] x_0 + w[j, 1] x_1 + ..., summed left to right, for
+    the arrays x_k that ``xs`` yields, taken one at a time; with ``add``,
+    the terms are added to out[j] as it stands. ``tmp`` is scratch of the
+    shape of one x_k."""
+    for k, x in enumerate(xs):
+        for j, acc in enumerate(out):
+            if k == 0 and not add:
+                np.multiply(x, w[j, k], out=acc)
+            else:
+                acc += np.multiply(x, w[j, k], out=tmp)
+    return out
+
+
 def _upsample_rows(p: np.ndarray, a: int, n: int, r0: int, r1: int) -> np.ndarray:
     """Rows r0..r1-1 of the x2 bilinear upsampling of an ``n``-row float64
     plane, from ``p``, its rows a, a+1, ..., every row those outputs need.
     Columns are upsampled first, at input height, then rows."""
-    row = np.empty((len(p), 2 * p.shape[1]))
-    _upsample2(p.T, 0, p.shape[1], row.T, 0)  # columns, at input height
-    out = np.empty((r1 - r0, row.shape[1]))
-    _upsample2(row, a, n, out, r0)
+    out = np.empty((r1 - r0, 2 * p.shape[1]))
+    _upsample2(_upsample_columns(p), a, n, out, r0)
+    return out
+
+
+def _upsample_columns(p: np.ndarray) -> np.ndarray:
+    """The x2 bilinear upsampling of the last axis (columns) of a (rows,
+    cols) plane or a (planes, rows, cols) stack of planes."""
+    out = np.empty(p.shape[:-1] + (2 * p.shape[-1],))
+    _upsample2(p.swapaxes(0, -1), 0, p.shape[-1], out.swapaxes(0, -1), 0)
     return out
 
 
@@ -305,12 +403,16 @@ def _upsample2(p: np.ndarray, a: int, n: int, out: np.ndarray, r0: int) -> None:
     x[a], x[a+1], ..., every sample those outputs need.
 
     Output i is x[lo]*(1 - f) + x[lo+1]*f at input coordinate lo + f =
-    (i + 0.5) / 2 - 0.5, clamped to [0, n - 1]. Interior weights are
-    exactly 1/4 and 3/4, so slice sums do the same IEEE operations: odd
-    output 2k+1 is x[k]*0.75 + x[k+1]*0.25, even output 2k+2 is
-    x[k]*0.25 + x[k+1]*0.75. Outputs 0 and 2n-1 copy x[0] and x[n-1], which
-    the formula weights 1 and a neighbour 0: a*1 + b*0 == a for finite
-    a >= +0 and finite b.
+    (i + 0.5) / 2 - 0.5, clamped to [0, n - 1]. The samples are scaled
+    bands or weighted band sums, which can be negative; both cases below
+    hold for any finite x. Interior weights are exactly 1/4 and 3/4, so
+    slice sums do the formula's own two products and one addition (IEEE
+    addition commutes): odd output 2k+1 is x[k]*0.75 + x[k+1]*0.25, even
+    output 2k+2 is x[k]*0.25 + x[k+1]*0.75. Outputs 0 and 2n-1 copy x[0]
+    and x[n-1], which the formula weights 1 and a neighbour b weights 0.
+    b*0 is a zero for finite b, and a*1 + (a zero) == a for every finite a,
+    so the copy has the formula's value. The bits differ only when a is
+    -0 and b*0 is +0, which the formula gives as +0: the two compare equal.
     """
     r1 = r0 + len(out)
     q = p * 0.25

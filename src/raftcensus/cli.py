@@ -7,8 +7,12 @@ score it against ground truth, and render an overlay image. Exit codes:
 
 All randomness is seeded through flags, so identical invocations
 produce byte-identical output files. The census is single-threaded;
-pixels are scored in row blocks, each unit's sum in one fixed order, so
-a score depends neither on its block nor on BLAS (training uses BLAS).
+pixels are scored in row windows, each unit's sum in one fixed order (a
+hidden unit adds its 20 m band terms, then its 10 m band terms, then its
+bias), so a score depends neither on its window nor on BLAS (training
+uses BLAS). A loaded stack sums each hidden unit's 20 m terms at native
+resolution and upsamples the sum, so its scores differ from scores of
+the upsampled bands by rounding only.
 """
 
 from __future__ import annotations
@@ -142,19 +146,24 @@ def _census_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-solidity", type=float, default=BlobFilter.min_solidity)
 
 
+def _check_water_flags(args) -> None:
+    """Reject a ``--water-method``/``--water-model`` mismatch, a usage error,
+    before any file is read."""
+    if args.water_method == "mlp" and not args.water_model:
+        raise _UsageError("--water-method mlp requires --water-model")
+    if args.water_method != "mlp" and args.water_model:
+        raise _UsageError("--water-model requires --water-method mlp")
+
+
 def _census_config(args) -> CensusConfig:
     platform_model = mlp.load_model(args.platform_model)
     if args.water_method == "mlp":
-        if not args.water_model:
-            raise _UsageError("--water-method mlp requires --water-model")
         water = MlpWater(
             model=mlp.load_model(args.water_model),
             water_class_index=args.water_class,
             threshold=args.water_threshold,
         )
     else:
-        if args.water_model:
-            raise _UsageError("--water-model requires --water-method mlp")
         water = NdwiOtsu()
     return CensusConfig(
         water_method=water,
@@ -243,6 +252,7 @@ def _cmd_train(args, binary: bool) -> int:
 
 
 def _cmd_census(args) -> int:
+    _check_water_flags(args)
     stack = load_band_stack(args.manifest)
     cfg = _census_config(args)
     census = run_census(stack, cfg, source=Path(args.manifest).name)
@@ -291,6 +301,7 @@ def _cmd_eval(args) -> int:
 def _cmd_render(args) -> int:
     from .pipeline import run_pipeline
 
+    _check_water_flags(args)
     stack = load_band_stack(args.manifest)
     cfg = _census_config(args)
     result = run_pipeline(stack, cfg, source=Path(args.manifest).name)

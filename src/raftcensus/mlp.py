@@ -5,12 +5,18 @@ by full-batch gradient descent with momentum on mean squared error.
 The platform classifier uses layers [10, 2, 1]; the water classifier
 defaults to [10, 8, 3] with the water class last.
 
-Scoring sums each unit's weighted inputs in one fixed order, first input
-first, so a pixel's scores depend only on its features: not on the batch
-or block it is scored in, nor on the BLAS library. Image pixels are
-scored one row window at a time, each read from its stack just before it
-is scored (``BandStack.windows``, which sets the window size), through
-buffers allocated once per call. Training stays on matrix products.
+Scoring sums each unit's weighted inputs in one fixed order, so a
+pixel's scores depend only on its features: not on the batch or window
+it is scored in, nor on the BLAS library. A hidden unit sums its 20 m
+band terms first, then its 10 m band terms, each group in feature order,
+then adds its bias; an output unit sums its inputs first input first,
+then adds its bias. Image pixels are scored one row window at a time
+(``BandStack.windows``, which sets the window size), through buffers
+allocated once per call; the stack forms each window's hidden-unit sums
+(``BandStack.weighted_sums``). A loaded stack forms the 20 m part of
+each sum at native resolution and upsamples it once per hidden unit, so
+its scores differ from ``forward_batch`` of its upsampled features by
+rounding only. Training stays on matrix products.
 
 Models are value objects: training copies parameters and never mutates
 its input model.
@@ -174,49 +180,72 @@ def init_model(
     return MlpModel(tuple(layer_sizes), (w1, w2), (b1, b2), tuple(feature_order))
 
 
-def _work_arrays(m: MlpModel, n_units: int, n: int) -> tuple[np.ndarray, ...]:
-    """Hidden, output, float scratch and bool scratch arrays for scoring up
-    to ``n`` pixels through ``m``, ``n_units`` outputs of it."""
-    return (np.empty((m.layer_sizes[1], n)), np.empty((n_units, n)),
-            np.empty(n), np.empty(n, dtype=bool))
+def _work_arrays(n_units: int, n: int) -> tuple[np.ndarray, ...]:
+    """Output, float scratch and bool scratch arrays for scoring ``n_units``
+    output units of up to ``n`` pixels."""
+    return np.empty((n_units, n)), np.empty(n), np.empty(n, dtype=bool)
 
 
-def _sigmoid_units(w, b, inputs, out, tmp, pos) -> np.ndarray:
-    """out[j] = sigmoid(w[j, 0] x_0 + w[j, 1] x_1 + ... + b[j]) for the
-    equal-length 1-D ``inputs`` x_k, summed left to right."""
+def _summation_order(m: MlpModel) -> list[int]:
+    """Input indices in the order a hidden unit sums them: inputs whose
+    feature is a 20 m band first, then the others, each in feature order,
+    as ``BandStack.weighted_sums`` sums a stack's bands."""
+    coarse = [k for k, b in enumerate(m.feature_order[: m.n_in]) if b.native_resolution_m == 20]
+    return coarse + [k for k in range(m.n_in) if k not in coarse]
+
+
+def _weighted_sums(w, inputs, out, tmp) -> np.ndarray:
+    """out[j] = w[j, 0] x_0 + w[j, 1] x_1 + ... for the equal-length 1-D
+    ``inputs`` x_k, summed left to right."""
     for j, acc in enumerate(out):
         np.multiply(inputs[0], w[j, 0], out=acc)
         for k in range(1, len(inputs)):
             acc += np.multiply(inputs[k], w[j, k], out=tmp)
-        acc += b[j]
-        _sigmoid(acc, tmp, pos)
     return out
 
 
-def _score(m: MlpModel, cols, units, work: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Output-layer units ``units`` (an index) for the n pixels whose k-th
-    feature is the 1-D ``cols[k]``, one row per unit, as a view of ``work``."""
-    hid, out, tmp, pos = work
-    n = len(cols[0])
+def _sigmoid_units(z, b, tmp, pos) -> np.ndarray:
+    """z[j] = sigmoid(z[j] + b[j]) for each row of ``z``, in place."""
+    for acc, bj in zip(z, b):
+        acc += bj
+        _sigmoid(acc, tmp, pos)
+    return z
+
+
+def _score(m: MlpModel, z: np.ndarray, units, work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Output-layer units ``units`` (an index) for the n pixels whose
+    hidden-unit sums, bias not yet added, are the columns of ``z`` (n_hid,
+    n), which is overwritten; one row per unit, as a view of ``work``."""
+    out, tmp, pos = work
+    n = z.shape[1]
     tmp, pos = tmp[:n], pos[:n]
-    for c in cols:
-        if not np.isfinite(c, out=pos).all():
-            raise ValueError("inputs must be finite")
-    h = _sigmoid_units(m.weights[0], m.biases[0], cols, hid[:, :n], tmp, pos)
-    return _sigmoid_units(m.weights[1][units], m.biases[1][units], h, out[:, :n], tmp, pos)
+    h = _sigmoid_units(z, m.biases[0], tmp, pos)
+    y = _weighted_sums(m.weights[1][units], h, out[:, :n], tmp)
+    return _sigmoid_units(y, m.biases[1][units], tmp, pos)
 
 
 def forward_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network outputs for an (n, n_in) batch; returns (n, n_out) in (0, 1).
 
-    Each unit sums its weighted inputs first input first, then adds its
-    bias, without BLAS: a row's outputs do not depend on the rest of the
-    batch.
+    Without BLAS, a hidden unit sums its weighted 20 m band inputs, then
+    its 10 m band inputs, each group in feature order, then adds its bias;
+    an output unit sums its inputs first input first, then adds its bias.
+    A row's outputs do not depend on the rest of the batch, and equal
+    ``threshold_planes``' scores of an in-memory stack holding the same
+    features.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.n_in:
         raise ValueError(f"expected (n, {m.n_in}) inputs, got shape {x.shape}")
-    return _score(m, x.T, slice(None), _work_arrays(m, m.n_out, len(x))).T.copy()
+    cols = x.T
+    work = _work_arrays(m.n_out, len(x))
+    for c in cols:
+        if not np.isfinite(c, out=work[2]).all():
+            raise ValueError("inputs must be finite")
+    order = _summation_order(m)
+    z = _weighted_sums(m.weights[0][:, order], [cols[k] for k in order],
+                       np.empty((m.layer_sizes[1], len(x))), work[1])
+    return _score(m, z, slice(None), work).T.copy()
 
 
 def forward(m: MlpModel, x) -> np.ndarray:
@@ -237,11 +266,16 @@ def threshold_planes(
     """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
 
     Pixels are scored one ``BandStack.windows`` row window at a time (the
-    stack sets the window size), straight from the window's rows, in the
-    fixed summation order of ``forward_batch``: a score depends neither on
-    its window nor on BLAS. Only output ``out_index`` is computed. With an
-    (H, W) ``where``, cast to bool, windows holding no true pixel are
-    neither read nor scored, and the result is restricted to ``where``.
+    stack sets the window size). The stack forms each window's hidden-unit
+    sums, 20 m terms first, then 10 m terms (``BandStack.weighted_sums``);
+    biases and the output layer follow, in the summation order of
+    ``forward_batch``. So a score depends neither on its window nor on
+    BLAS. On an in-memory stack it equals ``forward_batch`` of the pixel's
+    features, bitwise. A loaded stack forms the 20 m part of each sum from
+    native 20 m rows and upsamples it, which changes a score by rounding
+    only. Only output ``out_index`` is computed. With an (H, W) ``where``,
+    cast to bool, windows holding no true pixel are neither read nor
+    scored, and the result is restricted to ``where``.
     """
     if where is not None:
         where = np.asarray(where).astype(bool, copy=False)
@@ -249,11 +283,10 @@ def threshold_planes(
             raise DimensionError(f"mask shape {where.shape} does not match {(s.height, s.width)}")
     out = np.zeros((s.height, s.width), dtype=bool)
     work = None
-    for r0, r1, block in s.windows(m.feature_order, where):
-        cols = [block[b].reshape(-1) for b in m.feature_order]
+    for r0, r1, z in s.weighted_sums(m.weights[0], m.feature_order, where):
         if work is None:  # the first window scored is the tallest
-            work = _work_arrays(m, 1, len(cols[0]))
-        y = _score(m, cols, [out_index], work)
+            work = _work_arrays(1, z[0].size)
+        y = _score(m, z.reshape(len(z), -1), [out_index], work)
         np.greater_equal(y[0], thr, out=out[r0:r1].reshape(-1))
     return out if where is None else out & where
 

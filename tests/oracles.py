@@ -10,7 +10,9 @@ all-pairs matching, flood-fill labeling and per-blob feature references
 are the plain formulations the library once used (the feature reference
 keeps the library's exact hull, ``_convex_area``, which the Qhull
 reference checks), and the pixel-scoring reference is the library's
-summation order written over whole arrays. The whole-plane band load and
+summation order written over whole arrays; its loaded-stack form sums
+each hidden unit's 20 m terms over whole native planes and upsamples the
+sums with the four-gather reference. The whole-plane band load and
 NDWI mask are the library's former formulations, which scaled and
 upsampled every band to a float64 plane up front, and the GeoJSON and
 eval-report references are the former ``json.dumps`` exports. Raft
@@ -656,21 +658,71 @@ def ref_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ref_layer(w, b, a):
+    """Sigmoid units over whole columns: ((w_0 a_0 + w_1 a_1) + w_2 a_2 + ...) + b."""
+    z = a[:, :1] * w[:, 0]
+    for k in range(1, a.shape[1]):
+        z = z + a[:, k : k + 1] * w[:, k]
+    return ref_sigmoid(z + b)
+
+
 def ref_forward_batch(m, x: np.ndarray) -> np.ndarray:
     """(n, n_out) network outputs for an (n, n_in) batch.
 
-    Each unit sums its weighted inputs over whole columns, left to right
-    from the first input, then adds its bias:
-    ((w_0 x_0 + w_1 x_1) + w_2 x_2 + ...) + b.
+    Each hidden unit sums its weighted inputs over whole columns: first
+    the inputs whose feature is a 20 m band, then the others, each group
+    left to right in feature order, then adds its bias. Each output unit
+    sums left to right from the first input, then adds its bias.
     """
-    def layer(w, b, a):
-        z = a[:, :1] * w[:, 0]
-        for k in range(1, a.shape[1]):
-            z = z + a[:, k : k + 1] * w[:, k]
-        return ref_sigmoid(z + b)
-
     x = np.asarray(x, dtype=np.float64)
-    return layer(m.weights[1], m.biases[1], layer(m.weights[0], m.biases[0], x))
+    bands = m.feature_order[: m.n_in]
+    coarse = [k for k, b in enumerate(bands) if b.native_resolution_m == 20]
+    first = coarse + [k for k in range(m.n_in) if k not in coarse]
+    hidden = _ref_layer(m.weights[0][:, first], m.biases[0], x[:, first])
+    return _ref_layer(m.weights[1], m.biases[1], hidden)
+
+
+def ref_folded_sums(w: np.ndarray, order, manifest_path) -> np.ndarray:
+    """(len(w), H, W) weighted band sums of a saved stack, from its whole
+    native planes divided by DN_SCALE. Sum j adds w[j, k] times band
+    order[k]: the 20 m terms, in ``order``, summed on the 20 m grid and
+    upsampled by ``ref_bilinear_gathers``, then the 10 m terms, in order."""
+    manifest_path = Path(manifest_path)
+    manifest = json.loads(manifest_path.read_text())
+    native = {b: read_pgm16(manifest_path.parent / manifest["bands"][b.value]).astype(np.float64)
+              / DN_SCALE for b in order}
+    coarse = [k for k, b in enumerate(order) if b.native_resolution_m == 20]
+    fine = [k for k, b in enumerate(order) if b.native_resolution_m == 10]
+    sums = []
+    for wj in w:
+        z = None
+        if coarse:
+            s = native[order[coarse[0]]] * wj[coarse[0]]
+            for k in coarse[1:]:
+                s = s + native[order[k]] * wj[k]
+            z = ref_bilinear_gathers(s, 2)
+        for k in fine:
+            t = native[order[k]] * wj[k]
+            z = t if z is None else z + t
+        sums.append(z)
+    return np.stack(sums)
+
+
+def ref_folded_scores(m, manifest_path) -> np.ndarray:
+    """(H, W, n_out) outputs for a saved stack's pixels, scored from
+    ``ref_folded_sums``: hidden biases and sigmoids, then the output layer
+    as in ``ref_forward_batch``."""
+    z = ref_folded_sums(m.weights[0], m.feature_order, manifest_path)
+    n_hid, h, w = z.shape
+    hidden = ref_sigmoid(z.reshape(n_hid, -1).T + m.biases[0])
+    return _ref_layer(m.weights[1], m.biases[1], hidden).reshape(h, w, m.n_out)
+
+
+def ref_folded_mask(m, manifest_path, out_index: int, thr: float, where=None) -> np.ndarray:
+    """``ref_folded_scores`` output ``out_index`` >= thr as an (H, W) mask,
+    restricted to ``where`` if given."""
+    mask = ref_folded_scores(m, manifest_path)[..., out_index] >= thr
+    return mask if where is None else mask & where
 
 
 def ref_whole_image_mask(m, planes, out_index: int, thr: float) -> np.ndarray:

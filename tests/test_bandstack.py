@@ -24,6 +24,7 @@ from raftcensus.errors import DimensionError, ManifestError, PgmError
 from oracles import (
     ref_bilinear,
     ref_bilinear_gathers,
+    ref_folded_sums,
     ref_load_band_stack,
     ref_read_pgm16,
     ref_save_band_stack,
@@ -213,11 +214,13 @@ class TestResample:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("factor", [2])
-    @pytest.mark.parametrize("kind", ["strided", "uint16", "float32"])
+    @pytest.mark.parametrize("kind", ["strided", "uint16", "float32", "signed"])
     def test_bilinear_bit_identical_for_input_kinds(self, rng, factor, kind):
         if kind == "strided":
             p = rng.uniform(0, 1.5, size=(23, 40))[1::2, ::3]
             assert not p.flags.c_contiguous
+        elif kind == "signed":  # weighted band sums can be negative
+            p = rng.normal(scale=1e3, size=(9, 13))
         elif kind == "uint16":
             p = rng.integers(0, 65536, size=(9, 13)).astype(np.uint16)
         else:
@@ -607,6 +610,90 @@ class TestLoadedWindowsAndFeatures:
         assert np.array_equal(bits(s.features(rows[::-1], cols[::-1])), bits(want[::-1]))
         for b in BandId:
             assert np.array_equal(bits(s.planes[b]), bits(ref.planes[b]))
+
+
+SHUFFLED_ORDER = tuple(FEATURE_ORDER[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5))
+
+
+class TestWeightedSums:
+    @pytest.mark.parametrize("h,w", [(2, 2), (6, 40), (22, 18)])
+    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER, (BandId.B12, BandId.B3),
+                                       (BandId.B4,), (BandId.B8A, BandId.B5)])
+    def test_loaded_windows_bitwise_equal_to_folded_reference(self, tmp_path, rng, monkeypatch,
+                                                              h, w, order):
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        weights = rng.normal(size=(3, len(order)))
+        weights[0], weights[1] = -abs(weights[0]), abs(weights[1])  # sums of either sign
+        want = ref_folded_sums(weights, order, path)
+        assert (want < 0).any() and (want > 0).any()
+        # Windows of every height, each read alone or in groups of windows.
+        wheres = {"all": None, "every third row": np.arange(h) % 3 == 0,
+                  "last row": np.arange(h) == h - 1}
+        for rows in range(1, h + 1):
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
+            for name, where in wheres.items():
+                spans = [(r0, r1) for r0, r1, _ in s.windows((), where)]
+                got = [(r0, r1, z.copy()) for r0, r1, z in s.weighted_sums(weights, order, where)]
+                assert [(r0, r1) for r0, r1, _ in got] == spans
+                for r0, r1, z in got:
+                    assert z.shape == (3, r1 - r0, w)
+                    assert np.array_equal(bits(z), bits(want[:, r0:r1])), (rows, name, r0, r1)
+
+    def test_groups_read_each_20m_row_once(self, tmp_path, rng, monkeypatch):
+        h, w = 40, 6
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 2 * w)  # 2-row windows
+        reads = []
+        raster = s.planes.rasters[BandId.B11]
+
+        class Counting:
+            def scaled_rows(self, r0, r1):
+                reads.append((r0, r1))
+                return raster.scaled_rows(r0, r1)
+
+        monkeypatch.setitem(s.planes.rasters, BandId.B11, Counting())
+        list(s.weighted_sums(np.ones((1, 10))))
+        # 20 windows in groups of _GROUP_WINDOWS (4): each group reads its
+        # own four 20 m rows and one halo row on either side, rows 0-4, 3-8,
+        # 7-12, 11-16 and 15-19.
+        step = bandstack._GROUP_WINDOWS
+        assert reads == [(max(0, r - 1), min(20, r + step + 1)) for r in range(0, 20, step)]
+        reads.clear()
+        where = np.zeros(h, dtype=bool)
+        where[[0, 2, 4, 8, 30]] = True  # windows 0-1, 2-3, 4-5, 8-9 and 30-31
+        list(s.weighted_sums(np.ones((1, 10)), where=where))
+        assert reads == [(0, 4), (3, 6), (14, 17)]
+
+    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER])
+    def test_in_memory_sums_20m_terms_first_then_10m(self, rng, monkeypatch, order):
+        h, w = 7, 5
+        planes = {b: rng.uniform(0, 1.5, size=(h, w)) for b in BandId}
+        s = BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
+        weights = rng.normal(size=(2, len(order)))
+        first = sorted(range(len(order)), key=lambda k: order[k].native_resolution_m != 20)
+        assert [order[k].native_resolution_m for k in first] == [20] * 6 + [10] * 4
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
+        got = [(r0, r1, z.copy()) for r0, r1, z in s.weighted_sums(weights, order)]
+        assert [(r0, r1) for r0, r1, _ in got] == [(0, 3), (3, 6), (6, 7)]
+        for r0, r1, z in got:
+            for j, wj in enumerate(weights):
+                want = planes[order[first[0]]][r0:r1] * wj[first[0]]
+                for k in first[1:]:
+                    want = want + planes[order[k]][r0:r1] * wj[k]
+                assert np.array_equal(bits(z[j]), bits(want))
+
+    def test_bad_weights_rejected(self, tmp_path):
+        s = load_band_stack(write_dn_scene(tmp_path, 6, 4, lambda b, shape: np.zeros(shape)))
+        for w, order in [(np.zeros((2, 9)), FEATURE_ORDER), (np.zeros(10), FEATURE_ORDER),
+                         (np.zeros((2, 0)), ())]:
+            with pytest.raises(ValueError, match="weights"):
+                next(s.weighted_sums(w, order))
 
 
 class TestFeatures:

@@ -381,6 +381,22 @@ class TestCensusEvalCli:
         assert "--water-model requires --water-method mlp" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["census", "render"])
+    @pytest.mark.parametrize("flags,message", [
+        (("--water-model", "nope.mlp"), "--water-model requires --water-method mlp"),
+        (("--water-method", "mlp"), "--water-method mlp requires --water-model"),
+    ])
+    def test_flag_pairing_checked_before_any_file_is_read(self, tmp_path, capsys, command,
+                                                          flags, message):
+        # Neither the manifest nor a model exists: the usage error wins.
+        out = tmp_path / "out"
+        assert run_cli(command, "--manifest", str(tmp_path / "nope.json"),
+                       "--platform-model", str(tmp_path / "nope.mlp"), *flags,
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert message in err and "manifest" not in err
+        assert not out.exists()
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_census_peak_memory_holds_no_band_raster(self, model_path, tmp_path):
         # The 2048x2048 scene's 16-bit bands take 44 MB; a loaded stack

@@ -8,8 +8,10 @@ from raftcensus import (
     forward,
     forward_batch,
     init_model,
+    load_band_stack,
     load_model,
     loss_and_gradient,
+    save_band_stack,
     save_model,
     train,
 )
@@ -17,7 +19,14 @@ from raftcensus.bandstack import _BLOCK_PIXELS, FEATURE_ORDER, BandId, BandStack
 from raftcensus.errors import DimensionError, ModelFormatError, TrainingError
 from raftcensus.mlp import _sigmoid, _targets, split_data, threshold_planes
 
-from oracles import ref_forward_batch, ref_gather_mask, ref_whole_image_mask, ref_sigmoid
+from oracles import (
+    ref_folded_mask,
+    ref_folded_scores,
+    ref_forward_batch,
+    ref_gather_mask,
+    ref_sigmoid,
+    ref_whole_image_mask,
+)
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -30,6 +39,36 @@ def manual_forward(m, x):
 
     h = sig(m.weights[0] @ x + m.biases[0])
     return sig(m.weights[1] @ h + m.biases[1])
+
+
+def bits(a):
+    """Raw IEEE bit patterns, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def random_stack(rng, h, w):
+    """In-memory stack of reflectances uniform in [0, 1.5)."""
+    planes = {b: rng.uniform(0.0, 1.5, size=(h, w)) for b in BandId}
+    return BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
+
+
+def scaled_model(layers, seed, scale, feature_order=FEATURE_ORDER):
+    """Seeded random model; a large ``scale`` drives units into saturation."""
+    m = init_model(layers, seed=seed, feature_order=feature_order)
+    return MlpModel(m.layer_sizes, tuple(scale * w for w in m.weights),
+                    tuple(scale * b for b in m.biases), m.feature_order)
+
+
+SHUFFLED_ORDER = tuple(FEATURE_ORDER[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5))
+
+# (layers, seed, weight scale, feature order)
+SCORING_MODELS = [
+    ((10, 2, 1), 1, 1.0, FEATURE_ORDER),
+    ((10, 8, 3), 2, 1.0, FEATURE_ORDER),
+    ((10, 8, 3), 3, 40.0, SHUFFLED_ORDER),
+    ((10, 2, 1), 4, 400.0, FEATURE_ORDER),
+    ((10, 8, 1), 3, 40.0, FEATURE_ORDER),
+]
 
 
 class TestForward:
@@ -91,11 +130,18 @@ class TestOneRowBatch:
                                        thr=np.nextafter(scores[i], 1.0))
             assert at.counts[1, 1] == 1 and above.counts[1, 0] == 1
 
-    def test_sums_left_to_right_in_python_floats(self):
-        # Pins the summation order: (((w_0 x_0 + w_1 x_1) + w_2 x_2) ...) + b
-        # in plain Python floats; another order changes last bits here.
-        m = scaled_model((10, 8, 3), 3, 40.0)
+    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER])
+    def test_sums_in_python_floats(self, order):
+        # Pins the summation order in plain Python floats: a hidden unit
+        # sums its 20 m terms, then its 10 m terms, each group in feature
+        # order, then adds its bias; an output unit sums left to right,
+        # (((w_0 x_0 + w_1 x_1) + w_2 x_2) ...) + b. Another order changes
+        # last bits here.
+        m = scaled_model((10, 8, 3), 3, 40.0, order)
         x = np.random.default_rng(1).uniform(0.0, 1.5, size=(6, 10))
+        coarse = [k for k, b in enumerate(order) if b.native_resolution_m == 20]
+        first = coarse + [k for k in range(10) if k not in coarse]
+        assert len(coarse) == 6
 
         def units(w, b, a):
             z = []
@@ -107,39 +153,9 @@ class TestOneRowBatch:
             return ref_sigmoid(np.array(z)).tolist()
 
         for row in x:
-            hid = units(m.weights[0], m.biases[0], row.tolist())
+            hid = units(m.weights[0][:, first], m.biases[0], row[first].tolist())
             want = units(m.weights[1], m.biases[1], hid)
             assert np.array_equal(bits(forward(m, row)), bits(np.array(want)))
-
-
-def bits(a):
-    """Raw IEEE bit patterns, so -0.0 and 0.0 compare unequal."""
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-
-
-def random_stack(rng, h, w):
-    """In-memory stack of reflectances uniform in [0, 1.5)."""
-    planes = {b: rng.uniform(0.0, 1.5, size=(h, w)) for b in BandId}
-    return BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
-
-
-def scaled_model(layers, seed, scale, feature_order=FEATURE_ORDER):
-    """Seeded random model; a large ``scale`` drives units into saturation."""
-    m = init_model(layers, seed=seed, feature_order=feature_order)
-    return MlpModel(m.layer_sizes, tuple(scale * w for w in m.weights),
-                    tuple(scale * b for b in m.biases), m.feature_order)
-
-
-SHUFFLED_ORDER = tuple(FEATURE_ORDER[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5))
-
-# (layers, seed, weight scale, feature order)
-SCORING_MODELS = [
-    ((10, 2, 1), 1, 1.0, FEATURE_ORDER),
-    ((10, 8, 3), 2, 1.0, FEATURE_ORDER),
-    ((10, 8, 3), 3, 40.0, SHUFFLED_ORDER),
-    ((10, 2, 1), 4, 400.0, FEATURE_ORDER),
-    ((10, 8, 1), 3, 40.0, FEATURE_ORDER),
-]
 
 
 class TestSigmoid:
@@ -181,15 +197,15 @@ class TestSigmoid:
 
 @pytest.fixture
 def batch_sizes(monkeypatch):
-    """Pixels of every block threshold_planes scores."""
+    """Pixels of every window threshold_planes scores."""
     from raftcensus import mlp
 
     sizes = []
     score = mlp._score
 
-    def counting(m, cols, units, work):
-        sizes.append(len(cols[0]))
-        return score(m, cols, units, work)
+    def counting(m, z, units, work):
+        sizes.append(z.shape[1])
+        return score(m, z, units, work)
 
     monkeypatch.setattr(mlp, "_score", counting)
     return sizes
@@ -197,18 +213,25 @@ def batch_sizes(monkeypatch):
 
 @pytest.fixture
 def block_scores(monkeypatch):
-    """(n, n_in) features and (n, n_units) outputs of every block
-    threshold_planes scores, copied."""
+    """[(r0, r1), outputs] of every row window threshold_planes scores:
+    its rows and its (n, n_units) outputs, copied."""
     from raftcensus import mlp
 
     blocks = []
-    score = mlp._score
+    sums, score = BandStack.weighted_sums, mlp._score
 
-    def recording(m, cols, units, work):
-        y = score(m, cols, units, work)
-        blocks.append((np.stack(cols, axis=1), y.T.copy()))
+    def summing(self, *args, **kwargs):
+        for r0, r1, z in sums(self, *args, **kwargs):
+            blocks.append([(r0, r1), None])
+            yield r0, r1, z
+
+    def recording(m, z, units, work):
+        y = score(m, z, units, work)
+        if blocks and blocks[-1][1] is None:  # not a forward_batch call
+            blocks[-1][1] = y.T.copy()
         return y
 
+    monkeypatch.setattr(BandStack, "weighted_sums", summing)
     monkeypatch.setattr(mlp, "_score", recording)
     return blocks
 
@@ -312,7 +335,7 @@ class TestThresholdPlanes:
         x = np.stack([stack.planes[b] for b in order], axis=-1).reshape(-1, 10)
         want = ref_forward_batch(m, x)[:, -1:]
         got = threshold_planes(m, stack, m.n_out - 1, want[-1, 0])
-        assert [len(xb) for xb, _ in block_scores] == [_BLOCK_PIXELS, 1]
+        assert [r1 - r0 for (r0, r1), _ in block_scores] == [_BLOCK_PIXELS, 1]
         assert got[-1, 0] and np.array_equal(got[:, 0], want[:, 0] >= want[-1, 0])
         assert np.array_equal(bits(block_scores[1][1]), bits(want[-1:]))
 
@@ -334,7 +357,7 @@ class TestThresholdPlanes:
             monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", n)  # blocks of n rows
             block_scores.clear()
             threshold_planes(m, stack, m.n_out - 1, 0.5)
-            assert [len(xb) for xb, _ in block_scores][:1] == [n]
+            assert [r1 - r0 for (r0, r1), _ in block_scores][:1] == [n]
             got = np.concatenate([yb for _, yb in block_scores])
             assert np.array_equal(bits(got), bits(whole[:, -1:]))
 
@@ -345,9 +368,8 @@ class TestThresholdPlanes:
         h, w = 10, _BLOCK_PIXELS // 3
         stack = random_stack(rng, h, w)
         threshold_planes(m, stack, 2, 0.5)
-        assert [len(xb) // w for xb, _ in block_scores] == [3, 3, 3, 1]
+        assert [rows for rows, _ in block_scores] == [(0, 3), (3, 6), (6, 9), (9, 10)]
         x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
-        assert np.array_equal(np.concatenate([xb for xb, _ in block_scores]), x)
         assert np.array_equal(bits(np.concatenate([yb for _, yb in block_scores])),
                               bits(ref_forward_batch(m, x)[:, 2:]))
 
@@ -363,9 +385,9 @@ class TestThresholdPlanes:
             block_scores.clear()
             got = threshold_planes(m, stack, 1, thr, where=where)
             assert np.array_equal(got, ref_gather_mask(m, stack.planes, 1, thr, where))
-            assert [len(xb) // w for xb, _ in block_scores] == [3, 1]
-            for (xb, yb), (r0, r1) in zip(block_scores, [(3, 6), (9, 10)]):
-                assert np.array_equal(xb, x[r0:r1].reshape(-1, 10))
+            assert [rows for rows, _ in block_scores] == [(3, 6), (9, 10)]
+            for (r0, r1), yb in block_scores:
+                xb = x[r0:r1].reshape(-1, 10)
                 assert np.array_equal(bits(yb), bits(ref_forward_batch(m, xb)[:, 1:2]))
 
     def test_back_to_back_models_of_different_width(self, rng):
@@ -426,6 +448,92 @@ class TestThresholdPlanes:
         with pytest.raises(DimensionError, match="shape"):
             threshold_planes(m, random_stack(rng, 4, 5), 0, 0.5,
                              where=np.ones((5, 4), dtype=bool))
+
+
+def saved_random_stack(rng, tmp_path, h, w):
+    """(loaded stack, manifest path) of a ``random_stack`` saved to disk."""
+    manifest = save_band_stack(random_stack(rng, h, w), tmp_path)
+    return load_band_stack(manifest), manifest
+
+
+class TestLoadedStackScoring:
+    """A loaded stack sums each hidden unit's 20 m terms on the 20 m grid
+    and upsamples that sum: its masks equal ``ref_folded_mask``, bitwise."""
+
+    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    @pytest.mark.parametrize("shape", [(6, _BLOCK_PIXELS + 34), (10, _BLOCK_PIXELS // 3 - 1),
+                                       (50, 700), (2, 2)],
+                             ids=["1-row", "3-row", "23-row", "2x2"])
+    def test_matches_folded_reference(self, rng, tmp_path, layers, seed, scale, order, shape):
+        m = scaled_model(layers, seed, scale, order)
+        stack, manifest = saved_random_stack(rng, tmp_path, *shape)
+        scores = ref_folded_scores(m, manifest)
+        for out_index in range(m.n_out):
+            # Thresholds equal to actual scores put pixels exactly on the
+            # boundary, where a one-ulp difference would flip the result.
+            picks = scores[..., out_index].reshape(-1)[rng.integers(0, scores[..., 0].size, 2)]
+            for thr in [0.5, *picks]:
+                got = threshold_planes(m, stack, out_index, thr)
+                assert np.array_equal(got, scores[..., out_index] >= thr)
+
+    def test_where_windows_skipped(self, rng, tmp_path, block_scores):
+        m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
+        h, w = 12, _BLOCK_PIXELS // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
+        stack, manifest = saved_random_stack(rng, tmp_path, h, w)
+        where = np.zeros((h, w), dtype=bool)
+        where[4, 10] = where[11, :] = True
+        for thr in (0.2, 0.5, 0.9):
+            block_scores.clear()
+            got = threshold_planes(m, stack, 2, thr, where=where)
+            assert [rows for rows, _ in block_scores] == [(3, 6), (9, 12)]
+            assert np.array_equal(got, ref_folded_mask(m, manifest, 2, thr, where))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_native_20m_row_rejected(self, rng, tmp_path, monkeypatch, bad):
+        m = init_model((10, 2, 1), seed=0)
+        h, w = 12, _BLOCK_PIXELS // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
+        stack, manifest = saved_random_stack(rng, tmp_path, h, w)
+        raster = stack.planes.rasters[BandId.B11]
+
+        class Injected:
+            """B11 with one non-finite sample in its native row 3."""
+
+            def scaled_rows(self, r0, r1):
+                x = raster.scaled_rows(r0, r1)
+                if r0 <= 3 < r1:
+                    x[3 - r0, 5] = bad
+                return x
+
+        monkeypatch.setitem(stack.planes.rasters, BandId.B11, Injected())
+        with pytest.raises(ValueError, match="B11 rows are not finite"):
+            threshold_planes(m, stack, 0, 0.5)
+        # Native rows 1-3 are read for 10 m rows 3-5, rows 2-4 for rows 6-8.
+        for row in (3, 8):
+            where = np.zeros((h, w), dtype=bool)
+            where[row, 0] = True
+            with pytest.raises(ValueError, match="B11 rows are not finite"):
+                threshold_planes(m, stack, 0, 0.5, where=where)
+        # Windows that do not read native row 3 are scored as usual.
+        where = np.zeros((h, w), dtype=bool)
+        where[0, 0] = where[2, 9] = where[9, 3] = where[11, :] = True
+        assert np.array_equal(threshold_planes(m, stack, 0, 0.5, where=where),
+                              ref_folded_mask(m, manifest, 0, 0.5, where))
+
+    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    def test_scores_within_1e_12_of_forward_batch_of_features(self, rng, tmp_path, block_scores,
+                                                             layers, seed, scale, order):
+        # Upsampling each unit's 20 m sum, not each 20 m band, changes a
+        # score by rounding only.
+        m = scaled_model(layers, seed, scale, order)
+        h, w = 50, 700
+        stack, _ = saved_random_stack(rng, tmp_path, h, w)
+        rows, cols = np.indices((h, w)).reshape(2, -1)
+        want = forward_batch(m, stack.features(rows, cols, order))
+        for out_index in range(m.n_out):
+            block_scores.clear()
+            threshold_planes(m, stack, out_index, 0.5)
+            got = np.concatenate([y for _, y in block_scores])[:, 0]
+            assert np.abs(got - want[:, out_index]).max() <= 1e-12
 
 
 class TestLossAndGradient:
