@@ -15,9 +15,10 @@ under a window, and ``resample_plane`` on a whole plane, so every window
 value is bitwise equal to ``resample_plane`` of the scaled band. Census
 stages walk the stack through ``BandStack.windows``, which owns the
 window size (``_BLOCK_PIXELS`` pixels per window). A network's first
-layer reads a window through ``BandStack.weighted_sums``: a loaded stack
-sums the 20 m terms of each unit at native resolution and upsamples that
-one sum, not each 20 m band.
+layer reads a window through ``BandStack.float32_sums`` (float32 matrix
+products) or ``BandStack.weighted_sums`` (float64, in one fixed order): a
+loaded stack sums the 20 m terms of each unit at native resolution and
+upsamples that one sum, not each 20 m band.
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
@@ -81,10 +82,14 @@ PIXEL_SIZE_M = 10.0
 # window's activations stay in cache, large enough to keep per-window
 # overhead negligible.
 _BLOCK_PIXELS = 16384
-# Consecutive windows whose 20 m rows ``BandStack.weighted_sums`` reads
-# and sums at once: each group reads one pair of halo rows, not one per
-# window, and makes one call per band, not one per window.
+# Consecutive windows whose 20 m rows ``BandStack.weighted_sums`` and
+# ``float32_sums`` read and sum at once: each group reads one pair of halo
+# rows, not one per window, and makes one call per band, not one per window.
 _GROUP_WINDOWS = 4
+# Largest magnitude ``BandStack.float32_sums`` casts to float32: with
+# weights whose row sums stay below 2**60 (``mlp`` checks), no float32 sum
+# comes near overflow.
+_FLOAT32_PEAK = 2.0**64
 
 
 class BandId(str, Enum):
@@ -139,8 +144,8 @@ class BandStack:
     them while in use; its ``planes`` builds a band's whole plane on each
     lookup. Census stages walk the stack through ``windows``, which sets
     the window size, and read each window through ``rows``, which only
-    slices in-memory planes, or through ``weighted_sums``. Treat instances
-    as immutable.
+    slices in-memory planes, or through ``weighted_sums`` and
+    ``float32_sums``. Treat instances as immutable.
     """
 
     width: int
@@ -167,8 +172,10 @@ class BandStack:
             # finite and non-negative: only in-memory planes need checking.
             if dn:
                 continue
+            # One min and one max reduction, no plane-sized temporaries; NaN
+            # fails every comparison.
             plane = self.planes[band]
-            if not np.isfinite(plane).all() or (plane < 0).any():
+            if not (plane.min(initial=0.0) >= 0.0 and plane.max(initial=0.0) < math.inf):
                 raise ValueError(f"band {band.value} has non-finite or negative values")
 
     def rows(
@@ -211,20 +218,56 @@ class BandStack:
         window; the caller may overwrite it.
 
         Each plane sums its 20 m terms first, then its 10 m terms, each group
-        left to right in ``order``. In-memory planes are already on the 10 m
-        grid, so their terms are summed there. A loaded stack sums the 20 m
-        terms on the 20 m grid, from native rows, and upsamples each plane's
-        20 m sum with the x2 bilinear upsampler: it upsamples len(w) planes,
-        not one per 20 m band. The upsampler is linear and its weights sum to
-        1, so this differs from summing the upsampled bands by rounding only.
-        The 20 m rows of up to ``_GROUP_WINDOWS`` consecutive windows are read
-        and summed at once, so neighbouring windows share their halo rows;
-        rows only skipped windows need are not read. Every row read is
-        checked; a non-finite value raises ``ValueError``.
+        left to right in ``order``, one elementwise product and addition at a
+        time, so every value is the same whatever the window or the BLAS.
+        In-memory planes are already on the 10 m grid, so their terms are
+        summed there. A loaded stack sums the 20 m terms on the 20 m grid,
+        from native rows, and upsamples each plane's 20 m sum with the x2
+        bilinear upsampler: it upsamples len(w) planes, not one per 20 m
+        band. The upsampler is linear and its weights sum to 1, so this
+        differs from summing the upsampled bands by rounding only. The 20 m
+        rows of up to ``_GROUP_WINDOWS`` consecutive windows are read and
+        summed at once, so neighbouring windows share their halo rows; rows
+        only skipped windows need are not read. Every row read is checked; a
+        non-finite value raises ``ValueError``.
+
+        These are the sums of the exact scores that decide
+        ``mlp.threshold_planes``' masks; it forms them only for the windows
+        that ``float32_sums`` cannot decide within its error bound.
         """
-        w = np.asarray(w, dtype=np.float64)
+        for r0, r1, sums, _ in self._sums(np.asarray(w, dtype=np.float64), order, where):
+            yield r0, r1, sums
+
+    def float32_sums(
+        self, w: np.ndarray, order: tuple[BandId, ...] = FEATURE_ORDER, where=None
+    ) -> Iterator[tuple[int, int, np.ndarray | None, float]]:
+        """The sums of ``weighted_sums``, formed in float32 by matrix products:
+        yield ``(r0, r1, sums, peak)`` for the same windows, read the same
+        way, with ``sums`` a float32 (len(w), r1 - r0, width) array reused
+        for the next window. ``peak`` is the largest magnitude of any value
+        read for the window (for a loaded stack, of any native row its group
+        reads); a window whose peak exceeds ``_FLOAT32_PEAK`` is not cast and
+        yields ``sums`` None.
+
+        The weights and the values read are rounded to float32; the products
+        are summed by ``np.matmul``, in whatever order the BLAS takes. A
+        loaded stack's 20 m part is one matrix product on native rows, then
+        the upsampler, in float32, and its 10 m part a second product added
+        to it. So a term of a sum meets at most len(order) + 6 float32
+        roundings (input, weight, product, additions, two per upsampled axis,
+        the 20 m + 10 m addition), and every term's magnitude is at most
+        |w[j, k]| * peak: ``mlp.threshold_planes`` bounds the error from that.
+        Non-finite values raise ``ValueError`` as in ``weighted_sums``.
+        """
+        yield from self._sums(np.asarray(w, dtype=np.float32), order, where)
+
+    def _sums(self, w: np.ndarray, order: tuple[BandId, ...], where) -> Iterator:
+        """``(r0, r1, sums, peak)`` of ``weighted_sums`` (float64 ``w``) or
+        ``float32_sums`` (float32 ``w``)."""
         if not order or w.ndim != 2 or w.shape[1] != len(order):
             raise ValueError(f"weights of shape {w.shape} for {len(order)} bands")
+        f32 = w.dtype == np.float32
+        add_sums, limit = (_float32_sums, _FLOAT32_PEAK) if f32 else (_fixed_order_sums, math.inf)
         coarse = [k for k, b in enumerate(order) if b.native_resolution_m == 20]
         fine = [k for k, b in enumerate(order) if b.native_resolution_m == 10]
         planes = self.planes
@@ -232,29 +275,37 @@ class BandStack:
         buf = group = None
         for i, (r0, r1) in enumerate(spans):
             if buf is None:  # the first window is the tallest
-                buf, tmp = np.empty((len(w), r1 - r0, self.width)), np.empty((r1 - r0, self.width))
-            out = buf[:, : r1 - r0]
+                buf = np.empty(len(w) * (r1 - r0) * self.width, w.dtype)
+                scratch = _scratch(w, len(order), (r1 - r0) * self.width)
+            out = buf[: len(w) * (r1 - r0) * self.width].reshape(len(w), r1 - r0, self.width)
             if not isinstance(planes, _DnPlanes):
-                xs = (_finite(order[k], np.asarray(planes[order[k]][r0:r1], dtype=np.float64))
+                xs = ((order[k], np.asarray(planes[order[k]][r0:r1], dtype=np.float64))
                       for k in coarse + fine)
-                yield r0, r1, _weighted_sums(w[:, coarse + fine], xs, out, tmp[: r1 - r0])
+                peak = add_sums(w[:, coarse + fine], xs, out, scratch)
+                yield r0, r1, (out if peak <= limit else None), peak
                 continue
+            peak = 0.0
             if coarse:
                 a, b, n = planes.native_rows(r0, r1)
-                if group is None or b >= group[0] + group[1].shape[1]:
+                if group is None or b > group[1]:
                     end, j = r1, i + 1  # the run of consecutive windows from this one
                     while j < min(len(spans), i + _GROUP_WINDOWS) and spans[j][0] == end:
                         end, j = spans[j][1], j + 1
                     ga, gb, _ = planes.native_rows(r0, end)
-                    native = (_finite(order[k], planes.rasters[order[k]].scaled_rows(ga, gb + 1))
+                    native = ((order[k], planes.rasters[order[k]].scaled_rows(ga, gb + 1))
                               for k in coarse)
-                    sums = np.empty((len(w), gb + 1 - ga, self.width // 2))
-                    _weighted_sums(w[:, coarse], native, sums, np.empty(sums.shape[1:]))
-                    group = ga, _upsample_columns(sums)
-                ga, rows = group
+                    sums = np.empty((len(w), gb + 1 - ga, self.width // 2), w.dtype)
+                    gpeak = add_sums(w[:, coarse], native, sums,
+                                     _scratch(w, len(coarse), sums[0].size))
+                    group = ga, gb, (_upsample_columns(sums) if gpeak <= limit else None), gpeak
+                ga, _, rows, peak = group
+                if rows is None:
+                    yield r0, r1, None, peak
+                    continue
                 _upsample2(rows[:, a - ga : b + 1 - ga].swapaxes(0, 1), a, n, out.swapaxes(0, 1), r0)
-            xs = (_finite(order[k], planes.rasters[order[k]].scaled_rows(r0, r1)) for k in fine)
-            yield r0, r1, _weighted_sums(w[:, fine], xs, out, tmp[: r1 - r0], add=bool(coarse))
+            xs = ((order[k], planes.rasters[order[k]].scaled_rows(r0, r1)) for k in fine)
+            peak = max(peak, add_sums(w[:, fine], xs, out, scratch, add=bool(coarse)))
+            yield r0, r1, (out if peak <= limit else None), peak
 
     def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
         """N x len(order) float64 features of the pixels (rows[i], cols[i]).
@@ -358,26 +409,61 @@ class _DnPlanes(Mapping):
         return out
 
 
-def _finite(band: BandId, x: np.ndarray) -> np.ndarray:
-    """``x``, rows read of ``band``, once every value is finite."""
-    if not np.isfinite(x).all():
+def _peak(band: BandId, x: np.ndarray) -> float:
+    """The largest magnitude in ``x``, rows read of ``band``, once every
+    value is finite: one max and one min reduction, no temporaries."""
+    hi, lo = float(x.max(initial=0.0)), float(x.min(initial=0.0))
+    if not -math.inf < lo <= hi < math.inf:  # NaN fails every comparison
         raise ValueError(f"band {band.value} rows are not finite")
-    return x
+    return max(hi, -lo)
 
 
-def _weighted_sums(w: np.ndarray, xs: Iterable[np.ndarray], out: np.ndarray,
-                   tmp: np.ndarray, add: bool = False) -> np.ndarray:
+def _scratch(w: np.ndarray, n_bands: int, n: int):
+    """Scratch for summing up to ``n_bands`` arrays of ``n`` values with the
+    weights ``w``: see ``_fixed_order_sums`` and ``_float32_sums``."""
+    if w.dtype == np.float32:
+        return np.empty(n_bands * n, np.float32), np.empty(len(w) * n, np.float32)
+    return np.empty(n)
+
+
+def _fixed_order_sums(w: np.ndarray, xs: Iterable[tuple[BandId, np.ndarray]], out: np.ndarray,
+                      scratch: np.ndarray, add: bool = False) -> float:
     """out[j] = w[j, 0] x_0 + w[j, 1] x_1 + ..., summed left to right, for
-    the arrays x_k that ``xs`` yields, taken one at a time; with ``add``,
-    the terms are added to out[j] as it stands. ``tmp`` is scratch of the
-    shape of one x_k."""
-    for k, x in enumerate(xs):
+    the rows x_k of band k that ``xs`` yields as (band, x_k), taken one at a
+    time; with ``add``, the terms are added to out[j] as it stands.
+    ``scratch`` holds one x_k. Returns the largest magnitude read."""
+    tmp = scratch[: out[0].size].reshape(out.shape[1:])
+    peak = 0.0
+    for k, (band, x) in enumerate(xs):
+        peak = max(peak, _peak(band, x))
         for j, acc in enumerate(out):
             if k == 0 and not add:
                 np.multiply(x, w[j, k], out=acc)
             else:
                 acc += np.multiply(x, w[j, k], out=tmp)
-    return out
+    return peak
+
+
+def _float32_sums(w: np.ndarray, xs: Iterable[tuple[BandId, np.ndarray]], out: np.ndarray,
+                  scratch: tuple[np.ndarray, np.ndarray], add: bool = False) -> float:
+    """The sums of ``_fixed_order_sums`` as one float32 matrix product of the
+    float32 ``w`` and the x_k rounded to float32, in ``scratch``. Returns the
+    largest magnitude read; once that exceeds ``_FLOAT32_PEAK``, no further
+    x_k is read or cast and ``out`` is left as it was."""
+    x32, tmp = scratch
+    n = out[0].size
+    x32 = x32[: w.shape[1] * n].reshape(w.shape[1], n)
+    peak = 0.0
+    for k, (band, x) in enumerate(xs):
+        peak = max(peak, _peak(band, x))
+        if peak > _FLOAT32_PEAK:
+            return peak
+        np.copyto(x32[k].reshape(x.shape), x, casting="same_kind")
+    if not add:
+        np.matmul(w, x32, out=out.reshape(len(w), n))
+        return peak
+    out += np.matmul(w, x32, out=tmp[: len(w) * n].reshape(len(w), n)).reshape(out.shape)
+    return peak
 
 
 def _upsample_rows(p: np.ndarray, a: int, n: int, r0: int, r1: int) -> np.ndarray:
@@ -391,8 +477,8 @@ def _upsample_rows(p: np.ndarray, a: int, n: int, r0: int, r1: int) -> np.ndarra
 
 def _upsample_columns(p: np.ndarray) -> np.ndarray:
     """The x2 bilinear upsampling of the last axis (columns) of a (rows,
-    cols) plane or a (planes, rows, cols) stack of planes."""
-    out = np.empty(p.shape[:-1] + (2 * p.shape[-1],))
+    cols) plane or a (planes, rows, cols) stack of planes, in its dtype."""
+    out = np.empty(p.shape[:-1] + (2 * p.shape[-1],), p.dtype)
     _upsample2(p.swapaxes(0, -1), 0, p.shape[-1], out.swapaxes(0, -1), 0)
     return out
 

@@ -7,12 +7,16 @@ score it against ground truth, and render an overlay image. Exit codes:
 
 All randomness is seeded through flags, so identical invocations
 produce byte-identical output files. The census is single-threaded;
-pixels are scored in row windows, each unit's sum in one fixed order (a
-hidden unit adds its 20 m band terms, then its 10 m band terms, then its
-bias), so a score depends neither on its window nor on BLAS (training
-uses BLAS). A loaded stack sums each hidden unit's 20 m terms at native
-resolution and upsamples the sum, so its scores differ from scores of
-the upsampled bands by rounding only.
+pixels are scored in row windows. A mask pixel is decided by its exact
+score, each unit's sum in one fixed order (a hidden unit adds its 20 m
+band terms, then its 10 m band terms, then its bias), so it depends
+neither on its window nor on BLAS. Most pixels are decided from float32
+BLAS scores, which a proven error bound shows to lie on the same side of
+the threshold as the exact score; windows where the bound cannot tell
+are scored again exactly (``mlp.threshold_planes``). A loaded stack sums
+each hidden unit's 20 m terms at native resolution and upsamples the
+sum, so its exact scores differ from scores of the upsampled bands by
+rounding only.
 """
 
 from __future__ import annotations

@@ -5,18 +5,26 @@ by full-batch gradient descent with momentum on mean squared error.
 The platform classifier uses layers [10, 2, 1]; the water classifier
 defaults to [10, 8, 3] with the water class last.
 
-Scoring sums each unit's weighted inputs in one fixed order, so a
-pixel's scores depend only on its features: not on the batch or window
-it is scored in, nor on the BLAS library. A hidden unit sums its 20 m
-band terms first, then its 10 m band terms, each group in feature order,
-then adds its bias; an output unit sums its inputs first input first,
-then adds its bias. Image pixels are scored one row window at a time
-(``BandStack.windows``, which sets the window size), through buffers
-allocated once per call; the stack forms each window's hidden-unit sums
-(``BandStack.weighted_sums``). A loaded stack forms the 20 m part of
-each sum at native resolution and upsamples it once per hidden unit, so
-its scores differ from ``forward_batch`` of its upsampled features by
-rounding only. Training stays on matrix products.
+A pixel's exact score sums each unit's weighted inputs in one fixed
+order, in float64, so it depends only on the pixel's features: not on
+the batch or window it is scored in, nor on the BLAS library. A hidden
+unit sums its 20 m band terms first, then its 10 m band terms, each group
+in feature order, then adds its bias; an output unit sums its inputs
+first input first, then adds its bias. ``forward_batch`` returns exact
+scores. A loaded stack forms the 20 m part of each hidden sum at native
+resolution and upsamples it once per hidden unit
+(``BandStack.weighted_sums``), so its exact scores differ from
+``forward_batch`` of its upsampled features by rounding only.
+
+Image masks (``threshold_planes``) are those of the exact scores, but
+the scores mostly come from float32 BLAS matrix products, which are
+several times cheaper and whose rounding depends on the BLAS. Each row
+window (``BandStack.windows``) is scored in float32 first; a proven
+bound E on |float32 score - exact score| (``_Float32Net``) decides every
+pixel whose float32 score lies more than E from the threshold, and a
+window holding any other pixel is scored again exactly. So the masks do
+not depend on the BLAS either. Training stays on float64 matrix
+products, with its work arrays allocated once per call, not per epoch.
 
 Models are value objects: training copies parameters and never mutates
 its input model.
@@ -24,6 +32,7 @@ its input model.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,11 +73,11 @@ def _sigmoid(
     """Logistic function of ``z``, computed in place: ``z`` is overwritten
     and returned.
 
-    ``t`` and ``pos`` are flat float64 and bool scratch arrays of at least
-    ``z.size`` elements, allocated when not given. Per element this is
-    1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise, each
-    one correctly rounded division; exp(-|z|) never overflows, and NaN
-    stays NaN.
+    ``t`` and ``pos`` are flat scratch arrays of ``z``'s dtype and of bool,
+    of at least ``z.size`` elements, allocated (float64) when not given.
+    Per element this is 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 +
+    exp(z)) otherwise, each one correctly rounded division; exp(-|z|) never
+    overflows, and NaN stays NaN.
     """
     if t is None or pos is None:
         t, pos = np.empty(z.size), np.empty(z.size, dtype=bool)
@@ -79,7 +88,7 @@ def _sigmoid(
     np.exp(t, out=t)
     np.greater_equal(z, 0.0, out=pos)
     np.add(t, 1.0, out=z)
-    np.putmask(t, pos, 1.0)
+    np.maximum(t, pos, out=t)  # 1 where z >= 0, as t lies in [0, 1]
     return np.divide(t, z, out=z)
 
 
@@ -265,30 +274,208 @@ def threshold_planes(
 ) -> np.ndarray:
     """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
 
-    Pixels are scored one ``BandStack.windows`` row window at a time (the
-    stack sets the window size). The stack forms each window's hidden-unit
-    sums, 20 m terms first, then 10 m terms (``BandStack.weighted_sums``);
-    biases and the output layer follow, in the summation order of
-    ``forward_batch``. So a score depends neither on its window nor on
-    BLAS. On an in-memory stack it equals ``forward_batch`` of the pixel's
+    The mask is that of the exact scores: the stack forms each
+    ``BandStack.windows`` window's hidden-unit sums in one fixed order, 20 m
+    terms first, then 10 m terms (``BandStack.weighted_sums``); biases and
+    the output layer follow, in the summation order of ``forward_batch``.
+    So a pixel's result depends neither on its window nor on BLAS. On an
+    in-memory stack its exact score equals ``forward_batch`` of its
     features, bitwise. A loaded stack forms the 20 m part of each sum from
     native 20 m rows and upsamples it, which changes a score by rounding
-    only. Only output ``out_index`` is computed. With an (H, W) ``where``,
-    cast to bool, windows holding no true pixel are neither read nor
-    scored, and the result is restricted to ``where``.
+    only.
+
+    Exact scores are formed only where they are needed. Every window is
+    first scored in float32 by matrix products (``BandStack.float32_sums``,
+    then one matrix product for the output unit), and ``_Float32Net``
+    bounds |float32 score - exact score| by E = alpha * M + beta, with M
+    the window's largest input magnitude. A pixel is decided by its float32
+    score s when s - E >= thr (true) or s + E < thr (false); NaN decides
+    nothing. A window holding an undecided pixel is scored again exactly,
+    through this function's own ``where`` path, and its exact results
+    replace the float32 ones; so does a window or a model too large to cast
+    to float32. Only output ``out_index`` is computed. With an (H, W)
+    ``where``, cast to bool, windows holding no true pixel are neither read
+    nor scored, only pixels in ``where`` need deciding, and the result is
+    restricted to ``where``.
     """
     if where is not None:
         where = np.asarray(where).astype(bool, copy=False)
         if where.shape != (s.height, s.width):
             raise DimensionError(f"mask shape {where.shape} does not match {(s.height, s.width)}")
     out = np.zeros((s.height, s.width), dtype=bool)
+    net = _float32_net(m, out_index)
+    if net is None:
+        _exact_decisions(m, s, out_index, thr, where, out)
+    else:
+        redo = np.zeros(s.height, dtype=bool)  # rows of windows to score exactly
+        for r0, r1, y, peak in _float32_scores(net, s, where):
+            if y is None or not _decide(y, thr, net.bound(peak), out[r0:r1].reshape(-1),
+                                        None if where is None else where[r0:r1].reshape(-1)):
+                redo[r0:r1] = True
+        if redo.any():
+            _exact_decisions(m, s, out_index, thr, redo, out)
+    return out if where is None else out & where
+
+
+def _exact_decisions(m: MlpModel, s: BandStack, out_index: int, thr: float, where,
+                     out: np.ndarray) -> None:
+    """Write exact-score decisions into the rows of ``out`` of every window
+    that ``where`` (pixels or one flag per row) does not skip."""
     work = None
     for r0, r1, z in s.weighted_sums(m.weights[0], m.feature_order, where):
         if work is None:  # the first window scored is the tallest
             work = _work_arrays(1, z[0].size)
         y = _score(m, z.reshape(len(z), -1), [out_index], work)
         np.greater_equal(y[0], thr, out=out[r0:r1].reshape(-1))
-    return out if where is None else out & where
+
+
+def _decide(y: np.ndarray, thr: float, e: float, hit: np.ndarray, where) -> bool:
+    """Set ``hit`` where the float32 scores ``y`` are >= thr + e; True when
+    every score (of the pixels in ``where``, if given) is >= thr + e or
+    < thr - e, so that the exact scores are on the same side of thr."""
+    thr = float(thr)  # thr +- e in float64, also for a float32 thr
+    np.greater_equal(y, _float32_ceil(thr + e), out=hit)
+    decided = np.less(y, _float32_ceil(thr - e))
+    decided |= hit
+    if where is not None:
+        decided |= ~where
+    return bool(decided.all())
+
+
+def _float32_ceil(x: float) -> np.float32:
+    """The smallest float32 >= x, for x clipped to [-1, 2] (NaN stays NaN).
+    Scores lie in [0, 1], so the clip changes no comparison with them, and a
+    float32 score s has s >= x exactly when s >= this bound."""
+    if x == x:  # not NaN
+        x = min(max(x, -1.0), 2.0)
+    c = np.float32(x)
+    return np.nextafter(c, np.float32(2.0)) if c < x else c
+
+
+# Unit roundoffs and smallest subnormals of float32 and float64.
+_U32, _U64 = 2.0**-24, 2.0**-53
+_ETA32, _ETA64 = 2.0**-149, 2.0**-1074
+_EXP_ULPS = 8  # allowance for np.exp, in units in the last place
+# Largest parameter row sum scored in float32: with inputs of magnitude at
+# most bandstack's float32 peak (2**64), every float32 sum stays below 2**125.
+_FLOAT32_PARAMS = 2.0**60
+
+
+def _gamma(n: int, u: float) -> float:
+    """gamma_n = n u / (1 - n u): the relative error bound of n roundings."""
+    return n * u / (1 - n * u)
+
+
+@dataclass(frozen=True)
+class _Float32Net:
+    """One output unit of a model, its parameters rounded to float32, and
+    the bound E(M) = ``alpha`` * M + ``beta`` on |float32 score - exact
+    score| of a pixel whose window inputs have magnitudes at most M.
+
+    Both scores approximate the real-valued score s* of the float64
+    parameters and inputs (on a loaded stack, of the exactly upsampled
+    native inputs; the upsampler is linear with weights summing to 1). For
+    unit roundoff u (u32 = 2^-24, u64 = 2^-53) and smallest subnormal eta
+    (2^-149, 2^-1074), each path is bounded term by term; E is the sum of
+    the float32 and the float64 bound. Here n = n_in, H = n_hid, w1_j is
+    hidden unit j's weight row and w2, b2 the output unit's parameters.
+
+    - Rounding of inputs and weights to float32: one rounding each, relative
+      u32 (below float32's normal range, an absolute eta instead).
+    - Dot products (Higham, Accuracy and Stability of Numerical Algorithms,
+      2nd ed., section 3.1): a sum of products in any order, with or without
+      FMA, is off by at most gamma_N * sum |terms|, where N counts the
+      roundings on a term's path, gamma_N = N u / (1 - N u). This covers any
+      BLAS. Float32 hidden sums: N = n + 8 (input, weight, n-term sum, the
+      upsampler, the 20 m + 10 m addition, the bias and its rounding); float64
+      hidden sums: N = n + 5; output sums: N = H + 3 for both.
+    - The upsampler's rounding on the 20 m part: one product and one addition
+      per axis, columns then rows, so 4 of those N roundings. Its weights
+      are non-negative and sum to 1, so a 20 m term's magnitude stays at most
+      |w1_jk| M, and |hidden sum j| <= M |w1_j|_1 + |b1_j|.
+    - Underflow: each rounding may instead add an absolute eta, scaled by at
+      most a weight or M: 2 N eta (1 + |w1_j|_1 + |b1_j|) (1 + M) per hidden
+      sum, 2 (H + 3) eta (1 + |w2|_1 + |b2|) per output sum.
+    - Sigmoid slope <= 1/4: an error d in a unit's sum moves its output by at
+      most d / 4; hidden outputs lie in [0, 1], so output sums are off by at
+      most sum_j |w2_j| (error of h_j) plus their own rounding.
+    - np.exp within 8 ulps (relative 16 u, or 8 eta below the normal range);
+      with the addition and the division of ``_sigmoid``, a sigmoid is off
+      by at most 20 u + 8 eta beyond the error of its argument.
+
+    Hence, per precision, with dz_j the hidden-sum bound above:
+    dh_j = 20 u + 8 eta + dz_j / 4, dy = output rounding + sum_j |w2_j| dh_j,
+    ds = 20 u + 8 eta + dy / 4, and E = ds(u32) + ds(u64), linear in M.
+    ``alpha`` and ``beta`` are then raised by a factor 1 + 2^-30 and
+    ``beta`` by 2^-50, which covers the float64 rounding of E(M) and of
+    thr +- E.
+    """
+
+    order: tuple[BandId, ...]
+    w1: np.ndarray  # float32 (n_hid, n_in)
+    b1: np.ndarray  # float32 (n_hid, 1)
+    w2: np.ndarray  # float32 (1, n_hid): the output unit's weights
+    b2: np.float32
+    alpha: float
+    beta: float
+
+    def bound(self, peak: float) -> float:
+        return self.alpha * peak + self.beta
+
+
+def _float32_net(m: MlpModel, out_index: int) -> _Float32Net | None:
+    """``_Float32Net`` of output ``out_index``, or None when a row sum of
+    absolute parameters reaches ``_FLOAT32_PARAMS`` (float32 could then
+    overflow); nothing is cast before that check."""
+    (w1, w2), (b1, b2) = m.weights, m.biases
+    w2, b2 = w2[out_index], b2[out_index]
+    n, n_hid = w1.shape[1], len(w1)
+    l1, ab1, aw2 = np.abs(w1).sum(axis=1), np.abs(b1), np.abs(w2)
+    out_sum = float(aw2.sum()) + abs(float(b2))
+    if max(float((l1 + ab1).max()), out_sum) >= _FLOAT32_PARAMS:
+        return None
+    alpha = beta = 0.0
+    for u, eta, hidden_n in ((_U32, _ETA32, n + 8), (_U64, _ETA64, n + 5)):
+        sig = (4 + 2 * _EXP_ULPS) * u + _EXP_ULPS * eta
+        under = 2 * hidden_n * eta * (1 + l1 + ab1)
+        dz_m = _gamma(hidden_n, u) * l1 + under  # hidden-sum bound: dz_m M + dz_1
+        dz_1 = _gamma(hidden_n, u) * ab1 + under
+        dy_1 = ((_gamma(n_hid + 3, u) + 2 * (n_hid + 3) * eta) * (1 + out_sum)
+                + float(aw2 @ (sig + dz_1 / 4)))
+        alpha += float(aw2 @ dz_m) / 16
+        beta += sig + dy_1 / 4
+    safety = 1 + 2.0**-30
+    return _Float32Net(
+        order=m.feature_order,
+        w1=w1.astype(np.float32),
+        b1=b1.astype(np.float32)[:, None],
+        w2=w2.astype(np.float32)[None, :],
+        b2=np.float32(b2),
+        alpha=alpha * safety,
+        beta=beta * safety + 2.0**-50,
+    )
+
+
+def _float32_scores(net: _Float32Net, s: BandStack, where=None) -> Iterator:
+    """Yield ``(r0, r1, scores, peak)`` for the windows of
+    ``BandStack.float32_sums``: ``scores`` is a float32 (n,) array of the
+    net's output for the window's pixels, reused for the next window, or
+    None where the window was not cast; ``peak`` is M of its bound."""
+    work = None
+    for r0, r1, z, peak in s.float32_sums(net.w1, net.order, where):
+        if z is None:
+            yield r0, r1, None, peak
+            continue
+        z = z.reshape(len(z), -1)
+        if work is None:  # the first window scored is the tallest
+            work = (np.empty((1, z.shape[1]), np.float32), np.empty(z.size, np.float32),
+                    np.empty(z.size, dtype=bool))
+        y, tmp, pos = work
+        z += net.b1
+        _sigmoid(z, tmp, pos)
+        y = np.matmul(net.w2, z, out=y[:, : z.shape[1]])
+        y += net.b2
+        yield r0, r1, _sigmoid(y[0], tmp, pos), peak
 
 
 def _targets(labels: np.ndarray, n_out: int) -> np.ndarray:
@@ -320,34 +507,56 @@ def loss_and_gradient(
         )
     if (targets < 0).any() or (targets > 1).any():
         raise ValueError("targets must lie in [0, 1]")
-    return _loss_grads_raw(m.weights, m.biases, x, targets)
+    return _Batch(x, targets, m.layer_sizes[1]).loss_grads(m.weights, m.biases)
 
 
-def _loss_grads_raw(weights, biases, x, targets):
-    w1, w2 = weights
-    b1, b2 = biases
-    h = _sigmoid(x @ w1.T + b1)
-    y = _sigmoid(h @ w2.T + b2)
+class _Batch:
+    """A fixed batch with the work arrays of its forward and backward passes,
+    kept across epochs: every array that grows with the batch is allocated
+    once, and each pass computes into them in the order of
+    ``loss_and_gradient``'s formulas."""
 
-    n, k = y.shape
-    diff = y - targets
-    mse = float(np.mean(diff * diff))
+    def __init__(self, x: np.ndarray, targets: np.ndarray, n_hid: int):
+        n, k = targets.shape
+        self.x, self.targets = x, targets
+        self.h, self.dh = np.empty((n, n_hid)), np.empty((n, n_hid))
+        self.y, self.diff, self.dz2 = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
+        self.tmp = np.empty(n * max(n_hid, k))
+        self.pos = np.empty(n * max(n_hid, k), dtype=bool)
 
-    # d mse / d y = 2 diff / (n k); chain through the sigmoids.
-    dz2 = (2.0 / (n * k)) * diff * y * (1.0 - y)
-    dw2 = dz2.T @ h
-    db2 = dz2.sum(axis=0)
-    dh = dz2 @ w2
-    dz1 = dh * h * (1.0 - h)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    return mse, ((dw1, db1), (dw2, db2))
+    def forward(self, weights, biases) -> tuple[np.ndarray, np.ndarray]:
+        """(h, y): sigmoid(x W1^T + b1) and sigmoid(h W2^T + b2)."""
+        h = np.matmul(self.x, weights[0].T, out=self.h)
+        h += biases[0]
+        _sigmoid(h, self.tmp, self.pos)
+        y = np.matmul(h, weights[1].T, out=self.y)
+        y += biases[1]
+        return h, _sigmoid(y, self.tmp, self.pos)
 
+    def mse(self, weights, biases) -> float:
+        _, y = self.forward(weights, biases)
+        d = np.subtract(y, self.targets, out=self.diff)
+        return float(np.mean(np.square(d, out=d)))
 
-def _mse_raw(weights, biases, x, targets) -> float:
-    h = _sigmoid(x @ weights[0].T + biases[0])
-    y = _sigmoid(h @ weights[1].T + biases[1])
-    return float(np.mean((y - targets) ** 2))
+    def loss_grads(self, weights, biases):
+        h, y = self.forward(weights, biases)
+        n, k = y.shape
+        diff = np.subtract(y, self.targets, out=self.diff)
+        mse = float(np.mean(np.multiply(diff, diff, out=self.dz2)))
+
+        # d mse / d y = 2 diff / (n k); chain through the sigmoids.
+        dz2 = np.multiply(2.0 / (n * k), diff, out=self.dz2)
+        dz2 *= y
+        dz2 *= np.subtract(1.0, y, out=self.diff)
+        dw2 = dz2.T @ h
+        db2 = dz2.sum(axis=0)
+        dz1 = np.matmul(dz2, weights[1], out=self.dh)
+        dz1 *= h
+        one_minus_h = self.tmp[: h.size].reshape(h.shape)
+        dz1 *= np.subtract(1.0, h, out=one_minus_h)
+        dw1 = dz1.T @ self.x
+        db1 = dz1.sum(axis=0)
+        return mse, ((dw1, db1), (dw2, db2))
 
 
 def _split_indices(n: int, split: tuple[float, float, float], seed: int):
@@ -383,10 +592,11 @@ def train(
         raise TrainingError("training data must contain at least two classes")
 
     idx_train, idx_val, _ = _split_indices(len(x), cfg.split, cfg.seed)
-    x_train = x[idx_train]
-    t_train = _targets(labels[idx_train], m.n_out)
-    x_val = x[idx_val]
-    t_val = _targets(labels[idx_val], m.n_out) if len(idx_val) else None
+    n_hid = m.layer_sizes[1]
+    batch = _Batch(x[idx_train], _targets(labels[idx_train], m.n_out), n_hid)
+    monitored = batch
+    if len(idx_val):
+        monitored = _Batch(x[idx_val], _targets(labels[idx_val], m.n_out), n_hid)
 
     weights = [w.copy() for w in m.weights]
     biases = [b.copy() for b in m.biases]
@@ -402,9 +612,7 @@ def train(
         )
 
     def monitored_loss() -> float:
-        if t_val is None:
-            return _mse_raw(weights, biases, x_train, t_train)
-        return _mse_raw(weights, biases, x_val, t_val)
+        return monitored.mse(weights, biases)
 
     def diverged(epoch: int):
         raise TrainingError(f"loss diverged at epoch {epoch}", epoch=epoch)
@@ -413,7 +621,7 @@ def train(
     best = snapshot()
     best_val = monitored_loss()
     for epoch in range(cfg.max_epochs):
-        loss, grads = _loss_grads_raw(weights, biases, x_train, t_train)
+        loss, grads = batch.loss_grads(weights, biases)
         if not np.isfinite(loss):
             diverged(epoch)
         history.append(loss)

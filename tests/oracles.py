@@ -55,6 +55,7 @@ from raftcensus.datasets import (
 )
 from raftcensus.errors import DatasetError, PgmError
 from raftcensus.evaluation import MatchPair
+from raftcensus.mlp import MlpModel
 from raftcensus.waterdetect import NDWI_BINS, compute_ndwi, quantize_ndwi
 
 
@@ -742,3 +743,92 @@ def ref_gather_mask(m, planes, out_index: int, thr: float, where: np.ndarray) ->
     hits = ref_forward_batch(m, x)[:, out_index] >= thr
     out[rows[hits], cols[hits]] = True
     return out
+
+
+# --- training ---------------------------------------------------------------
+
+def _ref_targets(labels: np.ndarray, n_out: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if n_out == 1:
+        return labels.astype(np.float64)[:, None]
+    t = np.zeros((len(labels), n_out))
+    t[np.arange(len(labels)), labels] = 1.0
+    return t
+
+
+def ref_loss_grads(weights, biases, x, targets):
+    """MSE and its gradient, every array allocated afresh."""
+    w1, w2 = weights
+    b1, b2 = biases
+    h = ref_sigmoid(x @ w1.T + b1)
+    y = ref_sigmoid(h @ w2.T + b2)
+
+    n, k = y.shape
+    diff = y - targets
+    mse = float(np.mean(diff * diff))
+
+    dz2 = (2.0 / (n * k)) * diff * y * (1.0 - y)
+    dw2 = dz2.T @ h
+    db2 = dz2.sum(axis=0)
+    dh = dz2 @ w2
+    dz1 = dh * h * (1.0 - h)
+    dw1 = dz1.T @ x
+    db1 = dz1.sum(axis=0)
+    return mse, ((dw1, db1), (dw2, db2))
+
+
+def _ref_mse(weights, biases, x, targets) -> float:
+    h = ref_sigmoid(x @ weights[0].T + biases[0])
+    y = ref_sigmoid(h @ weights[1].T + biases[1])
+    return float(np.mean((y - targets) ** 2))
+
+
+def ref_train(m, x, labels, cfg):
+    """(best model, training-loss history): full-batch gradient descent with
+    momentum on a shuffled train/val/test split, early stop on the
+    validation loss (the training loss when the validation split is empty)."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels)
+    perm = np.random.default_rng(cfg.seed).permutation(len(x))
+    n_val = int(len(x) * cfg.split[1])
+    n_test = int(len(x) * cfg.split[2])
+    n_train = len(x) - n_val - n_test
+    idx_train, idx_val = perm[:n_train], perm[n_train : n_train + n_val]
+    x_train = x[idx_train]
+    t_train = _ref_targets(labels[idx_train], m.n_out)
+    x_val = x[idx_val]
+    t_val = _ref_targets(labels[idx_val], m.n_out) if len(idx_val) else None
+
+    weights = [w.copy() for w in m.weights]
+    biases = [b.copy() for b in m.biases]
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+
+    def snapshot():
+        return MlpModel(m.layer_sizes, (weights[0].copy(), weights[1].copy()),
+                        (biases[0].copy(), biases[1].copy()), m.feature_order)
+
+    def monitored_loss():
+        if t_val is None:
+            return _ref_mse(weights, biases, x_train, t_train)
+        return _ref_mse(weights, biases, x_val, t_val)
+
+    history = []
+    best = snapshot()
+    best_val = monitored_loss()
+    for _ in range(cfg.max_epochs):
+        loss, grads = ref_loss_grads(weights, biases, x_train, t_train)
+        history.append(loss)
+        for layer in range(2):
+            dw, db = grads[layer]
+            vel_w[layer] = cfg.momentum * vel_w[layer] - cfg.learning_rate * dw
+            vel_b[layer] = cfg.momentum * vel_b[layer] - cfg.learning_rate * db
+            weights[layer] += vel_w[layer]
+            biases[layer] += vel_b[layer]
+        val = monitored_loss()
+        if val < best_val:
+            best_val = val
+            best = snapshot()
+        if val <= cfg.target_loss:
+            break
+    return best, history

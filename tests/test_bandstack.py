@@ -658,17 +658,19 @@ class TestWeightedSums:
                 return raster.scaled_rows(r0, r1)
 
         monkeypatch.setitem(s.planes.rasters, BandId.B11, Counting())
-        list(s.weighted_sums(np.ones((1, 10))))
-        # 20 windows in groups of _GROUP_WINDOWS (4): each group reads its
-        # own four 20 m rows and one halo row on either side, rows 0-4, 3-8,
-        # 7-12, 11-16 and 15-19.
-        step = bandstack._GROUP_WINDOWS
-        assert reads == [(max(0, r - 1), min(20, r + step + 1)) for r in range(0, 20, step)]
-        reads.clear()
-        where = np.zeros(h, dtype=bool)
-        where[[0, 2, 4, 8, 30]] = True  # windows 0-1, 2-3, 4-5, 8-9 and 30-31
-        list(s.weighted_sums(np.ones((1, 10)), where=where))
-        assert reads == [(0, 4), (3, 6), (14, 17)]
+        for sums in (s.weighted_sums, s.float32_sums):
+            reads.clear()
+            list(sums(np.ones((1, 10))))
+            # 20 windows in groups of _GROUP_WINDOWS (4): each group reads its
+            # own four 20 m rows and one halo row on either side, rows 0-4,
+            # 3-8, 7-12, 11-16 and 15-19.
+            step = bandstack._GROUP_WINDOWS
+            assert reads == [(max(0, r - 1), min(20, r + step + 1)) for r in range(0, 20, step)]
+            reads.clear()
+            where = np.zeros(h, dtype=bool)
+            where[[0, 2, 4, 8, 30]] = True  # windows 0-1, 2-3, 4-5, 8-9 and 30-31
+            list(sums(np.ones((1, 10)), where=where))
+            assert reads == [(0, 4), (3, 6), (14, 17)]
 
     @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER])
     def test_in_memory_sums_20m_terms_first_then_10m(self, rng, monkeypatch, order):
@@ -692,8 +694,64 @@ class TestWeightedSums:
         s = load_band_stack(write_dn_scene(tmp_path, 6, 4, lambda b, shape: np.zeros(shape)))
         for w, order in [(np.zeros((2, 9)), FEATURE_ORDER), (np.zeros(10), FEATURE_ORDER),
                          (np.zeros((2, 0)), ())]:
-            with pytest.raises(ValueError, match="weights"):
-                next(s.weighted_sums(w, order))
+            for sums in (s.weighted_sums, s.float32_sums):
+                with pytest.raises(ValueError, match="weights"):
+                    next(sums(w, order))
+
+    @pytest.mark.parametrize("h,w", [(2, 2), (6, 40), (22, 18)])
+    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER, (BandId.B12, BandId.B3),
+                                       (BandId.B4,), (BandId.B8A, BandId.B5)])
+    def test_float32_sums_within_their_rounding_of_the_folded_reference(
+            self, tmp_path, rng, monkeypatch, h, w, order):
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        loaded = load_band_stack(path)
+        in_memory = BandStack(width=w, height=h, pixel_size=10.0,
+                              planes={b: loaded.planes[b] for b in BandId})
+        weights = rng.normal(size=(3, len(order)))
+        weights[0], weights[1] = -abs(weights[0]), abs(weights[1])
+        # At most len(order) + 6 float32 roundings per term, each term at
+        # most |w_jk| * peak in magnitude.
+        n = len(order) + 6
+        gamma = n * 2.0**-24 / (1 - n * 2.0**-24)
+        for s, want in [(loaded, ref_folded_sums(weights, order, path)),
+                        (in_memory, np.einsum("jk,khw->jhw", weights,
+                                              np.stack([in_memory.planes[b] for b in order])))]:
+            for rows in (1, 3, h):
+                monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
+                spans = [(r0, r1) for r0, r1, _ in s.windows(())]
+                got = [(r0, r1, z.copy(), peak) for r0, r1, z, peak in s.float32_sums(weights, order)]
+                assert [(r0, r1) for r0, r1, *_ in got] == spans
+                for r0, r1, z, peak in got:
+                    assert z.dtype == np.float32 and z.shape == (3, r1 - r0, w)
+                    assert peak >= max(np.abs(v).max() for v in s.rows(r0, r1, order).values())
+                    bound = gamma * peak * np.abs(weights).sum(axis=1)
+                    err = np.abs(z - want[:, r0:r1]).reshape(3, -1).max(axis=1)
+                    assert (err <= bound).all(), (rows, r0, r1, err, bound)
+
+    @pytest.mark.parametrize("value", [2.0**64 * 1.01, 1e38, 1e300])
+    def test_float32_sums_leave_values_beyond_their_peak_uncast(self, rng, monkeypatch, value):
+        h, w = 9, 4
+        planes = {b: rng.uniform(0, 1.5, size=(h, w)) for b in BandId}
+        planes[BandId.B12][4, 1] = value
+        s = BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [(r0, z is None, peak) for r0, _, z, peak in s.float32_sums(np.ones((2, 10)))]
+        assert [(r0, none) for r0, none, _ in got] == [(0, False), (3, True), (6, False)]
+        assert got[1][2] == value
+        assert bandstack._FLOAT32_PEAK < value
+
+    @pytest.mark.parametrize("method", ["weighted_sums", "float32_sums"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_memory_rows_name_their_band(self, rng, method, bad):
+        planes = {b: rng.uniform(0, 1.5, size=(3, 4)) for b in BandId}
+        s = BandStack(width=4, height=3, pixel_size=10.0, planes=planes)
+        planes[BandId.B3][2, 3] = bad  # written after the stack checked its planes
+        with pytest.raises(ValueError, match="band B3 rows are not finite"):
+            list(getattr(s, method)(np.ones((2, 10))))
 
 
 class TestFeatures:
@@ -793,6 +851,19 @@ class TestStackInvariants:
         planes = {b: np.zeros((2, 2)) for b in BandId}
         planes[BandId.B4][1, 0] = value
         with pytest.raises(ValueError, match="non-finite or negative"):
+            BandStack(width=2, height=2, pixel_size=10.0, planes=planes)
+
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 5e-324, 6.5535, 1e300])
+    def test_non_negative_values_accepted(self, value):
+        planes = {b: np.full((2, 2), 0.5) for b in BandId}
+        planes[BandId.B4][1, 1] = value
+        assert BandStack(width=2, height=2, pixel_size=10.0, planes=planes).width == 2
+
+    @pytest.mark.parametrize("value", [-5e-324, -1e300])
+    def test_tiny_and_huge_negative_values_rejected(self, value):
+        planes = {b: np.full((2, 2), 0.5) for b in BandId}
+        planes[BandId.B12][0, 1] = value
+        with pytest.raises(ValueError, match="band B12 has non-finite or negative values"):
             BandStack(width=2, height=2, pixel_size=10.0, planes=planes)
 
     def test_empty_planes_accepted(self):

@@ -1,5 +1,11 @@
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from raftcensus import (
     MlpModel,
@@ -15,16 +21,20 @@ from raftcensus import (
     save_model,
     train,
 )
+from raftcensus import bandstack, mlp
 from raftcensus.bandstack import _BLOCK_PIXELS, FEATURE_ORDER, BandId, BandStack
+from raftcensus.datasets import default_platform_training_set, default_water_training_set
 from raftcensus.errors import DimensionError, ModelFormatError, TrainingError
-from raftcensus.mlp import _sigmoid, _targets, split_data, threshold_planes
+from raftcensus.mlp import PLATFORM_LAYERS, WATER_LAYERS, _sigmoid, _targets, split_data, threshold_planes
 
 from oracles import (
     ref_folded_mask,
     ref_folded_scores,
     ref_forward_batch,
     ref_gather_mask,
+    ref_loss_grads,
     ref_sigmoid,
+    ref_train,
     ref_whole_image_mask,
 )
 
@@ -197,24 +207,39 @@ class TestSigmoid:
 
 @pytest.fixture
 def batch_sizes(monkeypatch):
-    """Pixels of every window threshold_planes scores."""
-    from raftcensus import mlp
-
+    """Pixels of every window threshold_planes scores in float32."""
     sizes = []
-    score = mlp._score
+    sums = BandStack.float32_sums
 
-    def counting(m, z, units, work):
-        sizes.append(z.shape[1])
-        return score(m, z, units, work)
+    def counting(self, *args, **kwargs):
+        for r0, r1, z, peak in sums(self, *args, **kwargs):
+            sizes.append((r1 - r0) * self.width)
+            yield r0, r1, z, peak
 
-    monkeypatch.setattr(mlp, "_score", counting)
+    monkeypatch.setattr(BandStack, "float32_sums", counting)
     return sizes
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """(r0, r1) of every window threshold_planes scores exactly."""
+    windows = []
+    sums = BandStack.weighted_sums
+
+    def recording(self, *args, **kwargs):
+        for r0, r1, z in sums(self, *args, **kwargs):
+            windows.append((r0, r1))
+            yield r0, r1, z
+
+    monkeypatch.setattr(BandStack, "weighted_sums", recording)
+    return windows
 
 
 @pytest.fixture
 def block_scores(monkeypatch):
     """[(r0, r1), outputs] of every row window threshold_planes scores:
-    its rows and its (n, n_units) outputs, copied."""
+    its rows and its (n, n_units) outputs, copied. No window is scored in
+    float32, so every window's exact scores are recorded."""
     from raftcensus import mlp
 
     blocks = []
@@ -231,6 +256,7 @@ def block_scores(monkeypatch):
             blocks[-1][1] = y.T.copy()
         return y
 
+    monkeypatch.setattr(mlp, "_float32_net", lambda m, out_index: None)
     monkeypatch.setattr(BandStack, "weighted_sums", summing)
     monkeypatch.setattr(mlp, "_score", recording)
     return blocks
@@ -422,11 +448,11 @@ class TestThresholdPlanes:
         stack = random_stack(rng, h, w)
         # Written after the stack checked its planes; in the third block, rows 6-8.
         stack.planes[BandId.B11][8, 5] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="band B11 rows are not finite"):
             threshold_planes(m, stack, 0, 0.5)
         where = np.zeros((h, w), dtype=bool)
         where[7, 0] = True
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="band B11 rows are not finite"):
             threshold_planes(m, stack, 0, 0.5, where=where)
         # A block that holds no ``where`` pixel is neither scored nor checked.
         where[7, 0], where[0, 0] = False, True
@@ -534,6 +560,172 @@ class TestLoadedStackScoring:
             threshold_planes(m, stack, out_index, 0.5)
             got = np.concatenate([y for _, y in block_scores])[:, 0]
             assert np.abs(got - want[:, out_index]).max() <= 1e-12
+
+
+def exact_scores(m, stack, manifest=None):
+    """(H, W, n_out) exact scores: ``ref_folded_scores`` of a saved stack,
+    ``ref_forward_batch`` of an in-memory one's features."""
+    if manifest is not None:
+        return ref_folded_scores(m, manifest)
+    x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1)
+    return ref_forward_batch(m, x.reshape(-1, m.n_in)).reshape(stack.height, stack.width, -1)
+
+
+def small_stack(x, tmp, loaded):
+    """(stack, manifest or None) of the (10, h, w) reflectances ``x``, held
+    in memory or saved to ``tmp`` and loaded."""
+    planes = dict(zip(BandId, x))
+    stack = BandStack(width=x.shape[2], height=x.shape[1], pixel_size=10.0, planes=planes)
+    if not loaded:
+        return stack, None
+    manifest = save_band_stack(stack, tmp)
+    return load_band_stack(manifest), manifest
+
+
+# Reflectances up to the largest digital number, with exact zeros (and,
+# in memory, subnormals) among them.
+REFLECTANCES = st.one_of(st.just(0.0), st.floats(0.0, 6.5535))
+
+
+class TestFloat32Bound:
+    """Windows are scored in float32 and decided there when the bound E
+    allows; the exact scores decide every other window."""
+
+    @given(model=st.sampled_from(SCORING_MODELS), loaded=st.booleans(),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+           window_rows=st.integers(1, 8), data=st.data())
+    def test_float32_scores_within_the_bound(self, model, loaded, shape, window_rows, data):
+        h, w = 2 * shape[0], 2 * shape[1]
+        x = data.draw(arrays(np.float64, (10, h, w), elements=REFLECTANCES))
+        layers, seed, scale, order = model
+        m = scaled_model(layers, seed, scale, order)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bandstack, "_BLOCK_PIXELS", window_rows * w)
+            stack, manifest = small_stack(x, tmp, loaded)
+            want = exact_scores(m, stack, manifest)
+            for out_index in range(m.n_out):
+                net = mlp._float32_net(m, out_index)
+                seen = []
+                for r0, r1, y, peak in mlp._float32_scores(net, stack):
+                    seen.append((r0, r1))
+                    inputs = stack.rows(r0, r1)
+                    assert peak >= max(np.abs(v).max() for v in inputs.values())
+                    gap = np.abs(y.astype(np.float64) - want[r0:r1, :, out_index].reshape(-1))
+                    assert gap.max() <= net.bound(peak), (r0, r1)
+                assert seen == [(r0, r1) for r0, r1, _ in stack.windows(())]
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS[:3])
+    def test_threshold_at_an_exact_score_rescores_that_window(self, rng, tmp_path, monkeypatch,
+                                                             rescored, loaded, layers, seed,
+                                                             scale, order):
+        m = scaled_model(layers, seed, scale, order)
+        h, w = 12, 6
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)  # windows of 3 rows
+        stack, manifest = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), tmp_path, loaded)
+        out_index = m.n_out - 1
+        scores = exact_scores(m, stack, manifest)[..., out_index]
+        net = mlp._float32_net(m, out_index)
+        e = max(net.bound(peak) for *_, peak in mlp._float32_scores(net, stack))
+        # The pixel whose score lies farthest from every other pixel's.
+        flat = np.sort(scores.reshape(-1))
+        away = np.minimum(np.diff(flat, prepend=-np.inf), np.diff(flat, append=np.inf))
+        pick = flat[np.argmax(away)]
+        assert away.max() > 2 * e
+        r, c = np.argwhere(scores == pick)[0]
+        got = threshold_planes(m, stack, out_index, pick)
+        assert got[r, c] and np.array_equal(got, scores >= pick)
+        assert rescored == [(r - r % 3, r - r % 3 + 3)]
+        # A float32 threshold is compared as its float64 value.
+        thr32 = np.float32(pick)
+        assert np.array_equal(threshold_planes(m, stack, out_index, thr32), scores >= thr32)
+        # A threshold midway across the widest gap between scores, and
+        # thresholds beyond every score, decide every pixel in float32.
+        i = np.argmax(np.diff(flat))
+        assert flat[i + 1] - flat[i] > 4 * e
+        for thr in ((flat[i] + flat[i + 1]) / 2, -np.inf, -1e300, 2.0, np.inf):
+            rescored.clear()
+            assert np.array_equal(threshold_planes(m, stack, out_index, thr), scores >= thr)
+            assert rescored == []
+        # A NaN threshold decides nothing: every window is scored again.
+        rescored.clear()
+        assert not threshold_planes(m, stack, out_index, np.nan).any()
+        assert rescored == [(r0, r0 + 3) for r0 in range(0, h, 3)]
+
+    def test_pixels_outside_where_need_no_decision(self, rng, monkeypatch, rescored):
+        m = scaled_model((10, 8, 3), 2, 1.0)
+        h, w = 12, 6
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
+        stack, _ = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), None, False)
+        scores = exact_scores(m, stack)[..., 2]
+        where = np.zeros((h, w), dtype=bool)
+        where[4, 1] = where[10, :] = True
+        thr = scores[4, 2]  # on the threshold, but outside ``where``
+        got = threshold_planes(m, stack, 2, thr, where=where)
+        assert np.array_equal(got, (scores >= thr) & where)
+        assert rescored == []
+        where[4, 2] = True
+        assert np.array_equal(threshold_planes(m, stack, 2, thr, where=where),
+                              (scores >= thr) & where)
+        assert rescored == [(3, 6)]
+
+    @pytest.mark.parametrize("where_rows", [None, [0, 7]])
+    def test_model_beyond_float32_range_is_scored_exactly(self, rng, monkeypatch, rescored,
+                                                          where_rows):
+        m = scaled_model((10, 8, 3), 2, 1.0)
+        w1 = m.weights[0].copy()
+        w1[3, 4] = 1e39
+        m = MlpModel(m.layer_sizes, (w1, m.weights[1]), m.biases, m.feature_order)
+        assert mlp._float32_net(m, 2) is None
+        h, w = 12, 6
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
+        stack, _ = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), None, False)
+        where = None
+        if where_rows is not None:
+            where = np.zeros((h, w), dtype=bool)
+            where[where_rows, 2] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = threshold_planes(m, stack, 2, 0.5, where=where)
+        want = exact_scores(m, stack)[..., 2] >= 0.5
+        assert np.array_equal(got, want if where is None else want & where)
+        rows = range(h) if where is None else where_rows
+        assert rescored == sorted({(r - r % 3, r - r % 3 + 3) for r in rows})
+
+    @pytest.mark.parametrize("value", [1e38, 2.0**64 * 1.5, 1e300])
+    def test_window_beyond_float32_range_is_scored_exactly(self, rng, monkeypatch, rescored,
+                                                           value):
+        m = scaled_model((10, 2, 1), 1, 1.0)
+        h, w = 12, 6
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
+        x = rng.uniform(0.0, 1.5, size=(10, h, w))
+        x[4, 7, 5] = value  # B6, in the window of rows 6-8
+        stack, _ = small_stack(x, None, False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = threshold_planes(m, stack, 0, 0.5)
+            sums = [(r0, z is None) for r0, _, z, _ in stack.float32_sums(np.ones((2, 10)))]
+        assert np.array_equal(got, exact_scores(m, stack)[..., 0] >= 0.5)
+        assert rescored == [(6, 9)]
+        assert sums == [(0, False), (3, False), (6, True), (9, False)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("band", [BandId.B4, BandId.B8A])
+    def test_non_finite_loaded_rows_name_their_band(self, rng, tmp_path, monkeypatch, bad, band):
+        m = init_model((10, 8, 3), seed=0)
+        stack, _ = saved_random_stack(rng, tmp_path, 12, 6)
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 18)
+        raster = stack.planes.rasters[band]
+
+        class Injected:
+            def scaled_rows(self, r0, r1):
+                x = raster.scaled_rows(r0, r1)
+                x[-1, 1] = bad
+                return x
+
+        monkeypatch.setitem(stack.planes.rasters, band, Injected())
+        with pytest.raises(ValueError, match=f"band {band.value} rows are not finite"):
+            threshold_planes(m, stack, 2, 0.5)
 
 
 class TestLossAndGradient:
@@ -655,6 +847,36 @@ class TestTrain:
         m2, h2 = train(init_model((10, 2, 1), seed=5), data, labels, cfg)
         assert m1.params_equal(m2)
         assert h1 == h2
+
+    @pytest.mark.parametrize("case", ["platform", "water", "no validation split"])
+    def test_bitwise_equal_to_fresh_array_oracle(self, case):
+        if case == "platform":
+            layers, data = PLATFORM_LAYERS, default_platform_training_set(seed=3, total=1200)
+            cfg = TrainConfig(max_epochs=300, seed=3)
+        elif case == "water":
+            layers, data = WATER_LAYERS, default_water_training_set(seed=4, n_per_class=200)
+            cfg = TrainConfig(max_epochs=200, seed=4)
+        else:
+            layers, data = PLATFORM_LAYERS, default_platform_training_set(seed=5, total=90)
+            cfg = TrainConfig(max_epochs=300, seed=5, split=(0.98, 0.01, 0.01))
+            assert len(split_data(data.features, data.labels, cfg)[1][0]) == 0
+        m = init_model(layers, seed=7)
+        got, history = train(m, data.features, data.labels, cfg)
+        want, want_history = ref_train(m, data.features, data.labels, cfg)
+        assert history == want_history and len(history) > 10
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(bits(a), bits(b))
+
+    def test_loss_and_gradient_bitwise_equal_to_oracle(self, rng):
+        m = scaled_model((10, 8, 3), 3, 4.0)
+        x = rng.uniform(0.0, 1.5, size=(500, 10))
+        t = _targets(rng.integers(0, 3, size=500), 3)
+        mse, grads = loss_and_gradient(m, x, t)
+        want_mse, want_grads = ref_loss_grads(m.weights, m.biases, x, t)
+        assert mse == want_mse
+        for layer, want_layer in zip(grads, want_grads):
+            for a, b in zip(layer, want_layer):
+                assert np.array_equal(bits(a), bits(b))
 
     def test_small_dataset_keeps_all_samples_in_train(self):
         (x_tr, _), (x_v, _), (x_te, _) = split_data(XOR_X, XOR_Y, TrainConfig(seed=0))
