@@ -14,11 +14,11 @@ three-quarter slice sums: the window reader runs it on the input rows
 under a window, and ``resample_plane`` on a whole plane, so every window
 value is bitwise equal to ``resample_plane`` of the scaled band. Census
 stages walk the stack through ``BandStack.windows``, which owns the
-window size (``_BLOCK_PIXELS`` pixels per window). A network's first
-layer reads a window through ``BandStack.float32_sums`` (float32 matrix
-products) or ``BandStack.weighted_sums`` (float64, in one fixed order): a
-loaded stack sums the 20 m terms of each unit at native resolution and
-upsamples that one sum, not each 20 m band.
+window size (``_BLOCK_PIXELS`` pixels per window). A mask pixel is
+``mlp.forward_batch`` of its ``BandStack.rows`` features >= thr; most
+pixels are decided from a float32 screen, ``BandStack.float32_sums``, in
+which a loaded stack sums the 20 m terms of each unit at native
+resolution and upsamples that one sum, not each 20 m band.
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
@@ -82,9 +82,9 @@ PIXEL_SIZE_M = 10.0
 # window's activations stay in cache, large enough to keep per-window
 # overhead negligible.
 _BLOCK_PIXELS = 16384
-# Consecutive windows whose 20 m rows ``BandStack.weighted_sums`` and
-# ``float32_sums`` read and sum at once: each group reads one pair of halo
-# rows, not one per window, and makes one call per band, not one per window.
+# Consecutive windows whose 20 m rows ``BandStack.float32_sums`` reads and
+# sums at once: each group reads one pair of halo rows, not one per window,
+# and makes one call per band, not one per window.
 _GROUP_WINDOWS = 4
 # Largest magnitude ``BandStack.float32_sums`` casts to float32: with
 # weights whose row sums stay below 2**60 (``mlp`` checks), no float32 sum
@@ -144,8 +144,8 @@ class BandStack:
     them while in use; its ``planes`` builds a band's whole plane on each
     lookup. Census stages walk the stack through ``windows``, which sets
     the window size, and read each window through ``rows``, which only
-    slices in-memory planes, or through ``weighted_sums`` and
-    ``float32_sums``. Treat instances as immutable.
+    slices in-memory planes, or through ``float32_sums``. Treat instances
+    as immutable.
     """
 
     width: int
@@ -201,73 +201,44 @@ class BandStack:
         shorter). A window with no true entry in rows r0..r1-1 of ``where``, an
         (H, W) mask or one flag per row, is skipped unread. With no ``bands``
         nothing is read: the caller reads each window its own way, as
-        ``weighted_sums`` does."""
+        ``float32_sums`` does."""
         step = max(1, _BLOCK_PIXELS // max(self.width, 1))
         for r0 in range(0, self.height, step):
             r1 = min(r0 + step, self.height)
             if where is None or where[r0:r1].any():
                 yield r0, r1, self.rows(r0, r1, bands)
 
-    def weighted_sums(
-        self, w: np.ndarray, order: tuple[BandId, ...] = FEATURE_ORDER, where=None
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(r0, r1, sums)`` for the row windows of ``windows``, skipped
-        by ``where`` as there: ``sums`` is a float64 (len(w), r1 - r0, width)
-        array whose plane j is the sum over k of w[j, k] times band
-        ``order[k]`` on rows r0..r1-1. The array is reused for the next
-        window; the caller may overwrite it.
-
-        Each plane sums its 20 m terms first, then its 10 m terms, each group
-        left to right in ``order``, one elementwise product and addition at a
-        time, so every value is the same whatever the window or the BLAS.
-        In-memory planes are already on the 10 m grid, so their terms are
-        summed there. A loaded stack sums the 20 m terms on the 20 m grid,
-        from native rows, and upsamples each plane's 20 m sum with the x2
-        bilinear upsampler: it upsamples len(w) planes, not one per 20 m
-        band. The upsampler is linear and its weights sum to 1, so this
-        differs from summing the upsampled bands by rounding only. The 20 m
-        rows of up to ``_GROUP_WINDOWS`` consecutive windows are read and
-        summed at once, so neighbouring windows share their halo rows; rows
-        only skipped windows need are not read. Every row read is checked; a
-        non-finite value raises ``ValueError``.
-
-        These are the sums of the exact scores that decide
-        ``mlp.threshold_planes``' masks; it forms them only for the windows
-        that ``float32_sums`` cannot decide within its error bound.
-        """
-        for r0, r1, sums, _ in self._sums(np.asarray(w, dtype=np.float64), order, where):
-            yield r0, r1, sums
-
     def float32_sums(
         self, w: np.ndarray, order: tuple[BandId, ...] = FEATURE_ORDER, where=None
     ) -> Iterator[tuple[int, int, np.ndarray | None, float]]:
-        """The sums of ``weighted_sums``, formed in float32 by matrix products:
-        yield ``(r0, r1, sums, peak)`` for the same windows, read the same
-        way, with ``sums`` a float32 (len(w), r1 - r0, width) array reused
-        for the next window. ``peak`` is the largest magnitude of any value
+        """Yield ``(r0, r1, sums, peak)`` for the row windows of ``windows``,
+        skipped by ``where`` as there: ``sums`` is a float32 (len(w), r1 - r0,
+        width) array whose plane j is the sum over k of w[j, k] times band
+        ``order[k]`` on rows r0..r1-1, reused for the next window (the caller
+        may overwrite it). ``peak`` is the largest magnitude of any value
         read for the window (for a loaded stack, of any native row its group
         reads); a window whose peak exceeds ``_FLOAT32_PEAK`` is not cast and
         yields ``sums`` None.
 
         The weights and the values read are rounded to float32; the products
-        are summed by ``np.matmul``, in whatever order the BLAS takes. A
-        loaded stack's 20 m part is one matrix product on native rows, then
-        the upsampler, in float32, and its 10 m part a second product added
-        to it. So a term of a sum meets at most len(order) + 6 float32
-        roundings (input, weight, product, additions, two per upsampled axis,
-        the 20 m + 10 m addition), and every term's magnitude is at most
-        |w[j, k]| * peak: ``mlp.threshold_planes`` bounds the error from that.
-        Non-finite values raise ``ValueError`` as in ``weighted_sums``.
+        are summed by ``np.matmul``, in whatever order the BLAS takes.
+        In-memory planes are already on the 10 m grid, so their terms are
+        summed there. A loaded stack sums the 20 m terms on the 20 m grid,
+        one matrix product on native rows, and upsamples each plane's 20 m
+        sum with the x2 bilinear upsampler, in float32: it upsamples len(w)
+        planes, not one per 20 m band. Its 10 m part is a second product
+        added to it. The 20 m rows of up to ``_GROUP_WINDOWS`` consecutive
+        windows are read and summed at once, so neighbouring windows share
+        their halo rows; rows only skipped windows need are not read. So a
+        term of a sum meets at most len(order) + 6 float32 roundings (input,
+        weight, product, additions, two per upsampled axis, the 20 m + 10 m
+        addition), and every term's magnitude is at most |w[j, k]| * peak:
+        ``mlp.threshold_planes`` bounds the error from that. Every row read
+        is checked; a non-finite value raises ``ValueError`` naming its band.
         """
-        yield from self._sums(np.asarray(w, dtype=np.float32), order, where)
-
-    def _sums(self, w: np.ndarray, order: tuple[BandId, ...], where) -> Iterator:
-        """``(r0, r1, sums, peak)`` of ``weighted_sums`` (float64 ``w``) or
-        ``float32_sums`` (float32 ``w``)."""
+        w = np.asarray(w, dtype=np.float32)
         if not order or w.ndim != 2 or w.shape[1] != len(order):
             raise ValueError(f"weights of shape {w.shape} for {len(order)} bands")
-        f32 = w.dtype == np.float32
-        add_sums, limit = (_float32_sums, _FLOAT32_PEAK) if f32 else (_fixed_order_sums, math.inf)
         coarse = [k for k, b in enumerate(order) if b.native_resolution_m == 20]
         fine = [k for k, b in enumerate(order) if b.native_resolution_m == 10]
         planes = self.planes
@@ -275,14 +246,14 @@ class BandStack:
         buf = group = None
         for i, (r0, r1) in enumerate(spans):
             if buf is None:  # the first window is the tallest
-                buf = np.empty(len(w) * (r1 - r0) * self.width, w.dtype)
-                scratch = _scratch(w, len(order), (r1 - r0) * self.width)
+                buf = np.empty(len(w) * (r1 - r0) * self.width, np.float32)
+                scratch = _scratch(len(order), len(w), (r1 - r0) * self.width)
             out = buf[: len(w) * (r1 - r0) * self.width].reshape(len(w), r1 - r0, self.width)
             if not isinstance(planes, _DnPlanes):
                 xs = ((order[k], np.asarray(planes[order[k]][r0:r1], dtype=np.float64))
                       for k in coarse + fine)
-                peak = add_sums(w[:, coarse + fine], xs, out, scratch)
-                yield r0, r1, (out if peak <= limit else None), peak
+                peak = _float32_sums(w[:, coarse + fine], xs, out, scratch)
+                yield r0, r1, (out if peak <= _FLOAT32_PEAK else None), peak
                 continue
             peak = 0.0
             if coarse:
@@ -294,18 +265,19 @@ class BandStack:
                     ga, gb, _ = planes.native_rows(r0, end)
                     native = ((order[k], planes.rasters[order[k]].scaled_rows(ga, gb + 1))
                               for k in coarse)
-                    sums = np.empty((len(w), gb + 1 - ga, self.width // 2), w.dtype)
-                    gpeak = add_sums(w[:, coarse], native, sums,
-                                     _scratch(w, len(coarse), sums[0].size))
-                    group = ga, gb, (_upsample_columns(sums) if gpeak <= limit else None), gpeak
+                    sums = np.empty((len(w), gb + 1 - ga, self.width // 2), np.float32)
+                    gpeak = _float32_sums(w[:, coarse], native, sums,
+                                          _scratch(len(coarse), len(w), sums[0].size))
+                    rows = _upsample_columns(sums) if gpeak <= _FLOAT32_PEAK else None
+                    group = ga, gb, rows, gpeak
                 ga, _, rows, peak = group
                 if rows is None:
                     yield r0, r1, None, peak
                     continue
                 _upsample2(rows[:, a - ga : b + 1 - ga].swapaxes(0, 1), a, n, out.swapaxes(0, 1), r0)
             xs = ((order[k], planes.rasters[order[k]].scaled_rows(r0, r1)) for k in fine)
-            peak = max(peak, add_sums(w[:, fine], xs, out, scratch, add=bool(coarse)))
-            yield r0, r1, (out if peak <= limit else None), peak
+            peak = max(peak, _float32_sums(w[:, fine], xs, out, scratch, add=bool(coarse)))
+            yield r0, r1, (out if peak <= _FLOAT32_PEAK else None), peak
 
     def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
         """N x len(order) float64 features of the pixels (rows[i], cols[i]).
@@ -418,38 +390,20 @@ def _peak(band: BandId, x: np.ndarray) -> float:
     return max(hi, -lo)
 
 
-def _scratch(w: np.ndarray, n_bands: int, n: int):
-    """Scratch for summing up to ``n_bands`` arrays of ``n`` values with the
-    weights ``w``: see ``_fixed_order_sums`` and ``_float32_sums``."""
-    if w.dtype == np.float32:
-        return np.empty(n_bands * n, np.float32), np.empty(len(w) * n, np.float32)
-    return np.empty(n)
-
-
-def _fixed_order_sums(w: np.ndarray, xs: Iterable[tuple[BandId, np.ndarray]], out: np.ndarray,
-                      scratch: np.ndarray, add: bool = False) -> float:
-    """out[j] = w[j, 0] x_0 + w[j, 1] x_1 + ..., summed left to right, for
-    the rows x_k of band k that ``xs`` yields as (band, x_k), taken one at a
-    time; with ``add``, the terms are added to out[j] as it stands.
-    ``scratch`` holds one x_k. Returns the largest magnitude read."""
-    tmp = scratch[: out[0].size].reshape(out.shape[1:])
-    peak = 0.0
-    for k, (band, x) in enumerate(xs):
-        peak = max(peak, _peak(band, x))
-        for j, acc in enumerate(out):
-            if k == 0 and not add:
-                np.multiply(x, w[j, k], out=acc)
-            else:
-                acc += np.multiply(x, w[j, k], out=tmp)
-    return peak
+def _scratch(n_bands: int, n_sums: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 scratch of ``_float32_sums`` for ``n_sums`` sums of up to
+    ``n_bands`` arrays of ``n`` values: the arrays cast, and the products."""
+    return np.empty(n_bands * n, np.float32), np.empty(n_sums * n, np.float32)
 
 
 def _float32_sums(w: np.ndarray, xs: Iterable[tuple[BandId, np.ndarray]], out: np.ndarray,
                   scratch: tuple[np.ndarray, np.ndarray], add: bool = False) -> float:
-    """The sums of ``_fixed_order_sums`` as one float32 matrix product of the
-    float32 ``w`` and the x_k rounded to float32, in ``scratch``. Returns the
-    largest magnitude read; once that exceeds ``_FLOAT32_PEAK``, no further
-    x_k is read or cast and ``out`` is left as it was."""
+    """out[j] = w[j, 0] x_0 + w[j, 1] x_1 + ..., as one float32 matrix
+    product of the float32 ``w`` and the rows x_k of band k that ``xs``
+    yields as (band, x_k), rounded to float32 in ``scratch``; with ``add``,
+    the sums are added to out[j] as it stands. Returns the largest magnitude
+    read; once that exceeds ``_FLOAT32_PEAK``, no further x_k is read or
+    cast and ``out`` is left as it was."""
     x32, tmp = scratch
     n = out[0].size
     x32 = x32[: w.shape[1] * n].reshape(w.shape[1], n)

@@ -7,16 +7,14 @@ score it against ground truth, and render an overlay image. Exit codes:
 
 All randomness is seeded through flags, so identical invocations
 produce byte-identical output files. The census is single-threaded;
-pixels are scored in row windows. A mask pixel is decided by its exact
-score, each unit's sum in one fixed order (a hidden unit adds its 20 m
-band terms, then its 10 m band terms, then its bias), so it depends
-neither on its window nor on BLAS. Most pixels are decided from float32
-BLAS scores, which a proven error bound shows to lie on the same side of
-the threshold as the exact score; windows where the bound cannot tell
-are scored again exactly (``mlp.threshold_planes``). A loaded stack sums
-each hidden unit's 20 m terms at native resolution and upsamples the
-sum, so its exact scores differ from scores of the upsampled bands by
-rounding only.
+pixels are scored in row windows. A mask pixel is ``mlp.forward_batch``
+of its ``BandStack.rows`` features >= thr. That exact score sums each
+unit's terms in one fixed order (a hidden unit adds its 20 m band terms,
+then its 10 m band terms, then its bias), so it depends neither on its
+window nor on BLAS. Most pixels are decided from float32 BLAS scores,
+which a proven error bound shows to lie on the same side of the
+threshold as the exact score; windows where the bound cannot tell are
+scored again by ``forward_batch`` (``mlp.threshold_planes``).
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from . import datasets, mlp
 from .bandstack import (
     BandId,
     BandStack,
+    GeoRef,
     check_saveable,
     load_band_stack,
     read_pgm16,
@@ -53,8 +52,9 @@ from .pipeline import (
     census_to_csv,
     census_to_geojson,
     run_census,
+    run_pipeline,
 )
-from .waterdetect import DEFAULT_WATER_THRESHOLD, MlpWater, NdwiOtsu
+from .waterdetect import DEFAULT_WATER_THRESHOLD, MlpWater, NdwiOtsu, water_mask_ndwi
 
 __all__ = ["main", "dispatch", "render_overlay"]
 
@@ -191,8 +191,6 @@ def _cmd_import(args) -> int:
 def _cmd_synth(args) -> int:
     geo = None
     if args.origin is not None:
-        from .bandstack import GeoRef
-
         geo = GeoRef(args.origin[0], args.origin[1], args.crs)
     spectra = datasets.load_spectra(args.spectra) if args.spectra else None
     params = datasets.SynthParams(
@@ -216,8 +214,6 @@ def _training_data(args, binary: bool) -> datasets.LabeledPixels:
     if args.data:
         return datasets.load_labeled_csv(args.data)
     if getattr(args, "manifest", None):
-        from .waterdetect import water_mask_ndwi
-
         stack = load_band_stack(args.manifest)
         correction = None
         if args.correction:
@@ -303,8 +299,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .pipeline import run_pipeline
-
     _check_water_flags(args)
     stack = load_band_stack(args.manifest)
     cfg = _census_config(args)

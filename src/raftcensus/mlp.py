@@ -5,24 +5,22 @@ by full-batch gradient descent with momentum on mean squared error.
 The platform classifier uses layers [10, 2, 1]; the water classifier
 defaults to [10, 8, 3] with the water class last.
 
-A pixel's exact score sums each unit's weighted inputs in one fixed
-order, in float64, so it depends only on the pixel's features: not on
-the batch or window it is scored in, nor on the BLAS library. A hidden
-unit sums its 20 m band terms first, then its 10 m band terms, each group
-in feature order, then adds its bias; an output unit sums its inputs
-first input first, then adds its bias. ``forward_batch`` returns exact
-scores. A loaded stack forms the 20 m part of each hidden sum at native
-resolution and upsamples it once per hidden unit
-(``BandStack.weighted_sums``), so its exact scores differ from
-``forward_batch`` of its upsampled features by rounding only.
+A pixel's exact score is ``forward_batch`` of its features. It sums
+each unit's weighted inputs in one fixed order, in float64, so it depends
+only on the pixel's features: not on the batch or window it is scored
+in, nor on the BLAS library. A hidden unit sums its 20 m band terms
+first, then its 10 m band terms, each group in feature order, then adds
+its bias; an output unit sums its inputs first input first, then adds
+its bias.
 
-Image masks (``threshold_planes``) are those of the exact scores, but
-the scores mostly come from float32 BLAS matrix products, which are
-several times cheaper and whose rounding depends on the BLAS. Each row
-window (``BandStack.windows``) is scored in float32 first; a proven
-bound E on |float32 score - exact score| (``_Float32Net``) decides every
-pixel whose float32 score lies more than E from the threshold, and a
-window holding any other pixel is scored again exactly. So the masks do
+A mask pixel (``threshold_planes``) is ``forward_batch`` of its
+``BandStack.rows`` features >= thr. Most pixels are decided without that
+score, from float32 BLAS matrix products, which are several times
+cheaper and whose rounding depends on the BLAS. Each row window
+(``BandStack.windows``) is scored in float32 first; a proven bound E on
+|float32 score - exact score| (``_Float32Net``) decides every pixel whose
+float32 score lies more than E from the threshold, and a window holding
+any other pixel is scored again by ``forward_batch``. So the masks do
 not depend on the BLAS either. Training stays on float64 matrix
 products, with its work arrays allocated once per call, not per epoch.
 
@@ -189,16 +187,9 @@ def init_model(
     return MlpModel(tuple(layer_sizes), (w1, w2), (b1, b2), tuple(feature_order))
 
 
-def _work_arrays(n_units: int, n: int) -> tuple[np.ndarray, ...]:
-    """Output, float scratch and bool scratch arrays for scoring ``n_units``
-    output units of up to ``n`` pixels."""
-    return np.empty((n_units, n)), np.empty(n), np.empty(n, dtype=bool)
-
-
 def _summation_order(m: MlpModel) -> list[int]:
     """Input indices in the order a hidden unit sums them: inputs whose
-    feature is a 20 m band first, then the others, each in feature order,
-    as ``BandStack.weighted_sums`` sums a stack's bands."""
+    feature is a 20 m band first, then the others, each in feature order."""
     coarse = [k for k, b in enumerate(m.feature_order[: m.n_in]) if b.native_resolution_m == 20]
     return coarse + [k for k in range(m.n_in) if k not in coarse]
 
@@ -221,16 +212,14 @@ def _sigmoid_units(z, b, tmp, pos) -> np.ndarray:
     return z
 
 
-def _score(m: MlpModel, z: np.ndarray, units, work: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Output-layer units ``units`` (an index) for the n pixels whose
-    hidden-unit sums, bias not yet added, are the columns of ``z`` (n_hid,
-    n), which is overwritten; one row per unit, as a view of ``work``."""
+def _score(m: MlpModel, z: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(n_out, n) outputs, in ``work``, for the n pixels whose hidden-unit
+    sums, bias not yet added, are the columns of ``z`` (n_hid, n), which
+    is overwritten."""
     out, tmp, pos = work
-    n = z.shape[1]
-    tmp, pos = tmp[:n], pos[:n]
     h = _sigmoid_units(z, m.biases[0], tmp, pos)
-    y = _weighted_sums(m.weights[1][units], h, out[:, :n], tmp)
-    return _sigmoid_units(y, m.biases[1][units], tmp, pos)
+    y = _weighted_sums(m.weights[1], h, out, tmp)
+    return _sigmoid_units(y, m.biases[1], tmp, pos)
 
 
 def forward_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -239,22 +228,21 @@ def forward_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
     Without BLAS, a hidden unit sums its weighted 20 m band inputs, then
     its 10 m band inputs, each group in feature order, then adds its bias;
     an output unit sums its inputs first input first, then adds its bias.
-    A row's outputs do not depend on the rest of the batch, and equal
-    ``threshold_planes``' scores of an in-memory stack holding the same
-    features.
+    A row's outputs do not depend on the rest of the batch; they are the
+    exact scores that decide ``threshold_planes``' masks.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.n_in:
         raise ValueError(f"expected (n, {m.n_in}) inputs, got shape {x.shape}")
     cols = x.T
-    work = _work_arrays(m.n_out, len(x))
+    work = np.empty((m.n_out, len(x))), np.empty(len(x)), np.empty(len(x), dtype=bool)
     for c in cols:
         if not np.isfinite(c, out=work[2]).all():
             raise ValueError("inputs must be finite")
     order = _summation_order(m)
     z = _weighted_sums(m.weights[0][:, order], [cols[k] for k in order],
                        np.empty((m.layer_sizes[1], len(x))), work[1])
-    return _score(m, z, slice(None), work).T.copy()
+    return _score(m, z, work).T.copy()
 
 
 def forward(m: MlpModel, x) -> np.ndarray:
@@ -274,15 +262,8 @@ def threshold_planes(
 ) -> np.ndarray:
     """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
 
-    The mask is that of the exact scores: the stack forms each
-    ``BandStack.windows`` window's hidden-unit sums in one fixed order, 20 m
-    terms first, then 10 m terms (``BandStack.weighted_sums``); biases and
-    the output layer follow, in the summation order of ``forward_batch``.
-    So a pixel's result depends neither on its window nor on BLAS. On an
-    in-memory stack its exact score equals ``forward_batch`` of its
-    features, bitwise. A loaded stack forms the 20 m part of each sum from
-    native 20 m rows and upsamples it, which changes a score by rounding
-    only.
+    A mask pixel is ``forward_batch`` of its ``BandStack.rows`` features
+    >= thr, so its result depends neither on its window nor on BLAS.
 
     Exact scores are formed only where they are needed. Every window is
     first scored in float32 by matrix products (``BandStack.float32_sums``,
@@ -290,12 +271,12 @@ def threshold_planes(
     bounds |float32 score - exact score| by E = alpha * M + beta, with M
     the window's largest input magnitude. A pixel is decided by its float32
     score s when s - E >= thr (true) or s + E < thr (false); NaN decides
-    nothing. A window holding an undecided pixel is scored again exactly,
-    through this function's own ``where`` path, and its exact results
-    replace the float32 ones; so does a window or a model too large to cast
-    to float32. Only output ``out_index`` is computed. With an (H, W)
-    ``where``, cast to bool, windows holding no true pixel are neither read
-    nor scored, only pixels in ``where`` need deciding, and the result is
+    nothing. A window holding an undecided pixel is scored again by
+    ``forward_batch``, and its exact results replace the float32 ones; so
+    does a window or a model too large to cast to float32. The float32
+    screen computes output ``out_index`` only. With an (H, W) ``where``,
+    cast to bool, windows holding no true pixel are neither read nor
+    scored, only pixels in ``where`` need deciding, and the result is
     restricted to ``where``.
     """
     if where is not None:
@@ -319,14 +300,12 @@ def threshold_planes(
 
 def _exact_decisions(m: MlpModel, s: BandStack, out_index: int, thr: float, where,
                      out: np.ndarray) -> None:
-    """Write exact-score decisions into the rows of ``out`` of every window
-    that ``where`` (pixels or one flag per row) does not skip."""
-    work = None
-    for r0, r1, z in s.weighted_sums(m.weights[0], m.feature_order, where):
-        if work is None:  # the first window scored is the tallest
-            work = _work_arrays(1, z[0].size)
-        y = _score(m, z.reshape(len(z), -1), [out_index], work)
-        np.greater_equal(y[0], thr, out=out[r0:r1].reshape(-1))
+    """Write the decisions of ``forward_batch`` scores into the rows of
+    ``out`` of every window that ``where`` (pixels or one flag per row)
+    does not skip."""
+    for r0, r1, block in s.windows(m.feature_order, where):
+        x = np.stack([block[b].reshape(-1) for b in m.feature_order])
+        np.greater_equal(forward_batch(m, x.T)[:, out_index], thr, out=out[r0:r1].reshape(-1))
 
 
 def _decide(y: np.ndarray, thr: float, e: float, hit: np.ndarray, where) -> bool:
@@ -387,11 +366,14 @@ class _Float32Net:
       FMA, is off by at most gamma_N * sum |terms|, where N counts the
       roundings on a term's path, gamma_N = N u / (1 - N u). This covers any
       BLAS. Float32 hidden sums: N = n + 8 (input, weight, n-term sum, the
-      upsampler, the 20 m + 10 m addition, the bias and its rounding); float64
-      hidden sums: N = n + 5; output sums: N = H + 3 for both.
-    - The upsampler's rounding on the 20 m part: one product and one addition
-      per axis, columns then rows, so 4 of those N roundings. Its weights
-      are non-negative and sum to 1, so a 20 m term's magnitude stays at most
+      upsampler, the 20 m + 10 m addition, the bias and its rounding).
+      Float64 hidden sums, ``forward_batch`` of the upsampled inputs:
+      N = n + 5 (the upsampler on a 20 m input, then one product and n - 1
+      additions, then the bias). Output sums: N = H + 3 for both.
+    - The upsampler: one product and one addition per axis, columns then
+      rows, so 4 of those N roundings. In float32 they fall on each hidden
+      unit's 20 m sum, in float64 on each 20 m input. Its weights are
+      non-negative and sum to 1, so a 20 m term's magnitude stays at most
       |w1_jk| M, and |hidden sum j| <= M |w1_j|_1 + |b1_j|.
     - Underflow: each rounding may instead add an absolute eta, scaled by at
       most a weight or M: 2 N eta (1 + |w1_j|_1 + |b1_j|) (1 + M) per hidden

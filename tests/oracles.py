@@ -709,23 +709,6 @@ def ref_folded_sums(w: np.ndarray, order, manifest_path) -> np.ndarray:
     return np.stack(sums)
 
 
-def ref_folded_scores(m, manifest_path) -> np.ndarray:
-    """(H, W, n_out) outputs for a saved stack's pixels, scored from
-    ``ref_folded_sums``: hidden biases and sigmoids, then the output layer
-    as in ``ref_forward_batch``."""
-    z = ref_folded_sums(m.weights[0], m.feature_order, manifest_path)
-    n_hid, h, w = z.shape
-    hidden = ref_sigmoid(z.reshape(n_hid, -1).T + m.biases[0])
-    return _ref_layer(m.weights[1], m.biases[1], hidden).reshape(h, w, m.n_out)
-
-
-def ref_folded_mask(m, manifest_path, out_index: int, thr: float, where=None) -> np.ndarray:
-    """``ref_folded_scores`` output ``out_index`` >= thr as an (H, W) mask,
-    restricted to ``where`` if given."""
-    mask = ref_folded_scores(m, manifest_path)[..., out_index] >= thr
-    return mask if where is None else mask & where
-
-
 def ref_whole_image_mask(m, planes, out_index: int, thr: float) -> np.ndarray:
     """Score every pixel from one (H * W, n_in) copy of the whole stack."""
     h, w = planes[m.feature_order[0]].shape

@@ -588,6 +588,9 @@ class TestWindows:
             assert np.array_equal(bits(block[BandId.B12]), bits(ref.planes[BandId.B12][r0:r1]))
 
 
+SHUFFLED_ORDER = tuple(FEATURE_ORDER[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5))
+
+
 class TestLoadedWindowsAndFeatures:
     @pytest.mark.parametrize("h,w", [(2, 2), (2, 40), (22, 18)])
     @pytest.mark.parametrize("window_rows", [1, 3])
@@ -611,36 +614,76 @@ class TestLoadedWindowsAndFeatures:
         for b in BandId:
             assert np.array_equal(bits(s.planes[b]), bits(ref.planes[b]))
 
-
-SHUFFLED_ORDER = tuple(FEATURE_ORDER[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5))
-
-
-class TestWeightedSums:
     @pytest.mark.parametrize("h,w", [(2, 2), (6, 40), (22, 18)])
     @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER, (BandId.B12, BandId.B3),
                                        (BandId.B4,), (BandId.B8A, BandId.B5)])
-    def test_loaded_windows_bitwise_equal_to_folded_reference(self, tmp_path, rng, monkeypatch,
-                                                              h, w, order):
+    def test_any_order_and_where_bitwise_equal_to_whole_plane_load(self, tmp_path, rng,
+                                                                   monkeypatch, h, w, order):
+        # The exact path of ``mlp.threshold_planes`` reads its inputs so: in
+        # the model's feature order, in the windows of ``float32_sums`` that
+        # its per-row ``where`` keeps.
         path = write_dn_scene(
             tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
         )
         s = load_band_stack(path)
-        weights = rng.normal(size=(3, len(order)))
-        weights[0], weights[1] = -abs(weights[0]), abs(weights[1])  # sums of either sign
-        want = ref_folded_sums(weights, order, path)
-        assert (want < 0).any() and (want > 0).any()
-        # Windows of every height, each read alone or in groups of windows.
+        ref = ref_load_band_stack(path)
         wheres = {"all": None, "every third row": np.arange(h) % 3 == 0,
                   "last row": np.arange(h) == h - 1}
         for rows in range(1, h + 1):
             monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
             for name, where in wheres.items():
-                spans = [(r0, r1) for r0, r1, _ in s.windows((), where)]
-                got = [(r0, r1, z.copy()) for r0, r1, z in s.weighted_sums(weights, order, where)]
-                assert [(r0, r1) for r0, r1, _ in got] == spans
-                for r0, r1, z in got:
-                    assert z.shape == (3, r1 - r0, w)
-                    assert np.array_equal(bits(z), bits(want[:, r0:r1])), (rows, name, r0, r1)
+                want = [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)
+                        if where is None or where[r0 : r0 + rows].any()]
+                screened = s.float32_sums(np.ones((1, len(order))), order, where)
+                assert [(r0, r1) for r0, r1, *_ in screened] == want, (rows, name)
+                got = list(s.windows(order, where))
+                assert [(r0, r1) for r0, r1, _ in got] == want, (rows, name)
+                for r0, r1, block in got:
+                    assert list(block) == list(order)
+                    for b in order:
+                        assert np.array_equal(bits(block[b]), bits(ref.planes[b][r0:r1])), (
+                            rows, name, b, r0, r1)
+
+
+class TestFloat32Sums:
+    @pytest.mark.parametrize("h,w", [(2, 2), (6, 40), (22, 18)])
+    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER, (BandId.B12, BandId.B3),
+                                       (BandId.B4,), (BandId.B8A, BandId.B5)])
+    def test_within_their_rounding_of_the_folded_reference(self, tmp_path, rng, monkeypatch,
+                                                           h, w, order):
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        loaded = load_band_stack(path)
+        in_memory = BandStack(width=w, height=h, pixel_size=10.0,
+                              planes={b: loaded.planes[b] for b in BandId})
+        weights = rng.normal(size=(3, len(order)))
+        weights[0], weights[1] = -abs(weights[0]), abs(weights[1])  # sums of either sign
+        # At most len(order) + 6 float32 roundings per term, each term at
+        # most |w_jk| * peak in magnitude.
+        n = len(order) + 6
+        gamma = n * 2.0**-24 / (1 - n * 2.0**-24)
+        folded = ref_folded_sums(weights, order, path)
+        assert (folded < 0).any() and (folded > 0).any()
+        # Windows of every height, each read alone or in groups of windows.
+        wheres = {"all": None, "every third row": np.arange(h) % 3 == 0,
+                  "last row": np.arange(h) == h - 1}
+        for s, want in [(loaded, folded),
+                        (in_memory, np.einsum("jk,khw->jhw", weights,
+                                              np.stack([in_memory.planes[b] for b in order])))]:
+            for rows in range(1, h + 1):
+                monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
+                for name, where in wheres.items():
+                    spans = [(r0, r1) for r0, r1, _ in s.windows((), where)]
+                    got = [(r0, r1, z.copy(), peak)
+                           for r0, r1, z, peak in s.float32_sums(weights, order, where)]
+                    assert [(r0, r1) for r0, r1, *_ in got] == spans
+                    for r0, r1, z, peak in got:
+                        assert z.dtype == np.float32 and z.shape == (3, r1 - r0, w)
+                        assert peak >= max(np.abs(v).max() for v in s.rows(r0, r1, order).values())
+                        bound = gamma * peak * np.abs(weights).sum(axis=1)
+                        err = np.abs(z - want[:, r0:r1]).reshape(3, -1).max(axis=1)
+                        assert (err <= bound).all(), (rows, name, r0, r1, err, bound)
 
     def test_groups_read_each_20m_row_once(self, tmp_path, rng, monkeypatch):
         h, w = 40, 6
@@ -658,80 +701,27 @@ class TestWeightedSums:
                 return raster.scaled_rows(r0, r1)
 
         monkeypatch.setitem(s.planes.rasters, BandId.B11, Counting())
-        for sums in (s.weighted_sums, s.float32_sums):
-            reads.clear()
-            list(sums(np.ones((1, 10))))
-            # 20 windows in groups of _GROUP_WINDOWS (4): each group reads its
-            # own four 20 m rows and one halo row on either side, rows 0-4,
-            # 3-8, 7-12, 11-16 and 15-19.
-            step = bandstack._GROUP_WINDOWS
-            assert reads == [(max(0, r - 1), min(20, r + step + 1)) for r in range(0, 20, step)]
-            reads.clear()
-            where = np.zeros(h, dtype=bool)
-            where[[0, 2, 4, 8, 30]] = True  # windows 0-1, 2-3, 4-5, 8-9 and 30-31
-            list(sums(np.ones((1, 10)), where=where))
-            assert reads == [(0, 4), (3, 6), (14, 17)]
-
-    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER])
-    def test_in_memory_sums_20m_terms_first_then_10m(self, rng, monkeypatch, order):
-        h, w = 7, 5
-        planes = {b: rng.uniform(0, 1.5, size=(h, w)) for b in BandId}
-        s = BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
-        weights = rng.normal(size=(2, len(order)))
-        first = sorted(range(len(order)), key=lambda k: order[k].native_resolution_m != 20)
-        assert [order[k].native_resolution_m for k in first] == [20] * 6 + [10] * 4
-        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
-        got = [(r0, r1, z.copy()) for r0, r1, z in s.weighted_sums(weights, order)]
-        assert [(r0, r1) for r0, r1, _ in got] == [(0, 3), (3, 6), (6, 7)]
-        for r0, r1, z in got:
-            for j, wj in enumerate(weights):
-                want = planes[order[first[0]]][r0:r1] * wj[first[0]]
-                for k in first[1:]:
-                    want = want + planes[order[k]][r0:r1] * wj[k]
-                assert np.array_equal(bits(z[j]), bits(want))
+        list(s.float32_sums(np.ones((1, 10))))
+        # 20 windows in groups of _GROUP_WINDOWS (4): each group reads its
+        # own four 20 m rows and one halo row on either side, rows 0-4,
+        # 3-8, 7-12, 11-16 and 15-19.
+        step = bandstack._GROUP_WINDOWS
+        assert reads == [(max(0, r - 1), min(20, r + step + 1)) for r in range(0, 20, step)]
+        reads.clear()
+        where = np.zeros(h, dtype=bool)
+        where[[0, 2, 4, 8, 30]] = True  # windows 0-1, 2-3, 4-5, 8-9 and 30-31
+        list(s.float32_sums(np.ones((1, 10)), where=where))
+        assert reads == [(0, 4), (3, 6), (14, 17)]
 
     def test_bad_weights_rejected(self, tmp_path):
         s = load_band_stack(write_dn_scene(tmp_path, 6, 4, lambda b, shape: np.zeros(shape)))
         for w, order in [(np.zeros((2, 9)), FEATURE_ORDER), (np.zeros(10), FEATURE_ORDER),
                          (np.zeros((2, 0)), ())]:
-            for sums in (s.weighted_sums, s.float32_sums):
-                with pytest.raises(ValueError, match="weights"):
-                    next(sums(w, order))
-
-    @pytest.mark.parametrize("h,w", [(2, 2), (6, 40), (22, 18)])
-    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER, (BandId.B12, BandId.B3),
-                                       (BandId.B4,), (BandId.B8A, BandId.B5)])
-    def test_float32_sums_within_their_rounding_of_the_folded_reference(
-            self, tmp_path, rng, monkeypatch, h, w, order):
-        path = write_dn_scene(
-            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
-        )
-        loaded = load_band_stack(path)
-        in_memory = BandStack(width=w, height=h, pixel_size=10.0,
-                              planes={b: loaded.planes[b] for b in BandId})
-        weights = rng.normal(size=(3, len(order)))
-        weights[0], weights[1] = -abs(weights[0]), abs(weights[1])
-        # At most len(order) + 6 float32 roundings per term, each term at
-        # most |w_jk| * peak in magnitude.
-        n = len(order) + 6
-        gamma = n * 2.0**-24 / (1 - n * 2.0**-24)
-        for s, want in [(loaded, ref_folded_sums(weights, order, path)),
-                        (in_memory, np.einsum("jk,khw->jhw", weights,
-                                              np.stack([in_memory.planes[b] for b in order])))]:
-            for rows in (1, 3, h):
-                monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
-                spans = [(r0, r1) for r0, r1, _ in s.windows(())]
-                got = [(r0, r1, z.copy(), peak) for r0, r1, z, peak in s.float32_sums(weights, order)]
-                assert [(r0, r1) for r0, r1, *_ in got] == spans
-                for r0, r1, z, peak in got:
-                    assert z.dtype == np.float32 and z.shape == (3, r1 - r0, w)
-                    assert peak >= max(np.abs(v).max() for v in s.rows(r0, r1, order).values())
-                    bound = gamma * peak * np.abs(weights).sum(axis=1)
-                    err = np.abs(z - want[:, r0:r1]).reshape(3, -1).max(axis=1)
-                    assert (err <= bound).all(), (rows, r0, r1, err, bound)
+            with pytest.raises(ValueError, match="weights"):
+                next(s.float32_sums(w, order))
 
     @pytest.mark.parametrize("value", [2.0**64 * 1.01, 1e38, 1e300])
-    def test_float32_sums_leave_values_beyond_their_peak_uncast(self, rng, monkeypatch, value):
+    def test_leave_values_beyond_their_peak_uncast(self, rng, monkeypatch, value):
         h, w = 9, 4
         planes = {b: rng.uniform(0, 1.5, size=(h, w)) for b in BandId}
         planes[BandId.B12][4, 1] = value
@@ -744,14 +734,39 @@ class TestWeightedSums:
         assert got[1][2] == value
         assert bandstack._FLOAT32_PEAK < value
 
-    @pytest.mark.parametrize("method", ["weighted_sums", "float32_sums"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
+    def test_pixel_where_skips_as_its_row_flags(self, tmp_path, rng, monkeypatch, loaded):
+        # ``mlp.threshold_planes`` screens with an (H, W) ``where`` and
+        # re-scores with one flag per row: both give the same windows and sums.
+        h, w = 22, 18
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        s = load_band_stack(path)
+        if not loaded:
+            s = BandStack(width=w, height=h, pixel_size=10.0, planes={b: s.planes[b] for b in BandId})
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)  # 3-row windows
+        weights = rng.normal(size=(2, 10))
+        where = np.zeros((h, w), dtype=bool)
+        where[4, 17] = where[20, 0] = where[21, :] = True
+        got = [(r0, r1, z.copy()) for r0, r1, z, _ in s.float32_sums(weights, where=where)]
+        want = [(r0, r1, z.copy())
+                for r0, r1, z, _ in s.float32_sums(weights, where=where.any(axis=1))]
+        assert [(r0, r1) for r0, r1, _ in got] == [(3, 6), (18, 21), (21, 22)]
+        assert [(r0, r1) for r0, r1, _ in want] == [(3, 6), (18, 21), (21, 22)]
+        for (*_, a), (*_, b) in zip(got, want):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+        assert list(s.float32_sums(weights, where=np.zeros((h, w), dtype=bool))) == []
+        assert list(s.float32_sums(weights, where=np.zeros(h, dtype=bool))) == []
+
+    @pytest.mark.parametrize("band", [BandId.B3, BandId.B11], ids=["10m", "20m"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_in_memory_rows_name_their_band(self, rng, method, bad):
+    def test_non_finite_in_memory_rows_name_their_band(self, rng, bad, band):
         planes = {b: rng.uniform(0, 1.5, size=(3, 4)) for b in BandId}
         s = BandStack(width=4, height=3, pixel_size=10.0, planes=planes)
-        planes[BandId.B3][2, 3] = bad  # written after the stack checked its planes
-        with pytest.raises(ValueError, match="band B3 rows are not finite"):
-            list(getattr(s, method)(np.ones((2, 10))))
+        planes[band][2, 3] = bad  # written after the stack checked its planes
+        with pytest.raises(ValueError, match=f"band {band.value} rows are not finite"):
+            list(s.float32_sums(np.ones((2, 10))))
 
 
 class TestFeatures:

@@ -28,8 +28,6 @@ from raftcensus.errors import DimensionError, ModelFormatError, TrainingError
 from raftcensus.mlp import PLATFORM_LAYERS, WATER_LAYERS, _sigmoid, _targets, split_data, threshold_planes
 
 from oracles import (
-    ref_folded_mask,
-    ref_folded_scores,
     ref_forward_batch,
     ref_gather_mask,
     ref_loss_grads,
@@ -222,43 +220,43 @@ def batch_sizes(monkeypatch):
 
 @pytest.fixture
 def rescored(monkeypatch):
-    """(r0, r1) of every window threshold_planes scores exactly."""
+    """(r0, r1) of every window threshold_planes scores exactly: the windows
+    whose bands it reads (the float32 screen walks windows unread)."""
     windows = []
-    sums = BandStack.weighted_sums
+    walk = BandStack.windows
 
     def recording(self, *args, **kwargs):
-        for r0, r1, z in sums(self, *args, **kwargs):
-            windows.append((r0, r1))
-            yield r0, r1, z
+        for r0, r1, block in walk(self, *args, **kwargs):
+            if block:
+                windows.append((r0, r1))
+            yield r0, r1, block
 
-    monkeypatch.setattr(BandStack, "weighted_sums", recording)
+    monkeypatch.setattr(BandStack, "windows", recording)
     return windows
 
 
 @pytest.fixture
 def block_scores(monkeypatch):
     """[(r0, r1), outputs] of every row window threshold_planes scores:
-    its rows and its (n, n_units) outputs, copied. No window is scored in
-    float32, so every window's exact scores are recorded."""
-    from raftcensus import mlp
-
+    its rows and its (n, n_out) ``forward_batch`` outputs, copied. No window
+    is scored in float32, so every window's exact scores are recorded."""
     blocks = []
-    sums, score = BandStack.weighted_sums, mlp._score
+    walk, score = BandStack.windows, mlp.forward_batch
 
-    def summing(self, *args, **kwargs):
-        for r0, r1, z in sums(self, *args, **kwargs):
+    def walking(self, *args, **kwargs):
+        for r0, r1, block in walk(self, *args, **kwargs):
             blocks.append([(r0, r1), None])
-            yield r0, r1, z
+            yield r0, r1, block
 
-    def recording(m, z, units, work):
-        y = score(m, z, units, work)
-        if blocks and blocks[-1][1] is None:  # not a forward_batch call
-            blocks[-1][1] = y.T.copy()
+    def recording(m, x):
+        y = score(m, x)
+        if blocks and blocks[-1][1] is None:  # not a call from outside a window
+            blocks[-1][1] = y.copy()
         return y
 
     monkeypatch.setattr(mlp, "_float32_net", lambda m, out_index: None)
-    monkeypatch.setattr(BandStack, "weighted_sums", summing)
-    monkeypatch.setattr(mlp, "_score", recording)
+    monkeypatch.setattr(BandStack, "windows", walking)
+    monkeypatch.setattr(mlp, "forward_batch", recording)
     return blocks
 
 
@@ -359,10 +357,11 @@ class TestThresholdPlanes:
         m = scaled_model(layers, seed, scale, order)
         stack = random_stack(rng, _BLOCK_PIXELS + 1, 1)
         x = np.stack([stack.planes[b] for b in order], axis=-1).reshape(-1, 10)
-        want = ref_forward_batch(m, x)[:, -1:]
-        got = threshold_planes(m, stack, m.n_out - 1, want[-1, 0])
+        want = ref_forward_batch(m, x)
+        thr = want[-1, -1]
+        got = threshold_planes(m, stack, m.n_out - 1, thr)
         assert [r1 - r0 for (r0, r1), _ in block_scores] == [_BLOCK_PIXELS, 1]
-        assert got[-1, 0] and np.array_equal(got[:, 0], want[:, 0] >= want[-1, 0])
+        assert got[-1, 0] and np.array_equal(got[:, 0], want[:, -1] >= thr)
         assert np.array_equal(bits(block_scores[1][1]), bits(want[-1:]))
 
     @pytest.mark.parametrize("layers", [(10, 2, 1), (10, 8, 3), (10, 8, 1)])
@@ -385,7 +384,7 @@ class TestThresholdPlanes:
             threshold_planes(m, stack, m.n_out - 1, 0.5)
             assert [r1 - r0 for (r0, r1), _ in block_scores][:1] == [n]
             got = np.concatenate([yb for _, yb in block_scores])
-            assert np.array_equal(bits(got), bits(whole[:, -1:]))
+            assert np.array_equal(bits(got), bits(whole))
 
     def test_unequal_blocks_score_like_the_whole_image(self, rng, block_scores):
         # Ten rows of 5461 pixels make blocks of 3, 3, 3 and 1 rows: a
@@ -397,7 +396,7 @@ class TestThresholdPlanes:
         assert [rows for rows, _ in block_scores] == [(0, 3), (3, 6), (6, 9), (9, 10)]
         x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
         assert np.array_equal(bits(np.concatenate([yb for _, yb in block_scores])),
-                              bits(ref_forward_batch(m, x)[:, 2:]))
+                              bits(ref_forward_batch(m, x)))
 
     def test_skipped_middle_blocks_leave_no_stale_rows(self, rng, block_scores):
         m = scaled_model((10, 8, 3), 2, 1.0)
@@ -414,7 +413,7 @@ class TestThresholdPlanes:
             assert [rows for rows, _ in block_scores] == [(3, 6), (9, 10)]
             for (r0, r1), yb in block_scores:
                 xb = x[r0:r1].reshape(-1, 10)
-                assert np.array_equal(bits(yb), bits(ref_forward_batch(m, xb)[:, 1:2]))
+                assert np.array_equal(bits(yb), bits(ref_forward_batch(m, xb)))
 
     def test_back_to_back_models_of_different_width(self, rng):
         stack = random_stack(rng, 70, 600)
@@ -483,36 +482,39 @@ def saved_random_stack(rng, tmp_path, h, w):
 
 
 class TestLoadedStackScoring:
-    """A loaded stack sums each hidden unit's 20 m terms on the 20 m grid
-    and upsamples that sum: its masks equal ``ref_folded_mask``, bitwise."""
+    """A loaded stack's masks are those of ``forward_batch`` of its
+    upsampled features: they equal ``ref_whole_image_mask`` of its loaded
+    planes, bitwise."""
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
     @pytest.mark.parametrize("shape", [(6, _BLOCK_PIXELS + 34), (10, _BLOCK_PIXELS // 3 - 1),
                                        (50, 700), (2, 2)],
                              ids=["1-row", "3-row", "23-row", "2x2"])
-    def test_matches_folded_reference(self, rng, tmp_path, layers, seed, scale, order, shape):
+    def test_matches_whole_image_reference(self, rng, tmp_path, layers, seed, scale, order,
+                                           shape):
         m = scaled_model(layers, seed, scale, order)
-        stack, manifest = saved_random_stack(rng, tmp_path, *shape)
-        scores = ref_folded_scores(m, manifest)
+        stack, _ = saved_random_stack(rng, tmp_path, *shape)
+        planes = {b: stack.planes[b] for b in BandId}  # each built once
+        scores = exact_scores(m, stack)
         for out_index in range(m.n_out):
             # Thresholds equal to actual scores put pixels exactly on the
             # boundary, where a one-ulp difference would flip the result.
             picks = scores[..., out_index].reshape(-1)[rng.integers(0, scores[..., 0].size, 2)]
             for thr in [0.5, *picks]:
                 got = threshold_planes(m, stack, out_index, thr)
-                assert np.array_equal(got, scores[..., out_index] >= thr)
+                assert np.array_equal(got, ref_whole_image_mask(m, planes, out_index, thr))
 
     def test_where_windows_skipped(self, rng, tmp_path, block_scores):
         m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
         h, w = 12, _BLOCK_PIXELS // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
-        stack, manifest = saved_random_stack(rng, tmp_path, h, w)
+        stack, _ = saved_random_stack(rng, tmp_path, h, w)
         where = np.zeros((h, w), dtype=bool)
         where[4, 10] = where[11, :] = True
         for thr in (0.2, 0.5, 0.9):
             block_scores.clear()
             got = threshold_planes(m, stack, 2, thr, where=where)
             assert [rows for rows, _ in block_scores] == [(3, 6), (9, 12)]
-            assert np.array_equal(got, ref_folded_mask(m, manifest, 2, thr, where))
+            assert np.array_equal(got, ref_gather_mask(m, stack.planes, 2, thr, where))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_native_20m_row_rejected(self, rng, tmp_path, monkeypatch, bad):
@@ -543,43 +545,37 @@ class TestLoadedStackScoring:
         where = np.zeros((h, w), dtype=bool)
         where[0, 0] = where[2, 9] = where[9, 3] = where[11, :] = True
         assert np.array_equal(threshold_planes(m, stack, 0, 0.5, where=where),
-                              ref_folded_mask(m, manifest, 0, 0.5, where))
+                              ref_gather_mask(m, load_band_stack(manifest).planes, 0, 0.5, where))
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
-    def test_scores_within_1e_12_of_forward_batch_of_features(self, rng, tmp_path, block_scores,
-                                                             layers, seed, scale, order):
-        # Upsampling each unit's 20 m sum, not each 20 m band, changes a
-        # score by rounding only.
+    def test_scores_bitwise_equal_to_forward_batch_of_features(self, rng, tmp_path, block_scores,
+                                                              layers, seed, scale, order):
         m = scaled_model(layers, seed, scale, order)
         h, w = 50, 700
         stack, _ = saved_random_stack(rng, tmp_path, h, w)
         rows, cols = np.indices((h, w)).reshape(2, -1)
         want = forward_batch(m, stack.features(rows, cols, order))
         for out_index in range(m.n_out):
+            thr = want[rng.integers(0, len(want)), out_index]  # a pixel on the boundary
             block_scores.clear()
-            threshold_planes(m, stack, out_index, 0.5)
-            got = np.concatenate([y for _, y in block_scores])[:, 0]
-            assert np.abs(got - want[:, out_index]).max() <= 1e-12
+            got = threshold_planes(m, stack, out_index, thr)
+            assert np.array_equal(bits(np.concatenate([y for _, y in block_scores])), bits(want))
+            assert np.array_equal(got.reshape(-1), want[:, out_index] >= thr)
 
 
-def exact_scores(m, stack, manifest=None):
-    """(H, W, n_out) exact scores: ``ref_folded_scores`` of a saved stack,
-    ``ref_forward_batch`` of an in-memory one's features."""
-    if manifest is not None:
-        return ref_folded_scores(m, manifest)
+def exact_scores(m, stack):
+    """(H, W, n_out) exact scores: ``ref_forward_batch`` of the features of
+    a stack's planes (of a loaded stack, its upsampled planes)."""
     x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1)
     return ref_forward_batch(m, x.reshape(-1, m.n_in)).reshape(stack.height, stack.width, -1)
 
 
 def small_stack(x, tmp, loaded):
-    """(stack, manifest or None) of the (10, h, w) reflectances ``x``, held
-    in memory or saved to ``tmp`` and loaded."""
+    """Stack of the (10, h, w) reflectances ``x``, held in memory or saved
+    to ``tmp`` and loaded."""
     planes = dict(zip(BandId, x))
     stack = BandStack(width=x.shape[2], height=x.shape[1], pixel_size=10.0, planes=planes)
-    if not loaded:
-        return stack, None
-    manifest = save_band_stack(stack, tmp)
-    return load_band_stack(manifest), manifest
+    return load_band_stack(save_band_stack(stack, tmp)) if loaded else stack
 
 
 # Reflectances up to the largest digital number, with exact zeros (and,
@@ -601,8 +597,8 @@ class TestFloat32Bound:
         m = scaled_model(layers, seed, scale, order)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(bandstack, "_BLOCK_PIXELS", window_rows * w)
-            stack, manifest = small_stack(x, tmp, loaded)
-            want = exact_scores(m, stack, manifest)
+            stack = small_stack(x, tmp, loaded)
+            want = exact_scores(m, stack)
             for out_index in range(m.n_out):
                 net = mlp._float32_net(m, out_index)
                 seen = []
@@ -622,9 +618,9 @@ class TestFloat32Bound:
         m = scaled_model(layers, seed, scale, order)
         h, w = 12, 6
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)  # windows of 3 rows
-        stack, manifest = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), tmp_path, loaded)
+        stack = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), tmp_path, loaded)
         out_index = m.n_out - 1
-        scores = exact_scores(m, stack, manifest)[..., out_index]
+        scores = exact_scores(m, stack)[..., out_index]
         net = mlp._float32_net(m, out_index)
         e = max(net.bound(peak) for *_, peak in mlp._float32_scores(net, stack))
         # The pixel whose score lies farthest from every other pixel's.
@@ -656,7 +652,7 @@ class TestFloat32Bound:
         m = scaled_model((10, 8, 3), 2, 1.0)
         h, w = 12, 6
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
-        stack, _ = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), None, False)
+        stack = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), None, False)
         scores = exact_scores(m, stack)[..., 2]
         where = np.zeros((h, w), dtype=bool)
         where[4, 1] = where[10, :] = True
@@ -679,7 +675,7 @@ class TestFloat32Bound:
         assert mlp._float32_net(m, 2) is None
         h, w = 12, 6
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
-        stack, _ = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), None, False)
+        stack = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), None, False)
         where = None
         if where_rows is not None:
             where = np.zeros((h, w), dtype=bool)
@@ -700,7 +696,7 @@ class TestFloat32Bound:
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
         x = rng.uniform(0.0, 1.5, size=(10, h, w))
         x[4, 7, 5] = value  # B6, in the window of rows 6-8
-        stack, _ = small_stack(x, None, False)
+        stack = small_stack(x, None, False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = threshold_planes(m, stack, 0, 0.5)

@@ -11,6 +11,7 @@ from raftcensus import (
     CensusConfig,
     GeoRef,
     MlpModel,
+    MlpWater,
     NdwiOtsu,
     SynthParams,
     census_to_csv,
@@ -30,6 +31,7 @@ from raftcensus import (
     water_mask_ndwi,
 )
 from raftcensus.errors import DimensionError, RaftCensusError
+from raftcensus.mlp import WATER_LAYERS
 from raftcensus.pipeline import Census, CensusRecord
 from raftcensus.bandstack import _BLOCK_PIXELS
 
@@ -222,6 +224,18 @@ class TestRunCensus:
         tight = BlobFilter(max_area=30, max_equivalent_diameter=5.5, min_solidity=0.9,
                            required_euler=0)
         assert replace(cfg, blob_filter=tight).digest() == "3eb1663bf92af5fe"
+
+    def test_digest_tells_feature_orders_apart(self):
+        # The same parameters read in another band order give another
+        # census, so they must give another digest; default orders keep theirs.
+        platform, water = init_model(), init_model(WATER_LAYERS)
+        ndwi = CensusConfig(water_method=NdwiOtsu(), platform_model=platform)
+        mlp_water = replace(ndwi, water_method=MlpWater(model=water))
+        assert mlp_water.digest() == "c84f5be1cded7fc1"
+        flipped = replace(platform, feature_order=platform.feature_order[::-1])
+        assert replace(ndwi, platform_model=flipped).digest() != ndwi.digest()
+        water_flipped = MlpWater(model=replace(water, feature_order=water.feature_order[::-1]))
+        assert replace(ndwi, water_method=water_flipped).digest() != mlp_water.digest()
 
     def test_platform_model_arity_enforced(self):
         with pytest.raises(ValueError, match="platform model"):
