@@ -222,12 +222,13 @@ class BandStack:
 
         The weights and the values read are rounded to float32; the products
         are summed by ``np.matmul``, in whatever order the BLAS takes.
-        In-memory planes are already on the 10 m grid, so their terms are
-        summed there. A loaded stack sums the 20 m terms on the 20 m grid,
-        one matrix product on native rows, and upsamples each plane's 20 m
-        sum with the x2 bilinear upsampler, in float32: it upsamples len(w)
-        planes, not one per 20 m band. Its 10 m part is a second product
-        added to it. The 20 m rows of up to ``_GROUP_WINDOWS`` consecutive
+        The rows of every band of an in-memory stack, and of each 10 m band
+        of a loaded stack, come through ``rows``, and their terms are summed
+        on the 10 m grid. A loaded stack sums its 20 m terms on the 20 m
+        grid, one matrix product on native rows, and upsamples each plane's
+        20 m sum with the x2 bilinear upsampler, in float32: it upsamples
+        len(w) planes, not one per 20 m band. The 10 m product is added to
+        that. The 20 m rows of up to ``_GROUP_WINDOWS`` consecutive
         windows are read and summed at once, so neighbouring windows share
         their halo rows; rows only skipped windows need are not read. So a
         term of a sum meets at most len(order) + 6 float32 roundings (input,
@@ -239,22 +240,17 @@ class BandStack:
         w = np.asarray(w, dtype=np.float32)
         if not order or w.ndim != 2 or w.shape[1] != len(order):
             raise ValueError(f"weights of shape {w.shape} for {len(order)} bands")
-        coarse = [k for k, b in enumerate(order) if b.native_resolution_m == 20]
-        fine = [k for k, b in enumerate(order) if b.native_resolution_m == 10]
         planes = self.planes
+        coarse = [k for k, b in enumerate(order)
+                  if isinstance(planes, _DnPlanes) and b.native_resolution_m == 20]
+        fine = [k for k in range(len(order)) if k not in coarse]
         spans = [(r0, r1) for r0, r1, _ in self.windows((), where)]
         buf = group = None
         for i, (r0, r1) in enumerate(spans):
             if buf is None:  # the first window is the tallest
                 buf = np.empty(len(w) * (r1 - r0) * self.width, np.float32)
-                scratch = _scratch(len(order), len(w), (r1 - r0) * self.width)
+                scratch = _scratch(len(fine), len(w), (r1 - r0) * self.width)
             out = buf[: len(w) * (r1 - r0) * self.width].reshape(len(w), r1 - r0, self.width)
-            if not isinstance(planes, _DnPlanes):
-                xs = ((order[k], np.asarray(planes[order[k]][r0:r1], dtype=np.float64))
-                      for k in coarse + fine)
-                peak = _float32_sums(w[:, coarse + fine], xs, out, scratch)
-                yield r0, r1, (out if peak <= _FLOAT32_PEAK else None), peak
-                continue
             peak = 0.0
             if coarse:
                 a, b, n = planes.native_rows(r0, r1)
@@ -275,7 +271,7 @@ class BandStack:
                     yield r0, r1, None, peak
                     continue
                 _upsample2(rows[:, a - ga : b + 1 - ga].swapaxes(0, 1), a, n, out.swapaxes(0, 1), r0)
-            xs = ((order[k], planes.rasters[order[k]].scaled_rows(r0, r1)) for k in fine)
+            xs = ((order[k], self.rows(r0, r1, order[k : k + 1])[order[k]]) for k in fine)
             peak = max(peak, _float32_sums(w[:, fine], xs, out, scratch, add=bool(coarse)))
             yield r0, r1, (out if peak <= _FLOAT32_PEAK else None), peak
 

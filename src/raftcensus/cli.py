@@ -7,14 +7,8 @@ score it against ground truth, and render an overlay image. Exit codes:
 
 All randomness is seeded through flags, so identical invocations
 produce byte-identical output files. The census is single-threaded;
-pixels are scored in row windows. A mask pixel is ``mlp.forward_batch``
-of its ``BandStack.rows`` features >= thr. That exact score sums each
-unit's terms in one fixed order (a hidden unit adds its 20 m band terms,
-then its 10 m band terms, then its bias), so it depends neither on its
-window nor on BLAS. Most pixels are decided from float32 BLAS scores,
-which a proven error bound shows to lie on the same side of the
-threshold as the exact score; windows where the bound cannot tell are
-scored again by ``forward_batch`` (``mlp.threshold_planes``).
+pixels are scored in row windows, by the rule ``mlp.threshold_planes``
+describes.
 """
 
 from __future__ import annotations
@@ -159,6 +153,13 @@ def _check_water_flags(args) -> None:
         raise _UsageError("--water-model requires --water-method mlp")
 
 
+def _check_out_dir(out) -> None:
+    """Reject an output path whose directory does not exist, a data error,
+    before any input is read."""
+    if out is not None and not Path(out).parent.is_dir():
+        raise RaftCensusError(f"output directory {Path(out).parent} does not exist")
+
+
 def _census_config(args) -> CensusConfig:
     platform_model = mlp.load_model(args.platform_model)
     if args.water_method == "mlp":
@@ -227,6 +228,7 @@ def _training_data(args, binary: bool) -> datasets.LabeledPixels:
 
 
 def _cmd_train(args, binary: bool) -> int:
+    _check_out_dir(args.out)
     data = _training_data(args, binary)
     layers = mlp.PLATFORM_LAYERS if binary else (10, args.hidden, len(data.class_names))
     model = mlp.init_model(layers, seed=args.seed)
@@ -253,6 +255,7 @@ def _cmd_train(args, binary: bool) -> int:
 
 def _cmd_census(args) -> int:
     _check_water_flags(args)
+    _check_out_dir(args.out)
     stack = load_band_stack(args.manifest)
     cfg = _census_config(args)
     census = run_census(stack, cfg, source=Path(args.manifest).name)
@@ -284,6 +287,7 @@ def _read_census_csv(path) -> list[tuple[int, float, float]]:
 
 
 def _cmd_eval(args) -> int:
+    _check_out_dir(args.out)
     dets = _read_census_csv(args.census)
     try:
         truth = json.loads(Path(args.truth).read_text())
@@ -300,6 +304,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_render(args) -> int:
     _check_water_flags(args)
+    _check_out_dir(args.out)
     stack = load_band_stack(args.manifest)
     cfg = _census_config(args)
     result = run_pipeline(stack, cfg, source=Path(args.manifest).name)

@@ -86,6 +86,8 @@ class LabeledPixels:
             raise DimensionError(
                 f"features must be (n, {len(FEATURE_ORDER)}), got {self.features.shape}"
             )
+        if not np.isfinite(self.features).all():
+            raise DatasetError("labeled features must be finite")
         if len(self.labels) != len(self.features):
             raise DimensionError("features and labels disagree in length")
         if self.labels.min() < 0 or self.labels.max() >= len(self.class_names):
@@ -508,10 +510,17 @@ def load_labeled_csv(path) -> LabeledPixels:
             if rec and rec[0].startswith("# classes:"):
                 class_names = tuple(rec[0].split(":", 1)[1].split())
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(rec) != len(_CSV_HEADER):
-                raise DatasetError(f"{path}: bad row width {len(rec)}")
-            rows.append([float(v) for v in rec[:-1]])
-            labels.append(int(rec[-1]))
+                raise DatasetError(f"{where}: bad row width {len(rec)}")
+            try:
+                row, label = [float(v) for v in rec[:-1]], int(rec[-1])
+            except ValueError as exc:
+                raise DatasetError(f"{where}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise DatasetError(f"{where}: features must be finite")
+            rows.append(row)
+            labels.append(label)
     if not class_names:
         raise DatasetError(f"{path}: missing class-names comment row")
     return LabeledPixels(

@@ -5,13 +5,10 @@ by full-batch gradient descent with momentum on mean squared error.
 The platform classifier uses layers [10, 2, 1]; the water classifier
 defaults to [10, 8, 3] with the water class last.
 
-A pixel's exact score is ``forward_batch`` of its features. It sums
-each unit's weighted inputs in one fixed order, in float64, so it depends
-only on the pixel's features: not on the batch or window it is scored
-in, nor on the BLAS library. A hidden unit sums its 20 m band terms
-first, then its 10 m band terms, each group in feature order, then adds
-its bias; an output unit sums its inputs first input first, then adds
-its bias.
+A pixel's exact score is ``forward_batch`` of its features. Each unit
+sums its weighted inputs in feature order, in float64, then adds its
+bias, so the score depends only on the pixel's features: not on the
+batch or window it is scored in, nor on the BLAS library.
 
 A mask pixel (``threshold_planes``) is ``forward_batch`` of its
 ``BandStack.rows`` features >= thr. Most pixels are decided without that
@@ -187,13 +184,6 @@ def init_model(
     return MlpModel(tuple(layer_sizes), (w1, w2), (b1, b2), tuple(feature_order))
 
 
-def _summation_order(m: MlpModel) -> list[int]:
-    """Input indices in the order a hidden unit sums them: inputs whose
-    feature is a 20 m band first, then the others, each in feature order."""
-    coarse = [k for k, b in enumerate(m.feature_order[: m.n_in]) if b.native_resolution_m == 20]
-    return coarse + [k for k in range(m.n_in) if k not in coarse]
-
-
 def _weighted_sums(w, inputs, out, tmp) -> np.ndarray:
     """out[j] = w[j, 0] x_0 + w[j, 1] x_1 + ... for the equal-length 1-D
     ``inputs`` x_k, summed left to right."""
@@ -212,37 +202,26 @@ def _sigmoid_units(z, b, tmp, pos) -> np.ndarray:
     return z
 
 
-def _score(m: MlpModel, z: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
-    """(n_out, n) outputs, in ``work``, for the n pixels whose hidden-unit
-    sums, bias not yet added, are the columns of ``z`` (n_hid, n), which
-    is overwritten."""
-    out, tmp, pos = work
-    h = _sigmoid_units(z, m.biases[0], tmp, pos)
-    y = _weighted_sums(m.weights[1], h, out, tmp)
-    return _sigmoid_units(y, m.biases[1], tmp, pos)
-
-
 def forward_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network outputs for an (n, n_in) batch; returns (n, n_out) in (0, 1).
 
-    Without BLAS, a hidden unit sums its weighted 20 m band inputs, then
-    its 10 m band inputs, each group in feature order, then adds its bias;
-    an output unit sums its inputs first input first, then adds its bias.
-    A row's outputs do not depend on the rest of the batch; they are the
-    exact scores that decide ``threshold_planes``' masks.
+    Without BLAS, each unit sums its weighted inputs in feature order, first
+    input first, then adds its bias. A row's outputs do not depend on the
+    rest of the batch; they are the exact scores that decide
+    ``threshold_planes``' masks.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.n_in:
         raise ValueError(f"expected (n, {m.n_in}) inputs, got shape {x.shape}")
     cols = x.T
-    work = np.empty((m.n_out, len(x))), np.empty(len(x)), np.empty(len(x), dtype=bool)
+    tmp, pos = np.empty(len(x)), np.empty(len(x), dtype=bool)
     for c in cols:
-        if not np.isfinite(c, out=work[2]).all():
+        if not np.isfinite(c, out=pos).all():
             raise ValueError("inputs must be finite")
-    order = _summation_order(m)
-    z = _weighted_sums(m.weights[0][:, order], [cols[k] for k in order],
-                       np.empty((m.layer_sizes[1], len(x))), work[1])
-    return _score(m, z, work).T.copy()
+    z = _weighted_sums(m.weights[0], cols, np.empty((m.layer_sizes[1], len(x))), tmp)
+    h = _sigmoid_units(z, m.biases[0], tmp, pos)
+    y = _weighted_sums(m.weights[1], h, np.empty((m.n_out, len(x))), tmp)
+    return _sigmoid_units(y, m.biases[1], tmp, pos).T.copy()
 
 
 def forward(m: MlpModel, x) -> np.ndarray:
@@ -271,13 +250,14 @@ def threshold_planes(
     bounds |float32 score - exact score| by E = alpha * M + beta, with M
     the window's largest input magnitude. A pixel is decided by its float32
     score s when s - E >= thr (true) or s + E < thr (false); NaN decides
-    nothing. A window holding an undecided pixel is scored again by
-    ``forward_batch``, and its exact results replace the float32 ones; so
-    does a window or a model too large to cast to float32. The float32
-    screen computes output ``out_index`` only. With an (H, W) ``where``,
-    cast to bool, windows holding no true pixel are neither read nor
-    scored, only pixels in ``where`` need deciding, and the result is
-    restricted to ``where``.
+    nothing. The rows of every window that holds an undecided pixel or is
+    too large to cast to float32 are flagged (for a model too large to
+    cast, every row holding a pixel of ``where``), and one pass of
+    ``forward_batch`` scores the flagged windows; its exact results replace
+    the float32 ones. The float32 screen computes output ``out_index``
+    only. With an (H, W) ``where``, cast to bool, windows holding no true
+    pixel are neither read nor scored, only pixels in ``where`` need
+    deciding, and the result is restricted to ``where``.
     """
     if where is not None:
         where = np.asarray(where).astype(bool, copy=False)
@@ -285,27 +265,18 @@ def threshold_planes(
             raise DimensionError(f"mask shape {where.shape} does not match {(s.height, s.width)}")
     out = np.zeros((s.height, s.width), dtype=bool)
     net = _float32_net(m, out_index)
-    if net is None:
-        _exact_decisions(m, s, out_index, thr, where, out)
+    if net is None:  # every window that holds a pixel of ``where``
+        redo = np.ones(s.height, dtype=bool) if where is None else where.any(axis=1)
     else:
-        redo = np.zeros(s.height, dtype=bool)  # rows of windows to score exactly
+        redo = np.zeros(s.height, dtype=bool)
         for r0, r1, y, peak in _float32_scores(net, s, where):
             if y is None or not _decide(y, thr, net.bound(peak), out[r0:r1].reshape(-1),
                                         None if where is None else where[r0:r1].reshape(-1)):
                 redo[r0:r1] = True
-        if redo.any():
-            _exact_decisions(m, s, out_index, thr, redo, out)
-    return out if where is None else out & where
-
-
-def _exact_decisions(m: MlpModel, s: BandStack, out_index: int, thr: float, where,
-                     out: np.ndarray) -> None:
-    """Write the decisions of ``forward_batch`` scores into the rows of
-    ``out`` of every window that ``where`` (pixels or one flag per row)
-    does not skip."""
-    for r0, r1, block in s.windows(m.feature_order, where):
+    for r0, r1, block in s.windows(m.feature_order, redo):
         x = np.stack([block[b].reshape(-1) for b in m.feature_order])
         np.greater_equal(forward_batch(m, x.T)[:, out_index], thr, out=out[r0:r1].reshape(-1))
+    return out if where is None else out & where
 
 
 def _decide(y: np.ndarray, thr: float, e: float, hit: np.ndarray, where) -> bool:

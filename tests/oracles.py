@@ -670,16 +670,11 @@ def _ref_layer(w, b, a):
 def ref_forward_batch(m, x: np.ndarray) -> np.ndarray:
     """(n, n_out) network outputs for an (n, n_in) batch.
 
-    Each hidden unit sums its weighted inputs over whole columns: first
-    the inputs whose feature is a 20 m band, then the others, each group
-    left to right in feature order, then adds its bias. Each output unit
-    sums left to right from the first input, then adds its bias.
+    Each unit sums its weighted inputs over whole columns, left to right
+    in feature order, then adds its bias.
     """
     x = np.asarray(x, dtype=np.float64)
-    bands = m.feature_order[: m.n_in]
-    coarse = [k for k, b in enumerate(bands) if b.native_resolution_m == 20]
-    first = coarse + [k for k in range(m.n_in) if k not in coarse]
-    hidden = _ref_layer(m.weights[0][:, first], m.biases[0], x[:, first])
+    hidden = _ref_layer(m.weights[0], m.biases[0], x)
     return _ref_layer(m.weights[1], m.biases[1], hidden)
 
 

@@ -129,6 +129,37 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
+    @pytest.mark.parametrize("command", ["census", "render", "train-platform", "train-water",
+                                         "eval"])
+    def test_missing_out_dir_rejected_before_any_input_is_read(self, scene_dir, model_path,
+                                                               tmp_path, capsys, monkeypatch,
+                                                               command):
+        read = []
+
+        def never(*args, **kwargs):
+            read.append(args)
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr("raftcensus.cli.load_band_stack", never)
+        monkeypatch.setattr("raftcensus.cli._read_census_csv", never)
+        monkeypatch.setattr(datasets, "load_labeled_csv", never)
+        monkeypatch.setattr("raftcensus.mlp.load_model", never)
+        manifest = str(scene_dir / "manifest.json")
+        out = tmp_path / "missing" / "out"
+        args = {
+            "census": ("--manifest", manifest, "--platform-model", str(model_path)),
+            "render": ("--manifest", manifest, "--platform-model", str(model_path)),
+            "train-platform": ("--manifest", manifest),
+            "train-water": ("--data", str(tmp_path / "w.csv")),
+            "eval": ("--census", str(tmp_path / "c.csv"), "--truth",
+                     str(scene_dir / "truth.json")),
+        }[command]
+        assert run_cli(command, *args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"output directory {out.parent} does not exist" in err
+        assert "Traceback" not in err and read == []
+        assert not out.parent.exists()
+
     def test_band_shrunk_after_load_is_data_error(self, scene_dir, model_path, tmp_path,
                                                   capsys, monkeypatch):
         # A loaded stack reads its band files while the census runs.
@@ -446,6 +477,21 @@ class TestTrainCli:
         from raftcensus import load_model
 
         assert load_model(model_out).layer_sizes == (10, 8, 3)
+
+    def test_non_finite_csv_feature_rejected_before_training(self, tmp_path, capsys):
+        from raftcensus.datasets import default_platform_training_set, save_labeled_csv
+
+        csv_path = tmp_path / "p.csv"
+        save_labeled_csv(default_platform_training_set(seed=2), csv_path)
+        lines = csv_path.read_text().splitlines()
+        lines[-1] = "nan" + lines[-1][lines[-1].index(","):]
+        csv_path.write_text("\n".join(lines) + "\n")
+        model_out = tmp_path / "p.mlp"
+        assert run_cli("train-platform", "--data", str(csv_path), "--epochs", "5",
+                       "--out", str(model_out)) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}: line {len(lines)}: features must be finite" in err
+        assert not model_out.exists()
 
     def test_train_water_zero_hidden_rejected(self, tmp_path, capsys):
         model_out = tmp_path / "w.mlp"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from raftcensus import bandstack
 from raftcensus.datasets import (
     DEFAULT_TRAINING_TOTAL,
     PLATFORM_CLASS_NAMES,
+    LabeledPixels,
     WATER_CLASS_NAMES,
     default_platform_training_set,
     _place_rafts,
@@ -361,3 +364,28 @@ class TestPixelDatasets:
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.labels, data.labels)
         assert back.class_names == data.class_names
+
+    @pytest.mark.parametrize("field,bad,message", [
+        (0, "x0.08", "could not convert string to float"),
+        (10, "1.5", "invalid literal for int"),
+        (3, "nan", "features must be finite"),
+        (9, "-inf", "features must be finite"),
+    ], ids=["text-feature", "fractional-label", "nan-feature", "inf-feature"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, field, bad, message):
+        path = tmp_path / "d.csv"
+        save_labeled_csv(synthetic_pixel_dataset(WATER_CLASS_NAMES, 2, seed=3), path)
+        lines = path.read_text().splitlines()
+        rec = lines[4].split(",")  # header, classes row, then data rows: line 5
+        rec[field] = bad
+        lines[4] = ",".join(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: line 5: {message}")):
+            load_labeled_csv(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        data = synthetic_pixel_dataset(WATER_CLASS_NAMES, 2, seed=3)
+        features = data.features.copy()
+        features[1, 4] = bad
+        with pytest.raises(DatasetError, match="features must be finite"):
+            LabeledPixels(features, data.labels, data.class_names)

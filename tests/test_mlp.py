@@ -140,16 +140,12 @@ class TestOneRowBatch:
 
     @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER])
     def test_sums_in_python_floats(self, order):
-        # Pins the summation order in plain Python floats: a hidden unit
-        # sums its 20 m terms, then its 10 m terms, each group in feature
-        # order, then adds its bias; an output unit sums left to right,
+        # Pins the summation order in plain Python floats: every unit sums
+        # its terms in feature order, then adds its bias,
         # (((w_0 x_0 + w_1 x_1) + w_2 x_2) ...) + b. Another order changes
         # last bits here.
         m = scaled_model((10, 8, 3), 3, 40.0, order)
         x = np.random.default_rng(1).uniform(0.0, 1.5, size=(6, 10))
-        coarse = [k for k, b in enumerate(order) if b.native_resolution_m == 20]
-        first = coarse + [k for k in range(10) if k not in coarse]
-        assert len(coarse) == 6
 
         def units(w, b, a):
             z = []
@@ -161,7 +157,7 @@ class TestOneRowBatch:
             return ref_sigmoid(np.array(z)).tolist()
 
         for row in x:
-            hid = units(m.weights[0][:, first], m.biases[0], row[first].tolist())
+            hid = units(m.weights[0], m.biases[0], row.tolist())
             want = units(m.weights[1], m.biases[1], hid)
             assert np.array_equal(bits(forward(m, row)), bits(np.array(want)))
 
