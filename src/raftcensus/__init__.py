@@ -12,7 +12,6 @@ from .bandstack import (
     BandStack,
     FEATURE_ORDER,
     GeoRef,
-    crop,
     load_band_stack,
     read_pgm16,
     resample_plane,
@@ -39,14 +38,12 @@ from .evaluation import (
     compute_rates,
     evaluate_census,
     match_centroids,
-    match_detections,
 )
 from .mlp import (
     ConfusionMatrix,
     MlpModel,
     TrainConfig,
     evaluate_confusion,
-    forward,
     forward_batch,
     init_model,
     load_model,

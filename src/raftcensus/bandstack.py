@@ -49,7 +49,7 @@ import sys
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO
@@ -72,7 +72,6 @@ __all__ = [
     "write_bands",
     "write_pgm16_rows",
     "resample_plane",
-    "crop",
 ]
 
 DN_SCALE = 10000.0
@@ -214,11 +213,11 @@ class BandStack:
         """Yield ``(r0, r1, sums, peak)`` for the row windows of ``windows``,
         skipped by ``where`` as there: ``sums`` is a float32 (len(w), r1 - r0,
         width) array whose plane j is the sum over k of w[j, k] times band
-        ``order[k]`` on rows r0..r1-1, reused for the next window (the caller
-        may overwrite it). ``peak`` is the largest magnitude of any value
-        read for the window (for a loaded stack, of any native row its group
-        reads); a window whose peak exceeds ``_FLOAT32_PEAK`` is not cast and
-        yields ``sums`` None.
+        ``order[k]`` on rows r0..r1-1, a new array the caller may overwrite.
+        ``peak`` is the largest magnitude of any value read for the window
+        (for a loaded stack, of any native row its group reads); a window
+        whose peak exceeds ``_FLOAT32_PEAK`` is not cast and yields ``sums``
+        None.
 
         The weights and the values read are rounded to float32; the products
         are summed by ``np.matmul``, in whatever order the BLAS takes.
@@ -245,12 +244,8 @@ class BandStack:
                   if isinstance(planes, _DnPlanes) and b.native_resolution_m == 20]
         fine = [k for k in range(len(order)) if k not in coarse]
         spans = [(r0, r1) for r0, r1, _ in self.windows((), where)]
-        buf = group = None
+        group = None
         for i, (r0, r1) in enumerate(spans):
-            if buf is None:  # the first window is the tallest
-                buf = np.empty(len(w) * (r1 - r0) * self.width, np.float32)
-                scratch = _scratch(len(fine), len(w), (r1 - r0) * self.width)
-            out = buf[: len(w) * (r1 - r0) * self.width].reshape(len(w), r1 - r0, self.width)
             peak = 0.0
             if coarse:
                 a, b, n = planes.native_rows(r0, r1)
@@ -261,19 +256,21 @@ class BandStack:
                     ga, gb, _ = planes.native_rows(r0, end)
                     native = ((order[k], planes.rasters[order[k]].scaled_rows(ga, gb + 1))
                               for k in coarse)
-                    sums = np.empty((len(w), gb + 1 - ga, self.width // 2), np.float32)
-                    gpeak = _float32_sums(w[:, coarse], native, sums,
-                                          _scratch(len(coarse), len(w), sums[0].size))
-                    rows = _upsample_columns(sums) if gpeak <= _FLOAT32_PEAK else None
-                    group = ga, gb, rows, gpeak
+                    sums, gpeak = _float32_sums(w[:, coarse], native,
+                                                (gb + 1 - ga, self.width // 2))
+                    group = ga, gb, None if sums is None else _upsample_columns(sums), gpeak
                 ga, _, rows, peak = group
                 if rows is None:
                     yield r0, r1, None, peak
                     continue
-                _upsample2(rows[:, a - ga : b + 1 - ga].swapaxes(0, 1), a, n, out.swapaxes(0, 1), r0)
+                up = np.empty((len(w), r1 - r0, self.width), np.float32)
+                _upsample2(rows[:, a - ga : b + 1 - ga].swapaxes(0, 1), a, n,
+                           up.swapaxes(0, 1), r0)
             xs = ((order[k], self.rows(r0, r1, order[k : k + 1])[order[k]]) for k in fine)
-            peak = max(peak, _float32_sums(w[:, fine], xs, out, scratch, add=bool(coarse)))
-            yield r0, r1, (out if peak <= _FLOAT32_PEAK else None), peak
+            sums, fine_peak = _float32_sums(w[:, fine], xs, (r1 - r0, self.width))
+            if coarse and sums is not None:
+                sums = np.add(up, sums, out=up)
+            yield r0, r1, sums, max(peak, fine_peak)
 
     def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
         """N x len(order) float64 features of the pixels (rows[i], cols[i]).
@@ -386,34 +383,23 @@ def _peak(band: BandId, x: np.ndarray) -> float:
     return max(hi, -lo)
 
 
-def _scratch(n_bands: int, n_sums: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 scratch of ``_float32_sums`` for ``n_sums`` sums of up to
-    ``n_bands`` arrays of ``n`` values: the arrays cast, and the products."""
-    return np.empty(n_bands * n, np.float32), np.empty(n_sums * n, np.float32)
-
-
-def _float32_sums(w: np.ndarray, xs: Iterable[tuple[BandId, np.ndarray]], out: np.ndarray,
-                  scratch: tuple[np.ndarray, np.ndarray], add: bool = False) -> float:
-    """out[j] = w[j, 0] x_0 + w[j, 1] x_1 + ..., as one float32 matrix
-    product of the float32 ``w`` and the rows x_k of band k that ``xs``
-    yields as (band, x_k), rounded to float32 in ``scratch``; with ``add``,
-    the sums are added to out[j] as it stands. Returns the largest magnitude
-    read; once that exceeds ``_FLOAT32_PEAK``, no further x_k is read or
-    cast and ``out`` is left as it was."""
-    x32, tmp = scratch
-    n = out[0].size
-    x32 = x32[: w.shape[1] * n].reshape(w.shape[1], n)
+def _float32_sums(
+    w: np.ndarray, xs: Iterable[tuple[BandId, np.ndarray]], shape: tuple[int, int]
+) -> tuple[np.ndarray | None, float]:
+    """(sums, peak): sums[j] = w[j, 0] x_0 + w[j, 1] x_1 + ..., a float32
+    (len(w),) + ``shape`` array, as one matrix product of the float32 ``w``
+    and the ``shape`` rows x_k of band k that ``xs`` yields as (band, x_k),
+    rounded to float32. ``peak`` is the largest magnitude read; once that
+    exceeds ``_FLOAT32_PEAK``, no further x_k is read or cast and ``sums``
+    is None."""
+    x32 = np.empty((w.shape[1], shape[0] * shape[1]), np.float32)
     peak = 0.0
     for k, (band, x) in enumerate(xs):
         peak = max(peak, _peak(band, x))
         if peak > _FLOAT32_PEAK:
-            return peak
-        np.copyto(x32[k].reshape(x.shape), x, casting="same_kind")
-    if not add:
-        np.matmul(w, x32, out=out.reshape(len(w), n))
-        return peak
-    out += np.matmul(w, x32, out=tmp[: len(w) * n].reshape(len(w), n)).reshape(out.shape)
-    return peak
+            return None, peak
+        np.copyto(x32[k].reshape(shape), x, casting="same_kind")
+    return (w @ x32).reshape((len(w),) + shape), peak
 
 
 def _upsample_rows(p: np.ndarray, a: int, n: int, r0: int, r1: int) -> np.ndarray:
@@ -554,6 +540,8 @@ def write_pgm16(path, values: np.ndarray) -> None:
 
     Samples that are not uint16 must be whole numbers within [0, 65535];
     NaN and fractional values are rejected, not truncated.
+
+    For tests; the package writes its PGMs with ``write_pgm16_rows``.
     """
     a = np.asarray(values)
     if a.ndim != 2:
@@ -605,6 +593,8 @@ def resample_plane(p: np.ndarray, factor: int) -> np.ndarray:
     Pixel centers align: output center (i + 0.5) / 2 maps to input
     coordinate (i + 0.5) / 2 - 0.5, clamped to the valid range so edges
     extend rather than shrink.
+
+    For tests and the bench's traced replay; a census upsamples per window.
     """
     if factor != 2:
         raise ValueError(f"resample factor must be 2, got {factor}")
@@ -794,23 +784,3 @@ def save_band_stack(stack: BandStack, out_dir) -> Path:
         lambda band: (stack.rows(r0, r1, (band,))[band] for r0, r1 in row_chunks(w, h)),
         stack.geo,
     )
-
-
-def crop(s: BandStack, x0: int, y0: int, w: int, h: int) -> BandStack:
-    """Crop all planes to the rectangle (x0, y0, w, h), shifting geo origin."""
-    if w < 1 or h < 1:
-        raise DimensionError(f"crop size must be positive, got {w}x{h}")
-    if x0 < 0 or y0 < 0 or x0 + w > s.width or y0 + h > s.height:
-        raise DimensionError(
-            f"crop rectangle ({x0},{y0},{w},{h}) exceeds stack bounds "
-            f"{s.width}x{s.height}"
-        )
-    planes = {b: p[:, x0 : x0 + w].copy() for b, p in s.rows(y0, y0 + h).items()}
-    geo = s.geo
-    if geo is not None:
-        geo = replace(
-            geo,
-            origin_easting=geo.origin_easting + x0 * s.pixel_size,
-            origin_northing=geo.origin_northing - y0 * s.pixel_size,
-        )
-    return BandStack(width=w, height=h, pixel_size=s.pixel_size, planes=planes, geo=geo)

@@ -263,6 +263,8 @@ def compute_features(b: Blob) -> Blob:
     This is filter_blobs's batch measurement applied to one blob: the
     Euler number from bit-quad counts, and the convex area from the
     exact hull unless the blob fills its bbox (then it is the area).
+
+    For tests and the bench's traced replay; ``filter_blobs`` measures in batches.
     """
     return _measure([b])[0]
 

@@ -79,12 +79,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled scene")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=512)
-    p.add_argument("--rafts", type=int, default=10)
-    p.add_argument("--raft-size", type=int, default=2, choices=(2, 3))
-    p.add_argument("--noise-sigma", type=float, default=datasets.DEFAULT_NOISE_SIGMA)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--width", type=int, default=datasets.SynthParams.width)
+    p.add_argument("--height", type=int, default=datasets.SynthParams.height)
+    p.add_argument("--rafts", type=int, default=datasets.SynthParams.raft_count)
+    p.add_argument("--raft-size", type=int, choices=(2, 3),
+                   default=datasets.SynthParams.raft_size_px)
+    p.add_argument("--noise-sigma", type=float, default=datasets.SynthParams.noise_sigma)
+    p.add_argument("--seed", type=int, default=datasets.SynthParams.seed)
     p.add_argument("--spectra", help="JSON spectra config (default: built-in)")
     p.add_argument("--origin", nargs=2, type=float, metavar=("EASTING", "NORTHING"),
                    help="geo origin of pixel (0,0) top-left corner, meters")
@@ -107,11 +108,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output model file")
         if name == "train-water":
             p.add_argument("--hidden", type=int, default=mlp.WATER_LAYERS[1])
-        p.add_argument("--epochs", type=int, default=2000)
-        p.add_argument("--lr", type=float, default=2.0)
-        p.add_argument("--momentum", type=float, default=0.9)
-        p.add_argument("--target-loss", type=float, default=1e-3)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--epochs", type=int, default=mlp.TrainConfig.max_epochs)
+        p.add_argument("--lr", type=float, default=mlp.TrainConfig.learning_rate)
+        p.add_argument("--momentum", type=float, default=mlp.TrainConfig.momentum)
+        p.add_argument("--target-loss", type=float, default=mlp.TrainConfig.target_loss)
+        p.add_argument("--seed", type=int, default=mlp.TrainConfig.seed)
 
     p = sub.add_parser("census", help="run the platform census on a stack")
     _census_flags(p)
@@ -154,10 +155,15 @@ def _check_water_flags(args) -> None:
 
 
 def _check_out_dir(out) -> None:
-    """Reject an output path whose directory does not exist, a data error,
-    before any input is read."""
-    if out is not None and not Path(out).parent.is_dir():
-        raise RaftCensusError(f"output directory {Path(out).parent} does not exist")
+    """Reject an output file path that is a directory or whose directory
+    does not exist, a data error, before any input is read."""
+    if out is None:
+        return
+    out = Path(out)
+    if out.is_dir():
+        raise RaftCensusError(f"output path {out} is a directory")
+    if not out.parent.is_dir():
+        raise RaftCensusError(f"output directory {out.parent} does not exist")
 
 
 def _census_config(args) -> CensusConfig:
@@ -336,16 +342,15 @@ def render_overlay(
             gray[r0:r1] = np.rint(255.0 * (g - lo) / (hi - lo))
     img = np.stack([gray, gray, gray], axis=-1)
 
-    if water_mask is not None:
-        wm = np.asarray(water_mask).astype(bool, copy=False)
-        img[wm, 0] = gray[wm] // 2
-        img[wm, 1] = gray[wm] // 2
-        img[wm, 2] = (gray[wm].astype(np.uint16) + 255) // 2
-    if platform_mask is not None:
-        pm = np.asarray(platform_mask).astype(bool, copy=False)
-        img[pm, 0] = (gray[pm].astype(np.uint16) + 255) // 2
-        img[pm, 1] = gray[pm] // 2
-        img[pm, 2] = gray[pm] // 2
+    # Masked copies, not boolean indexing, which would build index arrays.
+    half = gray // 2
+    tint = gray - half
+    tint += 127  # (gray + 255) // 2, within uint8
+    for mask, colors in ((water_mask, (half, half, tint)), (platform_mask, (tint, half, half))):
+        if mask is not None:
+            mask = np.asarray(mask).astype(bool, copy=False)
+            for k, value in enumerate(colors):
+                np.copyto(img[..., k], value, where=mask)
     if census is not None:
         h, w = gray.shape
         for rec in census.records:

@@ -268,27 +268,19 @@ class _SceneDrawer:
         table = np.stack([spectra[name] for name in WATER_CLASS_NAMES])  # (3, 10)
         self.means = {band: table[:, i] for i, band in enumerate(FEATURE_ORDER)}
         self.sigma = params.noise_sigma
-        self._buffers = [np.empty(0), np.empty(0)]  # rows, noise; reused
-
-    def _buffer(self, k: int, shape) -> np.ndarray:
-        n = shape[0] * shape[1]
-        if self._buffers[k].size < n:
-            self._buffers[k] = np.empty(n)
-        return self._buffers[k][:n].reshape(shape)
 
     def draw(self, band: BandId, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows r0..r1-1 of ``band``, drawn into ``out`` (default: a buffer
-        that the next call reuses)."""
+        """Rows r0..r1-1 of ``band``, drawn into ``out`` (default: a new
+        array)."""
         classes = self.class_map[r0:r1]
         if out is None:
-            out = self._buffer(0, classes.shape)
+            out = np.empty(classes.shape)
         means = self.means[band]
         out.fill(means[0])
         for k in range(1, len(means)):
             np.copyto(out, means[k], where=classes == k)
         if self.sigma > 0:
-            z = self._buffer(1, classes.shape)
-            self.rng.standard_normal(out=z)
+            z = self.rng.standard_normal(classes.shape)
             try:
                 with np.errstate(over="raise"):
                     z *= self.sigma

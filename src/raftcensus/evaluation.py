@@ -27,7 +27,6 @@ __all__ = [
     "MatchPair",
     "MetricsReport",
     "match_centroids",
-    "match_detections",
     "compute_rates",
     "evaluate_census",
     "report_to_json",
@@ -109,12 +108,6 @@ def match_centroids(
     return matches
 
 
-def match_detections(census, truth_centroids, max_dist: float = DEFAULT_MAX_MATCH_DIST):
-    """Match a Census object's records against truth centroids."""
-    dets = [(rec.id, rec.centroid_px[0], rec.centroid_px[1]) for rec in census.records]
-    return match_centroids(dets, list(truth_centroids), max_dist)
-
-
 def compute_rates(
     matches: list[MatchPair], total_detections: int, total_platforms: int
 ) -> MetricsReport:
@@ -154,7 +147,8 @@ def evaluate_census(
 ) -> MetricsReport:
     """Match and rate in one step; ``truth_centroids`` is read once."""
     truth = list(truth_centroids)
-    matches = match_detections(census, truth, max_dist)
+    dets = [(rec.id, rec.centroid_px[0], rec.centroid_px[1]) for rec in census.records]
+    matches = match_centroids(dets, truth, max_dist)
     return compute_rates(matches, len(census.records), len(truth))
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "TrainConfig",
     "ConfusionMatrix",
     "init_model",
-    "forward",
     "forward_batch",
     "threshold_planes",
     "loss_and_gradient",
@@ -224,14 +223,6 @@ def forward_batch(m: MlpModel, x: np.ndarray) -> np.ndarray:
     return _sigmoid_units(y, m.biases[1], tmp, pos).T.copy()
 
 
-def forward(m: MlpModel, x) -> np.ndarray:
-    """Outputs for a single feature vector: sigma(W2 sigma(W1 x + b1) + b2)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.n_in,):
-        raise ValueError(f"expected a {m.n_in}-vector, got shape {x.shape}")
-    return forward_batch(m, x[None, :])[0]
-
-
 def threshold_planes(
     m: MlpModel,
     s: BandStack,
@@ -412,21 +403,17 @@ def _float32_net(m: MlpModel, out_index: int) -> _Float32Net | None:
 def _float32_scores(net: _Float32Net, s: BandStack, where=None) -> Iterator:
     """Yield ``(r0, r1, scores, peak)`` for the windows of
     ``BandStack.float32_sums``: ``scores`` is a float32 (n,) array of the
-    net's output for the window's pixels, reused for the next window, or
-    None where the window was not cast; ``peak`` is M of its bound."""
-    work = None
+    net's output for the window's pixels, or None where the window was not
+    cast; ``peak`` is M of its bound."""
     for r0, r1, z, peak in s.float32_sums(net.w1, net.order, where):
         if z is None:
             yield r0, r1, None, peak
             continue
         z = z.reshape(len(z), -1)
-        if work is None:  # the first window scored is the tallest
-            work = (np.empty((1, z.shape[1]), np.float32), np.empty(z.size, np.float32),
-                    np.empty(z.size, dtype=bool))
-        y, tmp, pos = work
+        tmp, pos = np.empty(z.size, np.float32), np.empty(z.size, dtype=bool)
         z += net.b1
         _sigmoid(z, tmp, pos)
-        y = np.matmul(net.w2, z, out=y[:, : z.shape[1]])
+        y = net.w2 @ z
         y += net.b2
         yield r0, r1, _sigmoid(y[0], tmp, pos), peak
 

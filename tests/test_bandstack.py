@@ -10,7 +10,6 @@ from raftcensus import (
     BandId,
     BandStack,
     GeoRef,
-    crop,
     load_band_stack,
     read_pgm16,
     resample_plane,
@@ -532,15 +531,6 @@ class TestRows:
         with pytest.raises(ValueError, match="row window"):
             s.rows(r0, r1)
 
-    def test_loaded_crop_equals_whole_plane_crop(self, tmp_path, rng):
-        path = write_dn_scene(
-            tmp_path, 16, 12, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
-        )
-        got = crop(load_band_stack(path), 3, 5, 7, 9)
-        want = crop(ref_load_band_stack(path), 3, 5, 7, 9)
-        for b in BandId:
-            assert np.array_equal(bits(got.planes[b]), bits(want.planes[b]))
-
 
 class TestWindows:
     @pytest.mark.parametrize("h,w,step", [(1, 1, 16384), (7, 3, 5461), (50, 700, 23),
@@ -822,36 +812,6 @@ class TestFeatures:
                       planes={b: np.zeros((9, 5)) for b in BandId})
         with pytest.raises(DimensionError, match="1-D"):
             s.features(np.array([0, 1]), np.array([0]))
-
-
-class TestCrop:
-    def _stack(self, geo=None):
-        planes = {
-            b: np.arange(12, dtype=float).reshape(3, 4) + i
-            for i, b in enumerate(BandId)
-        }
-        return BandStack(width=4, height=3, pixel_size=10.0, planes=planes, geo=geo)
-
-    def test_identity_crop(self):
-        s = self._stack()
-        c = crop(s, 0, 0, 4, 3)
-        for b in BandId:
-            assert np.array_equal(c.planes[b], s.planes[b])
-
-    def test_single_pixel_crop(self):
-        c = crop(self._stack(), 0, 0, 1, 1)
-        assert c.width == c.height == 1
-        assert c.planes[BandId.B2][0, 0] == 0.0
-
-    def test_geo_origin_shift(self):
-        s = self._stack(geo=GeoRef(1000.0, 2000.0, "EPSG:32629"))
-        c = crop(s, 3, 2, 1, 1)
-        assert c.geo.origin_easting == pytest.approx(1030.0)
-        assert c.geo.origin_northing == pytest.approx(1980.0)
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(DimensionError):
-            crop(self._stack(), 2, 0, 3, 3)
 
 
 class TestStackInvariants:

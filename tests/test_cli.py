@@ -12,8 +12,10 @@ import raftcensus
 from raftcensus import (
     BandId,
     BandStack,
+    BlobFilter,
     GeoRef,
     SynthParams,
+    TrainConfig,
     datasets,
     generate_synthetic_scene,
     load_band_stack,
@@ -21,7 +23,7 @@ from raftcensus import (
     save_model,
 )
 from raftcensus import bandstack
-from raftcensus.cli import dispatch, render_overlay
+from raftcensus.cli import _build_parser, dispatch, render_overlay
 from raftcensus.pipeline import CensusConfig, run_pipeline
 from raftcensus.waterdetect import NdwiOtsu
 
@@ -70,6 +72,23 @@ class TestDispatch:
         text = capsys.readouterr().out
         for name in SUBCOMMANDS:
             assert name in text
+
+    def test_parser_defaults_are_the_library_defaults(self):
+        parser = _build_parser()
+        a = parser.parse_args(["synth", "--out", "x"])
+        d = SynthParams()
+        assert ((a.width, a.height, a.rafts, a.raft_size, a.noise_sigma, a.seed)
+                == (d.width, d.height, d.raft_count, d.raft_size_px, d.noise_sigma, d.seed))
+        d = TrainConfig()
+        for command in ("train-platform", "train-water"):
+            a = parser.parse_args([command, "--synthetic-default", "--out", "x"])
+            assert ((a.epochs, a.lr, a.momentum, a.target_loss, a.seed)
+                    == (d.max_epochs, d.learning_rate, d.momentum, d.target_loss, d.seed))
+        a = parser.parse_args(["census", "--manifest", "m", "--platform-model", "p",
+                               "--out", "x"])
+        d = BlobFilter()
+        assert ((a.max_area, a.max_eqdiam, a.min_solidity)
+                == (d.max_area, d.max_equivalent_diameter, d.min_solidity))
 
     def test_help_matches_golden(self, capsys):
         assert run_cli("--help") == 0
@@ -129,11 +148,16 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
-    @pytest.mark.parametrize("command", ["census", "render", "train-platform", "train-water",
-                                         "eval"])
+    @pytest.mark.parametrize("command,out_is_dir", [
+        pytest.param(command, out_is_dir, id=command + "-directory" * out_is_dir)
+        for out_is_dir in (False, True)
+        for command in ("census", "render", "train-platform", "train-water", "eval")
+    ])
     def test_missing_out_dir_rejected_before_any_input_is_read(self, scene_dir, model_path,
                                                                tmp_path, capsys, monkeypatch,
-                                                               command):
+                                                               command, out_is_dir):
+        # An --out that is a directory is rejected as early as one in a
+        # missing directory.
         read = []
 
         def never(*args, **kwargs):
@@ -146,6 +170,8 @@ class TestDispatch:
         monkeypatch.setattr("raftcensus.mlp.load_model", never)
         manifest = str(scene_dir / "manifest.json")
         out = tmp_path / "missing" / "out"
+        if out_is_dir:
+            out.mkdir(parents=True)
         args = {
             "census": ("--manifest", manifest, "--platform-model", str(model_path)),
             "render": ("--manifest", manifest, "--platform-model", str(model_path)),
@@ -156,9 +182,13 @@ class TestDispatch:
         }[command]
         assert run_cli(command, *args, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert f"output directory {out.parent} does not exist" in err
+        if out_is_dir:
+            assert f"output path {out} is a directory" in err
+            assert list(out.parent.iterdir()) == [out] and list(out.iterdir()) == []
+        else:
+            assert f"output directory {out.parent} does not exist" in err
+            assert not out.parent.exists()
         assert "Traceback" not in err and read == []
-        assert not out.parent.exists()
 
     def test_band_shrunk_after_load_is_data_error(self, scene_dir, model_path, tmp_path,
                                                   capsys, monkeypatch):

@@ -11,7 +11,6 @@ from raftcensus import (
     MlpModel,
     TrainConfig,
     evaluate_confusion,
-    forward,
     forward_batch,
     init_model,
     load_band_stack,
@@ -83,20 +82,20 @@ class TestForward:
     def test_all_zero_parameters_give_half(self):
         m = MlpModel((10, 2, 1), (np.zeros((2, 10)), np.zeros((1, 2))),
                      (np.zeros(2), np.zeros(1)))
-        assert forward(m, np.zeros(10))[0] == 0.5
+        assert forward_batch(m, np.zeros((1, 10)))[0, 0] == 0.5
 
     def test_saturated_hidden_zero_output_weights(self):
         # huge hidden bias saturates the unit; zero W2/b2 still gives 0.5
         m = MlpModel((10, 1, 1), (np.zeros((1, 10)), np.zeros((1, 1))),
                      (np.full(1, 50.0), np.zeros(1)))
         for x in (np.zeros(10), np.ones(10), np.full(10, -3.0)):
-            assert forward(m, x)[0] == 0.5
+            assert forward_batch(m, x[None])[0, 0] == 0.5
 
     def test_matches_manual_reimplementation(self, rng):
         for seed in range(5):
             m = init_model((10, 8, 3), seed=seed)
             x = rng.uniform(-1, 1, size=10)
-            assert np.allclose(forward(m, x), manual_forward(m, x), atol=1e-12)
+            assert np.allclose(forward_batch(m, x[None])[0], manual_forward(m, x), atol=1e-12)
 
     def test_outputs_strictly_inside_unit_interval(self, rng):
         for seed in range(5):
@@ -107,12 +106,12 @@ class TestForward:
     def test_arity_mismatch(self):
         m = init_model((10, 2, 1), seed=0)
         with pytest.raises(ValueError):
-            forward(m, np.zeros(9))
+            forward_batch(m, np.zeros((1, 9)))
 
     def test_non_finite_input(self):
         m = init_model((10, 2, 1), seed=0)
         with pytest.raises(ValueError):
-            forward(m, np.full(10, np.nan))
+            forward_batch(m, np.full((1, 10), np.nan))
 
 
 class TestOneRowBatch:
@@ -125,7 +124,6 @@ class TestOneRowBatch:
         x = np.random.default_rng(0).uniform(0.0, 1.5, size=(69, 10))
         whole = forward_batch(m, x)
         for i in range(len(x)):
-            assert np.array_equal(bits(forward(m, x[i])), bits(whole[i]))
             assert np.array_equal(bits(forward_batch(m, x[i : i + 1])), bits(whole[i : i + 1]))
 
     def test_single_row_confusion_uses_batch_score(self):
@@ -159,7 +157,7 @@ class TestOneRowBatch:
         for row in x:
             hid = units(m.weights[0], m.biases[0], row.tolist())
             want = units(m.weights[1], m.biases[1], hid)
-            assert np.array_equal(bits(forward(m, row)), bits(np.array(want)))
+            assert np.array_equal(bits(forward_batch(m, row[None])[0]), bits(np.array(want)))
 
 
 class TestSigmoid:
@@ -371,7 +369,7 @@ class TestThresholdPlanes:
         whole = forward_batch(m, x)
         assert np.array_equal(bits(whole), bits(ref_forward_batch(m, x)))
         for i in range(len(x)):
-            assert np.array_equal(bits(forward(m, x[i])), bits(whole[i]))
+            assert np.array_equal(bits(forward_batch(m, x[i : i + 1])[0]), bits(whole[i]))
         for n in range(1, len(x) + 1):
             parts = [forward_batch(m, x[i : i + n]) for i in range(0, len(x), n)]
             assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
