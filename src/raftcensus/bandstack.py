@@ -18,7 +18,9 @@ window size (``_BLOCK_PIXELS`` pixels per window). A mask pixel is
 ``mlp.forward_batch`` of its ``BandStack.rows`` features >= thr; most
 pixels are decided from a float32 screen, ``BandStack.float32_sums``, in
 which a loaded stack sums the 20 m terms of each unit at native
-resolution and upsamples that one sum, not each 20 m band.
+resolution and upsamples that one sum, not each 20 m band, with the same
+upsampler. Every window reads the 20 m rows under it, with their one-row
+halo, once.
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
@@ -77,14 +79,13 @@ __all__ = [
 DN_SCALE = 10000.0
 PIXEL_SIZE_M = 10.0
 
-# Most pixels per row window of a census stage: small enough that a
-# window's activations stay in cache, large enough to keep per-window
-# overhead negligible.
-_BLOCK_PIXELS = 16384
-# Consecutive windows whose 20 m rows ``BandStack.float32_sums`` reads and
-# sums at once: each group reads one pair of halo rows, not one per window,
-# and makes one call per band, not one per window.
-_GROUP_WINDOWS = 4
+# Most pixels per row window of a census stage. Each window reads its own
+# 20 m rows plus a one-row halo on either side. On a 2-CPU x86 host and a
+# 2048-wide scene, 32768 (16 rows) scored and saved a loaded stack as fast
+# as or faster than 16384-pixel windows that shared their halos in groups
+# of four, and ran the in-memory water net as fast; at 65536 the water
+# net's larger window arrays slowed it by about 5%.
+_BLOCK_PIXELS = 32768
 # Largest magnitude ``BandStack.float32_sums`` casts to float32: with
 # weights whose row sums stay below 2**60 (``mlp`` checks), no float32 sum
 # comes near overflow.
@@ -215,22 +216,20 @@ class BandStack:
         width) array whose plane j is the sum over k of w[j, k] times band
         ``order[k]`` on rows r0..r1-1, a new array the caller may overwrite.
         ``peak`` is the largest magnitude of any value read for the window
-        (for a loaded stack, of any native row its group reads); a window
-        whose peak exceeds ``_FLOAT32_PEAK`` is not cast and yields ``sums``
-        None.
+        (for a loaded stack, halo rows included); a window whose peak
+        exceeds ``_FLOAT32_PEAK`` is not cast and yields ``sums`` None.
 
         The weights and the values read are rounded to float32; the products
         are summed by ``np.matmul``, in whatever order the BLAS takes.
         The rows of every band of an in-memory stack, and of each 10 m band
         of a loaded stack, come through ``rows``, and their terms are summed
         on the 10 m grid. A loaded stack sums its 20 m terms on the 20 m
-        grid, one matrix product on native rows, and upsamples each plane's
-        20 m sum with the x2 bilinear upsampler, in float32: it upsamples
-        len(w) planes, not one per 20 m band. The 10 m product is added to
-        that. The 20 m rows of up to ``_GROUP_WINDOWS`` consecutive
-        windows are read and summed at once, so neighbouring windows share
-        their halo rows; rows only skipped windows need are not read. So a
-        term of a sum meets at most len(order) + 6 float32 roundings (input,
+        grid, one matrix product on the native rows under the window plus a
+        one-row halo on either side, and upsamples each plane's 20 m sum with
+        the x2 bilinear upsampler, in float32: it upsamples len(w) planes, not
+        one per 20 m band. The 10 m product is added to that. Each window
+        reads its own rows once; a skipped window reads none. So a term of
+        a sum meets at most len(order) + 6 float32 roundings (input,
         weight, product, additions, two per upsampled axis, the 20 m + 10 m
         addition), and every term's magnitude is at most |w[j, k]| * peak:
         ``mlp.threshold_planes`` bounds the error from that. Every row read
@@ -243,29 +242,17 @@ class BandStack:
         coarse = [k for k, b in enumerate(order)
                   if isinstance(planes, _DnPlanes) and b.native_resolution_m == 20]
         fine = [k for k in range(len(order)) if k not in coarse]
-        spans = [(r0, r1) for r0, r1, _ in self.windows((), where)]
-        group = None
-        for i, (r0, r1) in enumerate(spans):
+        for r0, r1, _ in self.windows((), where):
             peak = 0.0
             if coarse:
                 a, b, n = planes.native_rows(r0, r1)
-                if group is None or b > group[1]:
-                    end, j = r1, i + 1  # the run of consecutive windows from this one
-                    while j < min(len(spans), i + _GROUP_WINDOWS) and spans[j][0] == end:
-                        end, j = spans[j][1], j + 1
-                    ga, gb, _ = planes.native_rows(r0, end)
-                    native = ((order[k], planes.rasters[order[k]].scaled_rows(ga, gb + 1))
-                              for k in coarse)
-                    sums, gpeak = _float32_sums(w[:, coarse], native,
-                                                (gb + 1 - ga, self.width // 2))
-                    group = ga, gb, None if sums is None else _upsample_columns(sums), gpeak
-                ga, _, rows, peak = group
-                if rows is None:
+                native = ((order[k], planes.rasters[order[k]].scaled_rows(a, b + 1))
+                          for k in coarse)
+                sums, peak = _float32_sums(w[:, coarse], native, (b + 1 - a, self.width // 2))
+                if sums is None:
                     yield r0, r1, None, peak
                     continue
-                up = np.empty((len(w), r1 - r0, self.width), np.float32)
-                _upsample2(rows[:, a - ga : b + 1 - ga].swapaxes(0, 1), a, n,
-                           up.swapaxes(0, 1), r0)
+                up = _upsample_rows(sums, a, n, r0, r1)
             xs = ((order[k], self.rows(r0, r1, order[k : k + 1])[order[k]]) for k in fine)
             sums, fine_peak = _float32_sums(w[:, fine], xs, (r1 - r0, self.width))
             if coarse and sums is not None:
@@ -403,19 +390,14 @@ def _float32_sums(
 
 
 def _upsample_rows(p: np.ndarray, a: int, n: int, r0: int, r1: int) -> np.ndarray:
-    """Rows r0..r1-1 of the x2 bilinear upsampling of an ``n``-row float64
-    plane, from ``p``, its rows a, a+1, ..., every row those outputs need.
-    Columns are upsampled first, at input height, then rows."""
-    out = np.empty((r1 - r0, 2 * p.shape[1]))
-    _upsample2(_upsample_columns(p), a, n, out, r0)
-    return out
-
-
-def _upsample_columns(p: np.ndarray) -> np.ndarray:
-    """The x2 bilinear upsampling of the last axis (columns) of a (rows,
-    cols) plane or a (planes, rows, cols) stack of planes, in its dtype."""
-    out = np.empty(p.shape[:-1] + (2 * p.shape[-1],), p.dtype)
-    _upsample2(p.swapaxes(0, -1), 0, p.shape[-1], out.swapaxes(0, -1), 0)
+    """Rows r0..r1-1 of the x2 bilinear upsampling of an ``n``-row plane,
+    or of each plane of a (planes, rows, cols) stack, in ``p``'s dtype, from
+    ``p``, its rows a, a+1, ..., every row those outputs need. Columns are
+    upsampled first, at input height, then rows."""
+    cols = np.empty(p.shape[:-1] + (2 * p.shape[-1],), p.dtype)
+    _upsample2(p.swapaxes(0, -1), 0, p.shape[-1], cols.swapaxes(0, -1), 0)
+    out = np.empty(p.shape[:-2] + (r1 - r0, cols.shape[-1]), p.dtype)
+    _upsample2(cols.swapaxes(0, -2), a, n, out.swapaxes(0, -2), r0)
     return out
 
 
@@ -472,67 +454,45 @@ def _pgm_raster(f: BinaryIO, path) -> tuple[int, int, int]:
     """(height, width, raster offset) of the binary PGM open as ``f``, once
     its header is valid (maxval 65535) and the file holds the whole raster.
 
-    The header is parsed from a prefix of the file, 1 KiB at first and
-    doubled while the header runs past it.
+    The header is read from ``f`` one byte at a time: whitespace and ``#``
+    comments separate its four fields, and the single whitespace byte after
+    maxval ends it.
     """
-    data, size = b"", 1024
-    while True:
-        data += f.read(size - len(data))
-        try:
-            width, height, maxval, pos = _pgm_header(data, len(data) < size, path)
-            break
-        except _NeedMore:
-            size *= 2
+
+    def field() -> bytes:
+        token, comment = bytearray(), False
+        while c := f.read(1):
+            if comment:
+                comment = c not in b"\n\r"
+            elif c == b"#" and not token:
+                comment = True
+            elif not c.isspace():
+                token += c
+            elif token:
+                break
+        if not token:
+            raise PgmError(f"{path}: truncated header")
+        return bytes(token)
+
+    magic = field()
+    if magic != b"P5":
+        raise PgmError(f"{path}: not a binary PGM (magic {magic!r})")
+    try:
+        width = int(field())
+        height = int(field())
+        maxval = int(field())
+    except ValueError as exc:
+        raise PgmError(f"{path}: bad header field") from exc
     if width <= 0 or height <= 0:
         raise PgmError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 65535:
         raise PgmError(f"{path}: maxval must be 65535, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
+    pos = f.tell()
     expected = width * height * 2
     got = min(expected, max(0, f.seek(0, os.SEEK_END) - pos))
     if got != expected:
         raise PgmError(f"{path}: expected {expected} raster bytes, got {got}")
     return height, width, pos
-
-
-class _NeedMore(Exception):
-    """The header runs past the end of the prefix read so far."""
-
-
-def _pgm_header(data: bytes, complete: bool, path) -> tuple[int, int, int, int]:
-    """(width, height, maxval, end of maxval) from a PGM header prefix;
-    ``complete`` says the prefix is the whole file."""
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if pos == len(data) and not complete:
-            raise _NeedMore
-        if start == pos:
-            raise PgmError(f"{path}: truncated header")
-        return data[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
-        raise PgmError(f"{path}: not a binary PGM (magic {magic!r})")
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise PgmError(f"{path}: bad header field") from exc
-    return width, height, maxval, pos
 
 
 def write_pgm16(path, values: np.ndarray) -> None:

@@ -31,7 +31,7 @@ from .bandstack import (
     save_band_stack,
 )
 from .blobs import BlobFilter
-from .errors import RaftCensusError
+from .errors import DimensionError, RaftCensusError
 from .evaluation import (
     DEFAULT_MAX_MATCH_DIST,
     compute_rates,
@@ -235,9 +235,6 @@ def _training_data(args, binary: bool) -> datasets.LabeledPixels:
 
 def _cmd_train(args, binary: bool) -> int:
     _check_out_dir(args.out)
-    data = _training_data(args, binary)
-    layers = mlp.PLATFORM_LAYERS if binary else (10, args.hidden, len(data.class_names))
-    model = mlp.init_model(layers, seed=args.seed)
     cfg = mlp.TrainConfig(
         max_epochs=args.epochs,
         target_loss=args.target_loss,
@@ -245,6 +242,9 @@ def _cmd_train(args, binary: bool) -> int:
         momentum=args.momentum,
         seed=args.seed,
     )
+    data = _training_data(args, binary)
+    layers = mlp.PLATFORM_LAYERS if binary else (10, args.hidden, len(data.class_names))
+    model = mlp.init_model(layers, seed=args.seed)
     trained, history = mlp.train(model, data.features, data.labels, cfg)
     mlp.save_model(trained, args.out)
     x_test, y_test = mlp.split_data(data.features, data.labels, cfg)[2]
@@ -330,41 +330,49 @@ def render_overlay(
     platform pixels tinted red, census centroids marked with 3x3
     yellow crosses. Pure integer arithmetic, so output bytes are a
     function of the inputs only.
+
+    After one pass for B3's range, the image is built and written one
+    ``BandStack.windows`` row window at a time; a cross spanning two
+    windows is drawn in each.
     """
     lo, hi = np.inf, -np.inf
     for _, _, block in stack.windows((BandId.B3,)):
         g = block[BandId.B3]
         lo, hi = min(lo, float(g.min())), max(hi, float(g.max()))
-    gray = np.zeros((stack.height, stack.width), dtype=np.uint8)
-    if hi > lo:
-        for r0, r1, block in stack.windows((BandId.B3,)):
-            g = block[BandId.B3]
-            gray[r0:r1] = np.rint(255.0 * (g - lo) / (hi - lo))
-    img = np.stack([gray, gray, gray], axis=-1)
-
-    # Masked copies, not boolean indexing, which would build index arrays.
-    half = gray // 2
-    tint = gray - half
-    tint += 127  # (gray + 255) // 2, within uint8
-    for mask, colors in ((water_mask, (half, half, tint)), (platform_mask, (tint, half, half))):
-        if mask is not None:
-            mask = np.asarray(mask).astype(bool, copy=False)
-            for k, value in enumerate(colors):
-                np.copyto(img[..., k], value, where=mask)
+    h, w = stack.height, stack.width
+    for mask in (water_mask, platform_mask):
+        if mask is not None and np.shape(mask) != (h, w):
+            raise DimensionError(f"mask of shape {np.shape(mask)} for a {h}x{w} stack")
+    marks = []
     if census is not None:
-        h, w = gray.shape
         for rec in census.records:
             r = int(round(rec.centroid_px[0]))
             c = int(round(rec.centroid_px[1]))
             for dr, dc in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w:
-                    img[rr, cc] = _CROSS_COLOR
+                if 0 <= r + dr < h and 0 <= c + dc < w:
+                    marks.append((r + dr, c + dc))
+    marks = np.array(marks, dtype=np.int64).reshape(-1, 2)
 
-    header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(img)
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        for r0, r1, block in stack.windows((BandId.B3,)):
+            gray = np.zeros((r1 - r0, w), dtype=np.uint8)
+            if hi > lo:
+                gray[:] = np.rint(255.0 * (block[BandId.B3] - lo) / (hi - lo))
+            img = np.stack([gray, gray, gray], axis=-1)
+            # Masked copies, not boolean indexing, which would build index arrays.
+            half = gray // 2
+            tint = gray - half
+            tint += 127  # (gray + 255) // 2, within uint8
+            for mask, colors in ((water_mask, (half, half, tint)),
+                                 (platform_mask, (tint, half, half))):
+                if mask is not None:
+                    where = np.asarray(mask[r0:r1]).astype(bool, copy=False)
+                    for k, value in enumerate(colors):
+                        np.copyto(img[..., k], value, where=where)
+            here = marks[(marks[:, 0] >= r0) & (marks[:, 0] < r1)]
+            img[here[:, 0] - r0, here[:, 1]] = _CROSS_COLOR
+            f.write(img)
 
 
 def dispatch(argv) -> int:

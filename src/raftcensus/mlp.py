@@ -27,6 +27,7 @@ its input model.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,6 +146,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        for name in ("learning_rate", "momentum", "target_loss"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not all(f > 0 for f in self.split):
             raise ValueError("split fractions must be positive")
         if abs(sum(self.split) - 1.0) > 1e-9:
@@ -519,8 +523,9 @@ def train(
     cfg.max_epochs, and returns the parameters from the epoch with the
     best validation loss together with the per-epoch training losses.
 
-    Raises TrainingError if fewer than two classes are present or the
-    loss stops being finite (the error carries the epoch index).
+    Raises TrainingError if a label is not one of the net's classes (0..n_out-1,
+    or 0 and 1 for one output), if fewer than two classes are present, or if
+    the loss stops being finite (the error carries the epoch index).
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
@@ -528,6 +533,10 @@ def train(
         raise ValueError(f"expected (n, {m.n_in}) features, got shape {x.shape}")
     if len(labels) != len(x):
         raise ValueError("features and labels disagree in length")
+    k = max(2, m.n_out)
+    outside = labels[~np.isin(labels, np.arange(k))]
+    if len(outside):
+        raise TrainingError(f"label {outside[0]} is not one of the net's {k} classes 0..{k - 1}")
     if len(np.unique(labels)) < 2:
         raise TrainingError("training data must contain at least two classes")
 
@@ -613,6 +622,9 @@ def evaluate_confusion(
     else:
         pred = np.argmax(y, axis=1)
         k = m.n_out
+    outside = labels[~np.isin(labels, np.arange(k))]
+    if len(outside):
+        raise ValueError(f"label {outside[0]} is not one of the {k} classes 0..{k - 1}")
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (labels.astype(int), pred), 1)
     return ConfusionMatrix(counts=counts, class_names=tuple(class_names))

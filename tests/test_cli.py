@@ -24,7 +24,8 @@ from raftcensus import (
 )
 from raftcensus import bandstack
 from raftcensus.cli import _build_parser, dispatch, render_overlay
-from raftcensus.pipeline import CensusConfig, run_pipeline
+from raftcensus.errors import DimensionError
+from raftcensus.pipeline import Census, CensusConfig, CensusRecord, run_pipeline
 from raftcensus.waterdetect import NdwiOtsu
 
 from oracles import ref_render_overlay, ref_write_synthetic_scene
@@ -523,6 +524,36 @@ class TestTrainCli:
         assert f"{csv_path}: line {len(lines)}: features must be finite" in err
         assert not model_out.exists()
 
+    def test_three_class_csv_rejected_by_the_platform_net(self, tmp_path, capsys):
+        from raftcensus.datasets import default_water_training_set, save_labeled_csv
+
+        csv_path = tmp_path / "w.csv"
+        save_labeled_csv(default_water_training_set(n_per_class=200), csv_path)
+        model_out = tmp_path / "p.mlp"
+        assert run_cli("train-platform", "--data", str(csv_path), "--epochs", "5",
+                       "--out", str(model_out)) == 2
+        err = capsys.readouterr().err
+        assert "label 2 is not one of the net's 2 classes 0..1" in err
+        assert "Traceback" not in err
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("flag,field", [("--lr", "learning_rate"), ("--momentum", "momentum"),
+                                            ("--target-loss", "target_loss")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_training_setting_rejected_before_reading_data(
+            self, tmp_path, capsys, monkeypatch, flag, field, value):
+        def unread(*args, **kwargs):
+            raise AssertionError("training data read")
+
+        monkeypatch.setattr(datasets, "default_platform_training_set", unread)
+        monkeypatch.setattr(datasets, "load_labeled_csv", unread)
+        model_out = tmp_path / "p.mlp"
+        for source in (("--synthetic-default",), ("--data", str(tmp_path / "p.csv"))):
+            assert run_cli("train-platform", *source, f"{flag}={value}",
+                           "--out", str(model_out)) == 2
+            assert f"{field} must be finite" in capsys.readouterr().err
+        assert not model_out.exists()
+
     def test_train_water_zero_hidden_rejected(self, tmp_path, capsys):
         model_out = tmp_path / "w.mlp"
         assert run_cli("train-water", "--synthetic-default", "--hidden", "0",
@@ -641,6 +672,36 @@ class TestRender:
             render_overlay(stack, water, platform, census, lib)
             ref_render_overlay(stack, water, platform, census, ref)
             assert lib.read_bytes() == ref.read_bytes()
+
+    def test_crosses_across_window_edges_equal_whole_image_reference(self, tmp_path,
+                                                                      monkeypatch):
+        stack, _ = generate_synthetic_scene(SynthParams(width=40, height=30, raft_count=0, seed=3))
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 4 * 40)  # windows of 4 rows
+        # Crosses over the edges of windows 0-3, 4-7 and 8-11 (7.6 rounds to
+        # 8), in a window's middle, and cut by the image's edges and corners.
+        centers = [(3.0, 5.0), (4.0, 10.0), (7.6, 39.0), (0.0, 0.0), (29.0, 20.5),
+                   (28.5, 0.4), (17.5, -1.0), (13.0, 22.0)]
+        records = tuple(CensusRecord(id=i, centroid_px=c, area_px=4, bbox=(0, 0, 1, 1))
+                        for i, c in enumerate(centers))
+        census = Census(records=records, count=len(records), source="s", config_digest="0")
+        water = np.zeros((30, 40), dtype=bool)
+        water[2:9, 3:30] = True
+        for i, (wm, pm) in enumerate([(None, None), (water, ~water), (water, None)]):
+            lib, ref = tmp_path / f"lib{i}.ppm", tmp_path / f"ref{i}.ppm"
+            render_overlay(stack, wm, pm, census, lib)
+            ref_render_overlay(stack, wm, pm, census, ref)
+            assert lib.read_bytes() == ref.read_bytes()
+        img = np.frombuffer(lib.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
+        yellow = (img.reshape(30, 40, 3) == (255, 255, 0)).all(axis=-1)
+        assert yellow[[2, 3, 4, 3, 4, 5, 7, 8, 9], [5, 5, 5, 10, 10, 10, 39, 39, 39]].all()
+
+    @pytest.mark.parametrize("shape", [(31, 40), (30, 39), (29, 40)])
+    def test_mask_of_another_shape_rejected(self, tmp_path, shape):
+        stack, _ = generate_synthetic_scene(SynthParams(width=40, height=30, raft_count=0, seed=3))
+        for masks in [(np.ones(shape, dtype=bool), None), (None, np.ones(shape, dtype=bool))]:
+            with pytest.raises(DimensionError, match="mask of shape"):
+                render_overlay(stack, *masks, None, tmp_path / "o.ppm")
+        assert not (tmp_path / "o.ppm").exists()
 
     def test_render_deterministic(self, scene_dir, model_path, tmp_path):
         outs = []

@@ -21,7 +21,7 @@ from raftcensus import (
     train,
 )
 from raftcensus import bandstack, mlp
-from raftcensus.bandstack import _BLOCK_PIXELS, FEATURE_ORDER, BandId, BandStack
+from raftcensus.bandstack import FEATURE_ORDER, BandId, BandStack
 from raftcensus.datasets import default_platform_training_set, default_water_training_set
 from raftcensus.errors import DimensionError, ModelFormatError, TrainingError
 from raftcensus.mlp import PLATFORM_LAYERS, WATER_LAYERS, _sigmoid, _targets, split_data, threshold_planes
@@ -197,6 +197,17 @@ class TestSigmoid:
         assert np.array_equal(bits(y[:, 1]), bits(want))
 
 
+# ``_BLOCK_PIXELS`` in the scoring tests that size stacks by windows: small
+# enough that a stack several windows high or one row wider than a window
+# stays small.
+BLOCK = 16384
+
+
+@pytest.fixture
+def block_pixels(monkeypatch):
+    monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", BLOCK)
+
+
 @pytest.fixture
 def batch_sizes(monkeypatch):
     """Pixels of every window threshold_planes scores in float32."""
@@ -254,6 +265,7 @@ def block_scores(monkeypatch):
     return blocks
 
 
+@pytest.mark.usefixtures("block_pixels")
 class TestThresholdPlanes:
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
     def test_forward_batch_rows_match_whole_batch_reference(self, rng, layers, seed,
@@ -261,17 +273,17 @@ class TestThresholdPlanes:
         # Row blocks rely on this: a row's outputs do not depend on which
         # other rows share its batch.
         m = scaled_model(layers, seed, scale, order)
-        x = rng.uniform(0.0, 1.5, size=(3 * _BLOCK_PIXELS + 17, 10))
+        x = rng.uniform(0.0, 1.5, size=(3 * BLOCK + 17, 10))
         want = ref_forward_batch(m, x)
-        for lo, hi in [(0, _BLOCK_PIXELS), (_BLOCK_PIXELS, 2 * _BLOCK_PIXELS + 5),
+        for lo, hi in [(0, BLOCK), (BLOCK, 2 * BLOCK + 5),
                        (len(x) - 3, len(x)), (100, 102), (7, 8)]:
             assert np.array_equal(bits(forward_batch(m, x[lo:hi])), bits(want[lo:hi]))
         pick = np.sort(rng.choice(len(x), size=5000, replace=False))
         assert np.array_equal(bits(forward_batch(m, x[pick])), bits(want[pick]))
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
-    @pytest.mark.parametrize("shape", [(50, 700), (1, 20000), (2 * _BLOCK_PIXELS + 9, 1),
-                                       (_BLOCK_PIXELS + 1, 1), (1, 1), (7, 3)])
+    @pytest.mark.parametrize("shape", [(50, 700), (1, 20000), (2 * BLOCK + 9, 1),
+                                       (BLOCK + 1, 1), (1, 1), (7, 3)])
     def test_matches_whole_image_reference(self, rng, layers, seed, scale, order, shape):
         m = scaled_model(layers, seed, scale, order)
         stack = random_stack(rng, *shape)
@@ -343,18 +355,18 @@ class TestThresholdPlanes:
         assert batch_sizes == []
         where[20, 3] = where[150, 1000] = True
         threshold_planes(m, stack, 0, 0.5, where=where)
-        assert batch_sizes == [_BLOCK_PIXELS, _BLOCK_PIXELS]
+        assert batch_sizes == [BLOCK, BLOCK]
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
     def test_one_pixel_tail_block_scores_like_the_reference(self, rng, block_scores,
                                                             layers, seed, scale, order):
         m = scaled_model(layers, seed, scale, order)
-        stack = random_stack(rng, _BLOCK_PIXELS + 1, 1)
+        stack = random_stack(rng, BLOCK + 1, 1)
         x = np.stack([stack.planes[b] for b in order], axis=-1).reshape(-1, 10)
         want = ref_forward_batch(m, x)
         thr = want[-1, -1]
         got = threshold_planes(m, stack, m.n_out - 1, thr)
-        assert [r1 - r0 for (r0, r1), _ in block_scores] == [_BLOCK_PIXELS, 1]
+        assert [r1 - r0 for (r0, r1), _ in block_scores] == [BLOCK, 1]
         assert got[-1, 0] and np.array_equal(got[:, 0], want[:, -1] >= thr)
         assert np.array_equal(bits(block_scores[1][1]), bits(want[-1:]))
 
@@ -384,7 +396,7 @@ class TestThresholdPlanes:
         # Ten rows of 5461 pixels make blocks of 3, 3, 3 and 1 rows: a
         # shorter block follows taller ones in the same buffers.
         m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
-        h, w = 10, _BLOCK_PIXELS // 3
+        h, w = 10, BLOCK // 3
         stack = random_stack(rng, h, w)
         threshold_planes(m, stack, 2, 0.5)
         assert [rows for rows, _ in block_scores] == [(0, 3), (3, 6), (6, 9), (9, 10)]
@@ -394,7 +406,7 @@ class TestThresholdPlanes:
 
     def test_skipped_middle_blocks_leave_no_stale_rows(self, rng, block_scores):
         m = scaled_model((10, 8, 3), 2, 1.0)
-        h, w = 10, _BLOCK_PIXELS // 3  # blocks of rows 0-2, 3-5, 6-8, 9
+        h, w = 10, BLOCK // 3  # blocks of rows 0-2, 3-5, 6-8, 9
         stack = random_stack(rng, h, w)
         where = np.zeros((h, w), dtype=bool)
         where[3, 10] = where[9, :] = True  # blocks 1 and 3 only
@@ -437,7 +449,7 @@ class TestThresholdPlanes:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixel_in_scored_block_rejected(self, rng, bad):
         m = init_model((10, 2, 1), seed=0)
-        h, w = 10, _BLOCK_PIXELS // 3
+        h, w = 10, BLOCK // 3
         stack = random_stack(rng, h, w)
         # Written after the stack checked its planes; in the third block, rows 6-8.
         stack.planes[BandId.B11][8, 5] = bad
@@ -475,13 +487,14 @@ def saved_random_stack(rng, tmp_path, h, w):
     return load_band_stack(manifest), manifest
 
 
+@pytest.mark.usefixtures("block_pixels")
 class TestLoadedStackScoring:
     """A loaded stack's masks are those of ``forward_batch`` of its
     upsampled features: they equal ``ref_whole_image_mask`` of its loaded
     planes, bitwise."""
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
-    @pytest.mark.parametrize("shape", [(6, _BLOCK_PIXELS + 34), (10, _BLOCK_PIXELS // 3 - 1),
+    @pytest.mark.parametrize("shape", [(6, BLOCK + 34), (10, BLOCK // 3 - 1),
                                        (50, 700), (2, 2)],
                              ids=["1-row", "3-row", "23-row", "2x2"])
     def test_matches_whole_image_reference(self, rng, tmp_path, layers, seed, scale, order,
@@ -500,7 +513,7 @@ class TestLoadedStackScoring:
 
     def test_where_windows_skipped(self, rng, tmp_path, block_scores):
         m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
-        h, w = 12, _BLOCK_PIXELS // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
+        h, w = 12, BLOCK // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
         stack, _ = saved_random_stack(rng, tmp_path, h, w)
         where = np.zeros((h, w), dtype=bool)
         where[4, 10] = where[11, :] = True
@@ -513,7 +526,7 @@ class TestLoadedStackScoring:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_native_20m_row_rejected(self, rng, tmp_path, monkeypatch, bad):
         m = init_model((10, 2, 1), seed=0)
-        h, w = 12, _BLOCK_PIXELS // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
+        h, w = 12, BLOCK // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
         stack, manifest = saved_random_stack(rng, tmp_path, h, w)
         raster = stack.planes.rasters[BandId.B11]
 
@@ -819,6 +832,21 @@ class TestTrain:
             train(init_model((2, 2, 1), seed=0), XOR_X, np.zeros(4, dtype=int),
                   TrainConfig())
 
+    @pytest.mark.parametrize("layers,label", [((10, 2, 3), 4), ((10, 2, 3), 3), ((10, 2, 3), -1),
+                                              ((10, 2, 1), 2), ((10, 2, 1), 0.5)])
+    def test_label_outside_the_net_rejected_before_training(self, monkeypatch, layers, label):
+        x = np.random.default_rng(0).uniform(0, 1, size=(12, 10))
+        labels = np.array([0, 1] * 5 + [label, 0])
+        monkeypatch.setattr(mlp, "_Batch", None)  # no epoch may start
+        with pytest.raises(TrainingError, match=f"label {label} is not one of the net's"):
+            train(init_model(layers, seed=0), x, labels, TrainConfig(max_epochs=5))
+
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum", "target_loss"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
     def test_divergence_reports_epoch(self):
         # momentum > 1 makes the velocity grow without bound until the
         # parameters overflow, which must surface as a divergence error
@@ -911,6 +939,12 @@ class TestEvaluateConfusion:
         cm = evaluate_confusion(platform_model, x, labels)
         for k in (0, 1):
             assert cm.counts[k].sum() == (labels == k).sum()
+
+    @pytest.mark.parametrize("layers,label", [((10, 2, 1), 2), ((10, 2, 3), 3), ((10, 2, 3), -1)])
+    def test_label_outside_the_classes_rejected(self, layers, label):
+        x = np.random.default_rng(0).uniform(0, 1, size=(4, 10))
+        with pytest.raises(ValueError, match=f"label {label} is not one of the"):
+            evaluate_confusion(init_model(layers, seed=0), x, np.array([0, 1, label, 0]))
 
     def test_empty_set_rejected(self, platform_model):
         with pytest.raises(ValueError):

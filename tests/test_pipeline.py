@@ -30,10 +30,10 @@ from raftcensus import (
     water_mask_mlp,
     water_mask_ndwi,
 )
+from raftcensus import bandstack
 from raftcensus.errors import DimensionError, RaftCensusError
 from raftcensus.mlp import WATER_LAYERS
 from raftcensus.pipeline import Census, CensusRecord
-from raftcensus.bandstack import _BLOCK_PIXELS
 
 from oracles import (
     ref_census_to_geojson,
@@ -405,20 +405,23 @@ class TestLoadedStackCensus:
     window at a time, equals the census over whole float64 planes."""
 
     GEO = GeoRef(500000.0, 4680000.0, "EPSG:32629")
+    BLOCK = 16384  # ``_BLOCK_PIXELS`` here: a scene one window wide stays small
 
     @pytest.fixture(scope="class", params=["square", "wider_than_a_block"])
     def manifest(self, request, tmp_path_factory):
         if request.param == "square":
             params = SynthParams(width=256, height=200, raft_count=12, seed=21, geo=self.GEO)
         else:  # every row window is a single row
-            params = SynthParams(width=_BLOCK_PIXELS + 34, height=40, raft_count=20,
+            params = SynthParams(width=self.BLOCK + 34, height=40, raft_count=20,
                                  seed=4, geo=self.GEO)
         return saved_scene(tmp_path_factory, request.param, params)
 
     @pytest.mark.parametrize("route", ["ndwi", "mlp"])
-    def test_masks_and_outputs_equal_whole_plane_path(self, manifest, route,
+    def test_masks_and_outputs_equal_whole_plane_path(self, manifest, route, monkeypatch,
                                                       platform_model, water_model):
         from raftcensus import MlpWater
+
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", self.BLOCK)
 
         method = NdwiOtsu() if route == "ndwi" else MlpWater(model=water_model)
         cfg = CensusConfig(water_method=method, platform_model=platform_model)
