@@ -51,7 +51,7 @@ from .mlp import (
     save_model,
     train,
 )
-from .morphology import StructElem, bottom_hat, closing, dilate, disk, erode, opening, square
+from .morphology import StructElem, bottom_hat, closing, dilate, erode, opening, square
 from .pipeline import (
     Census,
     CensusConfig,

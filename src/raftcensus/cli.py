@@ -234,6 +234,8 @@ def _training_data(args, binary: bool) -> datasets.LabeledPixels:
 
 
 def _cmd_train(args, binary: bool) -> int:
+    if getattr(args, "correction", None) and not args.manifest:
+        raise _UsageError("--correction requires --manifest")
     _check_out_dir(args.out)
     cfg = mlp.TrainConfig(
         max_epochs=args.epochs,
@@ -263,13 +265,19 @@ def _cmd_census(args) -> int:
     _check_water_flags(args)
     _check_out_dir(args.out)
     stack = load_band_stack(args.manifest)
+    out = Path(args.out)
+    geo_path = out.with_suffix(".geojson")
+    if stack.geo is not None:  # the GeoJSON goes beside the CSV
+        if geo_path == out:
+            raise RaftCensusError(f"output path {out} is also the GeoJSON path; "
+                                  "give --out another suffix")
+        if geo_path.is_dir():
+            raise RaftCensusError(f"GeoJSON output path {geo_path} is a directory")
     cfg = _census_config(args)
     census = run_census(stack, cfg, source=Path(args.manifest).name)
-    out = Path(args.out)
     out.write_text(census_to_csv(census))
     message = f"census: {census.count} platforms -> {out}"
     if stack.geo is not None:
-        geo_path = out.with_suffix(".geojson")
         geo_path.write_text(census_to_geojson(census, crs=stack.geo.crs))
         message += f" and {geo_path}"
     print(message)

@@ -1,10 +1,10 @@
-"""Binary mathematical morphology on boolean masks.
+"""Binary mathematical morphology on boolean masks with square elements.
 
-All operations treat pixels outside the image as background (False) for
-both erosion and dilation neighborhoods, so erode/dilate duality holds
-only on the image interior at distance >= the element radius from the
-border. Structuring elements are symmetric under negation and always
-contain the origin.
+A k x k square is separable: erosion (dilation) by it is a 1-D AND (OR)
+over k pixels along each row, then the same along each column. Pixels
+outside the image count as background (False) in both passes, so
+erode/dilate duality holds only on the image interior at distance >= the
+element radius from the border.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import DimensionError
 __all__ = [
     "StructElem",
     "square",
-    "disk",
     "erode",
     "dilate",
     "opening",
@@ -29,43 +28,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructElem:
-    """Structuring element as a set of (dy, dx) offsets around the origin."""
+    """Square structuring element of odd side ``size`` centred on the origin."""
 
-    offsets: tuple[tuple[int, int], ...]
+    size: int
 
     def __post_init__(self):
-        off = set(self.offsets)
-        if (0, 0) not in off:
-            raise ValueError("structuring element must contain the origin")
-        for dy, dx in off:
-            if (-dy, -dx) not in off:
-                raise ValueError("structuring element offsets must be symmetric")
+        size = self.size
+        if not isinstance(size, (int, np.integer)) or size < 1 or size % 2 == 0:
+            raise ValueError(f"square size must be odd and >= 1, got {size}")
 
     @property
     def radius(self) -> int:
-        return max(max(abs(dy), abs(dx)) for dy, dx in self.offsets)
+        return self.size // 2
+
+    @property
+    def offsets(self) -> tuple[tuple[int, int], ...]:
+        """The (dy, dx) offsets the element covers, row by row."""
+        r = range(-self.radius, self.radius + 1)
+        return tuple((dy, dx) for dy in r for dx in r)
 
 
 def square(k: int) -> StructElem:
     """k x k square element; k must be odd and >= 1."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"square size must be odd and >= 1, got {k}")
-    r = k // 2
-    offs = tuple((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1))
-    return StructElem(offs)
-
-
-def disk(r: int) -> StructElem:
-    """Disk of integer radius r >= 1: offsets with dy*dy + dx*dx <= r*r."""
-    if r < 1:
-        raise ValueError(f"disk radius must be >= 1, got {r}")
-    offs = tuple(
-        (dy, dx)
-        for dy in range(-r, r + 1)
-        for dx in range(-r, r + 1)
-        if dy * dy + dx * dx <= r * r
-    )
-    return StructElem(offs)
+    return StructElem(k)
 
 
 def _as_mask(m) -> np.ndarray:
@@ -75,32 +60,34 @@ def _as_mask(m) -> np.ndarray:
     return a.astype(bool, copy=False)
 
 
-def _neighbors(m: np.ndarray, se: StructElem):
-    """For each se offset (dy, dx), the view s with s[y, x] = m[y+dy, x+dx],
-    False outside the image."""
-    h, w = m.shape
+def _square_filter(m, se: StructElem, erode: bool) -> np.ndarray:
+    """AND (erode) or OR (dilate) over the se-square around each pixel: a
+    1-D pass along rows into a scratch mask, then one along columns (through
+    transposed views) into the result. Outside pixels are False."""
+    op = np.logical_and if erode else np.logical_or
+    m = _as_mask(m)
+    rows, out = np.empty_like(m), np.empty_like(m)
     r = se.radius
-    p = np.pad(m, r)
-    for dy, dx in se.offsets:
-        yield p[r + dy : r + dy + h, r + dx : r + dx + w]
+    for src, dst in ((m, rows), (rows.T, out.T)):
+        np.copyto(dst, src)
+        for d in range(1, r + 1):
+            op(dst[:, d:], src[:, :-d], out=dst[:, d:])
+            op(dst[:, :-d], src[:, d:], out=dst[:, :-d])
+        if erode:
+            dst[:, :r] = False
+            dst[:, dst.shape[1] - r :] = False
+    return out
 
 
 def erode(m, se: StructElem) -> np.ndarray:
-    """Pixel true iff every se-offset neighbor is true (border = False)."""
-    m = _as_mask(m)
-    out = np.ones_like(m)
-    for s in _neighbors(m, se):
-        out &= s
-    return out
+    """Pixel true iff every pixel of the se-square around it is true
+    (border = False)."""
+    return _square_filter(m, se, erode=True)
 
 
 def dilate(m, se: StructElem) -> np.ndarray:
-    """Pixel true iff any se-offset neighbor is true."""
-    m = _as_mask(m)
-    out = np.zeros_like(m)
-    for s in _neighbors(m, se):
-        out |= s
-    return out
+    """Pixel true iff any pixel of the se-square around it is true."""
+    return _square_filter(m, se, erode=False)
 
 
 def opening(m, se: StructElem) -> np.ndarray:

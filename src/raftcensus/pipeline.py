@@ -175,8 +175,8 @@ def run_census(s: BandStack, cfg: CensusConfig, source: str = "") -> Census:
 
 def run_pipeline(s: BandStack, cfg: CensusConfig, source: str = "") -> PipelineArtifacts:
     """Like run_census, but also returns the water and platform masks."""
-    water = _build_water_mask(s, cfg)
-    cleaned = clean_water_mask(water, cfg.water_se, cfg.coast_erode_se)
+    # The raw water mask is freed once cleaned, before scoring and closing.
+    cleaned = clean_water_mask(_build_water_mask(s, cfg), cfg.water_se, cfg.coast_erode_se)
     pmask = platform_mask(s, cleaned, cfg)
     pmask = closing(pmask, cfg.platform_close_se)
 

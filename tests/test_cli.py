@@ -397,6 +397,30 @@ class TestCensusEvalCli:
         assert geojson["properties"]["crs"] == "EPSG:32629"
         assert len(geojson["features"]) == 3
 
+    @pytest.mark.parametrize("case", ["out_is_the_geojson_path", "geojson_path_is_a_directory"])
+    def test_census_geojson_path_clash_rejected_before_the_census(
+            self, model_path, tmp_path, capsys, monkeypatch, case):
+        scene = tmp_path / "geoscene"
+        assert run_cli("synth", "--out", str(scene), "--width", "128", "--height", "128",
+                       "--rafts", "3", "--seed", "3", "--origin", "500000", "4680000") == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr("raftcensus.cli.run_census", never)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if case == "out_is_the_geojson_path":
+            out, message = out_dir / "x.geojson", "is also the GeoJSON path"
+        else:
+            out, message = out_dir / "y.csv", "is a directory"
+            (out_dir / "y.geojson").mkdir()
+        assert run_cli("census", "--manifest", str(scene / "manifest.json"),
+                       "--platform-model", str(model_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not any(p.is_file() for p in out_dir.rglob("*"))
+
     @pytest.mark.parametrize("origin", ["NaN", "Infinity"])
     def test_census_rejects_non_finite_origin(self, scene_dir, model_path, tmp_path, capsys,
                                               origin):
@@ -552,6 +576,22 @@ class TestTrainCli:
             assert run_cli("train-platform", *source, f"{flag}={value}",
                            "--out", str(model_out)) == 2
             assert f"{field} must be finite" in capsys.readouterr().err
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("source", ["--data", "--synthetic-default"])
+    def test_correction_without_manifest_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        source):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(datasets, "default_platform_training_set", unread)
+        monkeypatch.setattr(datasets, "load_labeled_csv", unread)
+        monkeypatch.setattr("raftcensus.cli.read_pgm16", unread)
+        args = ("--data", str(tmp_path / "p.csv")) if source == "--data" else (source,)
+        model_out = tmp_path / "p.mlp"
+        assert run_cli("train-platform", *args, "--correction", str(tmp_path / "nope.pgm"),
+                       "--out", str(model_out)) == 1
+        assert "--correction requires --manifest" in capsys.readouterr().err
         assert not model_out.exists()
 
     def test_train_water_zero_hidden_rejected(self, tmp_path, capsys):

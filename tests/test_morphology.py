@@ -4,12 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from raftcensus import bottom_hat, closing, dilate, disk, erode, opening, square
-from raftcensus.morphology import StructElem
+from raftcensus import bottom_hat, closing, dilate, erode, opening, square
 
 from oracles import ref_bottom_hat, ref_close, ref_dilate, ref_erode, ref_open
 
-SES = [square(3), square(5), disk(2)]
+SES = [square(3), square(5), square(7)]
 
 masks = arrays(
     dtype=bool,
@@ -23,20 +22,12 @@ class TestStructElem:
         se = square(3)
         assert len(se.offsets) == 9 and (0, 0) in se.offsets
         assert se.radius == 1
+        assert square(1).offsets == ((0, 0),) and square(7).radius == 3
 
-    def test_square_must_be_odd(self):
-        with pytest.raises(ValueError):
-            square(4)
-
-    def test_disk_radius_rule(self):
-        se = disk(2)
-        assert (0, 2) in se.offsets and (2, 0) in se.offsets
-        assert (2, 2) not in se.offsets  # 8 > 4
-        assert len(se.offsets) == 13
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            StructElem(((0, 0), (0, 1)))
+    @pytest.mark.parametrize("k", [4, 0, -1, 3.0])
+    def test_square_must_be_odd(self, k):
+        with pytest.raises(ValueError, match="square size must be odd and >= 1"):
+            square(k)
 
 
 class TestDefinitions:
@@ -84,13 +75,16 @@ class TestDefinitions:
         assert not bottom_hat(np.zeros((4, 4), dtype=bool), square(3)).any()
 
 
-@pytest.mark.parametrize("se", SES, ids=["sq3", "sq5", "disk2"])
+@pytest.mark.parametrize("se", SES, ids=["sq3", "sq5", "sq7"])
 class TestAgainstReference:
     def test_random_masks_match_naive(self, rng, se):
-        # Also one-row and one-column masks and masks smaller than the element.
-        small = [(1, 1), (1, 7), (7, 1), (2, 3), (3, 2)]
-        masks = [np.ones(shape, dtype=bool) for shape in small]
-        masks += [rng.random(shape) < 0.5 for shape in small]
+        # Also 1x1, one-row and one-column masks, and masks narrower or
+        # shorter than the element, whose every pixel sees the outside.
+        k = se.size
+        small = [(1, 1), (1, 7), (7, 1), (2, 3), (3, 2), (1, k), (k, 1), (1, k + 5),
+                 (k + 5, 1), (k - 1, k + 3), (k + 3, k - 1)]
+        masks = [np.full(shape, v) for shape in small for v in (False, True)]
+        masks += [rng.random(shape) < p for shape in small for p in (0.5, 0.9)]
         for _ in range(25):
             h, w = rng.integers(5, 33, size=2)
             masks.append(rng.random((h, w)) < rng.uniform(0.2, 0.8))

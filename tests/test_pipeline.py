@@ -450,12 +450,15 @@ class TestLoadedStackCensus:
 
 
 class TestMemory:
-    def test_loaded_census_peak_under_32_mib(self, tmp_path_factory, census_cfg):
-        # Whole float64 planes alone would take 80 MiB at 1024^2; row
-        # windows keep the census near the size of its uint16 bands.
-        manifest = saved_scene(
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        return saved_scene(
             tmp_path_factory, "mem", SynthParams(width=1024, height=1024, raft_count=400, seed=3)
         )
+
+    def test_loaded_census_peak_under_32_mib(self, manifest, census_cfg):
+        # Whole float64 planes alone would take 80 MiB at 1024^2; row
+        # windows keep the census near the size of its uint16 bands.
         tracemalloc.start()
         try:
             census = run_census(load_band_stack(manifest), census_cfg)
@@ -464,3 +467,16 @@ class TestMemory:
             tracemalloc.stop()
         assert census.count >= 390
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_pipeline_peak_per_pixel(self, manifest, census_cfg):
+        # About 5 B/px: the raw water mask is freed once cleaned, and an
+        # erosion or dilation holds its input, a scratch mask and its result.
+        # One more whole mask held anywhere adds 1 B/px.
+        tracemalloc.start()
+        try:
+            result = run_pipeline(load_band_stack(manifest), census_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.census.count >= 390
+        assert peak <= 5.5 * 1024 * 1024, f"peak {peak / 1024**2:.2f} B/px"
