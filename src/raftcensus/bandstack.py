@@ -67,6 +67,7 @@ __all__ = [
     "BandStack",
     "read_pgm16",
     "write_pgm16",
+    "read_manifest",
     "load_band_stack",
     "save_band_stack",
     "check_saveable",
@@ -140,41 +141,38 @@ class BandStack:
 
     ``planes`` maps every band to a float64 plane of shape (height,
     width), row-major, finite and non-negative. A stack from
-    ``load_band_stack`` holds its bands' open PGM files instead and reads
-    them while in use; its ``planes`` builds a band's whole plane on each
-    lookup. Census stages walk the stack through ``windows``, which sets
-    the window size, and read each window through ``rows``, which only
-    slices in-memory planes, or through ``float32_sums``. Treat instances
-    as immutable.
+    ``load_band_stack`` holds its private band reader there instead, read
+    only through ``rows``, ``windows``, ``float32_sums`` and ``features``;
+    a whole band is ``rows(0, height, (band,))``. Census stages walk a
+    stack through ``windows``, which sets the window size. Treat
+    instances as immutable.
     """
 
     width: int
     height: int
     pixel_size: float
-    planes: Mapping[BandId, np.ndarray]
+    planes: Mapping[BandId, np.ndarray] | _DnPlanes
     geo: GeoRef | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
             raise ValueError(f"pixel_size must be finite and positive, got {self.pixel_size!r}")
+        # load_band_stack checked every band file's size, and uint16 / DN_SCALE
+        # under convex bilinear weights is always finite and non-negative.
+        if isinstance(self.planes, _DnPlanes):
+            return
         missing = [b.value for b in BandId if b not in self.planes]
         if missing:
             raise ManifestError(f"missing band planes: {', '.join(missing)}")
-        dn = isinstance(self.planes, _DnPlanes)
         for band in BandId:
-            shape = self.planes.shape if dn else self.planes[band].shape
-            if shape != (self.height, self.width):
+            plane = self.planes[band]
+            if plane.shape != (self.height, self.width):
                 raise DimensionError(
-                    f"band {band.value} has shape {shape}, "
+                    f"band {band.value} has shape {plane.shape}, "
                     f"expected {(self.height, self.width)}"
                 )
-            # uint16 / DN_SCALE under convex bilinear weights is always
-            # finite and non-negative: only in-memory planes need checking.
-            if dn:
-                continue
             # One min and one max reduction, no plane-sized temporaries; NaN
             # fails every comparison.
-            plane = self.planes[band]
             if not (plane.min(initial=0.0) >= 0.0 and plane.max(initial=0.0) < math.inf):
                 raise ValueError(f"band {band.value} has non-finite or negative values")
 
@@ -315,38 +313,24 @@ class _Raster:
         return np.divide(dn, DN_SCALE, dtype=np.float64)
 
 
-class _DnPlanes(Mapping):
-    """The planes of a loaded stack, read from its bands' open PGM files at
-    each band's native resolution; 20 m bands are half the 10 m ``shape``.
-    No raster is held in memory.
+class _DnPlanes:
+    """The band reader of a loaded stack: its bands' open PGM files, read
+    one row window at a time at each band's native resolution (20 m
+    rasters are half the 10 m grid). No raster is held in memory.
 
     ``window`` reads the digital numbers under a row window and builds
-    float64 windows on the 10 m grid. Looking up a band builds its whole
-    plane, the window over all rows. ``files`` (which closes the band
-    files) is closed when the mapping is dropped.
+    float64 windows on the 10 m grid. ``files`` (which closes the band
+    files) is closed when the reader is dropped.
     """
 
     def __init__(self, rasters: dict[BandId, _Raster], files: ExitStack):
         self.rasters = rasters
-        self.shape = (rasters[BandId.B2].height, rasters[BandId.B2].width)
         weakref.finalize(self, files.close)
-
-    def __getitem__(self, band: BandId) -> np.ndarray:
-        return self.window(0, self.shape[0], (band,))[band]
-
-    def __contains__(self, band) -> bool:  # Mapping's default would build the plane
-        return band in self.rasters
-
-    def __iter__(self):
-        return iter(self.rasters)
-
-    def __len__(self) -> int:
-        return len(self.rasters)
 
     def native_rows(self, r0: int, r1: int) -> tuple[int, int, int]:
         """(a, b, n): the 20 m rows a..b that rows r0..r1-1 of the 10 m grid
         are upsampled from, one-row halo included, of the band's n rows."""
-        n = self.shape[0] // 2
+        n = self.rasters[BandId.B5].height
         return max(0, (r0 - 1) // 2), min(n - 1, r1 // 2), n
 
     def window(self, r0: int, r1: int, bands: Iterable[BandId]) -> dict[BandId, np.ndarray]:
@@ -564,19 +548,10 @@ def resample_plane(p: np.ndarray, factor: int) -> np.ndarray:
     return _upsample_rows(p, 0, len(p), 0, 2 * len(p))
 
 
-def load_band_stack(manifest_path) -> BandStack:
-    """Load a ten-band stack described by a manifest.
-
-    Each band's file is opened once, here, and its header and raster size
-    are checked on that handle; no raster is read. The stack keeps the
-    files open until it is dropped and reads them while in use: ``rows``
-    reads the digital numbers under a row window, divides them by 10000
-    and brings 20 m bands to the 10 m grid with bilinear resampling. So a
-    band file must not shrink while its stack is in use (reading then
-    raises ``PgmError``); writers here replace files rather than rewrite
-    them, so a stack keeps reading the data it was loaded from. 20 m
-    planes must be exactly half the 10 m dimensions.
-    """
+def read_manifest(manifest_path) -> tuple[dict, dict[BandId, Path]]:
+    """(manifest, band paths): the manifest's JSON object and the path of
+    every band's PGM, relative paths resolved against the manifest's
+    directory. No band file is opened."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -591,16 +566,32 @@ def load_band_stack(manifest_path) -> BandStack:
     missing = [b.value for b in BandId if b.value not in bands_entry]
     if missing:
         raise ManifestError(f"missing band entries: {', '.join(missing)}")
+    paths = {}
+    for band in BandId:
+        entry = bands_entry[band.value]
+        if not isinstance(entry, str):
+            raise ManifestError(f"manifest {manifest_path}: band {band.value} is not a path")
+        paths[band] = manifest_path.parent / entry  # an absolute entry replaces the parent
+    return manifest, paths
 
+
+def load_band_stack(manifest_path) -> BandStack:
+    """Load a ten-band stack described by a manifest.
+
+    Each band's file is opened once, here, and its header and raster size
+    are checked on that handle; no raster is read. The stack keeps the
+    files open until it is dropped and reads them while in use: ``rows``
+    reads the digital numbers under a row window, divides them by 10000
+    and brings 20 m bands to the 10 m grid with bilinear resampling. So a
+    band file must not shrink while its stack is in use (reading then
+    raises ``PgmError``); writers here replace files rather than rewrite
+    them, so a stack keeps reading the data it was loaded from. 20 m
+    planes must be exactly half the 10 m dimensions.
+    """
+    manifest, paths = read_manifest(manifest_path)
     with ExitStack() as files:
         rasters: dict[BandId, _Raster] = {}
-        for band in BandId:
-            entry = bands_entry[band.value]
-            if not isinstance(entry, str):
-                raise ManifestError(f"manifest {manifest_path}: band {band.value} is not a path")
-            band_path = Path(entry)
-            if not band_path.is_absolute():
-                band_path = manifest_path.parent / band_path
+        for band, band_path in paths.items():
             try:
                 f = files.enter_context(open(band_path, "rb"))
                 height, width, offset = _pgm_raster(f, band_path)
@@ -639,13 +630,8 @@ def load_band_stack(manifest_path) -> BandStack:
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"manifest geo block is malformed: {exc}") from exc
 
-    return BandStack(
-        width=ref10[1],
-        height=ref10[0],
-        pixel_size=PIXEL_SIZE_M,
-        planes=planes,
-        geo=geo,
-    )
+    return BandStack(width=ref10[1], height=ref10[0], pixel_size=PIXEL_SIZE_M,
+                     planes=planes, geo=geo)
 
 
 def check_saveable(width: int, height: int) -> None:

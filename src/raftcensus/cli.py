@@ -27,6 +27,7 @@ from .bandstack import (
     GeoRef,
     check_saveable,
     load_band_stack,
+    read_manifest,
     read_pgm16,
     save_band_stack,
 )
@@ -154,16 +155,35 @@ def _check_water_flags(args) -> None:
         raise _UsageError("--water-model requires --water-method mlp")
 
 
-def _check_out_dir(out) -> None:
-    """Reject an output file path that is a directory or whose directory
-    does not exist, a data error, before any input is read."""
+def _check_out_dir(out, inputs=()) -> list:
+    """Reject an output file path that is a directory, lies in a missing
+    directory or resolves to the path of one of ``inputs``, (name, path)
+    pairs iterated only once the directory checks pass: a data error, before
+    any file is written. Returns the pairs, to check a further output."""
     if out is None:
-        return
+        return []
     out = Path(out)
     if out.is_dir():
         raise RaftCensusError(f"output path {out} is a directory")
     if not out.parent.is_dir():
         raise RaftCensusError(f"output directory {out.parent} does not exist")
+    inputs, target = list(inputs), out.resolve()
+    for name, path in inputs:
+        if Path(path).resolve() == target:
+            raise RaftCensusError(f"output path {out} is also the {name} file {path}")
+    return inputs
+
+
+def _inputs(args):
+    """(name, path) of every input file of the command: those its flags
+    name and, for a manifest, every band file the manifest names."""
+    for flag in ("census", "truth", "data", "correction", "platform_model", "water_model",
+                 "manifest"):
+        if getattr(args, flag, None):
+            yield "--" + flag.replace("_", "-"), getattr(args, flag)
+    if getattr(args, "manifest", None):
+        for band, path in read_manifest(args.manifest)[1].items():
+            yield f"band {band.value}", path
 
 
 def _census_config(args) -> CensusConfig:
@@ -236,7 +256,7 @@ def _training_data(args, binary: bool) -> datasets.LabeledPixels:
 def _cmd_train(args, binary: bool) -> int:
     if getattr(args, "correction", None) and not args.manifest:
         raise _UsageError("--correction requires --manifest")
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, _inputs(args))
     cfg = mlp.TrainConfig(
         max_epochs=args.epochs,
         target_loss=args.target_loss,
@@ -263,16 +283,12 @@ def _cmd_train(args, binary: bool) -> int:
 
 def _cmd_census(args) -> int:
     _check_water_flags(args)
-    _check_out_dir(args.out)
+    inputs = _check_out_dir(args.out, _inputs(args))
     stack = load_band_stack(args.manifest)
     out = Path(args.out)
     geo_path = out.with_suffix(".geojson")
     if stack.geo is not None:  # the GeoJSON goes beside the CSV
-        if geo_path == out:
-            raise RaftCensusError(f"output path {out} is also the GeoJSON path; "
-                                  "give --out another suffix")
-        if geo_path.is_dir():
-            raise RaftCensusError(f"GeoJSON output path {geo_path} is a directory")
+        _check_out_dir(geo_path, [("--out", out), *inputs])
     cfg = _census_config(args)
     census = run_census(stack, cfg, source=Path(args.manifest).name)
     out.write_text(census_to_csv(census))
@@ -301,7 +317,7 @@ def _read_census_csv(path) -> list[tuple[int, float, float]]:
 
 
 def _cmd_eval(args) -> int:
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, _inputs(args))
     dets = _read_census_csv(args.census)
     try:
         truth = json.loads(Path(args.truth).read_text())
@@ -318,7 +334,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_render(args) -> int:
     _check_water_flags(args)
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, _inputs(args))
     stack = load_band_stack(args.manifest)
     cfg = _census_config(args)
     result = run_pipeline(stack, cfg, source=Path(args.manifest).name)

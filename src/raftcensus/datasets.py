@@ -126,10 +126,16 @@ class SynthParams:
 class SceneTruth:
     """Exact per-pixel ground truth for a generated scene."""
 
-    water_mask: np.ndarray  # water-class pixels (rafts excluded)
-    raft_mask: np.ndarray
     raft_centroids: tuple[tuple[float, float], ...]  # (row, col) per raft
     class_map: np.ndarray  # 0 land, 1 raft, 2 water (WATER_CLASS_NAMES order)
+
+    @property
+    def water_mask(self) -> np.ndarray:  # water-class pixels (rafts excluded)
+        return self.class_map == 2
+
+    @property
+    def raft_mask(self) -> np.ndarray:
+        return self.class_map == 1
 
 
 def load_spectra(path=None) -> dict[str, np.ndarray]:
@@ -311,13 +317,7 @@ def generate_synthetic_scene(params: SynthParams) -> tuple[BandStack, SceneTruth
     stack = BandStack(
         width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=params.geo
     )
-    truth = SceneTruth(
-        water_mask=scene.class_map == 2,
-        raft_mask=scene.class_map == 1,
-        raft_centroids=scene.centroids,
-        class_map=scene.class_map,
-    )
-    return stack, truth
+    return stack, SceneTruth(raft_centroids=scene.centroids, class_map=scene.class_map)
 
 
 def write_synthetic_scene(params: SynthParams, out_dir) -> tuple[tuple[float, float], ...]:

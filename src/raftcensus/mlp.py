@@ -62,20 +62,15 @@ def _check_layer_sizes(sizes) -> None:
         raise ModelFormatError(f"layer sizes {tuple(sizes)} must all be at least 1")
 
 
-def _sigmoid(
-    z: np.ndarray, t: np.ndarray | None = None, pos: np.ndarray | None = None
-) -> np.ndarray:
+def _sigmoid(z: np.ndarray, t: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Logistic function of ``z``, computed in place: ``z`` is overwritten
-    and returned.
+    and returned; ``t`` and ``pos`` are flat scratch arrays of ``z``'s dtype
+    and of bool, of at least ``z.size`` elements.
 
-    ``t`` and ``pos`` are flat scratch arrays of ``z``'s dtype and of bool,
-    of at least ``z.size`` elements, allocated (float64) when not given.
     Per element this is 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 +
     exp(z)) otherwise, each one correctly rounded division; exp(-|z|) never
     overflows, and NaN stays NaN.
     """
-    if t is None or pos is None:
-        t, pos = np.empty(z.size), np.empty(z.size, dtype=bool)
     t = t[: z.size].reshape(z.shape)
     pos = pos[: z.size].reshape(z.shape)
     np.abs(z, out=t)

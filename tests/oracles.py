@@ -457,7 +457,7 @@ def ref_read_pgm16(path) -> np.ndarray:
 
 def ref_render_overlay(stack, water_mask, platform_mask, census, path) -> None:
     """The overlay from B3's whole float plane, with an int32 image."""
-    g = stack.planes[BandId.B3]
+    g = stack.rows(0, stack.height, (BandId.B3,))[BandId.B3]
     lo, hi = float(g.min()), float(g.max())
     if hi > lo:
         gray = np.rint(255.0 * (g - lo) / (hi - lo)).astype(np.int32)
@@ -546,8 +546,7 @@ def ref_save_band_stack(stack: BandStack, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bands_entry = {}
-    for band in BandId:
-        plane = stack.planes[band]
+    for band, plane in stack.rows(0, stack.height, BandId).items():
         if band.native_resolution_m == 20:
             h, w = plane.shape
             plane = plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
@@ -622,7 +621,7 @@ def ref_generate_synthetic_scene(params):
             plane = np.maximum(plane, 0.0)
         planes[band] = plane
     stack = BandStack(width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=params.geo)
-    truth = SceneTruth(class_map == 2, class_map == 1, tuple(centroids), class_map)
+    truth = SceneTruth(tuple(centroids), class_map)
     return stack, truth
 
 

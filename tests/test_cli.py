@@ -149,16 +149,24 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
-    @pytest.mark.parametrize("command,out_is_dir", [
-        pytest.param(command, out_is_dir, id=command + "-directory" * out_is_dir)
-        for out_is_dir in (False, True)
+    @pytest.mark.parametrize("command,out", [
+        pytest.param(command, out, id=command + "-directory" * (out == "directory"))
+        for out in ("missing", "directory")
         for command in ("census", "render", "train-platform", "train-water", "eval")
+    ] + [
+        pytest.param(command, out, id=f"{command}-is-{out}")
+        for command, out in (("census", "b2.pgm"), ("census", "manifest.json"),
+                             ("census", "platform.mlp"), ("render", "b11.pgm"),
+                             ("render", "manifest.json"), ("render", "platform.mlp"),
+                             ("eval", "c.csv"), ("eval", "truth.json"),
+                             ("train-platform", "d.csv"))
     ])
     def test_missing_out_dir_rejected_before_any_input_is_read(self, scene_dir, model_path,
                                                                tmp_path, capsys, monkeypatch,
-                                                               command, out_is_dir):
-        # An --out that is a directory is rejected as early as one in a
-        # missing directory.
+                                                               command, out):
+        # An --out that is a directory, or that names one of the command's
+        # input files (here by a relative path), is rejected as early as one
+        # in a missing directory.
         read = []
 
         def never(*args, **kwargs):
@@ -169,26 +177,42 @@ class TestDispatch:
         monkeypatch.setattr("raftcensus.cli._read_census_csv", never)
         monkeypatch.setattr(datasets, "load_labeled_csv", never)
         monkeypatch.setattr("raftcensus.mlp.load_model", never)
-        manifest = str(scene_dir / "manifest.json")
-        out = tmp_path / "missing" / "out"
-        if out_is_dir:
-            out.mkdir(parents=True)
+        inputs = tmp_path / "in"
+        shutil.copytree(scene_dir, inputs)
+        shutil.copy(model_path, inputs / "platform.mlp")
+        (inputs / "c.csv").write_text("id,row,col,area_px\n1,10.0,10.0,4\n")
+        (inputs / "d.csv").write_text("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0,water\n")
+        before = {p.name: p.read_bytes() for p in inputs.iterdir()}
+        manifest, model = str(inputs / "manifest.json"), str(inputs / "platform.mlp")
         args = {
-            "census": ("--manifest", manifest, "--platform-model", str(model_path)),
-            "render": ("--manifest", manifest, "--platform-model", str(model_path)),
-            "train-platform": ("--manifest", manifest),
-            "train-water": ("--data", str(tmp_path / "w.csv")),
-            "eval": ("--census", str(tmp_path / "c.csv"), "--truth",
-                     str(scene_dir / "truth.json")),
+            "census": ("--manifest", manifest, "--platform-model", model),
+            "render": ("--manifest", manifest, "--platform-model", model),
+            "train-platform": (("--data", str(inputs / "d.csv")) if out == "d.csv"
+                               else ("--manifest", manifest)),
+            "train-water": ("--data", str(inputs / "w.csv")),
+            "eval": ("--census", str(inputs / "c.csv"), "--truth", str(inputs / "truth.json")),
         }[command]
-        assert run_cli(command, *args, "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        if out_is_dir:
-            assert f"output path {out} is a directory" in err
-            assert list(out.parent.iterdir()) == [out] and list(out.iterdir()) == []
+        if out in ("missing", "directory"):
+            path = tmp_path / "missing" / "out"
+            if out == "directory":
+                path.mkdir(parents=True)
         else:
-            assert f"output directory {out.parent} does not exist" in err
-            assert not out.parent.exists()
+            monkeypatch.chdir(tmp_path)
+            path = Path("in") / out
+        assert run_cli(command, *args, "--out", str(path)) == 2
+        err = capsys.readouterr().err
+        if out == "directory":
+            assert f"output path {path} is a directory" in err
+            assert list(path.parent.iterdir()) == [path] and list(path.iterdir()) == []
+        elif out == "missing":
+            assert f"output directory {path.parent} does not exist" in err
+            assert not path.parent.exists()
+        else:
+            name = {"b2.pgm": "band B2", "b11.pgm": "band B11", "manifest.json": "--manifest",
+                    "platform.mlp": "--platform-model", "c.csv": "--census",
+                    "truth.json": "--truth", "d.csv": "--data"}[out]
+            assert f"output path {path} is also the {name} file" in err
+        assert {p.name: p.read_bytes() for p in inputs.iterdir()} == before
         assert "Traceback" not in err and read == []
 
     def test_band_shrunk_after_load_is_data_error(self, scene_dir, model_path, tmp_path,
@@ -411,7 +435,7 @@ class TestCensusEvalCli:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         if case == "out_is_the_geojson_path":
-            out, message = out_dir / "x.geojson", "is also the GeoJSON path"
+            out, message = out_dir / "x.geojson", "is also the --out file"
         else:
             out, message = out_dir / "y.csv", "is a directory"
             (out_dir / "y.geojson").mkdir()

@@ -160,6 +160,11 @@ class TestOneRowBatch:
             assert np.array_equal(bits(forward_batch(m, row[None])[0]), bits(np.array(want)))
 
 
+def sigmoid(z):
+    """``_sigmoid`` with fresh scratch arrays."""
+    return _sigmoid(z, np.empty(z.size), np.empty(z.size, dtype=bool))
+
+
 class TestSigmoid:
     SPECIAL = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 710.0, -710.0,
                5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
@@ -168,16 +173,16 @@ class TestSigmoid:
     def test_matches_split_by_sign_reference_bitwise(self, rng):
         z = np.concatenate([rng.normal(scale=s, size=20000) for s in (1.0, 30.0, 500.0)]
                            + [np.array(self.SPECIAL)])
-        assert np.array_equal(bits(_sigmoid(z.copy())), bits(ref_sigmoid(z)))
+        assert np.array_equal(bits(sigmoid(z.copy())), bits(ref_sigmoid(z)))
 
     def test_matrix_input_bitwise(self, rng):
         z = rng.normal(scale=20.0, size=(300, 8))
-        out = _sigmoid(z.copy())
+        out = sigmoid(z.copy())
         assert out.shape == z.shape
         assert np.array_equal(bits(out), bits(ref_sigmoid(z)))
 
     def test_nan_stays_nan(self):
-        out = _sigmoid(np.array([np.nan, -np.nan, 1.0]))
+        out = sigmoid(np.array([np.nan, -np.nan, 1.0]))
         assert np.isnan(out[:2]).all() and out[2] == ref_sigmoid(np.array([1.0]))[0]
 
     def test_overwrites_its_input_using_oversized_scratch(self, rng):
@@ -193,7 +198,7 @@ class TestSigmoid:
         y = rng.normal(scale=30.0, size=(500, 3))
         col = y[:, 1]
         want = ref_sigmoid(col.copy())
-        _sigmoid(col)
+        sigmoid(col)
         assert np.array_equal(bits(y[:, 1]), bits(want))
 
 
@@ -501,7 +506,7 @@ class TestLoadedStackScoring:
                                            shape):
         m = scaled_model(layers, seed, scale, order)
         stack, _ = saved_random_stack(rng, tmp_path, *shape)
-        planes = {b: stack.planes[b] for b in BandId}  # each built once
+        planes = stack.rows(0, stack.height)  # each built once
         scores = exact_scores(m, stack)
         for out_index in range(m.n_out):
             # Thresholds equal to actual scores put pixels exactly on the
@@ -521,7 +526,7 @@ class TestLoadedStackScoring:
             block_scores.clear()
             got = threshold_planes(m, stack, 2, thr, where=where)
             assert [rows for rows, _ in block_scores] == [(3, 6), (9, 12)]
-            assert np.array_equal(got, ref_gather_mask(m, stack.planes, 2, thr, where))
+            assert np.array_equal(got, ref_gather_mask(m, stack.rows(0, h), 2, thr, where))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_native_20m_row_rejected(self, rng, tmp_path, monkeypatch, bad):
@@ -552,7 +557,7 @@ class TestLoadedStackScoring:
         where = np.zeros((h, w), dtype=bool)
         where[0, 0] = where[2, 9] = where[9, 3] = where[11, :] = True
         assert np.array_equal(threshold_planes(m, stack, 0, 0.5, where=where),
-                              ref_gather_mask(m, load_band_stack(manifest).planes, 0, 0.5, where))
+                              ref_gather_mask(m, load_band_stack(manifest).rows(0, h), 0, 0.5, where))
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
     def test_scores_bitwise_equal_to_forward_batch_of_features(self, rng, tmp_path, block_scores,
@@ -573,7 +578,8 @@ class TestLoadedStackScoring:
 def exact_scores(m, stack):
     """(H, W, n_out) exact scores: ``ref_forward_batch`` of the features of
     a stack's planes (of a loaded stack, its upsampled planes)."""
-    x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1)
+    planes = stack.rows(0, stack.height, m.feature_order)
+    x = np.stack([planes[b] for b in m.feature_order], axis=-1)
     return ref_forward_batch(m, x.reshape(-1, m.n_in)).reshape(stack.height, stack.width, -1)
 
 
