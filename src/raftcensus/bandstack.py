@@ -17,10 +17,12 @@ stages walk the stack through ``BandStack.windows``, which owns the
 window size (``_BLOCK_PIXELS`` pixels per window). A mask pixel is
 ``mlp.forward_batch`` of its ``BandStack.rows`` features >= thr; most
 pixels are decided from a float32 screen, ``BandStack.float32_sums``, in
-which a loaded stack sums the 20 m terms of each unit at native
-resolution and upsamples that one sum, not each 20 m band, with the same
-upsampler. Every window reads the 20 m rows under it, with their one-row
-halo, once.
+which a loaded stack reads digital numbers, not reflectances: it casts
+them to float32, which is exact, and folds 1 / DN_SCALE into the
+weights. It sums the 20 m terms of each unit at native resolution and
+upsamples that one sum, not each 20 m band, with the same upsampler.
+Every window reads the 20 m rows under it, with their one-row halo,
+once.
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
@@ -213,49 +215,65 @@ class BandStack:
         skipped by ``where`` as there: ``sums`` is a float32 (len(w), r1 - r0,
         width) array whose plane j is the sum over k of w[j, k] times band
         ``order[k]`` on rows r0..r1-1, a new array the caller may overwrite.
-        ``peak`` is the largest magnitude of any value read for the window
+        ``peak`` bounds the magnitude of every value read for the window
         (for a loaded stack, halo rows included); a window whose peak
         exceeds ``_FLOAT32_PEAK`` is not cast and yields ``sums`` None.
 
-        The weights and the values read are rounded to float32; the products
-        are summed by ``np.matmul``, in whatever order the BLAS takes.
-        The rows of every band of an in-memory stack, and of each 10 m band
-        of a loaded stack, come through ``rows``, and their terms are summed
-        on the 10 m grid. A loaded stack sums its 20 m terms on the 20 m
-        grid, one matrix product on the native rows under the window plus a
-        one-row halo on either side, and upsamples each plane's 20 m sum with
-        the x2 bilinear upsampler, in float32: it upsamples len(w) planes, not
-        one per 20 m band. The 10 m product is added to that. Each window
-        reads its own rows once; a skipped window reads none. So a term of
-        a sum meets at most len(order) + 6 float32 roundings (input,
-        weight, product, additions, two per upsampled axis, the 20 m + 10 m
-        addition), and every term's magnitude is at most |w[j, k]| * peak:
-        ``mlp.threshold_planes`` bounds the error from that. Every row read
-        is checked; a non-finite value raises ``ValueError`` naming its band.
+        The products are summed by ``np.matmul``, in whatever order the
+        BLAS takes. An in-memory stack's rows come through ``rows``; they
+        and the weights are rounded to float32, and the window is reduced
+        once, in float32, for its peak: the float32 just above its largest
+        magnitude. Only a window that holds a value not finite or beyond
+        ``_FLOAT32_PEAK`` is scanned again, band by band in float64: a
+        non-finite value raises ``ValueError`` naming its band, and the
+        peak reported is the largest magnitude read. A loaded stack reads
+        digital numbers (DN) with ``_Raster.dn_rows`` and casts them to
+        float32, which is exact; its weights are w / DN_SCALE, divided in
+        float64 and rounded to float32, and its peak is the window's largest
+        DN / DN_SCALE. It sums its 10 m terms on the 10 m grid and its 20 m
+        terms on the 20 m grid, one matrix product on the native rows under
+        the window plus a one-row halo on either side, and upsamples each
+        plane's 20 m sum with the x2 bilinear upsampler, in float32: it
+        upsamples len(w) planes, not one per 20 m band. The 10 m product is
+        added to that. Each window reads its own rows once; a skipped window
+        reads none. So a term of a sum meets at most len(order) + 6 float32
+        roundings (input, weight, product, additions, two per upsampled
+        axis, the 20 m + 10 m addition; a DN casts exactly, but its weight
+        is rounded twice, to float64 and then to float32), and every term's
+        magnitude is at most |w[j, k]| * peak: ``mlp.threshold_planes``
+        bounds the error from that.
         """
-        w = np.asarray(w, dtype=np.float32)
+        w = np.asarray(w, dtype=np.float64)
         if not order or w.ndim != 2 or w.shape[1] != len(order):
             raise ValueError(f"weights of shape {w.shape} for {len(order)} bands")
         planes = self.planes
-        coarse = [k for k, b in enumerate(order)
-                  if isinstance(planes, _DnPlanes) and b.native_resolution_m == 20]
+        dn = isinstance(planes, _DnPlanes)
+        coarse = [k for k, b in enumerate(order) if dn and b.native_resolution_m == 20]
         fine = [k for k in range(len(order)) if k not in coarse]
+        w = (w / DN_SCALE if dn else w).astype(np.float32)
+        w_coarse, w_fine = w[:, coarse], w[:, fine]
         for r0, r1, _ in self.windows((), where):
-            peak = 0.0
+            shape = (r1 - r0, self.width)
+            if not dn:
+                xs = self.rows(r0, r1, order)
+                x32 = _cast32(list(xs.values()), shape)
+                peak = _window_peak(x32, xs)
+                sums = None if peak > _FLOAT32_PEAK else (w @ x32).reshape(len(w), *shape)
+                yield r0, r1, sums, peak
+                continue
+            top = 0
             if coarse:
                 a, b, n = planes.native_rows(r0, r1)
-                native = ((order[k], planes.rasters[order[k]].scaled_rows(a, b + 1))
-                          for k in coarse)
-                sums, peak = _float32_sums(w[:, coarse], native, (b + 1 - a, self.width // 2))
-                if sums is None:
-                    yield r0, r1, None, peak
-                    continue
-                up = _upsample_rows(sums, a, n, r0, r1)
-            xs = ((order[k], self.rows(r0, r1, order[k : k + 1])[order[k]]) for k in fine)
-            sums, fine_peak = _float32_sums(w[:, fine], xs, (r1 - r0, self.width))
-            if coarse and sums is not None:
+                native = [planes.rasters[order[k]].dn_rows(a, b + 1) for k in coarse]
+                half = (b + 1 - a, self.width // 2)
+                x32 = _cast32(native, half)
+                up = _upsample_rows((w_coarse @ x32).reshape(len(w), *half), a, n, r0, r1)
+                top = x32.max(initial=0)
+            x32 = _cast32([planes.rasters[order[k]].dn_rows(r0, r1) for k in fine], shape)
+            sums = (w_fine @ x32).reshape(len(w), *shape)
+            if coarse:
                 sums = np.add(up, sums, out=up)
-            yield r0, r1, sums, max(peak, fine_peak)
+            yield r0, r1, sums, float(max(top, x32.max(initial=0))) / DN_SCALE
 
     def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
         """N x len(order) float64 features of the pixels (rows[i], cols[i]).
@@ -297,8 +315,9 @@ class _Raster:
     height: int
     width: int
 
-    def scaled_rows(self, r0: int, r1: int) -> np.ndarray:
-        """Rows r0..r1-1 read from the file and divided by DN_SCALE, float64."""
+    def dn_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 of digital numbers read from the file: a (r1 - r0,
+        width) big-endian uint16 view of a new buffer."""
         raw = np.empty((r1 - r0) * self.width * 2, dtype=np.uint8)
         start, done = self.offset + r0 * self.width * 2, 0
         while done < len(raw):
@@ -309,8 +328,11 @@ class _Raster:
                     f"({done} of {len(raw)} bytes read); it shrank after loading"
                 )
             done += n
-        dn = raw.view(">u2").reshape(r1 - r0, self.width)
-        return np.divide(dn, DN_SCALE, dtype=np.float64)
+        return raw.view(">u2").reshape(r1 - r0, self.width)
+
+    def scaled_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 read from the file and divided by DN_SCALE, float64."""
+        return np.divide(self.dn_rows(r0, r1), DN_SCALE, dtype=np.float64)
 
 
 class _DnPlanes:
@@ -354,23 +376,33 @@ def _peak(band: BandId, x: np.ndarray) -> float:
     return max(hi, -lo)
 
 
-def _float32_sums(
-    w: np.ndarray, xs: Iterable[tuple[BandId, np.ndarray]], shape: tuple[int, int]
-) -> tuple[np.ndarray | None, float]:
-    """(sums, peak): sums[j] = w[j, 0] x_0 + w[j, 1] x_1 + ..., a float32
-    (len(w),) + ``shape`` array, as one matrix product of the float32 ``w``
-    and the ``shape`` rows x_k of band k that ``xs`` yields as (band, x_k),
-    rounded to float32. ``peak`` is the largest magnitude read; once that
-    exceeds ``_FLOAT32_PEAK``, no further x_k is read or cast and ``sums``
-    is None."""
-    x32 = np.empty((w.shape[1], shape[0] * shape[1]), np.float32)
+def _cast32(xs: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """The ``shape`` rows of ``xs`` cast to float32, one per row of a
+    (len(xs), shape[0] * shape[1]) array. Digital numbers (uint16) cast
+    exactly; a float beyond float32 casts to inf."""
+    x32 = np.empty((len(xs), shape[0] * shape[1]), np.float32)
+    with np.errstate(over="ignore"):  # such a window is found by _window_peak
+        for k, x in enumerate(xs):
+            np.copyto(x32[k].reshape(shape), x, casting="same_kind")
+    return x32
+
+
+def _window_peak(x32: np.ndarray, xs: dict[BandId, np.ndarray]) -> float:
+    """A bound on every |value| of the rows ``xs``, whose float32 cast is
+    ``x32``: the float32 just above the largest magnitude in x32, which
+    bounds the uncast values too. If x32 holds a value not finite or beyond
+    ``_FLOAT32_PEAK``, the rows are scanned by ``_peak`` band by band, in
+    order, until the peak exceeds ``_FLOAT32_PEAK``: the peak is then the
+    largest magnitude read, and a non-finite value raises ``ValueError``."""
+    hi, lo = x32.max(initial=0.0), x32.min(initial=0.0)
+    if -_FLOAT32_PEAK <= lo and hi <= _FLOAT32_PEAK:  # NaN fails both
+        return float(np.nextafter(max(hi, -lo), np.float32(np.inf)))
     peak = 0.0
-    for k, (band, x) in enumerate(xs):
+    for band, x in xs.items():
         peak = max(peak, _peak(band, x))
         if peak > _FLOAT32_PEAK:
-            return None, peak
-        np.copyto(x32[k].reshape(shape), x, casting="same_kind")
-    return (w @ x32).reshape((len(w),) + shape), peak
+            break
+    return peak
 
 
 def _upsample_rows(p: np.ndarray, a: int, n: int, r0: int, r1: int) -> np.ndarray:

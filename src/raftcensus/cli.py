@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -157,9 +158,12 @@ def _check_water_flags(args) -> None:
 
 def _check_out_dir(out, inputs=()) -> list:
     """Reject an output file path that is a directory, lies in a missing
-    directory or resolves to the path of one of ``inputs``, (name, path)
-    pairs iterated only once the directory checks pass: a data error, before
-    any file is written. Returns the pairs, to check a further output."""
+    directory or is one of ``inputs``, (name, path) pairs iterated only once
+    the directory checks pass: a data error, before any file is written. An
+    output that exists is the same file as an input when both name one
+    device and inode (a hard link, too); one that does not yet exist, when
+    it resolves to the input's path. Returns the pairs, to check a further
+    output."""
     if out is None:
         return []
     out = Path(out)
@@ -169,9 +173,17 @@ def _check_out_dir(out, inputs=()) -> list:
         raise RaftCensusError(f"output directory {out.parent} does not exist")
     inputs, target = list(inputs), out.resolve()
     for name, path in inputs:
-        if Path(path).resolve() == target:
+        if Path(path).resolve() == target or _same_file(out, path):
             raise RaftCensusError(f"output path {out} is also the {name} file {path}")
     return inputs
+
+
+def _same_file(a, b) -> bool:
+    """Whether the paths ``a`` and ``b`` both exist and are one file."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
 
 
 def _inputs(args):

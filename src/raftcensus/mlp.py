@@ -14,12 +14,17 @@ A mask pixel (``threshold_planes``) is ``forward_batch`` of its
 ``BandStack.rows`` features >= thr. Most pixels are decided without that
 score, from float32 BLAS matrix products, which are several times
 cheaper and whose rounding depends on the BLAS. Each row window
-(``BandStack.windows``) is scored in float32 first; a proven bound E on
-|float32 score - exact score| (``_Float32Net``) decides every pixel whose
-float32 score lies more than E from the threshold, and a window holding
-any other pixel is scored again by ``forward_batch``. So the masks do
-not depend on the BLAS either. Training stays on float64 matrix
-products, with its work arrays allocated once per call, not per epoch.
+(``BandStack.windows``) is screened in float32 first: a loaded stack from
+its digital numbers, cast exactly, with first-layer weights divided by
+DN_SCALE; hidden units as 1 / (1 + exp(-z)), by exp, an addition and a
+reciprocal in place; and no output sigmoid, as the screen stops at the
+output unit's pre-activation. Proven bounds (``_Float32Net``) on that
+pre-activation's float32 error and on the exact score's float64 error
+give two cuts, and a pixel whose pre-activation lies beyond either is
+decided; a window holding any other pixel is scored again by
+``forward_batch``. So the masks do not depend on the BLAS either.
+Training stays on float64 matrix products, with its work arrays
+allocated once per call, not per epoch.
 
 Models are value objects: training copies parameters and never mutates
 its input model.
@@ -34,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandstack import FEATURE_ORDER, BandId, BandStack
+from .bandstack import DN_SCALE, FEATURE_ORDER, BandId, BandStack
 from .errors import DimensionError, ModelFormatError, TrainingError
 
 __all__ = [
@@ -236,18 +241,22 @@ def threshold_planes(
 
     Exact scores are formed only where they are needed. Every window is
     first scored in float32 by matrix products (``BandStack.float32_sums``,
-    then one matrix product for the output unit), and ``_Float32Net``
-    bounds |float32 score - exact score| by E = alpha * M + beta, with M
-    the window's largest input magnitude. A pixel is decided by its float32
-    score s when s - E >= thr (true) or s + E < thr (false); NaN decides
-    nothing. The rows of every window that holds an undecided pixel or is
-    too large to cast to float32 are flagged (for a model too large to
-    cast, every row holding a pixel of ``where``), and one pass of
-    ``forward_batch`` scores the flagged windows; its exact results replace
-    the float32 ones. The float32 screen computes output ``out_index``
-    only. With an (H, W) ``where``, cast to bool, windows holding no true
-    pixel are neither read nor scored, only pixels in ``where`` need
-    deciding, and the result is restricted to ``where``.
+    then one matrix product for the output unit), up to the output unit's
+    pre-activation v32: the output sigmoid is monotone, so it is compared
+    with cuts instead (``_Float32Net.cuts``). ``_Float32Net`` bounds
+    |v32 - v*| by dy32(M) and |exact score - s*| by ds64(M), with s* =
+    sigmoid(v*) the real-valued score and M the window's peak input
+    magnitude. A pixel is decided true when v32 >= logit(thr + ds64) +
+    dy32 and false when v32 < logit(thr - ds64) - dy32, both cuts rounded
+    outward to float32; NaN decides nothing. The rows of every window that
+    holds an undecided pixel or is too large to cast to float32 are flagged
+    (for a model too large to cast, every row holding a pixel of
+    ``where``), and one pass of ``forward_batch`` scores the flagged
+    windows; its exact results replace the float32 ones. The float32
+    screen computes output ``out_index`` only. With an (H, W) ``where``,
+    cast to bool, windows holding no true pixel are neither read nor
+    scored, only pixels in ``where`` need deciding, and the result is
+    restricted to ``where``.
     """
     if where is not None:
         where = np.asarray(where).astype(bool, copy=False)
@@ -259,8 +268,8 @@ def threshold_planes(
         redo = np.ones(s.height, dtype=bool) if where is None else where.any(axis=1)
     else:
         redo = np.zeros(s.height, dtype=bool)
-        for r0, r1, y, peak in _float32_scores(net, s, where):
-            if y is None or not _decide(y, thr, net.bound(peak), out[r0:r1].reshape(-1),
+        for r0, r1, v, peak in _float32_scores(net, s, where):
+            if v is None or not _decide(v, *net.cuts(thr, peak), out[r0:r1].reshape(-1),
                                         None if where is None else where[r0:r1].reshape(-1)):
                 redo[r0:r1] = True
     for r0, r1, block in s.windows(m.feature_order, redo):
@@ -269,13 +278,12 @@ def threshold_planes(
     return out if where is None else out & where
 
 
-def _decide(y: np.ndarray, thr: float, e: float, hit: np.ndarray, where) -> bool:
-    """Set ``hit`` where the float32 scores ``y`` are >= thr + e; True when
-    every score (of the pixels in ``where``, if given) is >= thr + e or
-    < thr - e, so that the exact scores are on the same side of thr."""
-    thr = float(thr)  # thr +- e in float64, also for a float32 thr
-    np.greater_equal(y, _float32_ceil(thr + e), out=hit)
-    decided = np.less(y, _float32_ceil(thr - e))
+def _decide(v: np.ndarray, hi: np.float32, lo: np.float32, hit: np.ndarray, where) -> bool:
+    """Set ``hit`` where the float32 pre-activations ``v`` are >= hi; True
+    when every one (of the pixels in ``where``, if given) is >= hi or < lo,
+    so that the exact scores are on the same side of the threshold."""
+    np.greater_equal(v, hi, out=hit)
+    decided = np.less(v, lo)
     decided |= hit
     if where is not None:
         decided |= ~where
@@ -283,13 +291,32 @@ def _decide(y: np.ndarray, thr: float, e: float, hit: np.ndarray, where) -> bool
 
 
 def _float32_ceil(x: float) -> np.float32:
-    """The smallest float32 >= x, for x clipped to [-1, 2] (NaN stays NaN).
-    Scores lie in [0, 1], so the clip changes no comparison with them, and a
-    float32 score s has s >= x exactly when s >= this bound."""
+    """The smallest float32 >= x, for x clipped to [-2^100, 2^100] (NaN
+    stays NaN). Pre-activations are finite float32s below 2^61 in
+    magnitude, as parameter row sums stay below ``_FLOAT32_PARAMS``, so the
+    clip changes no comparison with them, and a float32 v has v >= x
+    exactly when v >= this bound (and v < x exactly when v < it)."""
     if x == x:  # not NaN
-        x = min(max(x, -1.0), 2.0)
+        x = min(max(x, -(2.0**100)), 2.0**100)
     c = np.float32(x)
-    return np.nextafter(c, np.float32(2.0)) if c < x else c
+    return np.nextafter(c, np.float32(np.inf)) if c < x else c
+
+
+def _logit_bound(p: float, d: float, up: bool) -> float:
+    """An upper (``up``) or lower bound, in float64, on logit(q) + d for
+    the real q that the float64 ``p`` is the rounding of, where logit(q) =
+    log(q / (1 - q)) is -inf for q <= 0 and inf for q >= 1. NaN stays NaN.
+
+    The neighbour of ``p`` outward lies beyond q. From there, log and
+    log1p are off by a few ulps, and the subtraction and additions by half
+    an ulp each, of magnitudes at most |log p| + |log1p(-p)| + |d|; the pad
+    of 2^-40 times that covers them all."""
+    p = math.nextafter(p, math.inf if up else -math.inf)
+    if not 0.0 < p < 1.0:
+        return p if p != p else (math.inf if p >= 1.0 else -math.inf)
+    a, b = math.log(p), math.log1p(-p)
+    pad = (abs(a) + abs(b) + abs(d)) * 2.0**-40
+    return a - b + d + pad if up else a - b + d - pad
 
 
 # Unit roundoffs and smallest subnormals of float32 and float64.
@@ -308,29 +335,39 @@ def _gamma(n: int, u: float) -> float:
 
 @dataclass(frozen=True)
 class _Float32Net:
-    """One output unit of a model, its parameters rounded to float32, and
-    the bound E(M) = ``alpha`` * M + ``beta`` on |float32 score - exact
-    score| of a pixel whose window inputs have magnitudes at most M.
+    """One output unit of a model, as the float32 screen runs it, and the
+    bounds dy32(M) = ``alpha32`` * M + ``beta32`` on |v32 - v*| and
+    ds64(M) = ``alpha64`` * M + ``beta64`` on |s64 - s*| of a pixel whose
+    window inputs have magnitudes at most M.
 
-    Both scores approximate the real-valued score s* of the float64
-    parameters and inputs (on a loaded stack, of the exactly upsampled
-    native inputs; the upsampler is linear with weights summing to 1). For
-    unit roundoff u (u32 = 2^-24, u64 = 2^-53) and smallest subnormal eta
-    (2^-149, 2^-1074), each path is bounded term by term; E is the sum of
-    the float32 and the float64 bound. Here n = n_in, H = n_hid, w1_j is
-    hidden unit j's weight row and w2, b2 the output unit's parameters.
+    The screen sums each hidden unit's negated pre-activation z' = -(w1_j x
+    + b1_j) in float32, from the stored negated ``w1`` and ``b1`` (negation
+    is exact), takes h_j = 1 / (1 + exp(z')) in three in-place operations,
+    and stops at the output pre-activation v32 = w2 h + b2. The exact
+    score s64 is ``forward_batch``'s, in float64. Both approximate the
+    real-valued computation from the float64 parameters and the real
+    inputs x*: an in-memory stack's float64 values, or a loaded stack's
+    exactly upsampled DN / DN_SCALE (the upsampler is linear, with weights
+    that sum to 1). There v* is the output pre-activation and s* =
+    sigmoid(v*). For unit roundoff u (u32 = 2^-24, u64 = 2^-53) and
+    smallest subnormal eta (2^-149, 2^-1074), each path is bounded term by
+    term. Here n = n_in, H = n_hid, w1_j is hidden unit j's weight row and
+    w2, b2 the output unit's parameters.
 
-    - Rounding of inputs and weights to float32: one rounding each, relative
-      u32 (below float32's normal range, an absolute eta instead).
     - Dot products (Higham, Accuracy and Stability of Numerical Algorithms,
       2nd ed., section 3.1): a sum of products in any order, with or without
       FMA, is off by at most gamma_N * sum |terms|, where N counts the
       roundings on a term's path, gamma_N = N u / (1 - N u). This covers any
-      BLAS. Float32 hidden sums: N = n + 8 (input, weight, n-term sum, the
-      upsampler, the 20 m + 10 m addition, the bias and its rounding).
-      Float64 hidden sums, ``forward_batch`` of the upsampled inputs:
-      N = n + 5 (the upsampler on a 20 m input, then one product and n - 1
-      additions, then the bias). Output sums: N = H + 3 for both.
+      BLAS. Float32 hidden sums: N = n + 8 (two roundings of input and
+      weight, the n-term sum, the upsampler, the 20 m + 10 m addition and
+      the bias). On an in-memory stack the input and the weight are each
+      rounded to float32; on a loaded stack the DN casts exactly and the
+      weight is rounded twice, fl32(fl64(w / DN_SCALE)), off by at most
+      u32 + 2 u64 relative, which gamma_N's slack over (1 + u32)^N - 1
+      covers. Float64 hidden sums, ``forward_batch`` of ``BandStack.rows``:
+      N = n + 6 (fl64(DN / DN_SCALE) of a loaded stack's input, the
+      upsampler, one product and n - 1 additions, the bias). Output sums:
+      N = H + 3 for both.
     - The upsampler: one product and one addition per axis, columns then
       rows, so 4 of those N roundings. In float32 they fall on each hidden
       unit's 20 m sum, in float64 on each 20 m input. Its weights are
@@ -338,32 +375,55 @@ class _Float32Net:
       |w1_jk| M, and |hidden sum j| <= M |w1_j|_1 + |b1_j|.
     - Underflow: each rounding may instead add an absolute eta, scaled by at
       most a weight or M: 2 N eta (1 + |w1_j|_1 + |b1_j|) (1 + M) per hidden
-      sum, 2 (H + 3) eta (1 + |w2|_1 + |b2|) per output sum.
+      sum, 2 (H + 3) eta (1 + |w2|_1 + |b2|) per output sum. In float32,
+      eta is taken as DN_SCALE * 2^-149, since a loaded stack's rounded
+      weight w / DN_SCALE meets DN of up to DN_SCALE * M.
     - Sigmoid slope <= 1/4: an error d in a unit's sum moves its output by at
       most d / 4; hidden outputs lie in [0, 1], so output sums are off by at
       most sum_j |w2_j| (error of h_j) plus their own rounding.
     - np.exp within 8 ulps (relative 16 u, or 8 eta below the normal range);
-      with the addition and the division of ``_sigmoid``, a sigmoid is off
-      by at most 20 u + 8 eta beyond the error of its argument.
+      with the addition and the division (the screen's reciprocal, or the
+      division of ``_sigmoid``), a sigmoid is off by at most 20 u + 8 eta
+      beyond the error of its argument. In float32, exp(z') overflows to inf
+      for z' above about 88.7, where the unit then reads 0 and its true
+      value is below 2^-126: 2^-126 more per float32 hidden unit.
 
-    Hence, per precision, with dz_j the hidden-sum bound above:
-    dh_j = 20 u + 8 eta + dz_j / 4, dy = output rounding + sum_j |w2_j| dh_j,
-    ds = 20 u + 8 eta + dy / 4, and E = ds(u32) + ds(u64), linear in M.
-    ``alpha`` and ``beta`` are then raised by a factor 1 + 2^-30 and
-    ``beta`` by 2^-50, which covers the float64 rounding of E(M) and of
-    thr +- E.
+    Hence, with dz_j the hidden-sum bound above, dh_j = 20 u + 8 eta (+
+    2^-126 in float32) + dz_j / 4 and dy = output rounding + sum_j |w2_j|
+    dh_j, per precision. dy32 is dy(u32), and ds64 = 20 u64 + 8 eta64 +
+    dy(u64) / 4; both are linear in M. ``cuts`` compares v32 with
+    logit(thr + ds64) + dy32 and logit(thr - ds64) - dy32: v32 at or above
+    the first makes s* >= thr + ds64, so s64 >= thr, and v32 below the
+    second makes s64 < thr. All four coefficients are raised by a factor
+    1 + 2^-30, which covers their own float64 rounding, that of evaluating
+    them at M, and a loaded stack's peak, max DN / DN_SCALE rounded to
+    float64; ``cuts`` rounds the rest outward.
     """
 
     order: tuple[BandId, ...]
-    w1: np.ndarray  # float32 (n_hid, n_in)
-    b1: np.ndarray  # float32 (n_hid, 1)
+    w1: np.ndarray  # float64 (n_hid, n_in): the negated hidden weights
+    b1: np.ndarray  # float32 (n_hid, 1): the negated hidden biases
     w2: np.ndarray  # float32 (1, n_hid): the output unit's weights
     b2: np.float32
-    alpha: float
-    beta: float
+    alpha32: float
+    beta32: float
+    alpha64: float
+    beta64: float
 
-    def bound(self, peak: float) -> float:
-        return self.alpha * peak + self.beta
+    def dy32(self, peak: float) -> float:
+        return self.alpha32 * peak + self.beta32
+
+    def ds64(self, peak: float) -> float:
+        return self.alpha64 * peak + self.beta64
+
+    def cuts(self, thr: float, peak: float) -> tuple[np.float32, np.float32]:
+        """(hi, lo): a float32 pre-activation v32 of a window with this
+        ``peak`` decides its pixel's exact score >= thr when v32 >= hi, and
+        < thr when v32 < lo. A float32 thr is compared as its float64 value;
+        a NaN thr gives NaN cuts, which decide nothing."""
+        thr, dy, ds = float(thr), self.dy32(peak), self.ds64(peak)
+        return (_float32_ceil(_logit_bound(thr + ds, dy, up=True)),
+                _float32_ceil(_logit_bound(thr - ds, -dy, up=False)))
 
 
 def _float32_net(m: MlpModel, out_index: int) -> _Float32Net | None:
@@ -377,44 +437,50 @@ def _float32_net(m: MlpModel, out_index: int) -> _Float32Net | None:
     out_sum = float(aw2.sum()) + abs(float(b2))
     if max(float((l1 + ab1).max()), out_sum) >= _FLOAT32_PARAMS:
         return None
-    alpha = beta = 0.0
-    for u, eta, hidden_n in ((_U32, _ETA32, n + 8), (_U64, _ETA64, n + 5)):
+    dy = []  # (dy_M, dy_1, sigmoid error) per precision: dy = dy_M M + dy_1
+    for u, eta, hidden_n, overflow in ((_U32, _ETA32 * DN_SCALE, n + 8, 2.0**-126),
+                                       (_U64, _ETA64, n + 6, 0.0)):
         sig = (4 + 2 * _EXP_ULPS) * u + _EXP_ULPS * eta
         under = 2 * hidden_n * eta * (1 + l1 + ab1)
         dz_m = _gamma(hidden_n, u) * l1 + under  # hidden-sum bound: dz_m M + dz_1
         dz_1 = _gamma(hidden_n, u) * ab1 + under
-        dy_1 = ((_gamma(n_hid + 3, u) + 2 * (n_hid + 3) * eta) * (1 + out_sum)
-                + float(aw2 @ (sig + dz_1 / 4)))
-        alpha += float(aw2 @ dz_m) / 16
-        beta += sig + dy_1 / 4
+        dy.append((float(aw2 @ dz_m) / 4,
+                   (_gamma(n_hid + 3, u) + 2 * (n_hid + 3) * eta) * (1 + out_sum)
+                   + float(aw2 @ (sig + overflow + dz_1 / 4)),
+                   sig))
+    (dy32_m, dy32_1, _), (dy64_m, dy64_1, sig64) = dy
     safety = 1 + 2.0**-30
     return _Float32Net(
         order=m.feature_order,
-        w1=w1.astype(np.float32),
-        b1=b1.astype(np.float32)[:, None],
+        w1=-w1,
+        b1=(-b1).astype(np.float32)[:, None],
         w2=w2.astype(np.float32)[None, :],
         b2=np.float32(b2),
-        alpha=alpha * safety,
-        beta=beta * safety + 2.0**-50,
+        alpha32=dy32_m * safety,
+        beta32=dy32_1 * safety,
+        alpha64=dy64_m / 4 * safety,
+        beta64=(sig64 + dy64_1 / 4) * safety,
     )
 
 
 def _float32_scores(net: _Float32Net, s: BandStack, where=None) -> Iterator:
-    """Yield ``(r0, r1, scores, peak)`` for the windows of
-    ``BandStack.float32_sums``: ``scores`` is a float32 (n,) array of the
-    net's output for the window's pixels, or None where the window was not
-    cast; ``peak`` is M of its bound."""
+    """Yield ``(r0, r1, v, peak)`` for the windows of
+    ``BandStack.float32_sums``: ``v`` is a float32 (n,) array of the net's
+    output pre-activation for the window's pixels, or None where the
+    window was not cast; ``peak`` is M of its bounds."""
     for r0, r1, z, peak in s.float32_sums(net.w1, net.order, where):
         if z is None:
             yield r0, r1, None, peak
             continue
         z = z.reshape(len(z), -1)
-        tmp, pos = np.empty(z.size, np.float32), np.empty(z.size, dtype=bool)
-        z += net.b1
-        _sigmoid(z, tmp, pos)
-        y = net.w2 @ z
-        y += net.b2
-        yield r0, r1, _sigmoid(y[0], tmp, pos), peak
+        z += net.b1  # z' = -(w1 x + b1)
+        with np.errstate(over="ignore"):  # exp(z') = inf: the unit reads 0
+            np.exp(z, out=z)
+        z += 1.0
+        h = np.reciprocal(z, out=z)
+        v = net.w2 @ h
+        v += net.b2
+        yield r0, r1, v[0], peak
 
 
 def _targets(labels: np.ndarray, n_out: int) -> np.ndarray:

@@ -129,24 +129,32 @@ def otsu_threshold(hist) -> int:
     return best_t
 
 
-def quantize_ndwi(ndwi: np.ndarray) -> np.ndarray:
-    """Map NDWI values in [-1, 1] linearly onto integer bins 0..255."""
-    bins = np.floor((np.asarray(ndwi) + 1.0) * (NDWI_BINS / 2.0)).astype(np.int64)
-    return np.clip(bins, 0, NDWI_BINS - 1)
+def quantize_ndwi(ndwi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map NDWI values in [-1, 1] linearly onto integer bins 0..255:
+    floor((ndwi + 1) * 128), clipped, with NaN in bin 0. The bins are a new
+    int64 array, or are written into the integer array ``out``."""
+    x = np.asarray(ndwi) + 1.0
+    x *= NDWI_BINS / 2.0
+    np.floor(x, out=x)
+    np.fmax(x, 0, out=x)  # fmax and fmin take the number over a NaN
+    np.fmin(x, NDWI_BINS - 1, out=x)
+    if out is None:
+        return x.astype(np.int64)
+    np.copyto(out, x, casting="unsafe")
+    return out
 
 
 def water_mask_ndwi(s: BandStack) -> np.ndarray:
     """Otsu-thresholded NDWI water mask; true where the NDWI bin exceeds t.
 
-    The NDWI is binned one ``BandStack.windows`` row window at a time;
-    the histogram sums the windows' counts and the bins are kept as uint8.
+    The NDWI is binned one ``BandStack.windows`` row window at a time,
+    straight into uint8 rows; the histogram sums the windows' counts.
     """
     bins = np.empty((s.height, s.width), dtype=np.uint8)
     hist = np.zeros(NDWI_BINS, dtype=np.int64)
     for r0, r1, block in s.windows((BandId.B3, BandId.B8)):
-        b = quantize_ndwi(compute_ndwi(block[BandId.B3], block[BandId.B8]))
-        bins[r0:r1] = b
-        hist += np.bincount(b.ravel(), minlength=NDWI_BINS)
+        b = quantize_ndwi(compute_ndwi(block[BandId.B3], block[BandId.B8]), out=bins[r0:r1])
+        hist += np.bincount(b.reshape(-1), minlength=NDWI_BINS)
     t = otsu_threshold(hist)
     return bins > t
 

@@ -23,6 +23,10 @@ into whole float64 planes and draws each band's noise in one ``normal``
 call, the PGM reader parses a whole-file copy, and the overlay renders
 from B3's whole plane: the library's former code. The library must match
 all of these bit for bit.
+
+The long-double output pre-activations (``ref_preactivations`` of
+``ref_real_planes``) are the real-valued computation that the float32
+screen's error bounds are stated against, not a bitwise reference.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from raftcensus.bandstack import (
     BandStack,
     GeoRef,
     read_pgm16,
+    write_pgm16,
 )
 from raftcensus.blobs import Blob, _convex_area
 from raftcensus.datasets import (
@@ -367,9 +372,10 @@ def ref_bilinear(p: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-def ref_bilinear_gathers(p: np.ndarray, factor: int) -> np.ndarray:
-    """Pixel-center bilinear upsampling from four whole-output gathers."""
-    p = np.asarray(p, dtype=np.float64)
+def ref_bilinear_gathers(p: np.ndarray, factor: int, dtype=np.float64) -> np.ndarray:
+    """Pixel-center bilinear upsampling from four whole-output gathers, in
+    ``dtype`` (float64 or wider)."""
+    p = np.asarray(p, dtype=dtype)
     h, w = p.shape
 
     def axis_coords(n_out, n_in):
@@ -701,6 +707,45 @@ def ref_folded_sums(w: np.ndarray, order, manifest_path) -> np.ndarray:
             z = t if z is None else z + t
         sums.append(z)
     return np.stack(sums)
+
+
+def write_dn_scene(tmp_path, h, w, dn_of) -> Path:
+    """Manifest path of ten PGMs at native resolution, written to the
+    directory ``tmp_path`` with the DN of ``dn_of(band, shape)``: test
+    input for the loaders, not a reference."""
+    tmp_path = Path(tmp_path)
+    bands = {}
+    for b in BandId:
+        shape = (h, w) if b.native_resolution_m == 10 else (h // 2, w // 2)
+        write_pgm16(tmp_path / f"{b.value}.pgm", dn_of(b, shape))
+        bands[b.value] = f"{b.value}.pgm"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"bands": bands}))
+    return path
+
+
+def ref_real_planes(manifest_path) -> dict:
+    """Every band of a saved stack as its real inputs on the 10 m grid, up
+    to long double rounding: DN / DN_SCALE, and for 20 m bands that
+    upsampled by ``ref_bilinear_gathers``, all in long double."""
+    manifest_path = Path(manifest_path)
+    manifest = json.loads(manifest_path.read_text())
+    planes = {}
+    for band in BandId:
+        dn = read_pgm16(manifest_path.parent / manifest["bands"][band.value])
+        x = dn.astype(np.longdouble) / np.longdouble(DN_SCALE)
+        planes[band] = x if band.native_resolution_m == 10 else ref_bilinear_gathers(
+            x, 2, np.longdouble)
+    return planes
+
+
+def ref_preactivations(m, planes, out_index: int) -> np.ndarray:
+    """(H, W) pre-activations w2 h + b2 of output ``out_index``, with h =
+    1 / (1 + exp(-(w1 x + b1))), all in long double from ``planes``."""
+    x = np.stack([np.asarray(planes[b], dtype=np.longdouble) for b in m.feature_order], axis=-1)
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives h = 0
+        h = 1 / (1 + np.exp(-(x @ m.weights[0].T.astype(np.longdouble) + m.biases[0])))
+    return h @ m.weights[1][out_index].astype(np.longdouble) + m.biases[1][out_index]
 
 
 def ref_whole_image_mask(m, planes, out_index: int, thr: float) -> np.ndarray:

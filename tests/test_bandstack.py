@@ -27,23 +27,12 @@ from oracles import (
     ref_load_band_stack,
     ref_read_pgm16,
     ref_save_band_stack,
+    write_dn_scene,
 )
 
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
-
-
-def write_dn_scene(tmp_path, h, w, dn_of):
-    """Ten PGMs at native resolution, DN from ``dn_of(band, shape)``."""
-    bands = {}
-    for b in BandId:
-        shape = (h, w) if b.native_resolution_m == 10 else (h // 2, w // 2)
-        write_pgm16(tmp_path / f"{b.value}.pgm", dn_of(b, shape))
-        bands[b.value] = f"{b.value}.pgm"
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"bands": bands}))
-    return path
 
 
 def write_manifest(tmp_path, dims=None, geo=None, skip=(), dn=100):
@@ -689,9 +678,9 @@ class TestFloat32Sums:
         raster = s.planes.rasters[BandId.B11]
 
         class Counting:
-            def scaled_rows(self, r0, r1):
+            def dn_rows(self, r0, r1):
                 reads.append((r0, r1))
-                return raster.scaled_rows(r0, r1)
+                return raster.dn_rows(r0, r1)
 
         monkeypatch.setitem(s.planes.rasters, BandId.B11, Counting())
         list(s.float32_sums(np.ones((1, 10))))

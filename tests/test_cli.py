@@ -215,6 +215,21 @@ class TestDispatch:
         assert {p.name: p.read_bytes() for p in inputs.iterdir()} == before
         assert "Traceback" not in err and read == []
 
+    def test_out_hard_linked_to_a_band_rejected(self, scene_dir, model_path, tmp_path, capsys):
+        # A hard link names the band file by another path: writing the
+        # overlay through it would replace the band's bytes.
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        band, alias = scene / "b2.pgm", scene / "alias.pgm"
+        os.link(band, alias)
+        before = band.read_bytes()
+        code = run_cli("render", "--manifest", str(scene / "manifest.json"),
+                       "--platform-model", str(model_path), "--out", str(alias))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"output path {alias} is also the band B2 file" in err and "Traceback" not in err
+        assert band.read_bytes() == before and alias.read_bytes() == before
+
     def test_band_shrunk_after_load_is_data_error(self, scene_dir, model_path, tmp_path,
                                                   capsys, monkeypatch):
         # A loaded stack reads its band files while the census runs.

@@ -1,6 +1,9 @@
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raftcensus import (Census, CensusRecord, MatchPair, compute_rates, evaluate_census,
                         match_centroids)
@@ -89,8 +92,36 @@ def points(rng, n, lo, hi):
     return [tuple(float(v) for v in rng.uniform(lo, hi, size=2)) for _ in range(n)]
 
 
+# Coordinates on small lattices (ties in distance, pairs at the gate), in
+# a few gates' range, non-finite, or any float at all.
+COORDS = st.one_of(st.integers(-4, 4).map(float), st.integers(-8, 8).map(lambda k: k / 2),
+                   st.floats(-6.0, 6.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+                   st.floats())
+POINTS = st.lists(st.tuples(COORDS, COORDS), max_size=30)
+GATES = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 3.0]), st.floats(1e-6, 1e6),
+                  st.floats(5e-324, sys.float_info.max))
+# Offsets of a detection from a truth, in gates: on a half-gate lattice
+# (distances at the gate, ties) or anywhere within one and a half gates.
+OFFSETS = st.one_of(st.integers(-3, 3).map(lambda k: k / 2), st.floats(-1.5, 1.5))
+
+
 class TestMatchingEquivalence:
     """The row-windowed matcher against the exact test on every pair."""
+
+    @settings(max_examples=500)
+    @given(truths=POINTS, near=st.lists(st.tuples(st.integers(0, 29), OFFSETS, OFFSETS),
+                                        max_size=30),
+           far=POINTS, gate=GATES)
+    def test_any_points_match_as_all_pairs(self, truths, near, far, gate):
+        # Detections offset from truths by up to one and a half gates on
+        # each axis, and detections anywhere.
+        dets = []
+        for i, dr, dc in near:
+            if truths:
+                tr, tc = truths[i % len(truths)]
+                dets.append((tr + dr * gate, tc + dc * gate))
+        dets = [(i + 1, r, c) for i, (r, c) in enumerate(dets + far)]
+        assert_same_as_all_pairs(dets, truths, gate)
 
     @pytest.mark.parametrize("gate", [0.5, 3.0, 12.0])
     def test_dense_random(self, rng, gate):

@@ -1,5 +1,6 @@
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +31,12 @@ from oracles import (
     ref_forward_batch,
     ref_gather_mask,
     ref_loss_grads,
+    ref_preactivations,
+    ref_real_planes,
     ref_sigmoid,
     ref_train,
     ref_whole_image_mask,
+    write_dn_scene,
 )
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -528,36 +532,33 @@ class TestLoadedStackScoring:
             assert [rows for rows, _ in block_scores] == [(3, 6), (9, 12)]
             assert np.array_equal(got, ref_gather_mask(m, stack.rows(0, h), 2, thr, where))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_native_20m_row_rejected(self, rng, tmp_path, monkeypatch, bad):
+    def test_screen_never_calls_scaled_rows(self, rng, tmp_path, monkeypatch):
+        # The screen reads digital numbers; only the exact pass scales them.
         m = init_model((10, 2, 1), seed=0)
         h, w = 12, BLOCK // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
-        stack, manifest = saved_random_stack(rng, tmp_path, h, w)
-        raster = stack.planes.rasters[BandId.B11]
+        stack, _ = saved_random_stack(rng, tmp_path, h, w)
+        scaled = []
+        scaled_rows = bandstack._Raster.scaled_rows
 
-        class Injected:
-            """B11 with one non-finite sample in its native row 3."""
+        def recording(self, r0, r1):
+            scaled.append((r0, r1))
+            return scaled_rows(self, r0, r1)
 
-            def scaled_rows(self, r0, r1):
-                x = raster.scaled_rows(r0, r1)
-                if r0 <= 3 < r1:
-                    x[3 - r0, 5] = bad
-                return x
-
-        monkeypatch.setitem(stack.planes.rasters, BandId.B11, Injected())
-        with pytest.raises(ValueError, match="B11 rows are not finite"):
-            threshold_planes(m, stack, 0, 0.5)
-        # Native rows 1-3 are read for 10 m rows 3-5, rows 2-4 for rows 6-8.
-        for row in (3, 8):
-            where = np.zeros((h, w), dtype=bool)
-            where[row, 0] = True
-            with pytest.raises(ValueError, match="B11 rows are not finite"):
-                threshold_planes(m, stack, 0, 0.5, where=where)
-        # Windows that do not read native row 3 are scored as usual.
+        monkeypatch.setattr(bandstack._Raster, "scaled_rows", recording)
         where = np.zeros((h, w), dtype=bool)
-        where[0, 0] = where[2, 9] = where[9, 3] = where[11, :] = True
-        assert np.array_equal(threshold_planes(m, stack, 0, 0.5, where=where),
-                              ref_gather_mask(m, load_band_stack(manifest).rows(0, h), 0, 0.5, where))
+        where[3, 0] = where[8, 2] = True
+        net = mlp._float32_net(m, 0)
+        for wh in (None, where):
+            assert len(list(mlp._float32_scores(net, stack, wh))) == (4 if wh is None else 2)
+            # Thresholds beyond every score decide every pixel in float32.
+            assert np.array_equal(threshold_planes(m, stack, 0, -1.0, where=wh),
+                                  np.ones((h, w), dtype=bool) if wh is None else wh)
+            assert not threshold_planes(m, stack, 0, 2.0, where=wh).any()
+        assert scaled == []
+        # A NaN threshold decides nothing: the exact pass reads every band
+        # of every window.
+        assert not threshold_planes(m, stack, 0, np.nan).any()
+        assert len(scaled) == 4 * len(BandId)
 
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
     def test_scores_bitwise_equal_to_forward_batch_of_features(self, rng, tmp_path, block_scores,
@@ -596,9 +597,29 @@ def small_stack(x, tmp, loaded):
 REFLECTANCES = st.one_of(st.just(0.0), st.floats(0.0, 6.5535))
 
 
+def assert_within_dy32(m, stack, real):
+    """Every window's float32 pre-activations v32 lie within dy32(peak) of
+    the real ones, computed from ``real``, the stack's real inputs, and
+    ``peak`` bounds every input the window reads."""
+    for out_index in range(m.n_out):
+        net = mlp._float32_net(m, out_index)
+        want = ref_preactivations(m, real, out_index)
+        seen = []
+        for r0, r1, v, peak in mlp._float32_scores(net, stack):
+            seen.append((r0, r1))
+            assert peak >= max(np.abs(x).max() for x in stack.rows(r0, r1).values())
+            gap = np.abs(v.astype(np.longdouble) - want[r0:r1].reshape(-1))
+            assert gap.max() <= net.dy32(peak), (r0, r1)
+        assert seen == [(r0, r1) for r0, r1, _ in stack.windows(())]
+
+
+# Digital numbers over the whole uint16 range, with its ends among them.
+DIGITAL_NUMBERS = st.one_of(st.sampled_from([0, 65535]), st.integers(0, 65535))
+
+
 class TestFloat32Bound:
-    """Windows are scored in float32 and decided there when the bound E
-    allows; the exact scores decide every other window."""
+    """Windows are scored in float32 and decided there when the bounds
+    allow; the exact scores decide every other window."""
 
     @given(model=st.sampled_from(SCORING_MODELS), loaded=st.booleans(),
            shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -611,17 +632,62 @@ class TestFloat32Bound:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(bandstack, "_BLOCK_PIXELS", window_rows * w)
             stack = small_stack(x, tmp, loaded)
-            want = exact_scores(m, stack)
+            real = ref_real_planes(Path(tmp) / "manifest.json") if loaded else stack.planes
+            assert_within_dy32(m, stack, real)
+
+    @given(model=st.sampled_from(SCORING_MODELS),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+           window_rows=st.integers(1, 8), data=st.data())
+    def test_digital_numbers_within_the_bound(self, model, shape, window_rows, data):
+        # A loaded stack is screened from its digital numbers, over the
+        # whole uint16 range; its masks stay those of the exact scores.
+        h, w = 2 * shape[0], 2 * shape[1]
+        dn = {b: data.draw(arrays(np.uint16, (h, w) if b.native_resolution_m == 10
+                                  else (h // 2, w // 2), elements=DIGITAL_NUMBERS))
+              for b in BandId}
+        layers, seed, scale, order = model
+        m = scaled_model(layers, seed, scale, order)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bandstack, "_BLOCK_PIXELS", window_rows * w)
+            path = write_dn_scene(tmp, h, w, lambda b, shape: dn[b])
+            stack = load_band_stack(path)
+            assert_within_dy32(m, stack, ref_real_planes(path))
+            scores = exact_scores(m, stack)
             for out_index in range(m.n_out):
-                net = mlp._float32_net(m, out_index)
-                seen = []
-                for r0, r1, y, peak in mlp._float32_scores(net, stack):
-                    seen.append((r0, r1))
-                    inputs = stack.rows(r0, r1)
-                    assert peak >= max(np.abs(v).max() for v in inputs.values())
-                    gap = np.abs(y.astype(np.float64) - want[r0:r1, :, out_index].reshape(-1))
-                    assert gap.max() <= net.bound(peak), (r0, r1)
-                assert seen == [(r0, r1) for r0, r1, _ in stack.windows(())]
+                s = scores[..., out_index]
+                for thr in (0.5, s[0, 0], s[-1, -1]):
+                    assert np.array_equal(threshold_planes(m, stack, out_index, thr), s >= thr)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_saturated_hidden_units_decide_without_warnings(self, rng, tmp_path, monkeypatch,
+                                                            rescored, loaded):
+        # Hidden sums far beyond +-89 make float32 exp overflow to inf (the
+        # unit reads 0) or underflow to 0 (it reads 1); neither warns, and
+        # the masks stay those of the exact scores.
+        m = scaled_model((10, 8, 3), 2, 1.0)
+        w1, b1 = m.weights[0].copy(), m.biases[0].copy()
+        w1[:4] *= 400.0
+        b1[:4] *= 400.0
+        m = MlpModel(m.layer_sizes, (w1, m.weights[1]), (b1, m.biases[1]), m.feature_order)
+        h, w = 12, 6
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)  # windows of 3 rows
+        stack = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), tmp_path, loaded)
+        planes = stack.rows(0, h, m.feature_order)
+        z = np.stack([planes[b] for b in m.feature_order], axis=-1) @ w1.T + b1
+        assert (z[..., :4] > 89).any() and (z[..., :4] < -89).any()
+        scores = exact_scores(m, stack)[..., 2]
+        flat = np.sort(scores.reshape(-1))
+        i = np.argmax(np.diff(flat))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for thr in (0.5, scores[4, 1], scores[11, 5]):
+                assert np.array_equal(threshold_planes(m, stack, 2, thr), scores >= thr)
+            # Midway across the widest gap between scores, every pixel is
+            # decided in float32.
+            rescored.clear()
+            thr = (flat[i] + flat[i + 1]) / 2
+            assert np.array_equal(threshold_planes(m, stack, 2, thr), scores >= thr)
+            assert rescored == []
 
     @pytest.mark.parametrize("loaded", [False, True])
     @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS[:3])
@@ -635,7 +701,9 @@ class TestFloat32Bound:
         out_index = m.n_out - 1
         scores = exact_scores(m, stack)[..., out_index]
         net = mlp._float32_net(m, out_index)
-        e = max(net.bound(peak) for *_, peak in mlp._float32_scores(net, stack))
+        # Pixels within e of a threshold may go undecided in float32.
+        e = max(2 * net.ds64(peak) + net.dy32(peak)
+                for *_, peak in mlp._float32_scores(net, stack))
         # The pixel whose score lies farthest from every other pixel's.
         flat = np.sort(scores.reshape(-1))
         away = np.minimum(np.diff(flat, prepend=-np.inf), np.diff(flat, append=np.inf))
@@ -718,23 +786,26 @@ class TestFloat32Bound:
         assert rescored == [(6, 9)]
         assert sums == [(0, False), (3, False), (6, True), (9, False)]
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("band", [BandId.B4, BandId.B8A])
-    def test_non_finite_loaded_rows_name_their_band(self, rng, tmp_path, monkeypatch, bad, band):
+    def test_screen_never_scales_a_loaded_band(self, rng, tmp_path, monkeypatch, band):
+        # A band's scaled rows are read only by the exact pass.
         m = init_model((10, 8, 3), seed=0)
         stack, _ = saved_random_stack(rng, tmp_path, 12, 6)
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 18)
         raster = stack.planes.rasters[band]
 
-        class Injected:
-            def scaled_rows(self, r0, r1):
-                x = raster.scaled_rows(r0, r1)
-                x[-1, 1] = bad
-                return x
+        class DigitalNumbersOnly:
+            def dn_rows(self, r0, r1):
+                return raster.dn_rows(r0, r1)
 
-        monkeypatch.setitem(stack.planes.rasters, band, Injected())
-        with pytest.raises(ValueError, match=f"band {band.value} rows are not finite"):
-            threshold_planes(m, stack, 2, 0.5)
+            def scaled_rows(self, r0, r1):
+                raise AssertionError(f"band {band.value} rows scaled")
+
+        monkeypatch.setitem(stack.planes.rasters, band, DigitalNumbersOnly())
+        for thr in (-1.0, 2.0):
+            assert threshold_planes(m, stack, 2, thr).all() == (thr < 0)
+        with pytest.raises(AssertionError, match=f"band {band.value} rows scaled"):
+            threshold_planes(m, stack, 2, np.nan)
 
 
 class TestLossAndGradient:

@@ -52,6 +52,15 @@ class TestNdwi:
         with pytest.raises(DimensionError):
             compute_ndwi(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_quantize_clips_and_writes_into_out(self):
+        x = np.array([-1.0, -0.5, 0.0, 0.999, 1.0, 1.5, -2.0, np.nan, np.inf, -np.inf])
+        want = [0, 64, 128, 255, 255, 255, 0, 0, 255, 0]
+        got = quantize_ndwi(x)
+        assert got.dtype == np.int64 and got.tolist() == want
+        out = np.full(len(x), 7, dtype=np.uint8)
+        assert quantize_ndwi(x, out=out) is out and out.tolist() == want
+        assert np.isnan(x[7]) and x[3] == 0.999  # the input is left as it was
+
     @given(
         arrays(np.float64, (4, 4), elements=st.floats(0, 2)),
         arrays(np.float64, (4, 4), elements=st.floats(0, 2)),
@@ -124,6 +133,40 @@ class TestWaterMaskNdwi:
         bins = quantize_ndwi(compute_ndwi(g, n))
         t = ref_otsu(np.bincount(bins.ravel(), minlength=256))
         assert np.array_equal(mask, bins > t)
+
+    def test_window_bins_equal_quantized_ndwi(self, rng, monkeypatch):
+        # Each pixel's bin is read back as the count of thresholds t in
+        # 0..254 whose mask holds it, so bins > t for every t.
+        from raftcensus import BandStack, bandstack, waterdetect
+
+        k = np.arange(257)
+        g = [k / 256, [0.0, 0.0, 0.3, 5e-324, 1e-300, 1.5], rng.uniform(0, 1.5, 300)]
+        n = [1 - k / 256, [0.0, 0.3, 0.0, 0.0, 5e-324, 1e-300], rng.uniform(0, 1.5, 300)]
+        # NDWI k / 128 - 1 exactly (g + n = 1), so (ndwi + 1) * 128 is the
+        # bin edge k, and the neighbours of those edges.
+        g += [np.nextafter(k / 256, 0.0), np.nextafter(k / 256, 1.0)]
+        n += [1 - k / 256] * 2
+        g, n = np.concatenate(g), np.concatenate(n)
+        w = 31
+        h = -(-len(g) // w)
+        green, nir = (np.resize(v, h * w).reshape(h, w) for v in (g, n))
+        planes = {b: np.zeros((h, w)) for b in BandId}
+        planes[BandId.B3], planes[BandId.B8] = green, nir
+        stack = BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
+        want = quantize_ndwi(compute_ndwi(green, nir))
+        assert {0, 255} <= set(np.unique(want)) and (compute_ndwi(green, nir) == 1.0).any()
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 4 * w)  # several windows
+        hists = []
+        got = np.zeros((h, w), dtype=np.int64)
+        for t in range(255):
+            def fixed(hist, t=t):
+                hists.append(hist.copy())
+                return t
+
+            monkeypatch.setattr(waterdetect, "otsu_threshold", fixed)
+            got += water_mask_ndwi(stack)
+        assert np.array_equal(got, want)
+        assert np.array_equal(hists[0], np.bincount(want.ravel(), minlength=256))
 
     def test_uniform_scene_degenerate(self):
         planes = {b: np.full((3, 3), 0.1) for b in BandId}
