@@ -22,12 +22,14 @@ them to float32, which is exact, and folds 1 / DN_SCALE into the
 weights. It sums the 20 m terms of each unit at native resolution and
 upsamples that one sum, not each 20 m band, with the same upsampler.
 Every window reads the 20 m rows under it, with their one-row halo,
-once.
+once. Bands are summed in ``FEATURE_ORDER``, the one order of every
+model's inputs.
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
 at each band's native resolution and appends them to the band's PGM, so
-``save_band_stack`` builds no whole float plane either. Each PGM is
+``save_band_stack`` builds no whole float plane either; for a loaded
+stack it copies the digital numbers of its files unchanged. Each PGM is
 written to a temporary file beside it and then renamed over it, so a
 stack still reading the old file (``import`` into its own directory)
 keeps reading the old data.
@@ -49,7 +51,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import ExitStack
@@ -119,7 +120,7 @@ class BandId(str, Enum):
 
 _TEN_METER = frozenset({BandId.B2, BandId.B3, BandId.B4, BandId.B8})
 
-# Fixed classifier feature ordering; serialized with every model.
+# The one band order of every model's inputs; each model file lists it.
 FEATURE_ORDER: tuple[BandId, ...] = tuple(BandId)
 
 
@@ -209,74 +210,72 @@ class BandStack:
                 yield r0, r1, self.rows(r0, r1, bands)
 
     def float32_sums(
-        self, w: np.ndarray, order: tuple[BandId, ...] = FEATURE_ORDER, where=None
+        self, w: np.ndarray, where=None
     ) -> Iterator[tuple[int, int, np.ndarray | None, float]]:
         """Yield ``(r0, r1, sums, peak)`` for the row windows of ``windows``,
         skipped by ``where`` as there: ``sums`` is a float32 (len(w), r1 - r0,
         width) array whose plane j is the sum over k of w[j, k] times band
-        ``order[k]`` on rows r0..r1-1, a new array the caller may overwrite.
-        ``peak`` bounds the magnitude of every value read for the window
-        (for a loaded stack, halo rows included); a window whose peak
-        exceeds ``_FLOAT32_PEAK`` is not cast and yields ``sums`` None.
+        ``FEATURE_ORDER[k]`` on rows r0..r1-1, a new array the caller may
+        overwrite. ``peak`` bounds the magnitude of every value read for the
+        window (for a loaded stack, halo rows included).
 
-        The products are summed by ``np.matmul``, in whatever order the
-        BLAS takes. An in-memory stack's rows come through ``rows``; they
-        and the weights are rounded to float32, and the window is reduced
-        once, in float32, for its peak: the float32 just above its largest
-        magnitude. Only a window that holds a value not finite or beyond
-        ``_FLOAT32_PEAK`` is scanned again, band by band in float64: a
-        non-finite value raises ``ValueError`` naming its band, and the
-        peak reported is the largest magnitude read. A loaded stack reads
-        digital numbers (DN) with ``_Raster.dn_rows`` and casts them to
-        float32, which is exact; its weights are w / DN_SCALE, divided in
-        float64 and rounded to float32, and its peak is the window's largest
-        DN / DN_SCALE. It sums its 10 m terms on the 10 m grid and its 20 m
-        terms on the 20 m grid, one matrix product on the native rows under
-        the window plus a one-row halo on either side, and upsamples each
-        plane's 20 m sum with the x2 bilinear upsampler, in float32: it
-        upsamples len(w) planes, not one per 20 m band. The 10 m product is
-        added to that. Each window reads its own rows once; a skipped window
-        reads none. So a term of a sum meets at most len(order) + 6 float32
-        roundings (input, weight, product, additions, two per upsampled
-        axis, the 20 m + 10 m addition; a DN casts exactly, but its weight
-        is rounded twice, to float64 and then to float32), and every term's
-        magnitude is at most |w[j, k]| * peak: ``mlp.threshold_planes``
-        bounds the error from that.
+        The products are summed by ``np.matmul``, in whatever order the BLAS
+        takes. An in-memory stack's rows come through ``rows``; they and the
+        weights are rounded to float32, and the window is reduced once, in
+        float32, by one max and one min: its peak is the float32 just above
+        its largest magnitude. A window holding a value beyond
+        ``_FLOAT32_PEAK`` or not finite (NaN included) is not cast: it yields
+        ``sums`` None and peak inf, and ``mlp.threshold_planes`` scores it
+        exactly, where a non-finite value raises. A loaded stack reads digital
+        numbers (DN) with ``_Raster.dn_rows`` and casts them to float32, which
+        is exact; its weights are w / DN_SCALE, divided in float64 and rounded
+        to float32, and its peak is the window's largest DN / DN_SCALE. It
+        sums its 10 m terms on the 10 m grid and its 20 m terms on the 20 m
+        grid, one matrix product on the native rows under the window plus a
+        one-row halo on either side, and upsamples each plane's 20 m sum with
+        the x2 bilinear upsampler, in float32: it upsamples len(w) planes, not
+        one per 20 m band. The 10 m product is added to that. Each window
+        reads its own rows once; a skipped window reads none. So a term of a
+        sum meets at most 16 float32 roundings (input, weight, product, nine
+        additions with the 20 m + 10 m one among them, two per upsampled axis;
+        a DN casts exactly, but its weight is rounded twice, to float64 and
+        then to float32), and every term's magnitude is at most |w[j, k]| *
+        peak: ``mlp.threshold_planes`` bounds the error from that.
         """
         w = np.asarray(w, dtype=np.float64)
-        if not order or w.ndim != 2 or w.shape[1] != len(order):
-            raise ValueError(f"weights of shape {w.shape} for {len(order)} bands")
+        if w.ndim != 2 or w.shape[1] != len(FEATURE_ORDER):
+            raise ValueError(f"weights of shape {w.shape} for {len(FEATURE_ORDER)} bands")
         planes = self.planes
         dn = isinstance(planes, _DnPlanes)
-        coarse = [k for k, b in enumerate(order) if dn and b.native_resolution_m == 20]
-        fine = [k for k in range(len(order)) if k not in coarse]
+        coarse = [k for k, b in enumerate(FEATURE_ORDER) if dn and b.native_resolution_m == 20]
+        fine = [k for k in range(len(FEATURE_ORDER)) if k not in coarse]
         w = (w / DN_SCALE if dn else w).astype(np.float32)
         w_coarse, w_fine = w[:, coarse], w[:, fine]
         for r0, r1, _ in self.windows((), where):
             shape = (r1 - r0, self.width)
             if not dn:
-                xs = self.rows(r0, r1, order)
-                x32 = _cast32(list(xs.values()), shape)
-                peak = _window_peak(x32, xs)
-                sums = None if peak > _FLOAT32_PEAK else (w @ x32).reshape(len(w), *shape)
-                yield r0, r1, sums, peak
+                x32 = _cast32(list(self.rows(r0, r1).values()), shape)
+                hi, lo = x32.max(initial=0.0), x32.min(initial=0.0)
+                if -_FLOAT32_PEAK <= lo and hi <= _FLOAT32_PEAK:  # NaN fails both
+                    yield (r0, r1, (w @ x32).reshape(len(w), *shape),
+                           float(np.nextafter(max(hi, -lo), np.float32(np.inf))))
+                else:
+                    yield r0, r1, None, math.inf
                 continue
-            top = 0
-            if coarse:
-                a, b, n = planes.native_rows(r0, r1)
-                native = [planes.rasters[order[k]].dn_rows(a, b + 1) for k in coarse]
-                half = (b + 1 - a, self.width // 2)
-                x32 = _cast32(native, half)
-                up = _upsample_rows((w_coarse @ x32).reshape(len(w), *half), a, n, r0, r1)
-                top = x32.max(initial=0)
-            x32 = _cast32([planes.rasters[order[k]].dn_rows(r0, r1) for k in fine], shape)
-            sums = (w_fine @ x32).reshape(len(w), *shape)
-            if coarse:
-                sums = np.add(up, sums, out=up)
+            a, b, n = planes.native_rows(r0, r1)
+            half = (b + 1 - a, self.width // 2)
+            native = [planes.rasters[FEATURE_ORDER[k]].dn_rows(a, b + 1) for k in coarse]
+            x32 = _cast32(native, half)
+            sums = _upsample_rows((w_coarse @ x32).reshape(len(w), *half), a, n, r0, r1)
+            top = x32.max(initial=0)
+            x32 = _cast32([planes.rasters[FEATURE_ORDER[k]].dn_rows(r0, r1) for k in fine],
+                          shape)
+            sums += (w_fine @ x32).reshape(len(w), *shape)
             yield r0, r1, sums, float(max(top, x32.max(initial=0))) / DN_SCALE
 
-    def features(self, rows, cols, order: tuple[BandId, ...] = FEATURE_ORDER) -> np.ndarray:
-        """N x len(order) float64 features of the pixels (rows[i], cols[i]).
+    def features(self, rows, cols) -> np.ndarray:
+        """N x 10 float64 features of the pixels (rows[i], cols[i]), bands in
+        ``FEATURE_ORDER``: a pixel's inputs to an ``mlp`` model.
 
         Gathered from the ``windows`` that hold a requested row, so a loaded
         stack builds no whole plane; values equal the whole planes', bitwise.
@@ -290,16 +289,16 @@ class BandStack:
             )
         if not ((rows >= 0) & (rows < self.height) & (cols >= 0) & (cols < self.width)).all():
             raise IndexError(f"pixel coordinates outside the {self.height}x{self.width} stack")
-        out = np.empty((len(rows), len(order)))
+        out = np.empty((len(rows), len(FEATURE_ORDER)))
         by_row = np.argsort(rows, kind="stable")
         sorted_rows = rows[by_row]
         held = np.zeros(self.height, dtype=bool)
         held[rows] = True
-        for r0, r1, block in self.windows(order, where=held):
+        for r0, r1, block in self.windows(where=held):
             lo, hi = np.searchsorted(sorted_rows, (r0, r1))
             i = by_row[lo:hi]
             at = (rows[i] - r0, cols[i])
-            for j, band in enumerate(order):
+            for j, band in enumerate(FEATURE_ORDER):
                 out[i, j] = block[band][at]
         return out
 
@@ -325,7 +324,7 @@ class _Raster:
             if n == 0:
                 raise PgmError(
                     f"{self.path}: file ends inside raster rows {r0}..{r1 - 1} "
-                    f"({done} of {len(raw)} bytes read); it shrank after loading"
+                    f"({done} of {len(raw)} bytes read)"
                 )
             done += n
         return raw.view(">u2").reshape(r1 - r0, self.width)
@@ -367,42 +366,15 @@ class _DnPlanes:
         return out
 
 
-def _peak(band: BandId, x: np.ndarray) -> float:
-    """The largest magnitude in ``x``, rows read of ``band``, once every
-    value is finite: one max and one min reduction, no temporaries."""
-    hi, lo = float(x.max(initial=0.0)), float(x.min(initial=0.0))
-    if not -math.inf < lo <= hi < math.inf:  # NaN fails every comparison
-        raise ValueError(f"band {band.value} rows are not finite")
-    return max(hi, -lo)
-
-
 def _cast32(xs: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
     """The ``shape`` rows of ``xs`` cast to float32, one per row of a
     (len(xs), shape[0] * shape[1]) array. Digital numbers (uint16) cast
     exactly; a float beyond float32 casts to inf."""
     x32 = np.empty((len(xs), shape[0] * shape[1]), np.float32)
-    with np.errstate(over="ignore"):  # such a window is found by _window_peak
+    with np.errstate(over="ignore"):  # such a window is not scored in float32
         for k, x in enumerate(xs):
             np.copyto(x32[k].reshape(shape), x, casting="same_kind")
     return x32
-
-
-def _window_peak(x32: np.ndarray, xs: dict[BandId, np.ndarray]) -> float:
-    """A bound on every |value| of the rows ``xs``, whose float32 cast is
-    ``x32``: the float32 just above the largest magnitude in x32, which
-    bounds the uncast values too. If x32 holds a value not finite or beyond
-    ``_FLOAT32_PEAK``, the rows are scanned by ``_peak`` band by band, in
-    order, until the peak exceeds ``_FLOAT32_PEAK``: the peak is then the
-    largest magnitude read, and a non-finite value raises ``ValueError``."""
-    hi, lo = x32.max(initial=0.0), x32.min(initial=0.0)
-    if -_FLOAT32_PEAK <= lo and hi <= _FLOAT32_PEAK:  # NaN fails both
-        return float(np.nextafter(max(hi, -lo), np.float32(np.inf)))
-    peak = 0.0
-    for band, x in xs.items():
-        peak = max(peak, _peak(band, x))
-        if peak > _FLOAT32_PEAK:
-            break
-    return peak
 
 
 def _upsample_rows(p: np.ndarray, a: int, n: int, r0: int, r1: int) -> np.ndarray:
@@ -449,21 +421,13 @@ def _upsample2(p: np.ndarray, a: int, n: int, out: np.ndarray, r0: int) -> None:
 
 
 def read_pgm16(path) -> np.ndarray:
-    """Read a binary PGM (P5) with maxval 65535 into a uint16 array.
-
-    The header is checked by ``_pgm_raster``; the raster is read straight
-    into the array and byteswapped in place.
-    """
+    """Read a binary PGM (P5) with maxval 65535 into a native uint16 array:
+    the header is checked by ``_pgm_raster``, the raster read by
+    ``_Raster.dn_rows``, as a loaded stack reads it."""
     with open(path, "rb") as f:
-        height, width, pos = _pgm_raster(f, path)
-        raster = np.empty((height, width), dtype=np.uint16)
-        f.seek(pos)
-        got = f.readinto(memoryview(raster).cast("B"))
-    if got != raster.nbytes:
-        raise PgmError(f"{path}: expected {raster.nbytes} raster bytes, got {got}")
-    if sys.byteorder == "little":
-        raster.byteswap(inplace=True)
-    return raster
+        height, width, offset = _pgm_raster(f, path)
+        raster = _Raster(f, Path(path), offset, height, width)
+        return raster.dn_rows(0, height).astype(np.uint16)
 
 
 def _pgm_raster(f: BinaryIO, path) -> tuple[int, int, int]:
@@ -709,6 +673,19 @@ def write_bands(
     (x10000, rounded half to even, clipped to the 16-bit range). Dimensions
     must be even, which is checked before ``out_dir`` is created.
     """
+    return _write_dn_bands(out_dir, width, height,
+                           lambda band: _dn_rows(band, band_rows(band)), geo)
+
+
+def _write_dn_bands(
+    out_dir,
+    width: int,
+    height: int,
+    dn_chunks: Callable[[BandId], Iterable[np.ndarray]],
+    geo: GeoRef | None,
+) -> Path:
+    """``write_bands`` from ``dn_chunks(band)``: the band's uint16 digital
+    numbers at its native resolution, in row chunks, top to bottom."""
     check_saveable(width, height)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -716,7 +693,7 @@ def write_bands(
     for band in BandId:
         name = f"{band.value.lower()}.pgm"
         f = 2 if band.native_resolution_m == 20 else 1
-        write_pgm16_rows(out_dir / name, width // f, height // f, _dn_rows(band, band_rows(band)))
+        write_pgm16_rows(out_dir / name, width // f, height // f, dn_chunks(band))
         bands_entry[band.value] = name
     manifest: dict = {"bands": bands_entry}
     if geo is not None:
@@ -751,12 +728,23 @@ def _dn_rows(band: BandId, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]
 def save_band_stack(stack: BandStack, out_dir) -> Path:
     """Write a stack as band PGMs plus manifest.json; returns manifest path.
 
-    The bands go through ``write_bands``, one at a time, in the row chunks
-    of ``row_chunks`` read with ``BandStack.rows``: a loaded stack builds no
-    whole float plane. A save/load round trip quantizes 10 m values to 1e-4
-    and smooths the 20 m bands. Stack dimensions must be even.
+    Bands are written one at a time, in the row chunks of ``row_chunks``. A
+    loaded stack copies the digital numbers of its band files at their
+    native resolution (``_Raster.dn_rows``), so saving it is lossless and a
+    save of the saved stack gives the same bytes. An in-memory stack goes
+    through ``write_bands``, read with ``BandStack.rows``: a save/load round
+    trip quantizes its 10 m values to 1e-4 and block-averages its 20 m
+    bands. Stack dimensions must be even.
     """
     w, h = stack.width, stack.height
+    if isinstance(stack.planes, _DnPlanes):
+        rasters = stack.planes.rasters
+
+        def dn_chunks(band: BandId) -> Iterator[np.ndarray]:
+            f = band.native_resolution_m // 10
+            return (rasters[band].dn_rows(r0 // f, r1 // f) for r0, r1 in row_chunks(w, h))
+
+        return _write_dn_bands(out_dir, w, h, dn_chunks, stack.geo)
     return write_bands(
         out_dir, w, h,
         lambda band: (stack.rows(r0, r1, (band,))[band] for r0, r1 in row_chunks(w, h)),

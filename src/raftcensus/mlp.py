@@ -3,7 +3,10 @@
 One hidden layer, logistic sigmoid on hidden and output units, trained
 by full-batch gradient descent with momentum on mean squared error.
 The platform classifier uses layers [10, 2, 1]; the water classifier
-defaults to [10, 8, 3] with the water class last.
+defaults to [10, 8, 3] with the water class last. A net's inputs are the
+ten band reflectances in ``FEATURE_ORDER``, the one band order there is;
+a model file's ``features`` line lists it, and ``load_model`` rejects any
+other line.
 
 A pixel's exact score is ``forward_batch`` of its features. Each unit
 sums its weighted inputs in feature order, in float64, then adds its
@@ -21,8 +24,10 @@ reciprocal in place; and no output sigmoid, as the screen stops at the
 output unit's pre-activation. Proven bounds (``_Float32Net``) on that
 pre-activation's float32 error and on the exact score's float64 error
 give two cuts, and a pixel whose pre-activation lies beyond either is
-decided; a window holding any other pixel is scored again by
-``forward_batch``. So the masks do not depend on the BLAS either.
+decided; a window holding any other pixel, or a value the screen does
+not cast (beyond 2^64 or not finite), is scored again by
+``forward_batch``, which raises on a non-finite input. So the masks do
+not depend on the BLAS either.
 Training stays on float64 matrix products, with its work arrays
 allocated once per call, not per epoch.
 
@@ -39,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandstack import DN_SCALE, FEATURE_ORDER, BandId, BandStack
+from .bandstack import DN_SCALE, FEATURE_ORDER, BandStack
 from .errors import DimensionError, ModelFormatError, TrainingError
 
 __all__ = [
@@ -94,7 +99,6 @@ class MlpModel:
     layer_sizes: tuple[int, int, int]
     weights: tuple[np.ndarray, np.ndarray]  # per layer, (n_out, n_in)
     biases: tuple[np.ndarray, np.ndarray]  # per layer, (n_out,)
-    feature_order: tuple[BandId, ...] = FEATURE_ORDER
 
     def __post_init__(self):
         n_in, n_hid, n_out = self.layer_sizes
@@ -120,7 +124,6 @@ class MlpModel:
     def params_equal(self, other: "MlpModel") -> bool:
         return (
             self.layer_sizes == other.layer_sizes
-            and self.feature_order == other.feature_order
             and all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights))
             and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases))
         )
@@ -174,7 +177,6 @@ class ConfusionMatrix:
 def init_model(
     layer_sizes: tuple[int, int, int] = PLATFORM_LAYERS,
     seed: int = 0,
-    feature_order: tuple[BandId, ...] = FEATURE_ORDER,
 ) -> MlpModel:
     """Seeded random model with weights and biases uniform in [-0.5, 0.5]."""
     _check_layer_sizes(layer_sizes)
@@ -184,7 +186,7 @@ def init_model(
     b1 = rng.uniform(-0.5, 0.5, size=n_hid)
     w2 = rng.uniform(-0.5, 0.5, size=(n_out, n_hid))
     b2 = rng.uniform(-0.5, 0.5, size=n_out)
-    return MlpModel(tuple(layer_sizes), (w1, w2), (b1, b2), tuple(feature_order))
+    return MlpModel(tuple(layer_sizes), (w1, w2), (b1, b2))
 
 
 def _weighted_sums(w, inputs, out, tmp) -> np.ndarray:
@@ -249,10 +251,11 @@ def threshold_planes(
     magnitude. A pixel is decided true when v32 >= logit(thr + ds64) +
     dy32 and false when v32 < logit(thr - ds64) - dy32, both cuts rounded
     outward to float32; NaN decides nothing. The rows of every window that
-    holds an undecided pixel or is too large to cast to float32 are flagged
-    (for a model too large to cast, every row holding a pixel of
+    holds an undecided pixel, or a value beyond 2^64 or not finite, are
+    flagged (for a model too large to cast, every row holding a pixel of
     ``where``), and one pass of ``forward_batch`` scores the flagged
-    windows; its exact results replace the float32 ones. The float32
+    windows; its exact results replace the float32 ones, and a non-finite
+    input raises ``ValueError`` there. The float32
     screen computes output ``out_index`` only. With an (H, W) ``where``,
     cast to bool, windows holding no true pixel are neither read nor
     scored, only pixels in ``where`` need deciding, and the result is
@@ -272,8 +275,8 @@ def threshold_planes(
             if v is None or not _decide(v, *net.cuts(thr, peak), out[r0:r1].reshape(-1),
                                         None if where is None else where[r0:r1].reshape(-1)):
                 redo[r0:r1] = True
-    for r0, r1, block in s.windows(m.feature_order, redo):
-        x = np.stack([block[b].reshape(-1) for b in m.feature_order])
+    for r0, r1, block in s.windows(FEATURE_ORDER, redo):
+        x = np.stack([block[b].reshape(-1) for b in FEATURE_ORDER])
         np.greater_equal(forward_batch(m, x.T)[:, out_index], thr, out=out[r0:r1].reshape(-1))
     return out if where is None else out & where
 
@@ -400,7 +403,6 @@ class _Float32Net:
     float64; ``cuts`` rounds the rest outward.
     """
 
-    order: tuple[BandId, ...]
     w1: np.ndarray  # float64 (n_hid, n_in): the negated hidden weights
     b1: np.ndarray  # float32 (n_hid, 1): the negated hidden biases
     w2: np.ndarray  # float32 (1, n_hid): the output unit's weights
@@ -451,7 +453,6 @@ def _float32_net(m: MlpModel, out_index: int) -> _Float32Net | None:
     (dy32_m, dy32_1, _), (dy64_m, dy64_1, sig64) = dy
     safety = 1 + 2.0**-30
     return _Float32Net(
-        order=m.feature_order,
         w1=-w1,
         b1=(-b1).astype(np.float32)[:, None],
         w2=w2.astype(np.float32)[None, :],
@@ -468,7 +469,7 @@ def _float32_scores(net: _Float32Net, s: BandStack, where=None) -> Iterator:
     ``BandStack.float32_sums``: ``v`` is a float32 (n,) array of the net's
     output pre-activation for the window's pixels, or None where the
     window was not cast; ``peak`` is M of its bounds."""
-    for r0, r1, z, peak in s.float32_sums(net.w1, net.order, where):
+    for r0, r1, z, peak in s.float32_sums(net.w1, where):
         if z is None:
             yield r0, r1, None, peak
             continue
@@ -618,7 +619,6 @@ def train(
             m.layer_sizes,
             (weights[0].copy(), weights[1].copy()),
             (biases[0].copy(), biases[1].copy()),
-            m.feature_order,
         )
 
     def monitored_loss() -> float:
@@ -699,7 +699,7 @@ def save_model(m: MlpModel, path) -> None:
     """
     lines = ["MLPv1"]
     lines.append("layers " + " ".join(str(s) for s in m.layer_sizes))
-    lines.append("features " + " ".join(b.value for b in m.feature_order))
+    lines.append("features " + " ".join(b.value for b in FEATURE_ORDER))
     lines.append("activation sigmoid")
     for w, b in zip(m.weights, m.biases):
         lines.append("w " + " ".join(format(v, ".17g") for v in w.ravel()))
@@ -708,7 +708,9 @@ def save_model(m: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    """Read a model written by ``save_model``; the round trip is exact."""
+    """Read a model written by ``save_model``; the round trip is exact. Its
+    ``features`` line must list the bands of ``FEATURE_ORDER``, as
+    ``save_model`` writes it."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -732,14 +734,10 @@ def load_model(path) -> MlpModel:
     if len(sizes) != 3 or any(s < 1 for s in sizes):
         raise ModelFormatError(f"{path}: layer sizes must be three positive ints")
 
-    feat_tokens = field_line(2, "features")
-    try:
-        feature_order = tuple(BandId(t) for t in feat_tokens)
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: bad feature order: {exc}") from exc
-    if len(feature_order) != len(BandId) or len(set(feature_order)) != len(BandId):
+    bands = [b.value for b in FEATURE_ORDER]
+    if field_line(2, "features") != bands:
         raise ModelFormatError(
-            f"{path}: bad feature order (need all ten bands exactly once)"
+            f"{path}: expected the line 'features {' '.join(bands)}', got {lines[2]!r}"
         )
 
     activation = field_line(3, "activation")
@@ -765,4 +763,4 @@ def load_model(path) -> MlpModel:
         line_no += 2
     if line_no != len(lines):
         raise ModelFormatError(f"{path}: trailing content after parameters")
-    return MlpModel(sizes, tuple(weights), tuple(biases), feature_order)
+    return MlpModel(sizes, tuple(weights), tuple(biases))

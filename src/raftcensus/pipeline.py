@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .bandstack import FEATURE_ORDER, BandStack
+from .bandstack import BandStack
 from .blobs import BlobFilter, filter_blobs, label_components
 from .errors import DegenerateHistogramError, RaftCensusError
 from .mlp import PLATFORM_LAYERS, MlpModel, threshold_planes
@@ -69,10 +69,8 @@ class CensusConfig:
             raise ValueError("platform_threshold must be in (0, 1)")
 
     def digest(self) -> str:
-        """Short stable hash of the configuration, models included: their
-        parameters, and their feature order where it is not
-        ``FEATURE_ORDER`` (so digests of default-order models stay as they
-        were)."""
+        """Short stable hash of the configuration, models' parameters
+        included."""
         h = hashlib.sha256()
         desc = {
             "water_method": _water_method_desc(self.water_method),
@@ -82,9 +80,6 @@ class CensusConfig:
             "platform_close_se": sorted(self.platform_close_se.offsets),
             "blob_filter": astuple(self.blob_filter),
         }
-        order = _feature_order_desc(self.platform_model)
-        if order:
-            desc["platform_feature_order"] = order
         h.update(json.dumps(desc, sort_keys=True).encode())
         for w, b in zip(self.platform_model.weights, self.platform_model.biases):
             h.update(w.tobytes())
@@ -98,17 +93,7 @@ def _water_method_desc(method: WaterMethod):
     desc = ["mlp", method.water_class_index, method.threshold]
     for w, b in zip(method.model.weights, method.model.biases):
         desc.append(hashlib.sha256(w.tobytes() + b.tobytes()).hexdigest()[:16])
-    order = _feature_order_desc(method.model)
-    if order:
-        desc.append(order)
     return desc
-
-
-def _feature_order_desc(model: MlpModel) -> list[str]:
-    """A model's feature order as band names, or [] for ``FEATURE_ORDER``."""
-    if model.feature_order == FEATURE_ORDER:
-        return []
-    return [b.value for b in model.feature_order]
 
 
 @dataclass(frozen=True)

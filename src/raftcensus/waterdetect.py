@@ -168,7 +168,7 @@ def water_mask_mlp(
     """Per-pixel water mask from an MLP: water output >= thr.
 
     ``water_class_index`` is 1-based. Pixel features are the ten band
-    reflectances in the model's stored feature order.
+    reflectances in ``FEATURE_ORDER``, the one order every model takes.
     """
     if m.n_in != len(BandId):
         raise ValueError(f"water model must take {len(BandId)} inputs, has {m.n_in}")

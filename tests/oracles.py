@@ -42,6 +42,7 @@ import numpy as np
 
 from raftcensus.bandstack import (
     DN_SCALE,
+    FEATURE_ORDER,
     PIXEL_SIZE_M,
     BandId,
     BandStack,
@@ -683,11 +684,12 @@ def ref_forward_batch(m, x: np.ndarray) -> np.ndarray:
     return _ref_layer(m.weights[1], m.biases[1], hidden)
 
 
-def ref_folded_sums(w: np.ndarray, order, manifest_path) -> np.ndarray:
+def ref_folded_sums(w: np.ndarray, manifest_path) -> np.ndarray:
     """(len(w), H, W) weighted band sums of a saved stack, from its whole
     native planes divided by DN_SCALE. Sum j adds w[j, k] times band
-    order[k]: the 20 m terms, in ``order``, summed on the 20 m grid and
-    upsampled by ``ref_bilinear_gathers``, then the 10 m terms, in order."""
+    FEATURE_ORDER[k]: the 20 m terms, in that order, summed on the 20 m grid
+    and upsampled by ``ref_bilinear_gathers``, then the 10 m terms, in order."""
+    order = FEATURE_ORDER
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     native = {b: read_pgm16(manifest_path.parent / manifest["bands"][b.value]).astype(np.float64)
@@ -696,15 +698,12 @@ def ref_folded_sums(w: np.ndarray, order, manifest_path) -> np.ndarray:
     fine = [k for k, b in enumerate(order) if b.native_resolution_m == 10]
     sums = []
     for wj in w:
-        z = None
-        if coarse:
-            s = native[order[coarse[0]]] * wj[coarse[0]]
-            for k in coarse[1:]:
-                s = s + native[order[k]] * wj[k]
-            z = ref_bilinear_gathers(s, 2)
+        s = native[order[coarse[0]]] * wj[coarse[0]]
+        for k in coarse[1:]:
+            s = s + native[order[k]] * wj[k]
+        z = ref_bilinear_gathers(s, 2)
         for k in fine:
-            t = native[order[k]] * wj[k]
-            z = t if z is None else z + t
+            z = z + native[order[k]] * wj[k]
         sums.append(z)
     return np.stack(sums)
 
@@ -742,7 +741,7 @@ def ref_real_planes(manifest_path) -> dict:
 def ref_preactivations(m, planes, out_index: int) -> np.ndarray:
     """(H, W) pre-activations w2 h + b2 of output ``out_index``, with h =
     1 / (1 + exp(-(w1 x + b1))), all in long double from ``planes``."""
-    x = np.stack([np.asarray(planes[b], dtype=np.longdouble) for b in m.feature_order], axis=-1)
+    x = np.stack([np.asarray(planes[b], dtype=np.longdouble) for b in FEATURE_ORDER], axis=-1)
     with np.errstate(over="ignore"):  # exp(-z) = inf gives h = 0
         h = 1 / (1 + np.exp(-(x @ m.weights[0].T.astype(np.longdouble) + m.biases[0])))
     return h @ m.weights[1][out_index].astype(np.longdouble) + m.biases[1][out_index]
@@ -750,8 +749,8 @@ def ref_preactivations(m, planes, out_index: int) -> np.ndarray:
 
 def ref_whole_image_mask(m, planes, out_index: int, thr: float) -> np.ndarray:
     """Score every pixel from one (H * W, n_in) copy of the whole stack."""
-    h, w = planes[m.feature_order[0]].shape
-    x = np.stack([planes[b] for b in m.feature_order], axis=-1).reshape(-1, m.n_in)
+    h, w = planes[FEATURE_ORDER[0]].shape
+    x = np.stack([planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, m.n_in)
     return (ref_forward_batch(m, x)[:, out_index] >= thr).reshape(h, w)
 
 
@@ -761,7 +760,7 @@ def ref_gather_mask(m, planes, out_index: int, thr: float, where: np.ndarray) ->
     rows, cols = np.nonzero(where)
     if len(rows) == 0:
         return out
-    x = np.stack([planes[b][rows, cols] for b in m.feature_order], axis=1)
+    x = np.stack([planes[b][rows, cols] for b in FEATURE_ORDER], axis=1)
     hits = ref_forward_batch(m, x)[:, out_index] >= thr
     out[rows[hits], cols[hits]] = True
     return out
@@ -828,7 +827,7 @@ def ref_train(m, x, labels, cfg):
 
     def snapshot():
         return MlpModel(m.layer_sizes, (weights[0].copy(), weights[1].copy()),
-                        (biases[0].copy(), biases[1].copy()), m.feature_order)
+                        (biases[0].copy(), biases[1].copy()))
 
     def monitored_loss():
         if t_val is None:

@@ -17,7 +17,7 @@ from raftcensus import (
     write_pgm16,
 )
 from raftcensus import bandstack
-from raftcensus.bandstack import _BLOCK_PIXELS, FEATURE_ORDER
+from raftcensus.bandstack import _BLOCK_PIXELS, FEATURE_ORDER, read_manifest
 from raftcensus.errors import DimensionError, ManifestError, PgmError
 
 from oracles import (
@@ -425,20 +425,22 @@ class TestSave:
         for f in (tmp_path / "ref").iterdir():
             assert (tmp_path / "lib" / f.name).read_bytes() == f.read_bytes()
 
-    def test_loaded_stack_files_bytes_equal_reference(self, tmp_path, rng):
+    def test_loaded_stack_files_bytes_equal_input(self, tmp_path, rng):
+        # A loaded stack is saved losslessly: every band file is its input's
+        # bytes, and saving the saved stack gives the same bytes again.
         path = write_dn_scene(
             tmp_path, 22, 18, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
         )
-        s = load_band_stack(path)
-        save_band_stack(s, tmp_path / "lib")
-        ref_save_band_stack(s, tmp_path / "ref")
-        for f in (tmp_path / "ref").iterdir():
-            assert (tmp_path / "lib" / f.name).read_bytes() == f.read_bytes()
+        save_band_stack(load_band_stack(path), tmp_path / "lib")
+        assert_band_files_equal(path, tmp_path / "lib" / "manifest.json")
+        save_band_stack(load_band_stack(tmp_path / "lib" / "manifest.json"), tmp_path / "again")
+        for f in (tmp_path / "lib").iterdir():
+            assert (tmp_path / "again" / f.name).read_bytes() == f.read_bytes()
 
     @pytest.mark.parametrize("rows", [None, 3, 7])
     @pytest.mark.parametrize("h,w", [(200, 96), (30, 18)])
-    def test_loaded_stack_in_row_chunks_bytes_equal_reference(self, tmp_path, rng, monkeypatch,
-                                                             h, w, rows):
+    def test_loaded_stack_in_row_chunks_bytes_equal_input(self, tmp_path, rng, monkeypatch,
+                                                         h, w, rows):
         # rows: chunks of that many rows rounded down to even (None: the
         # library's chunk height; 96 wide, 200 rows is 170 + 30).
         path = write_dn_scene(
@@ -448,9 +450,14 @@ class TestSave:
         if rows:
             monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
         save_band_stack(s, tmp_path / "lib")
-        ref_save_band_stack(s, tmp_path / "ref")
-        for f in (tmp_path / "ref").iterdir():
-            assert (tmp_path / "lib" / f.name).read_bytes() == f.read_bytes()
+        assert_band_files_equal(path, tmp_path / "lib" / "manifest.json")
+
+
+def assert_band_files_equal(manifest_a, manifest_b):
+    """Every band file of two manifests holds the same bytes."""
+    (_, a), (_, b) = read_manifest(manifest_a), read_manifest(manifest_b)
+    for band in BandId:
+        assert a[band].read_bytes() == b[band].read_bytes(), band
 
 
 class TestRows:
@@ -569,9 +576,6 @@ class TestWindows:
             assert np.array_equal(bits(block[BandId.B12]), bits(ref.planes[BandId.B12][r0:r1]))
 
 
-SHUFFLED_ORDER = tuple(FEATURE_ORDER[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5))
-
-
 class TestLoadedWindowsAndFeatures:
     @pytest.mark.parametrize("h,w", [(2, 2), (2, 40), (22, 18)])
     @pytest.mark.parametrize("window_rows", [1, 3])
@@ -597,13 +601,13 @@ class TestLoadedWindowsAndFeatures:
             assert np.array_equal(bits(whole[b]), bits(ref.planes[b]))
 
     @pytest.mark.parametrize("h,w", [(2, 2), (6, 40), (22, 18)])
-    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER, (BandId.B12, BandId.B3),
-                                       (BandId.B4,), (BandId.B8A, BandId.B5)])
-    def test_any_order_and_where_bitwise_equal_to_whole_plane_load(self, tmp_path, rng,
-                                                                   monkeypatch, h, w, order):
+    @pytest.mark.parametrize("bands", [FEATURE_ORDER, (BandId.B12, BandId.B3), (BandId.B4,),
+                                       (BandId.B8A, BandId.B5)])
+    def test_any_bands_and_where_bitwise_equal_to_whole_plane_load(self, tmp_path, rng,
+                                                                   monkeypatch, h, w, bands):
         # The exact path of ``mlp.threshold_planes`` reads its inputs so: in
-        # the model's feature order, in the windows of ``float32_sums`` that
-        # its per-row ``where`` keeps.
+        # ``FEATURE_ORDER``, in the windows of ``float32_sums`` that its
+        # per-row ``where`` keeps; NDWI reads two bands so.
         path = write_dn_scene(
             tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
         )
@@ -616,53 +620,64 @@ class TestLoadedWindowsAndFeatures:
             for name, where in wheres.items():
                 want = [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)
                         if where is None or where[r0 : r0 + rows].any()]
-                screened = s.float32_sums(np.ones((1, len(order))), order, where)
+                screened = s.float32_sums(np.ones((1, 10)), where)
                 assert [(r0, r1) for r0, r1, *_ in screened] == want, (rows, name)
-                got = list(s.windows(order, where))
+                got = list(s.windows(bands, where))
                 assert [(r0, r1) for r0, r1, _ in got] == want, (rows, name)
                 for r0, r1, block in got:
-                    assert list(block) == list(order)
-                    for b in order:
+                    assert list(block) == list(bands)
+                    for b in bands:
                         assert np.array_equal(bits(block[b]), bits(ref.planes[b][r0:r1])), (
                             rows, name, b, r0, r1)
 
 
+# DN ranges by band: the error bound scales with the window's peak, so a
+# dark scene, or one bright only at one resolution, is held to a tighter
+# bound for the other bands' terms than a full-range one.
+DN_RANGES = {
+    "full range": lambda b: 65536,
+    "dark": lambda b: 1200,
+    "bright 20 m": lambda b: 65536 if b.native_resolution_m == 20 else 300,
+    "bright 10 m": lambda b: 300 if b.native_resolution_m == 20 else 65536,
+}
+
+
 class TestFloat32Sums:
     @pytest.mark.parametrize("h,w", [(2, 2), (6, 40), (22, 18)])
-    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER, (BandId.B12, BandId.B3),
-                                       (BandId.B4,), (BandId.B8A, BandId.B5)])
+    @pytest.mark.parametrize("dn_range", list(DN_RANGES))
     def test_within_their_rounding_of_the_folded_reference(self, tmp_path, rng, monkeypatch,
-                                                           h, w, order):
+                                                           h, w, dn_range):
+        top = DN_RANGES[dn_range]
         path = write_dn_scene(
-            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+            tmp_path, h, w, lambda b, shape: rng.integers(0, top(b), size=shape, dtype=np.uint16)
         )
         loaded = load_band_stack(path)
         in_memory = BandStack(width=w, height=h, pixel_size=10.0,
                               planes=loaded.rows(0, h))
-        weights = rng.normal(size=(3, len(order)))
+        weights = rng.normal(size=(3, 10))
         weights[0], weights[1] = -abs(weights[0]), abs(weights[1])  # sums of either sign
-        # At most len(order) + 6 float32 roundings per term, each term at
-        # most |w_jk| * peak in magnitude.
-        n = len(order) + 6
+        # At most 16 float32 roundings per term, each term at most
+        # |w_jk| * peak in magnitude.
+        n = 16
         gamma = n * 2.0**-24 / (1 - n * 2.0**-24)
-        folded = ref_folded_sums(weights, order, path)
+        folded = ref_folded_sums(weights, path)
         assert (folded < 0).any() and (folded > 0).any()
         # Windows of every height, each read alone or in groups of windows.
         wheres = {"all": None, "every third row": np.arange(h) % 3 == 0,
                   "last row": np.arange(h) == h - 1}
         for s, want in [(loaded, folded),
-                        (in_memory, np.einsum("jk,khw->jhw", weights,
-                                              np.stack([in_memory.planes[b] for b in order])))]:
+                        (in_memory, np.einsum("jk,khw->jhw", weights, np.stack(
+                            [in_memory.planes[b] for b in FEATURE_ORDER])))]:
             for rows in range(1, h + 1):
                 monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
                 for name, where in wheres.items():
                     spans = [(r0, r1) for r0, r1, _ in s.windows((), where)]
                     got = [(r0, r1, z.copy(), peak)
-                           for r0, r1, z, peak in s.float32_sums(weights, order, where)]
+                           for r0, r1, z, peak in s.float32_sums(weights, where)]
                     assert [(r0, r1) for r0, r1, *_ in got] == spans
                     for r0, r1, z, peak in got:
                         assert z.dtype == np.float32 and z.shape == (3, r1 - r0, w)
-                        assert peak >= max(np.abs(v).max() for v in s.rows(r0, r1, order).values())
+                        assert peak >= max(np.abs(v).max() for v in s.rows(r0, r1).values())
                         bound = gamma * peak * np.abs(weights).sum(axis=1)
                         err = np.abs(z - want[:, r0:r1]).reshape(3, -1).max(axis=1)
                         assert (err <= bound).all(), (rows, name, r0, r1, err, bound)
@@ -696,10 +711,9 @@ class TestFloat32Sums:
 
     def test_bad_weights_rejected(self, tmp_path):
         s = load_band_stack(write_dn_scene(tmp_path, 6, 4, lambda b, shape: np.zeros(shape)))
-        for w, order in [(np.zeros((2, 9)), FEATURE_ORDER), (np.zeros(10), FEATURE_ORDER),
-                         (np.zeros((2, 0)), ())]:
+        for w in [np.zeros((2, 9)), np.zeros(10), np.zeros((2, 0)), np.zeros((2, 11))]:
             with pytest.raises(ValueError, match="weights"):
-                next(s.float32_sums(w, order))
+                next(s.float32_sums(w))
 
     @pytest.mark.parametrize("value", [2.0**64 * 1.01, 1e38, 1e300])
     def test_leave_values_beyond_their_peak_uncast(self, rng, monkeypatch, value):
@@ -712,7 +726,7 @@ class TestFloat32Sums:
             warnings.simplefilter("error")
             got = [(r0, z is None, peak) for r0, _, z, peak in s.float32_sums(np.ones((2, 10)))]
         assert [(r0, none) for r0, none, _ in got] == [(0, False), (3, True), (6, False)]
-        assert got[1][2] == value
+        assert got[1][2] == np.inf
         assert bandstack._FLOAT32_PEAK < value
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
@@ -742,12 +756,18 @@ class TestFloat32Sums:
 
     @pytest.mark.parametrize("band", [BandId.B3, BandId.B11], ids=["10m", "20m"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_in_memory_rows_name_their_band(self, rng, bad, band):
-        planes = {b: rng.uniform(0, 1.5, size=(3, 4)) for b in BandId}
-        s = BandStack(width=4, height=3, pixel_size=10.0, planes=planes)
-        planes[band][2, 3] = bad  # written after the stack checked its planes
-        with pytest.raises(ValueError, match=f"band {band.value} rows are not finite"):
-            list(s.float32_sums(np.ones((2, 10))))
+    def test_non_finite_in_memory_rows_left_uncast(self, rng, monkeypatch, bad, band):
+        # ``mlp.threshold_planes`` scores such a window exactly, and
+        # ``forward_batch`` rejects the value there.
+        planes = {b: rng.uniform(0, 1.5, size=(6, 4)) for b in BandId}
+        s = BandStack(width=4, height=6, pixel_size=10.0, planes=planes)
+        planes[band][5, 3] = bad  # written after the stack checked its planes
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [(r0, z is None, peak) for r0, _, z, peak in s.float32_sums(np.ones((2, 10)))]
+        assert [(r0, none) for r0, none, _ in got] == [(0, False), (3, True)]
+        assert got[0][2] <= 1.5 and got[1][2] == np.inf
 
 
 class TestFeatures:
@@ -771,13 +791,11 @@ class TestFeatures:
         # unsorted, repeated, both image edges, and rows in windows 0, 2, 4 and 7
         rows = np.array([29, 0, 9, 17, 0, 9, 29, 16, 0, 28])
         cols = np.array([13, 0, 5, 2, 0, 5, 0, 13, 7, 6])
-        order = (BandId.B11, BandId.B2, BandId.B8A)
-        for bands in (FEATURE_ORDER, order):
-            got = s.features(rows, cols, bands)
-            want = np.stack([ref.planes[b][rows, cols] for b in bands], axis=1)
-            assert got.shape == (len(rows), len(bands)) and got.dtype == np.float64
-            assert np.array_equal(bits(got), bits(want))
-        assert reads == [(0, 4), (8, 12), (16, 20), (28, 30)] * 2
+        got = s.features(rows, cols)
+        want = np.stack([ref.planes[b][rows, cols] for b in FEATURE_ORDER], axis=1)
+        assert got.shape == (len(rows), 10) and got.dtype == np.float64
+        assert np.array_equal(bits(got), bits(want))
+        assert reads == [(0, 4), (8, 12), (16, 20), (28, 30)]
 
     def test_in_memory_features_equal_plane_gather(self, rng):
         planes = {b: rng.uniform(0, 1, size=(9, 5)) for b in BandId}

@@ -63,22 +63,20 @@ def random_stack(rng, h, w):
     return BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
 
 
-def scaled_model(layers, seed, scale, feature_order=FEATURE_ORDER):
+def scaled_model(layers, seed, scale):
     """Seeded random model; a large ``scale`` drives units into saturation."""
-    m = init_model(layers, seed=seed, feature_order=feature_order)
+    m = init_model(layers, seed=seed)
     return MlpModel(m.layer_sizes, tuple(scale * w for w in m.weights),
-                    tuple(scale * b for b in m.biases), m.feature_order)
+                    tuple(scale * b for b in m.biases))
 
 
-SHUFFLED_ORDER = tuple(FEATURE_ORDER[i] for i in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5))
-
-# (layers, seed, weight scale, feature order)
+# (layers, seed, weight scale)
 SCORING_MODELS = [
-    ((10, 2, 1), 1, 1.0, FEATURE_ORDER),
-    ((10, 8, 3), 2, 1.0, FEATURE_ORDER),
-    ((10, 8, 3), 3, 40.0, SHUFFLED_ORDER),
-    ((10, 2, 1), 4, 400.0, FEATURE_ORDER),
-    ((10, 8, 1), 3, 40.0, FEATURE_ORDER),
+    ((10, 2, 1), 1, 1.0),
+    ((10, 8, 3), 2, 1.0),
+    ((10, 8, 3), 3, 40.0),
+    ((10, 2, 1), 4, 400.0),
+    ((10, 8, 1), 3, 40.0),
 ]
 
 
@@ -140,13 +138,14 @@ class TestOneRowBatch:
                                        thr=np.nextafter(scores[i], 1.0))
             assert at.counts[1, 1] == 1 and above.counts[1, 0] == 1
 
-    @pytest.mark.parametrize("order", [FEATURE_ORDER, SHUFFLED_ORDER])
-    def test_sums_in_python_floats(self, order):
+    @pytest.mark.parametrize("layers,seed,scale", [((10, 8, 3), 3, 40.0), ((10, 2, 1), 1, 1.0),
+                                                   ((10, 8, 1), 3, 40.0)])
+    def test_sums_in_python_floats(self, layers, seed, scale):
         # Pins the summation order in plain Python floats: every unit sums
         # its terms in feature order, then adds its bias,
         # (((w_0 x_0 + w_1 x_1) + w_2 x_2) ...) + b. Another order changes
-        # last bits here.
-        m = scaled_model((10, 8, 3), 3, 40.0, order)
+        # last bits of the (10, 8, 3) model here.
+        m = scaled_model(layers, seed, scale)
         x = np.random.default_rng(1).uniform(0.0, 1.5, size=(6, 10))
 
         def units(w, b, a):
@@ -276,12 +275,12 @@ def block_scores(monkeypatch):
 
 @pytest.mark.usefixtures("block_pixels")
 class TestThresholdPlanes:
-    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
     def test_forward_batch_rows_match_whole_batch_reference(self, rng, layers, seed,
-                                                            scale, order):
+                                                            scale):
         # Row blocks rely on this: a row's outputs do not depend on which
         # other rows share its batch.
-        m = scaled_model(layers, seed, scale, order)
+        m = scaled_model(layers, seed, scale)
         x = rng.uniform(0.0, 1.5, size=(3 * BLOCK + 17, 10))
         want = ref_forward_batch(m, x)
         for lo, hi in [(0, BLOCK), (BLOCK, 2 * BLOCK + 5),
@@ -290,13 +289,13 @@ class TestThresholdPlanes:
         pick = np.sort(rng.choice(len(x), size=5000, replace=False))
         assert np.array_equal(bits(forward_batch(m, x[pick])), bits(want[pick]))
 
-    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
     @pytest.mark.parametrize("shape", [(50, 700), (1, 20000), (2 * BLOCK + 9, 1),
                                        (BLOCK + 1, 1), (1, 1), (7, 3)])
-    def test_matches_whole_image_reference(self, rng, layers, seed, scale, order, shape):
-        m = scaled_model(layers, seed, scale, order)
+    def test_matches_whole_image_reference(self, rng, layers, seed, scale, shape):
+        m = scaled_model(layers, seed, scale)
         stack = random_stack(rng, *shape)
-        x = np.stack([stack.planes[b] for b in order], axis=-1).reshape(-1, 10)
+        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
         scores = ref_forward_batch(m, x)
         for out_index in range(m.n_out):
             # Thresholds equal to actual scores put pixels exactly on the
@@ -307,10 +306,10 @@ class TestThresholdPlanes:
                 assert got.shape == shape and got.dtype == bool
                 assert np.array_equal(got, ref_whole_image_mask(m, stack.planes, out_index, thr))
 
-    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
-    def test_where_matches_gather_reference(self, rng, layers, seed, scale, order):
+    @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
+    def test_where_matches_gather_reference(self, rng, layers, seed, scale):
         h, w = 203, 512  # not a multiple of the 32-row block size
-        m = scaled_model(layers, seed, scale, order)
+        m = scaled_model(layers, seed, scale)
         stack = random_stack(rng, h, w)
         few = np.zeros((h, w), dtype=bool)
         few[40, 7] = few[41, 500] = few[150:152, 100:300] = few[202, :] = True
@@ -332,7 +331,7 @@ class TestThresholdPlanes:
         # scorer: the stack handed to threshold_planes cannot be built.
         m = init_model((10, 2, 1), seed=0)
         planes = {b: rng.uniform(0.0, 1.5, size=(4, 5)) for b in BandId}
-        planes[m.feature_order[3]] = rng.uniform(size=odd_shape)
+        planes[FEATURE_ORDER[3]] = rng.uniform(size=odd_shape)
         with pytest.raises(DimensionError, match="shape"):
             threshold_planes(m, BandStack(width=5, height=4, pixel_size=10.0,
                                           planes=planes), 0, 0.5)
@@ -343,7 +342,7 @@ class TestThresholdPlanes:
         m = scaled_model((10, 8, 3), 5, 40.0)
         h, w = 100, 300
         stack = random_stack(rng, h, w)
-        x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
         scores = ref_forward_batch(m, x)[:, 2].reshape(h, w)
         where = rng.random((h, w)) < 0.5
         for r, c in [(0, 0), (57, 123), (99, 299)]:
@@ -366,12 +365,12 @@ class TestThresholdPlanes:
         threshold_planes(m, stack, 0, 0.5, where=where)
         assert batch_sizes == [BLOCK, BLOCK]
 
-    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
     def test_one_pixel_tail_block_scores_like_the_reference(self, rng, block_scores,
-                                                            layers, seed, scale, order):
-        m = scaled_model(layers, seed, scale, order)
+                                                            layers, seed, scale):
+        m = scaled_model(layers, seed, scale)
         stack = random_stack(rng, BLOCK + 1, 1)
-        x = np.stack([stack.planes[b] for b in order], axis=-1).reshape(-1, 10)
+        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
         want = ref_forward_batch(m, x)
         thr = want[-1, -1]
         got = threshold_planes(m, stack, m.n_out - 1, thr)
@@ -386,7 +385,7 @@ class TestThresholdPlanes:
 
         m = scaled_model(layers, 3, 40.0)
         stack = random_stack(rng, 69, 1)
-        x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
         whole = forward_batch(m, x)
         assert np.array_equal(bits(whole), bits(ref_forward_batch(m, x)))
         for i in range(len(x)):
@@ -404,12 +403,12 @@ class TestThresholdPlanes:
     def test_unequal_blocks_score_like_the_whole_image(self, rng, block_scores):
         # Ten rows of 5461 pixels make blocks of 3, 3, 3 and 1 rows: a
         # shorter block follows taller ones in the same buffers.
-        m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
+        m = scaled_model((10, 8, 3), 3, 40.0)
         h, w = 10, BLOCK // 3
         stack = random_stack(rng, h, w)
         threshold_planes(m, stack, 2, 0.5)
         assert [rows for rows, _ in block_scores] == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(-1, 10)
+        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
         assert np.array_equal(bits(np.concatenate([yb for _, yb in block_scores])),
                               bits(ref_forward_batch(m, x)))
 
@@ -419,7 +418,7 @@ class TestThresholdPlanes:
         stack = random_stack(rng, h, w)
         where = np.zeros((h, w), dtype=bool)
         where[3, 10] = where[9, :] = True  # blocks 1 and 3 only
-        x = np.stack([stack.planes[b] for b in m.feature_order], axis=-1).reshape(h, w, 10)
+        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(h, w, 10)
         scores = ref_forward_batch(m, x.reshape(-1, 10))[:, 1].reshape(h, w)
         for thr in (0.5, scores[3, 10], scores[9, 77]):
             block_scores.clear()
@@ -455,18 +454,27 @@ class TestThresholdPlanes:
         forward_batch(m, x[:1])
         assert np.array_equal(bits(x), bits(x_before))
 
+    @pytest.mark.parametrize("too_large", [False, True], ids=["screened", "too-large model"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_pixel_in_scored_block_rejected(self, rng, bad):
+    def test_non_finite_pixel_in_scored_block_rejected(self, rng, bad, too_large):
+        # The float32 screen leaves such a window uncast, or a model too
+        # large to cast has every window scored exactly: either way the
+        # exact pass rejects the value.
         m = init_model((10, 2, 1), seed=0)
+        if too_large:
+            w1 = m.weights[0].copy()
+            w1[1, 4] = 1e39
+            m = MlpModel(m.layer_sizes, (w1, m.weights[1]), m.biases)
+        assert (mlp._float32_net(m, 0) is None) == too_large
         h, w = 10, BLOCK // 3
         stack = random_stack(rng, h, w)
         # Written after the stack checked its planes; in the third block, rows 6-8.
         stack.planes[BandId.B11][8, 5] = bad
-        with pytest.raises(ValueError, match="band B11 rows are not finite"):
+        with pytest.raises(ValueError, match="inputs must be finite"):
             threshold_planes(m, stack, 0, 0.5)
         where = np.zeros((h, w), dtype=bool)
         where[7, 0] = True
-        with pytest.raises(ValueError, match="band B11 rows are not finite"):
+        with pytest.raises(ValueError, match="inputs must be finite"):
             threshold_planes(m, stack, 0, 0.5, where=where)
         # A block that holds no ``where`` pixel is neither scored nor checked.
         where[7, 0], where[0, 0] = False, True
@@ -502,13 +510,12 @@ class TestLoadedStackScoring:
     upsampled features: they equal ``ref_whole_image_mask`` of its loaded
     planes, bitwise."""
 
-    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
     @pytest.mark.parametrize("shape", [(6, BLOCK + 34), (10, BLOCK // 3 - 1),
                                        (50, 700), (2, 2)],
                              ids=["1-row", "3-row", "23-row", "2x2"])
-    def test_matches_whole_image_reference(self, rng, tmp_path, layers, seed, scale, order,
-                                           shape):
-        m = scaled_model(layers, seed, scale, order)
+    def test_matches_whole_image_reference(self, rng, tmp_path, layers, seed, scale, shape):
+        m = scaled_model(layers, seed, scale)
         stack, _ = saved_random_stack(rng, tmp_path, *shape)
         planes = stack.rows(0, stack.height)  # each built once
         scores = exact_scores(m, stack)
@@ -521,7 +528,7 @@ class TestLoadedStackScoring:
                 assert np.array_equal(got, ref_whole_image_mask(m, planes, out_index, thr))
 
     def test_where_windows_skipped(self, rng, tmp_path, block_scores):
-        m = scaled_model((10, 8, 3), 3, 40.0, SHUFFLED_ORDER)
+        m = scaled_model((10, 8, 3), 3, 40.0)
         h, w = 12, BLOCK // 3 - 1  # windows of rows 0-2, 3-5, 6-8, 9-11
         stack, _ = saved_random_stack(rng, tmp_path, h, w)
         where = np.zeros((h, w), dtype=bool)
@@ -560,14 +567,14 @@ class TestLoadedStackScoring:
         assert not threshold_planes(m, stack, 0, np.nan).any()
         assert len(scaled) == 4 * len(BandId)
 
-    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS)
+    @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
     def test_scores_bitwise_equal_to_forward_batch_of_features(self, rng, tmp_path, block_scores,
-                                                              layers, seed, scale, order):
-        m = scaled_model(layers, seed, scale, order)
+                                                              layers, seed, scale):
+        m = scaled_model(layers, seed, scale)
         h, w = 50, 700
         stack, _ = saved_random_stack(rng, tmp_path, h, w)
         rows, cols = np.indices((h, w)).reshape(2, -1)
-        want = forward_batch(m, stack.features(rows, cols, order))
+        want = forward_batch(m, stack.features(rows, cols))
         for out_index in range(m.n_out):
             thr = want[rng.integers(0, len(want)), out_index]  # a pixel on the boundary
             block_scores.clear()
@@ -579,8 +586,8 @@ class TestLoadedStackScoring:
 def exact_scores(m, stack):
     """(H, W, n_out) exact scores: ``ref_forward_batch`` of the features of
     a stack's planes (of a loaded stack, its upsampled planes)."""
-    planes = stack.rows(0, stack.height, m.feature_order)
-    x = np.stack([planes[b] for b in m.feature_order], axis=-1)
+    planes = stack.rows(0, stack.height)
+    x = np.stack([planes[b] for b in FEATURE_ORDER], axis=-1)
     return ref_forward_batch(m, x.reshape(-1, m.n_in)).reshape(stack.height, stack.width, -1)
 
 
@@ -627,8 +634,8 @@ class TestFloat32Bound:
     def test_float32_scores_within_the_bound(self, model, loaded, shape, window_rows, data):
         h, w = 2 * shape[0], 2 * shape[1]
         x = data.draw(arrays(np.float64, (10, h, w), elements=REFLECTANCES))
-        layers, seed, scale, order = model
-        m = scaled_model(layers, seed, scale, order)
+        layers, seed, scale = model
+        m = scaled_model(layers, seed, scale)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(bandstack, "_BLOCK_PIXELS", window_rows * w)
             stack = small_stack(x, tmp, loaded)
@@ -645,8 +652,8 @@ class TestFloat32Bound:
         dn = {b: data.draw(arrays(np.uint16, (h, w) if b.native_resolution_m == 10
                                   else (h // 2, w // 2), elements=DIGITAL_NUMBERS))
               for b in BandId}
-        layers, seed, scale, order = model
-        m = scaled_model(layers, seed, scale, order)
+        layers, seed, scale = model
+        m = scaled_model(layers, seed, scale)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(bandstack, "_BLOCK_PIXELS", window_rows * w)
             path = write_dn_scene(tmp, h, w, lambda b, shape: dn[b])
@@ -668,12 +675,12 @@ class TestFloat32Bound:
         w1, b1 = m.weights[0].copy(), m.biases[0].copy()
         w1[:4] *= 400.0
         b1[:4] *= 400.0
-        m = MlpModel(m.layer_sizes, (w1, m.weights[1]), (b1, m.biases[1]), m.feature_order)
+        m = MlpModel(m.layer_sizes, (w1, m.weights[1]), (b1, m.biases[1]))
         h, w = 12, 6
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)  # windows of 3 rows
         stack = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), tmp_path, loaded)
-        planes = stack.rows(0, h, m.feature_order)
-        z = np.stack([planes[b] for b in m.feature_order], axis=-1) @ w1.T + b1
+        planes = stack.rows(0, h)
+        z = np.stack([planes[b] for b in FEATURE_ORDER], axis=-1) @ w1.T + b1
         assert (z[..., :4] > 89).any() and (z[..., :4] < -89).any()
         scores = exact_scores(m, stack)[..., 2]
         flat = np.sort(scores.reshape(-1))
@@ -690,11 +697,11 @@ class TestFloat32Bound:
             assert rescored == []
 
     @pytest.mark.parametrize("loaded", [False, True])
-    @pytest.mark.parametrize("layers,seed,scale,order", SCORING_MODELS[:3])
+    @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS[:3])
     def test_threshold_at_an_exact_score_rescores_that_window(self, rng, tmp_path, monkeypatch,
                                                              rescored, loaded, layers, seed,
-                                                             scale, order):
-        m = scaled_model(layers, seed, scale, order)
+                                                             scale):
+        m = scaled_model(layers, seed, scale)
         h, w = 12, 6
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)  # windows of 3 rows
         stack = small_stack(rng.uniform(0.0, 1.5, size=(10, h, w)), tmp_path, loaded)
@@ -752,7 +759,7 @@ class TestFloat32Bound:
         m = scaled_model((10, 8, 3), 2, 1.0)
         w1 = m.weights[0].copy()
         w1[3, 4] = 1e39
-        m = MlpModel(m.layer_sizes, (w1, m.weights[1]), m.biases, m.feature_order)
+        m = MlpModel(m.layer_sizes, (w1, m.weights[1]), m.biases)
         assert mlp._float32_net(m, 2) is None
         h, w = 12, 6
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
@@ -781,10 +788,13 @@ class TestFloat32Bound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = threshold_planes(m, stack, 0, 0.5)
-            sums = [(r0, z is None) for r0, _, z, _ in stack.float32_sums(np.ones((2, 10)))]
+            sums = [(r0, z is None, peak)
+                    for r0, _, z, peak in stack.float32_sums(np.ones((2, 10)))]
         assert np.array_equal(got, exact_scores(m, stack)[..., 0] >= 0.5)
         assert rescored == [(6, 9)]
-        assert sums == [(0, False), (3, False), (6, True), (9, False)]
+        assert [(r0, none) for r0, none, _ in sums] == [(0, False), (3, False), (6, True),
+                                                        (9, False)]
+        assert sums[2][2] == np.inf
 
     @pytest.mark.parametrize("band", [BandId.B4, BandId.B8A])
     def test_screen_never_scales_a_loaded_band(self, rng, tmp_path, monkeypatch, band):
@@ -1048,12 +1058,27 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="mismatch"):
             load_model(tmp_path / "bad.mlp")
 
-    def test_missing_band_in_feature_order_rejected(self, tmp_path):
+    def test_features_line_lists_feature_order(self, tmp_path):
+        save_model(init_model((10, 2, 1), seed=0), tmp_path / "m.mlp")
+        lines = (tmp_path / "m.mlp").read_text().splitlines()
+        assert lines[2] == "features B2 B3 B4 B5 B6 B7 B8 B8A B11 B12"
+        assert lines[2].split()[1:] == [b.value for b in FEATURE_ORDER]
+
+    @pytest.mark.parametrize("line", [
+        "features B2 B3 B4 B5 B6 B7 B8 B8 B11 B12",  # a band missing, one twice
+        "features B3 B2 B4 B5 B6 B7 B8 B8A B11 B12",  # permuted
+        "features B12 B11 B8A B8 B7 B6 B5 B4 B3 B2",  # reversed
+        "features B2 B3 B4 B5 B6 B7 B8 B8A B11",  # nine bands
+        "features B2 B3 B4 B5 B6 B7 B8 B8A B11 B12 B1",
+    ])
+    def test_other_features_line_rejected(self, tmp_path, line):
         m = init_model((10, 2, 1), seed=0)
         save_model(m, tmp_path / "m.mlp")
-        text = (tmp_path / "m.mlp").read_text().replace(" B11", " B8")
-        (tmp_path / "bad.mlp").write_text(text)
-        with pytest.raises(ModelFormatError, match="feature order"):
+        lines = (tmp_path / "m.mlp").read_text().splitlines()
+        lines[2] = line
+        (tmp_path / "bad.mlp").write_text("\n".join(lines) + "\n")
+        want = "expected the line 'features B2 B3 B4 B5 B6 B7 B8 B8A B11 B12'"
+        with pytest.raises(ModelFormatError, match=want):
             load_model(tmp_path / "bad.mlp")
 
     def test_unknown_activation_rejected(self, tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from raftcensus import (
+    FEATURE_ORDER,
     BandId,
     MlpModel,
     MlpWater,
@@ -207,7 +208,7 @@ class TestWaterMaskMlp:
 
     def test_matches_whole_image_reference(self, water_model, rng):
         stack, _ = generate_synthetic_scene(SynthParams(width=97, height=130, raft_count=5, seed=13))
-        x = np.stack([stack.planes[b] for b in water_model.feature_order], axis=-1)
+        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1)
         scores = ref_forward_batch(water_model, x.reshape(-1, 10))[:, 2]
         for thr in [0.5, 0.9, *scores[rng.integers(0, len(scores), size=4)]]:
             assert np.array_equal(
