@@ -23,7 +23,11 @@ weights. It sums the 20 m terms of each unit at native resolution and
 upsamples that one sum, not each 20 m band, with the same upsampler.
 Every window reads the 20 m rows under it, with their one-row halo,
 once. Bands are summed in ``FEATURE_ORDER``, the one order of every
-model's inputs.
+model's inputs. ``BandStack.dn_rows`` hands out the digital numbers of
+10 m bands themselves, as read; the NDWI of a loaded stack is binned
+from them (``waterdetect.water_mask_ndwi``). An in-memory stack has no
+digital numbers: its ``dn_rows`` gives None, and its readers take
+``rows``.
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
@@ -145,7 +149,8 @@ class BandStack:
     ``planes`` maps every band to a float64 plane of shape (height,
     width), row-major, finite and non-negative. A stack from
     ``load_band_stack`` holds its private band reader there instead, read
-    only through ``rows``, ``windows``, ``float32_sums`` and ``features``;
+    only through ``rows``, ``windows``, ``dn_rows``, ``float32_sums`` and
+    ``features``;
     a whole band is ``rows(0, height, (band,))``. Census stages walk a
     stack through ``windows``, which sets the window size. Treat
     instances as immutable.
@@ -190,11 +195,35 @@ class BandStack:
         one-row halo: every value is bitwise equal to ``resample_plane``
         of the whole scaled band.
         """
-        if not 0 <= r0 < r1 <= self.height:
-            raise ValueError(f"row window [{r0}, {r1}) is not within [0, {self.height})")
+        self._check_window(r0, r1)
         if isinstance(self.planes, _DnPlanes):
             return self.planes.window(r0, r1, bands)
         return {b: np.asarray(self.planes[b][r0:r1], dtype=np.float64) for b in bands}
+
+    def dn_rows(
+        self, r0: int, r1: int, bands: Iterable[BandId]
+    ) -> dict[BandId, np.ndarray] | None:
+        """The digital numbers (DN) of rows r0..r1-1 of the 10 m ``bands``
+        of a loaded stack, as read from its band files: (r1 - r0, width)
+        big-endian uint16 arrays, new on every call. A pixel's reflectance
+        in ``rows`` is its DN / DN_SCALE, divided in float64.
+
+        An in-memory stack holds reflectances, not digital numbers: it
+        gives None, and its reader takes ``rows``. 20 m bands have no DN on
+        the 10 m grid (``rows`` upsamples them) and raise ValueError.
+        """
+        self._check_window(r0, r1)
+        bands = tuple(bands)
+        coarse = [b.value for b in bands if b.native_resolution_m != 10]
+        if coarse:
+            raise ValueError(f"no 10 m digital numbers for 20 m bands {', '.join(coarse)}")
+        if not isinstance(self.planes, _DnPlanes):
+            return None
+        return {b: self.planes.rasters[b].dn_rows(r0, r1) for b in bands}
+
+    def _check_window(self, r0: int, r1: int) -> None:
+        if not 0 <= r0 < r1 <= self.height:
+            raise ValueError(f"row window [{r0}, {r1}) is not within [0, {self.height})")
 
     def windows(self, bands: Iterable[BandId] = FEATURE_ORDER, where=None) -> Iterator:
         """Yield ``(r0, r1, self.rows(r0, r1, bands))`` for consecutive row

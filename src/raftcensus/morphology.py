@@ -5,6 +5,20 @@ over k pixels along each row, then the same along each column. Pixels
 outside the image count as background (False) in both passes, so
 erode/dilate duality holds only on the image interior at distance >= the
 element radius from the border.
+
+Both passes run on bit-packed rows. Each mask row is packed into
+little-endian ``uint64`` words, ``ceil(width / 64)`` per row: pixel c of
+a row is bit c % 64 of word c // 64, so a word's bits run left to right
+from least to most significant (``np.packbits(..., bitorder="little")``,
+viewed as ``"<u8"``, which holds on any host). The bits of the last word
+past the width are pad bits, and they are zero after every pass: pad
+bits read as outside pixels, which are False. The row pass shifts each
+row's words by up to the element radius, carrying bits across word
+boundaries, and ANDs (erosion) or ORs (dilation) the shifted rows; a
+dilation then clears the pad bits it set. The column pass ANDs or ORs
+whole word rows. Each public call packs its input once and unpacks its
+result once; ``opening``, ``closing`` and ``bottom_hat`` run all their
+steps on the words.
 """
 
 from __future__ import annotations
@@ -24,6 +38,8 @@ __all__ = [
     "closing",
     "bottom_hat",
 ]
+
+_WORD = 64
 
 
 @dataclass(frozen=True)
@@ -53,51 +69,96 @@ def square(k: int) -> StructElem:
     return StructElem(k)
 
 
-def _as_mask(m) -> np.ndarray:
+def _pack(m) -> tuple[np.ndarray, int]:
+    """(words, width): the 2-D mask ``m`` (any nonzero value is True) as
+    (height, ceil(width / 64)) little-endian uint64 words, pad bits zero."""
     a = np.asarray(m)
     if a.ndim != 2:
         raise DimensionError(f"mask must be 2-D, got shape {a.shape}")
-    return a.astype(bool, copy=False)
+    packed = np.packbits(a.astype(bool, copy=False), axis=1, bitorder="little")
+    pad = -packed.shape[1] % (_WORD // 8)
+    if pad:
+        packed = np.concatenate([packed, np.zeros((len(packed), pad), np.uint8)], axis=1)
+    return np.ascontiguousarray(packed).view("<u8"), a.shape[1]
 
 
-def _square_filter(m, se: StructElem, erode: bool) -> np.ndarray:
-    """AND (erode) or OR (dilate) over the se-square around each pixel: a
-    1-D pass along rows into a scratch mask, then one along columns (through
-    transposed views) into the result. Outside pixels are False."""
-    op = np.logical_and if erode else np.logical_or
-    m = _as_mask(m)
-    rows, out = np.empty_like(m), np.empty_like(m)
-    r = se.radius
-    for src, dst in ((m, rows), (rows.T, out.T)):
-        np.copyto(dst, src)
-        for d in range(1, r + 1):
-            op(dst[:, d:], src[:, :-d], out=dst[:, d:])
-            op(dst[:, :-d], src[:, d:], out=dst[:, :-d])
-        if erode:
-            dst[:, :r] = False
-            dst[:, dst.shape[1] - r :] = False
+def _unpack(words: np.ndarray, width: int) -> np.ndarray:
+    """The (height, width) bool mask of ``words``."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=width,
+                         bitorder="little").view(bool)
+
+
+def _shifted_op(dst: np.ndarray, src: np.ndarray, d: int, op) -> None:
+    """dst op= src shifted along rows so that pixel c reads pixel c - d
+    (d may be negative); pixels shifted in from outside are False."""
+    q, s = divmod(abs(d), _WORD)
+    n = src.shape[1]
+    q = min(q, n)  # the first (d > 0) or last q words read only outside pixels
+    if d > 0:  # bits move toward higher pixels: left shifts
+        head, body, carry = dst[:, :q], dst[:, q:], src[:, : n - q]
+        shifted = carry << s
+        if s:
+            shifted[:, 1:] |= carry[:, :-1] >> (_WORD - s)
+    else:
+        head, body, carry = dst[:, n - q :], dst[:, : n - q], src[:, q:]
+        shifted = carry >> s
+        if s:
+            shifted[:, :-1] |= carry[:, 1:] << (_WORD - s)
+    op(body, shifted, out=body)
+    if op is np.bitwise_and:
+        head[:] = 0
+
+
+def _filter(words: np.ndarray, width: int, r: int, erode: bool) -> np.ndarray:
+    """AND (erode) or OR (dilate) of ``words`` over the (2r + 1)-square
+    around each pixel: a row pass into a new array, then a column pass
+    into another. Pad bits stay zero; outside pixels are False."""
+    op = np.bitwise_and if erode else np.bitwise_or
+    rows = words.copy()
+    for d in range(1, r + 1):
+        _shifted_op(rows, words, d, op)
+        _shifted_op(rows, words, -d, op)
+    if not erode and width % _WORD:
+        rows[:, -1] &= np.uint64((1 << (width % _WORD)) - 1)  # clear the pad bits
+    out = rows.copy()
+    for d in range(1, r + 1):
+        op(out[d:], rows[:-d], out=out[d:])
+        op(out[:-d], rows[d:], out=out[:-d])
+    if erode:
+        out[:r] = 0
+        out[len(out) - r :] = 0
     return out
 
 
 def erode(m, se: StructElem) -> np.ndarray:
     """Pixel true iff every pixel of the se-square around it is true
     (border = False)."""
-    return _square_filter(m, se, erode=True)
+    words, width = _pack(m)
+    return _unpack(_filter(words, width, se.radius, erode=True), width)
 
 
 def dilate(m, se: StructElem) -> np.ndarray:
     """Pixel true iff any pixel of the se-square around it is true."""
-    return _square_filter(m, se, erode=False)
+    words, width = _pack(m)
+    return _unpack(_filter(words, width, se.radius, erode=False), width)
 
 
 def opening(m, se: StructElem) -> np.ndarray:
     """Erosion followed by dilation; removes features smaller than se."""
-    return dilate(erode(m, se), se)
+    words, width = _pack(m)
+    r = se.radius
+    return _unpack(_filter(_filter(words, width, r, True), width, r, False), width)
+
+
+def _close(words: np.ndarray, width: int, r: int) -> np.ndarray:
+    """Dilation, then erosion, of packed ``words`` by the (2r + 1)-square."""
+    return _filter(_filter(words, width, r, False), width, r, True)
 
 
 def closing(m, se: StructElem) -> np.ndarray:
     """Dilation followed by erosion; fills gaps smaller than se."""
-    return erode(dilate(m, se), se)
+    words, width = _pack(m)
+    return _unpack(_close(words, width, se.radius), width)
 
 
 def bottom_hat(m, se: StructElem) -> np.ndarray:
@@ -106,5 +167,7 @@ def bottom_hat(m, se: StructElem) -> np.ndarray:
     On a water mask this highlights small dark holes (rafts, boats)
     as foreground on an empty background.
     """
-    m = _as_mask(m)
-    return closing(m, se) & ~m
+    words, width = _pack(m)
+    out = _close(words, width, se.radius)
+    out &= ~words
+    return _unpack(out, width)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandstack import BandId, BandStack
+from .bandstack import DN_SCALE, BandId, BandStack
 from .errors import DegenerateHistogramError, DimensionError
 from .mlp import WATER_CLASS_INDEX, MlpModel, threshold_planes
 from .morphology import StructElem, closing, erode, opening, square
@@ -148,15 +148,57 @@ def water_mask_ndwi(s: BandStack) -> np.ndarray:
     """Otsu-thresholded NDWI water mask; true where the NDWI bin exceeds t.
 
     The NDWI is binned one ``BandStack.windows`` row window at a time,
-    straight into uint8 rows; the histogram sums the windows' counts.
+    straight into uint8 rows; the histogram sums the windows' counts. An
+    in-memory stack's windows are binned from their reflectances, by
+    ``quantize_ndwi(compute_ndwi(green, nir))``.
+
+    A loaded stack's green and NIR reflectances are its digital numbers G
+    and N divided by 10000, and each of its bins equals that float64
+    route's, quantize_ndwi(compute_ndwi(G / 10000, N / 10000)), but is
+    computed from G and N (``BandStack.dn_rows``): x = 128 (G - N) / (G +
+    N) is divided in float32, where G - N and G + N are exact (both below
+    2**24), so the quotient is x correctly rounded, within 2**-18 of it as
+    |x| <= 128, and the bin is floor(x) + 128. When x is not an integer it
+    lies at least 1 / (G + N) >= 1 / 131070 from one, so the float32
+    quotient floors to floor(x), and so does the float64 route, whose
+    value is within about 1e-13 of x + 128. When x is an integer (an exact
+    ratio such as G = N, G = 3 N, G = 0 or N = 0) the float32 quotient is
+    that integer, and when G + N = 0 it is NaN: those pixels, and only
+    those, are gathered and binned by the float64 route itself.
     """
     bins = np.empty((s.height, s.width), dtype=np.uint8)
     hist = np.zeros(NDWI_BINS, dtype=np.int64)
-    for r0, r1, block in s.windows((BandId.B3, BandId.B8)):
-        b = quantize_ndwi(compute_ndwi(block[BandId.B3], block[BandId.B8]), out=bins[r0:r1])
-        hist += np.bincount(b.reshape(-1), minlength=NDWI_BINS)
-    t = otsu_threshold(hist)
-    return bins > t
+    green_nir = (BandId.B3, BandId.B8)
+    for r0, r1, _ in s.windows(()):
+        out = bins[r0:r1]
+        dn = s.dn_rows(r0, r1, green_nir)
+        if dn is None:
+            block = s.rows(r0, r1, green_nir)
+            quantize_ndwi(compute_ndwi(block[BandId.B3], block[BandId.B8]), out=out)
+        else:
+            _dn_bins(dn[BandId.B3], dn[BandId.B8], out)
+        hist += np.bincount(out.reshape(-1), minlength=NDWI_BINS)
+    return bins > otsu_threshold(hist)
+
+
+def _dn_bins(green: np.ndarray, nir: np.ndarray, out: np.ndarray) -> None:
+    """Write the NDWI bins of the uint16 digital numbers ``green`` and
+    ``nir`` into the uint8 array ``out`` of their shape, C-contiguous (see
+    ``water_mask_ndwi``)."""
+    g = green.astype(np.float32)
+    n = nir.astype(np.float32)
+    den = g + n
+    den *= 1 / (NDWI_BINS // 2)  # (G + N) / 128, exact: a power of two
+    x = np.subtract(g, n, out=g)
+    with np.errstate(invalid="ignore"):  # 0 / 0, and the cast of its NaN
+        x /= den  # 128 (G - N) / (G + N), rounded once
+        f = np.floor(x, out=n)
+        np.add(f, NDWI_BINS // 2, out=out, casting="unsafe")
+        exact = np.flatnonzero(~(f < x))  # integer or NaN quotients
+    if len(exact):
+        g64 = green.reshape(-1)[exact] / DN_SCALE
+        n64 = nir.reshape(-1)[exact] / DN_SCALE
+        out.reshape(-1)[exact] = quantize_ndwi(compute_ndwi(g64, n64))
 
 
 def water_mask_mlp(

@@ -528,6 +528,42 @@ class TestRows:
         s = load_band_stack(write_dn_scene(tmp_path, 6, 4, lambda b, shape: np.zeros(shape)))
         with pytest.raises(ValueError, match="row window"):
             s.rows(r0, r1)
+        with pytest.raises(ValueError, match="row window"):
+            s.dn_rows(r0, r1, (BandId.B3,))
+
+
+class TestDnRows:
+    def test_loaded_rows_are_the_files_digital_numbers(self, tmp_path, rng):
+        h, w = 10, 6
+        path = write_dn_scene(
+            tmp_path, h, w, lambda b, shape: rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        _, paths = read_manifest(path)
+        s = load_band_stack(path)
+        tens = (BandId.B8, BandId.B2, BandId.B3, BandId.B4)
+        for r0, r1 in [(0, 1), (3, 8), (9, 10), (0, h)]:
+            got = s.dn_rows(r0, r1, tens)
+            scaled = s.rows(r0, r1, tens)
+            assert list(got) == list(tens)
+            for b in tens:
+                assert got[b].dtype.kind == "u" and got[b].dtype.itemsize == 2
+                assert np.array_equal(got[b], read_pgm16(paths[b])[r0:r1])
+                assert np.array_equal(bits(np.divide(got[b], 10000.0)), bits(scaled[b]))
+        a = s.dn_rows(2, 4, (BandId.B3,))[BandId.B3]
+        a[:] = 0  # a new array on every call
+        assert not np.array_equal(a, s.dn_rows(2, 4, (BandId.B3,))[BandId.B3])
+
+    def test_in_memory_stack_gives_none(self, rng):
+        planes = {b: rng.uniform(0, 1, size=(5, 4)) for b in BandId}
+        s = BandStack(width=4, height=5, pixel_size=10.0, planes=planes)
+        assert s.dn_rows(0, 5, (BandId.B3, BandId.B8)) is None
+
+    def test_twenty_meter_bands_rejected(self, tmp_path, rng):
+        planes = {b: rng.uniform(0, 1, size=(4, 4)) for b in BandId}
+        loaded = load_band_stack(write_dn_scene(tmp_path, 4, 4, lambda b, shape: np.ones(shape)))
+        for s in (loaded, BandStack(width=4, height=4, pixel_size=10.0, planes=planes)):
+            with pytest.raises(ValueError, match="20 m bands B5, B11"):
+                s.dn_rows(0, 2, iter((BandId.B3, BandId.B5, BandId.B11)))
 
 
 class TestWindows:

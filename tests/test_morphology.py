@@ -10,11 +10,15 @@ from oracles import ref_bottom_hat, ref_close, ref_dilate, ref_erode, ref_open
 
 SES = [square(3), square(5), square(7)]
 
+# Up to 140 columns: three 64-pixel words, so shifts carry across words.
 masks = arrays(
     dtype=bool,
-    shape=st.tuples(st.integers(4, 20), st.integers(4, 20)),
+    shape=st.tuples(st.integers(4, 20), st.integers(4, 140)),
     elements=st.booleans(),
 )
+
+OPS = [(erode, ref_erode), (dilate, ref_dilate), (opening, ref_open), (closing, ref_close),
+       (bottom_hat, ref_bottom_hat)]
 
 
 class TestStructElem:
@@ -101,6 +105,59 @@ class TestAgainstReference:
             m = rng.random((16, 16)) < 0.5
             dual = ~erode(~m, se)
             assert np.array_equal(dilate(m, se)[r:-r, r:-r], dual[r:-r, r:-r])
+
+
+class TestWordBoundaries:
+    """Rows are packed into 64-pixel words: widths on either side of one
+    and two words, against the definitional references."""
+
+    @pytest.mark.parametrize("w", [1, 2, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_random_full_and_empty_masks(self, rng, w, h, k):
+        se = square(k)
+        cases = [np.ones((h, w), bool), np.zeros((h, w), bool)]
+        cases += [rng.random((h, w)) < p for p in (0.3, 0.9)]
+        for m in cases:
+            for op, ref in OPS:
+                got = op(m, se)
+                assert got.dtype == bool and got.shape == m.shape
+                assert np.array_equal(got, ref(m, se.offsets)), (op.__name__, h, w, k)
+
+    @pytest.mark.parametrize("w", [63, 64, 65, 129])
+    def test_all_true_dilation_leaves_no_pad_bits(self, w):
+        # A dilation of an all-True mask reaches past the last column into
+        # the last word's pad bits; the erosion after it must still see the
+        # outside there as False.
+        m = np.ones((9, w), bool)
+        for k in (3, 5, 7):
+            se = square(k)
+            assert np.array_equal(closing(m, se), ref_close(m, se.offsets))
+            assert np.array_equal(erode(dilate(m, se), se), ref_close(m, se.offsets))
+            assert not bottom_hat(m, se).any()
+
+    def test_uint8_fortran_order_and_strided_inputs(self, rng):
+        for w in (5, 64, 70):
+            m = rng.random((11, w)) < 0.6
+            as_uint8 = (m * rng.integers(1, 256, size=m.shape)).astype(np.uint8)
+            fortran = np.asfortranarray(m)
+            assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+            for se in SES:
+                for op, ref in OPS:
+                    want = ref(m, se.offsets)
+                    strided = np.repeat(m, 2, axis=1)[:, ::2]
+                    for a in (as_uint8, fortran, np.asfortranarray(as_uint8), strided):
+                        got = op(a, se)
+                        assert got.dtype == bool and np.array_equal(got, want), op.__name__
+
+    def test_elements_wider_than_a_word(self, rng):
+        m = rng.random((3, 150)) < 0.97
+        se = square(131)
+        for op, ref in OPS:
+            assert np.array_equal(op(m, se), ref(m, se.offsets)), op.__name__
+        row = np.ones((1, 130), bool)
+        assert np.array_equal(dilate(row[:, :1], se), row[:, :1])
+        assert not erode(row, se).any()
 
 
 @given(masks)

@@ -18,9 +18,15 @@ from raftcensus import (
     water_mask_ndwi,
 )
 from raftcensus.errors import DegenerateHistogramError, DimensionError
-from raftcensus.waterdetect import quantize_ndwi
+from raftcensus.waterdetect import _dn_bins, quantize_ndwi
 
-from oracles import ref_forward_batch, ref_otsu, ref_whole_image_mask
+from oracles import (
+    ref_forward_batch,
+    ref_load_band_stack,
+    ref_otsu,
+    ref_whole_image_mask,
+    write_dn_scene,
+)
 
 
 def constant_model(value: float) -> MlpModel:
@@ -182,6 +188,107 @@ class TestWaterMaskNdwi:
         mask = water_mask_ndwi(stack)
         assert (mask[truth.water_mask]).mean() >= 0.99
         assert (~mask[truth.class_map == 0]).mean() >= 0.99
+
+
+def float_bins(green, nir):
+    """The NDWI bins of digital numbers by the float64 route."""
+    return quantize_ndwi(compute_ndwi(green / 10000, nir / 10000))
+
+
+def dn_bins(green, nir):
+    """``_dn_bins`` of big-endian uint16 digital numbers, as read from PGMs."""
+    out = np.empty(np.shape(green), dtype=np.uint8)
+    _dn_bins(np.asarray(green, dtype=">u2"), np.asarray(nir, dtype=">u2"), out)
+    return out
+
+
+def exact_ratio_pairs():
+    """(G, N) with 128 (G - N) / (G + N) an integer j at high DN: G = (128 +
+    j) m and N = (128 - j) m for the largest m within 16 bits, and m - 1."""
+    g, n = [], []
+    for j in range(-128, 129):
+        top = 65535 // (128 + abs(j))
+        for m in (top, top - 1):
+            g.append((128 + j) * m)
+            n.append((128 - j) * m)
+    return np.array(g), np.array(n)
+
+
+class TestDnBins:
+    """A loaded stack bins NDWI from its digital numbers in float32; every
+    bin must equal the float64 route's."""
+
+    def test_every_pair_below_1024(self):
+        g, n = np.meshgrid(np.arange(1024), np.arange(1024), indexing="ij")
+        assert np.array_equal(dn_bins(g, n), float_bins(g, n))
+
+    @pytest.mark.parametrize("dn", [0, 1, 65534, 65535])
+    def test_extreme_dn_against_every_dn(self, dn):
+        every = np.arange(65536).reshape(256, 256)
+        fixed = np.full_like(every, dn)
+        assert np.array_equal(dn_bins(every, fixed), float_bins(every, fixed))
+        assert np.array_equal(dn_bins(fixed, every), float_bins(fixed, every))
+
+    def test_exact_ratios_and_neighbours_at_high_dn(self):
+        g, n = exact_ratio_pairs()
+        want = float_bins(g, n)
+        # The float64 route does not always land on the ratio's own bin.
+        assert (want != (128 * (g - n)) // (g + n) + 128).any()
+        assert np.array_equal(dn_bins(g, n), want)
+        for dg, dn in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]:
+            gg, nn = np.clip(g + dg, 0, 65535), np.clip(n + dn, 0, 65535)
+            assert np.array_equal(dn_bins(gg, nn), float_bins(gg, nn))
+
+    def test_random_pairs(self, rng):
+        g, n = rng.integers(0, 65536, size=(2, 64, 4096))
+        assert np.array_equal(dn_bins(g, n), float_bins(g, n))
+
+    def test_loaded_scene_masks_and_histogram_equal_the_float_route(
+        self, tmp_path, rng, monkeypatch
+    ):
+        from raftcensus import bandstack, load_band_stack, waterdetect
+
+        g_ratio, n_ratio = exact_ratio_pairs()
+        extremes = np.array([0, 1, 2, 65533, 65534, 65535])
+        g_ext, n_ext = (a.ravel() for a in np.meshgrid(extremes, extremes))
+        g = np.concatenate([g_ratio, n_ratio, g_ext, rng.integers(0, 65536, 400),
+                            rng.integers(0, 3000, 400)])
+        n = np.concatenate([n_ratio, g_ratio, n_ext, rng.integers(0, 65536, 400),
+                            rng.integers(0, 3000, 400)])
+        h, w = 46, 48
+        green, nir = (np.resize(v, h * w).reshape(h, w) for v in (g, n))
+        planes = {BandId.B3: green, BandId.B8: nir}
+
+        def dn_of(band, shape):
+            return planes.get(band, rng.integers(0, 65536, size=shape))
+
+        path = write_dn_scene(tmp_path, h, w, dn_of)
+        loaded, ref = load_band_stack(path), ref_load_band_stack(path)
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 5 * w)  # several windows
+        floats = []  # pixels binned by compute_ndwi
+
+        def counted(green, nir):
+            floats.append(np.size(green))
+            return compute_ndwi(green, nir)
+
+        monkeypatch.setattr(waterdetect, "compute_ndwi", counted)
+        for t in range(255):
+            hists = []
+
+            def fixed(hist, t=t):
+                hists.append(hist.copy())
+                return t
+
+            monkeypatch.setattr(waterdetect, "otsu_threshold", fixed)
+            floats.clear()
+            got = water_mask_ndwi(loaded)
+            # Only the exact-ratio pixels take the float64 route.
+            assert 0 < sum(floats) < h * w
+            want = water_mask_ndwi(ref)
+            assert np.array_equal(got, want), t
+            assert np.array_equal(hists[0], hists[1])
+        bins = float_bins(green, nir)
+        assert np.array_equal(hists[0], np.bincount(bins.ravel(), minlength=256))
 
 
 class TestWaterMaskMlp:
