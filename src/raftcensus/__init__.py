@@ -51,7 +51,16 @@ from .mlp import (
     save_model,
     train,
 )
-from .morphology import StructElem, bottom_hat, closing, dilate, erode, opening, square
+from .morphology import (
+    BitMask,
+    StructElem,
+    bottom_hat,
+    closing,
+    dilate,
+    erode,
+    opening,
+    square,
+)
 from .pipeline import (
     Census,
     CensusConfig,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .morphology import BitMask
 
 __all__ = [
     "Blob",
@@ -81,8 +81,9 @@ class BlobFilter:
 REJECT_ORDER = ("area", "equivalent_diameter", "euler", "solidity")
 
 
-def label_components(m: np.ndarray) -> list[Blob]:
-    """8-connected components in deterministic row-major label order.
+def label_components(m) -> list[Blob]:
+    """8-connected components of a BitMask or a 2-D array (nonzero is
+    True, packed into a BitMask), in deterministic row-major label order.
 
     Labels are dense 1..N, assigned by each component's first pixel in
     row-major scan order. Returned blobs carry pixels, area, centroid,
@@ -97,13 +98,11 @@ def label_components(m: np.ndarray) -> list[Blob]:
     grouped by label; integer sums are exact, so each centroid equals
     the mean of its pixel coordinates.
     """
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionError(f"mask must be 2-D, got shape {m.shape}")
-    flat = np.flatnonzero(m)
+    m = BitMask.pack(m)
+    flat = m.flat_indices()
     if flat.size == 0:
         return []
-    w = m.shape[1]
+    w = m.width
     rows, cols = np.divmod(flat, w)
     # A run starts where the flat index jumps or a row begins.
     run_start = np.flatnonzero((np.diff(flat, prepend=-2) != 1) | (cols == 0))

@@ -41,6 +41,7 @@ from .evaluation import (
     match_centroids,
     report_to_json,
 )
+from .morphology import BitMask
 from .pipeline import (
     PLATFORM_THRESHOLD_DEFAULT,
     Census,
@@ -357,8 +358,8 @@ def _cmd_render(args) -> int:
 
 def render_overlay(
     stack: BandStack,
-    water_mask: np.ndarray | None,
-    platform_mask: np.ndarray | None,
+    water_mask,
+    platform_mask,
     census: Census | None,
     path,
 ) -> None:
@@ -367,18 +368,21 @@ def render_overlay(
     yellow crosses. Pure integer arithmetic, so output bytes are a
     function of the inputs only.
 
-    After one pass for B3's range, the image is built and written one
-    ``BandStack.windows`` row window at a time; a cross spanning two
-    windows is drawn in each.
+    The masks are BitMasks or 2-D arrays (nonzero is True, packed into a
+    BitMask), or None. After one pass for B3's range, the image is built
+    and written one ``BandStack.windows`` row window at a time, reading
+    each mask's rows of that window (``BitMask.rows``); a cross spanning
+    two windows is drawn in each.
     """
     lo, hi = np.inf, -np.inf
     for _, _, block in stack.windows((BandId.B3,)):
         g = block[BandId.B3]
         lo, hi = min(lo, float(g.min())), max(hi, float(g.max()))
     h, w = stack.height, stack.width
-    for mask in (water_mask, platform_mask):
-        if mask is not None and np.shape(mask) != (h, w):
-            raise DimensionError(f"mask of shape {np.shape(mask)} for a {h}x{w} stack")
+    masks = [None if m is None else BitMask.pack(m) for m in (water_mask, platform_mask)]
+    for mask in masks:
+        if mask is not None and mask.shape != (h, w):
+            raise DimensionError(f"mask of shape {mask.shape} for a {h}x{w} stack")
     marks = []
     if census is not None:
         for rec in census.records:
@@ -400,10 +404,9 @@ def render_overlay(
             half = gray // 2
             tint = gray - half
             tint += 127  # (gray + 255) // 2, within uint8
-            for mask, colors in ((water_mask, (half, half, tint)),
-                                 (platform_mask, (tint, half, half))):
+            for mask, colors in zip(masks, ((half, half, tint), (tint, half, half))):
                 if mask is not None:
-                    where = np.asarray(mask[r0:r1]).astype(bool, copy=False)
+                    where = mask.rows(r0, r1)
                     for k, value in enumerate(colors):
                         np.copyto(img[..., k], value, where=where)
             here = marks[(marks[:, 0] >= r0) & (marks[:, 0] < r1)]

@@ -37,7 +37,7 @@ from .bandstack import (
     write_pgm16_rows,
 )
 from .errors import DatasetError, DimensionError
-from .morphology import bottom_hat, square
+from .morphology import BitMask, bottom_hat, square
 
 __all__ = [
     "LabeledPixels",
@@ -360,11 +360,12 @@ def write_synthetic_scene(params: SynthParams, out_dir) -> tuple[tuple[float, fl
 
 def extract_platform_samples(
     s: BandStack,
-    water: np.ndarray,
-    correction: np.ndarray | None = None,
+    water,
+    correction=None,
     seed: int = 0,
 ) -> LabeledPixels:
-    """Mine a balanced platform/water pixel set from a water mask.
+    """Mine a balanced platform/water pixel set from a water mask (a
+    BitMask or a 2-D array, nonzero True; so is ``correction``).
 
     Platform candidates are the bottom-hat of the water mask (the holes
     a 3x3 closing fills), intersected with ``correction`` when given.
@@ -372,7 +373,7 @@ def extract_platform_samples(
     (seeded) from water-true pixels outside the candidate set. Labels
     follow PLATFORM_CLASS_NAMES: water 0, platform 1.
     """
-    water = np.asarray(water).astype(bool, copy=False)
+    water = BitMask.pack(water)
     if water.shape != (s.height, s.width):
         raise DimensionError(
             f"water mask shape {water.shape} does not match stack "
@@ -380,27 +381,25 @@ def extract_platform_samples(
         )
     candidates = bottom_hat(water, square(3))
     if correction is not None:
-        correction = np.asarray(correction).astype(bool, copy=False)
+        correction = BitMask.pack(correction)
         if correction.shape != water.shape:
             raise DimensionError("correction mask shape does not match water mask")
-        candidates &= correction
-    cand_rows, cand_cols = np.nonzero(candidates)
-    n = len(cand_rows)
+        candidates = BitMask(candidates.words & correction.words, water.width)
+    cand = candidates.flat_indices()
+    n = len(cand)
     if n == 0:
         raise DatasetError("zero candidates: bottom-hat found no platform pixels")
 
-    pool = water & ~candidates
-    pool_rows, pool_cols = np.nonzero(pool)
-    if len(pool_rows) < n:
+    pool = BitMask(water.words & ~candidates.words, water.width).flat_indices()
+    if len(pool) < n:
         raise DatasetError(
-            f"fewer water pixels ({len(pool_rows)}) than candidates ({n})"
+            f"fewer water pixels ({len(pool)}) than candidates ({n})"
         )
     rng = np.random.default_rng(seed)
-    pick = rng.choice(len(pool_rows), size=n, replace=False)
+    pick = rng.choice(len(pool), size=n, replace=False)
     pick.sort()
 
-    rows = np.concatenate([pool_rows[pick], cand_rows])
-    cols = np.concatenate([pool_cols[pick], cand_cols])
+    rows, cols = np.divmod(np.concatenate([pool[pick], cand]), water.width)
     features = s.features(rows, cols)  # one pass over the windows holding samples
     labels = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
     return LabeledPixels(features, labels, PLATFORM_CLASS_NAMES)

@@ -46,6 +46,7 @@ import numpy as np
 
 from .bandstack import DN_SCALE, FEATURE_ORDER, BandStack
 from .errors import DimensionError, ModelFormatError, TrainingError
+from .morphology import BitMask
 
 __all__ = [
     "MlpModel",
@@ -234,9 +235,10 @@ def threshold_planes(
     s: BandStack,
     out_index: int,
     thr: float,
-    where: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean (H, W) mask where output ``out_index`` (0-based) is >= thr.
+    where=None,
+) -> BitMask:
+    """The (H, W) BitMask of pixels whose output ``out_index`` (0-based) is
+    >= thr.
 
     A mask pixel is ``forward_batch`` of its ``BandStack.rows`` features
     >= thr, so its result depends neither on its window nor on BLAS.
@@ -256,29 +258,48 @@ def threshold_planes(
     ``where``), and one pass of ``forward_batch`` scores the flagged
     windows; its exact results replace the float32 ones, and a non-finite
     input raises ``ValueError`` there. The float32
-    screen computes output ``out_index`` only. With an (H, W) ``where``,
-    cast to bool, windows holding no true pixel are neither read nor
-    scored, only pixels in ``where`` need deciding, and the result is
-    restricted to ``where``.
+    screen computes output ``out_index`` only.
+
+    With an (H, W) ``where``, a BitMask or a 2-D array that is packed into
+    one (nonzero is True), windows holding no true pixel are neither read
+    nor scored: a row's flag is whether any of its words is nonzero. Only
+    pixels in ``where`` need deciding, and each window's decided pixels
+    are ANDed with its rows of ``where`` (``BitMask.rows``) and packed into
+    the result's words, so no whole-scene bool mask is built.
     """
+    flags = None
     if where is not None:
-        where = np.asarray(where).astype(bool, copy=False)
+        where = BitMask.pack(where)
         if where.shape != (s.height, s.width):
             raise DimensionError(f"mask shape {where.shape} does not match {(s.height, s.width)}")
-    out = np.zeros((s.height, s.width), dtype=bool)
+        flags = where.words.any(axis=1)
+    out = np.zeros((s.height, -(-s.width // 64)), dtype="<u8")
     net = _float32_net(m, out_index)
     if net is None:  # every window that holds a pixel of ``where``
-        redo = np.ones(s.height, dtype=bool) if where is None else where.any(axis=1)
+        redo = np.ones(s.height, dtype=bool) if where is None else flags
     else:
         redo = np.zeros(s.height, dtype=bool)
-        for r0, r1, v, peak in _float32_scores(net, s, where):
-            if v is None or not _decide(v, *net.cuts(thr, peak), out[r0:r1].reshape(-1),
-                                        None if where is None else where[r0:r1].reshape(-1)):
+        for r0, r1, v, peak in _float32_scores(net, s, flags):
+            inside = None if where is None else where.rows(r0, r1)
+            hit = np.empty((r1 - r0, s.width), dtype=bool)
+            if v is not None and _decide(v, *net.cuts(thr, peak), hit.reshape(-1),
+                                         None if inside is None else inside.reshape(-1)):
+                _pack_rows(out, r0, hit, inside)
+            else:
                 redo[r0:r1] = True
     for r0, r1, block in s.windows(FEATURE_ORDER, redo):
         x = np.stack([block[b].reshape(-1) for b in FEATURE_ORDER])
-        np.greater_equal(forward_batch(m, x.T)[:, out_index], thr, out=out[r0:r1].reshape(-1))
-    return out if where is None else out & where
+        hit = (forward_batch(m, x.T)[:, out_index] >= thr).reshape(r1 - r0, s.width)
+        _pack_rows(out, r0, hit, None if where is None else where.rows(r0, r1))
+    return BitMask(out, s.width)
+
+
+def _pack_rows(out: np.ndarray, r0: int, hit: np.ndarray, inside) -> None:
+    """Pack the bool rows ``hit``, restricted to ``inside`` when given, into
+    the words ``out`` from row r0 on."""
+    if inside is not None:
+        hit &= inside
+    out[r0 : r0 + len(hit)] = BitMask.pack(hit).words
 
 
 def _decide(v: np.ndarray, hi: np.float32, lo: np.float32, hit: np.ndarray, where) -> bool:

@@ -14,13 +14,11 @@ import json
 import math
 from dataclasses import astuple, dataclass, field
 
-import numpy as np
-
 from .bandstack import BandStack
 from .blobs import BlobFilter, filter_blobs, label_components
 from .errors import DegenerateHistogramError, RaftCensusError
 from .mlp import PLATFORM_LAYERS, MlpModel, threshold_planes
-from .morphology import StructElem, closing, square
+from .morphology import BitMask, StructElem, closing, square
 from .waterdetect import (
     COAST_ERODE_SE,
     WATER_SE,
@@ -119,18 +117,19 @@ class Census:
             raise ValueError("census count must equal number of records")
 
 
-def platform_mask(s: BandStack, water: np.ndarray, cfg: CensusConfig) -> np.ndarray:
+def platform_mask(s: BandStack, water, cfg: CensusConfig) -> BitMask:
     """Platform pixels: water-true AND platform score >= threshold.
 
-    ``BandStack.windows`` row windows (sized by the stack) without water are
-    neither read nor scored; other non-water pixels are scored, then dropped.
+    ``water`` is a BitMask or a 2-D array. ``BandStack.windows`` row
+    windows (sized by the stack) without water are neither read nor
+    scored; other non-water pixels are scored, then dropped.
     """
     return threshold_planes(
         cfg.platform_model, s, 0, cfg.platform_threshold, where=water
     )
 
 
-def _build_water_mask(s: BandStack, cfg: CensusConfig) -> np.ndarray:
+def _build_water_mask(s: BandStack, cfg: CensusConfig) -> BitMask:
     if isinstance(cfg.water_method, NdwiOtsu):
         try:
             return water_mask_ndwi(s)
@@ -146,10 +145,13 @@ def _build_water_mask(s: BandStack, cfg: CensusConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PipelineArtifacts:
-    """Census plus the intermediate masks, for inspection or rendering."""
+    """Census plus the intermediate masks, for inspection or rendering.
 
-    water_mask: np.ndarray  # cleaned
-    platform_mask: np.ndarray  # after the merging closing
+    The masks are bit-packed (``np.asarray`` unpacks one to bool).
+    """
+
+    water_mask: BitMask  # cleaned
+    platform_mask: BitMask  # after the merging closing
     census: Census
 
 

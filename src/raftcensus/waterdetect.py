@@ -1,7 +1,8 @@
 """Water masking: NDWI + Otsu thresholding, or an MLP pixel classifier.
 
-Both routes produce a boolean water mask that is then cleaned with a
-fixed morphology chain (closing, opening, coastline erosion).
+Both routes produce a water mask, a bit-packed ``BitMask``, that is then
+cleaned with a fixed morphology chain (closing, opening, coastline
+erosion).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from .bandstack import DN_SCALE, BandId, BandStack
 from .errors import DegenerateHistogramError, DimensionError
 from .mlp import WATER_CLASS_INDEX, MlpModel, threshold_planes
-from .morphology import StructElem, closing, erode, opening, square
+from .morphology import BitMask, StructElem, closing, erode, opening, square
 
 __all__ = [
     "NdwiOtsu",
@@ -144,12 +145,15 @@ def quantize_ndwi(ndwi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def water_mask_ndwi(s: BandStack) -> np.ndarray:
+def water_mask_ndwi(s: BandStack) -> BitMask:
     """Otsu-thresholded NDWI water mask; true where the NDWI bin exceeds t.
 
     The NDWI is binned one ``BandStack.windows`` row window at a time,
-    straight into uint8 rows; the histogram sums the windows' counts. An
-    in-memory stack's windows are binned from their reflectances, by
+    straight into the rows of a whole-scene uint8 array, which Otsu's
+    threshold t needs; the histogram sums the windows' counts. Then each
+    window's bins > t are packed into the words of the BitMask returned,
+    so no whole-scene bool mask is built. An in-memory stack's windows are
+    binned from their reflectances, by
     ``quantize_ndwi(compute_ndwi(green, nir))``.
 
     A loaded stack's green and NIR reflectances are its digital numbers G
@@ -178,7 +182,11 @@ def water_mask_ndwi(s: BandStack) -> np.ndarray:
         else:
             _dn_bins(dn[BandId.B3], dn[BandId.B8], out)
         hist += np.bincount(out.reshape(-1), minlength=NDWI_BINS)
-    return bins > otsu_threshold(hist)
+    t = otsu_threshold(hist)
+    words = np.empty((s.height, -(-s.width // 64)), dtype="<u8")
+    for r0, r1, _ in s.windows(()):
+        words[r0:r1] = BitMask.pack(bins[r0:r1] > t).words
+    return BitMask(words, s.width)
 
 
 def _dn_bins(green: np.ndarray, nir: np.ndarray, out: np.ndarray) -> None:
@@ -206,7 +214,7 @@ def water_mask_mlp(
     m: MlpModel,
     water_class_index: int = WATER_CLASS_INDEX,
     thr: float = DEFAULT_WATER_THRESHOLD,
-) -> np.ndarray:
+) -> BitMask:
     """Per-pixel water mask from an MLP: water output >= thr.
 
     ``water_class_index`` is 1-based. Pixel features are the ten band
@@ -223,11 +231,12 @@ def water_mask_mlp(
 
 
 def clean_water_mask(
-    mask: np.ndarray,
+    mask,
     se: StructElem = WATER_SE,
     se_erode: StructElem = COAST_ERODE_SE,
-) -> np.ndarray:
-    """Closing, opening, then erosion, in that order.
+) -> BitMask:
+    """Closing, opening, then erosion, in that order, of a BitMask or a
+    2-D array; the result is a BitMask.
 
     The closing fills small dark holes (rafts, boats), the opening
     drops isolated speckle, and the final erosion pulls the mask away

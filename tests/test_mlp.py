@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from raftcensus import (
+    BitMask,
     MlpModel,
     TrainConfig,
     evaluate_confusion,
@@ -303,7 +304,7 @@ class TestThresholdPlanes:
             picks = rng.integers(0, len(x), size=3)
             for thr in [0.5, *scores[picks, out_index]]:
                 got = threshold_planes(m, stack, out_index, thr)
-                assert got.shape == shape and got.dtype == bool
+                assert got.shape == shape and isinstance(got, BitMask)
                 assert np.array_equal(got, ref_whole_image_mask(m, stack.planes, out_index, thr))
 
     @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
@@ -347,7 +348,7 @@ class TestThresholdPlanes:
         where = rng.random((h, w)) < 0.5
         for r, c in [(0, 0), (57, 123), (99, 299)]:
             thr = scores[r, c]  # the pixel sits exactly on the threshold
-            full = threshold_planes(m, stack, 2, thr)
+            full = np.asarray(threshold_planes(m, stack, 2, thr))
             assert full[r, c]
             lone = np.zeros((h, w), dtype=bool)
             lone[r, c] = True
@@ -359,7 +360,7 @@ class TestThresholdPlanes:
         h, w = 208, 1024  # thirteen 16-row blocks
         stack = random_stack(rng, h, w)
         where = np.zeros((h, w), dtype=bool)
-        assert not threshold_planes(m, stack, 0, 0.5, where=where).any()
+        assert threshold_planes(m, stack, 0, 0.5, where=where).sum() == 0
         assert batch_sizes == []
         where[20, 3] = where[150, 1000] = True
         threshold_planes(m, stack, 0, 0.5, where=where)
@@ -373,7 +374,7 @@ class TestThresholdPlanes:
         x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
         want = ref_forward_batch(m, x)
         thr = want[-1, -1]
-        got = threshold_planes(m, stack, m.n_out - 1, thr)
+        got = np.asarray(threshold_planes(m, stack, m.n_out - 1, thr))
         assert [r1 - r0 for (r0, r1), _ in block_scores] == [BLOCK, 1]
         assert got[-1, 0] and np.array_equal(got[:, 0], want[:, -1] >= thr)
         assert np.array_equal(bits(block_scores[1][1]), bits(want[-1:]))
@@ -489,7 +490,17 @@ class TestThresholdPlanes:
         where[:20] = False  # the first windows are skipped
         want = threshold_planes(m, stack, 2, 0.5, where=where)
         got = threshold_planes(m, stack, 2, 0.5, where=where.astype(dtype))
-        assert got.dtype == bool and np.array_equal(got, want)
+        assert np.array_equal(got.words, want.words)
+
+    def test_bitmask_where_gives_the_words_of_the_bool_where(self, rng):
+        m = scaled_model((10, 8, 3), 2, 1.0)
+        stack = random_stack(rng, 40, 900)
+        where = rng.random((40, 900)) < 0.3
+        where[:20] = False  # the first windows are skipped
+        want = threshold_planes(m, stack, 2, 0.5, where=where)
+        got = threshold_planes(m, stack, 2, 0.5, where=BitMask.pack(where))
+        assert np.array_equal(got.words, want.words)
+        assert np.array_equal(got, ref_gather_mask(m, stack.planes, 2, 0.5, where))
 
     def test_where_shape_mismatch_rejected(self, rng):
         m = init_model((10, 2, 1), seed=0)
@@ -560,11 +571,11 @@ class TestLoadedStackScoring:
             # Thresholds beyond every score decide every pixel in float32.
             assert np.array_equal(threshold_planes(m, stack, 0, -1.0, where=wh),
                                   np.ones((h, w), dtype=bool) if wh is None else wh)
-            assert not threshold_planes(m, stack, 0, 2.0, where=wh).any()
+            assert threshold_planes(m, stack, 0, 2.0, where=wh).sum() == 0
         assert scaled == []
         # A NaN threshold decides nothing: the exact pass reads every band
         # of every window.
-        assert not threshold_planes(m, stack, 0, np.nan).any()
+        assert threshold_planes(m, stack, 0, np.nan).sum() == 0
         assert len(scaled) == 4 * len(BandId)
 
     @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
@@ -580,7 +591,7 @@ class TestLoadedStackScoring:
             block_scores.clear()
             got = threshold_planes(m, stack, out_index, thr)
             assert np.array_equal(bits(np.concatenate([y for _, y in block_scores])), bits(want))
-            assert np.array_equal(got.reshape(-1), want[:, out_index] >= thr)
+            assert np.array_equal(np.asarray(got).reshape(-1), want[:, out_index] >= thr)
 
 
 def exact_scores(m, stack):
@@ -717,7 +728,7 @@ class TestFloat32Bound:
         pick = flat[np.argmax(away)]
         assert away.max() > 2 * e
         r, c = np.argwhere(scores == pick)[0]
-        got = threshold_planes(m, stack, out_index, pick)
+        got = np.asarray(threshold_planes(m, stack, out_index, pick))
         assert got[r, c] and np.array_equal(got, scores >= pick)
         assert rescored == [(r - r % 3, r - r % 3 + 3)]
         # A float32 threshold is compared as its float64 value.
@@ -733,7 +744,7 @@ class TestFloat32Bound:
             assert rescored == []
         # A NaN threshold decides nothing: every window is scored again.
         rescored.clear()
-        assert not threshold_planes(m, stack, out_index, np.nan).any()
+        assert threshold_planes(m, stack, out_index, np.nan).sum() == 0
         assert rescored == [(r0, r0 + 3) for r0 in range(0, h, 3)]
 
     def test_pixels_outside_where_need_no_decision(self, rng, monkeypatch, rescored):
@@ -813,7 +824,7 @@ class TestFloat32Bound:
 
         monkeypatch.setitem(stack.planes.rasters, band, DigitalNumbersOnly())
         for thr in (-1.0, 2.0):
-            assert threshold_planes(m, stack, 2, thr).all() == (thr < 0)
+            assert threshold_planes(m, stack, 2, thr).sum() == (stack.height * stack.width if thr < 0 else 0)
         with pytest.raises(AssertionError, match=f"band {band.value} rows scaled"):
             threshold_planes(m, stack, 2, np.nan)
 

@@ -8,6 +8,7 @@ import pytest
 from raftcensus import (
     FEATURE_ORDER,
     BandId,
+    BitMask,
     BlobFilter,
     CensusConfig,
     GeoRef,
@@ -61,7 +62,7 @@ class TestPlatformMask:
     def test_empty_water_mask_short_circuits(self, census_cfg):
         stack, _ = generate_synthetic_scene(SynthParams(width=48, height=48, raft_count=0, seed=1))
         out = platform_mask(stack, np.zeros((48, 48), dtype=bool), census_cfg)
-        assert not out.any()
+        assert out.sum() == 0
 
     def test_constant_model_marks_all_water(self, platform_model):
         stack, truth = generate_synthetic_scene(SynthParams(width=48, height=48, raft_count=0, seed=1))
@@ -75,7 +76,7 @@ class TestPlatformMask:
             SynthParams(width=256, height=256, raft_count=12, seed=21)
         )
         water = clean_water_mask(water_mask_ndwi(stack))
-        pred = platform_mask(stack, water, census_cfg)
+        pred = np.asarray(platform_mask(stack, water, census_cfg))
         tp = (pred & truth.raft_mask).sum()
         fp = (pred & ~truth.raft_mask).sum()
         fn = (~pred & truth.raft_mask).sum()
@@ -175,7 +176,7 @@ class TestRunCensus:
         )
         cfg = CensusConfig(water_method=NdwiOtsu(), platform_model=platform_model)
         cleaned = clean_water_mask(water_mask_ndwi(stack))
-        envelope = closing(cleaned, square(3))
+        envelope = np.asarray(closing(cleaned, square(3)))
         pmask = closing(platform_mask(stack, cleaned, cfg), square(3))
         assert not (pmask & ~envelope).any()
 
@@ -335,12 +336,12 @@ class TestRunPipeline:
         result = run_pipeline(stack, census_cfg)
         assert result.census.count == 4
         # platform pixels sit inside the cleaned water mask's closing
-        envelope = closing(result.water_mask, square(3))
+        envelope = np.asarray(closing(result.water_mask, square(3)))
         assert not (result.platform_mask & ~envelope).any()
         # every record's bbox is covered by the platform mask
         for rec in result.census.records:
             r0, c0, r1, c1 = rec.bbox
-            assert result.platform_mask[r0 : r1 + 1, c0 : c1 + 1].any()
+            assert result.platform_mask.rows(r0, r1 + 1)[:, c0 : c1 + 1].any()
 
     def test_mlp_water_route(self, platform_model, water_model):
         from raftcensus import MlpWater, run_pipeline
@@ -438,6 +439,27 @@ class TestLoadedStackCensus:
         assert got.census.count == want.count > 0
         assert census_to_csv(got.census) == census_to_csv(want)
         assert census_to_geojson(got.census, self.GEO.crs) == census_to_geojson(want, self.GEO.crs)
+
+
+    @pytest.mark.parametrize("route", ["ndwi", "mlp"])
+    def test_census_never_unpacks_a_whole_mask(self, manifest, route, monkeypatch,
+                                                platform_model, water_model):
+        # The census passes BitMasks from the water mask to labeling and
+        # reads them by row window only; np.asarray of one calls to_bool.
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", self.BLOCK)
+        method = NdwiOtsu() if route == "ndwi" else MlpWater(model=water_model)
+        cfg = CensusConfig(water_method=method, platform_model=platform_model)
+        stack = load_band_stack(manifest)
+        want = census_to_csv(run_census(stack, cfg))
+
+        def whole(self):
+            raise AssertionError("a whole mask was unpacked")
+
+        monkeypatch.setattr(BitMask, "to_bool", whole)
+        with pytest.raises(AssertionError, match="unpacked"):
+            np.asarray(water_mask_ndwi(stack))
+        assert census_to_csv(run_census(stack, cfg)) == want
+        assert census_to_csv(run_census(ref_load_band_stack(manifest), cfg)) == want
 
 
 class TestMemory:
