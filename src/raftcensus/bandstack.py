@@ -8,7 +8,7 @@ file paths. Digital numbers are scaled to reflectance by dividing by
 A loaded stack holds no raster: it keeps each band's PGM file open and
 reads the digital numbers a row window needs when ``BandStack.rows``
 asks for the window, then scales and upsamples them. A census never
-holds a whole band, as digital numbers or as float64. There is one x2
+builds a whole band, as digital numbers or as float64. There is one x2
 upsampler, ``_upsample_rows``, built from fixed quarter and
 three-quarter slice sums: the window reader runs it on the input rows
 under a window, and ``resample_plane`` on a whole plane, so every window
@@ -25,18 +25,25 @@ Every window reads the 20 m rows under it, with their one-row halo,
 once. Bands are summed in ``FEATURE_ORDER``, the one order of every
 model's inputs. ``BandStack.dn_rows`` hands out the digital numbers of
 10 m bands themselves, as read; the NDWI of a loaded stack is binned
-from them (``waterdetect.water_mask_ndwi``). An in-memory stack has no
-digital numbers: its ``dn_rows`` gives None, and its readers take
-``rows``.
+from them (``waterdetect.water_mask_ndwi``).
+
+``BandStack.from_reflectance`` builds the in-memory twin of a loaded
+stack: it quantizes reflectance row chunks as ``write_bands`` does and
+holds each band's digital numbers, at its native resolution, in a
+read-only uint16 array (2 B per 10 m pixel, 0.5 B per 10 m pixel for a
+20 m band). The band reader reads that array as it reads a file, so such
+a stack takes every route a loaded one takes, with the same values.
+Only a stack built from user-given float64 planes has no digital
+numbers: its ``dn_rows`` gives None, and its readers take ``rows``.
 
 Writing goes one band and one row chunk at a time: ``write_bands`` turns
 even-height reflectance row chunks (``row_chunks``) into digital numbers
 at each band's native resolution and appends them to the band's PGM, so
-``save_band_stack`` builds no whole float plane either; for a loaded
-stack it copies the digital numbers of its files unchanged. Each PGM is
-written to a temporary file beside it and then renamed over it, so a
-stack still reading the old file (``import`` into its own directory)
-keeps reading the old data.
+``save_band_stack`` builds no whole float plane either; for a stack of
+digital numbers it copies them unchanged. Each PGM is written to a
+temporary file beside it and then renamed over it, so a stack still
+reading the old file (``import`` into its own directory) keeps reading
+the old data.
 
 Manifest schema::
 
@@ -147,13 +154,13 @@ class BandStack:
     """Ten co-registered reflectance planes on a common 10 m grid.
 
     ``planes`` maps every band to a float64 plane of shape (height,
-    width), row-major, finite and non-negative. A stack from
-    ``load_band_stack`` holds its private band reader there instead, read
-    only through ``rows``, ``windows``, ``dn_rows``, ``float32_sums`` and
-    ``features``;
-    a whole band is ``rows(0, height, (band,))``. Census stages walk a
-    stack through ``windows``, which sets the window size. Treat
-    instances as immutable.
+    width), row-major, finite and non-negative. A stack of digital
+    numbers, from ``load_band_stack`` or ``from_reflectance``, holds its
+    private band reader there instead, read only through ``rows``,
+    ``windows``, ``dn_rows``, ``float32_sums`` and ``features``; a whole
+    band is ``rows(0, height, (band,))``. Census stages walk a stack
+    through ``windows``, which sets the window size. Treat instances as
+    immutable.
     """
 
     width: int
@@ -165,8 +172,8 @@ class BandStack:
     def __post_init__(self):
         if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
             raise ValueError(f"pixel_size must be finite and positive, got {self.pixel_size!r}")
-        # load_band_stack checked every band file's size, and uint16 / DN_SCALE
-        # under convex bilinear weights is always finite and non-negative.
+        # _DnPlanes checked its rasters' shapes, and uint16 / DN_SCALE under
+        # convex bilinear weights is always finite and non-negative.
         if isinstance(self.planes, _DnPlanes):
             return
         missing = [b.value for b in BandId if b not in self.planes]
@@ -184,16 +191,56 @@ class BandStack:
             if not (plane.min(initial=0.0) >= 0.0 and plane.max(initial=0.0) < math.inf):
                 raise ValueError(f"band {band.value} has non-finite or negative values")
 
+    @classmethod
+    def from_reflectance(
+        cls,
+        width: int,
+        height: int,
+        band_rows: Callable[[BandId], Iterable[np.ndarray]],
+        geo: GeoRef | None = None,
+    ) -> BandStack:
+        """The stack that ``write_bands(out_dir, width, height, band_rows,
+        geo)`` writes and ``load_band_stack`` loads, held in memory.
+
+        ``band_rows`` is ``write_bands``'s: it yields a band's float64
+        reflectances on the 10 m grid in row chunks of even height, top to
+        bottom, and bands are asked for in ``BandId`` order. Each chunk is
+        quantized as ``write_bands`` quantizes it, and the digital numbers
+        are kept at the band's native resolution in a read-only uint16
+        array: 11 B per 10 m pixel for the ten bands. Dimensions must be
+        even, which is checked before ``band_rows`` is called.
+        """
+        check_saveable(width, height)
+        rasters = {}
+        for band in BandId:
+            f = band.native_resolution_m // 10
+            dn = np.empty((height // f, width // f), dtype=np.uint16)
+            r = 0
+            for chunk in _dn_rows(band, band_rows(band)):
+                if chunk.shape[1] != dn.shape[1] or r + len(chunk) > len(dn):
+                    raise DimensionError(
+                        f"band {band.value}: row chunk of shape {chunk.shape} at row {r} "
+                        f"of a {dn.shape[1]}x{len(dn)} raster"
+                    )
+                dn[r : r + len(chunk)] = chunk
+                r += len(chunk)
+            if r != len(dn):
+                raise DimensionError(f"band {band.value}: {r} rows of a raster {len(dn)} high")
+            dn.flags.writeable = False
+            rasters[band] = _DnArray(dn)
+        return cls(width=width, height=height, pixel_size=PIXEL_SIZE_M,
+                   planes=_DnPlanes(rasters), geo=geo)
+
     def rows(
         self, r0: int, r1: int, bands: Iterable[BandId] = FEATURE_ORDER
     ) -> dict[BandId, np.ndarray]:
         """Float64 (r1 - r0, width) windows of rows r0..r1-1 of ``bands``.
 
-        In-memory planes are sliced, not copied. A loaded stack reads the
-        digital numbers from its files, divides them by DN_SCALE, and
-        upsamples 20 m bands from the input rows under the window plus a
-        one-row halo: every value is bitwise equal to ``resample_plane``
-        of the whole scaled band.
+        Float64 planes are sliced, not copied. A stack of digital numbers
+        reads them (from its files, or its arrays), divides them by
+        DN_SCALE, and upsamples 20 m bands from the input rows under the
+        window plus a one-row halo: every value is bitwise equal to
+        ``resample_plane`` of the whole scaled band.
         """
         self._check_window(r0, r1)
         if isinstance(self.planes, _DnPlanes):
@@ -204,13 +251,16 @@ class BandStack:
         self, r0: int, r1: int, bands: Iterable[BandId]
     ) -> dict[BandId, np.ndarray] | None:
         """The digital numbers (DN) of rows r0..r1-1 of the 10 m ``bands``
-        of a loaded stack, as read from its band files: (r1 - r0, width)
-        big-endian uint16 arrays, new on every call. A pixel's reflectance
-        in ``rows`` is its DN / DN_SCALE, divided in float64.
+        of a stack of digital numbers, as its band reader holds them:
+        (r1 - r0, width) uint16 arrays, for reading only (an array of
+        ``from_reflectance`` hands out read-only views of itself). A
+        pixel's reflectance in ``rows`` is its DN / DN_SCALE, divided in
+        float64.
 
-        An in-memory stack holds reflectances, not digital numbers: it
-        gives None, and its reader takes ``rows``. 20 m bands have no DN on
-        the 10 m grid (``rows`` upsamples them) and raise ValueError.
+        A stack built from float64 planes holds reflectances, not digital
+        numbers: it gives None, and its reader takes ``rows``. 20 m bands
+        have no DN on the 10 m grid (``rows`` upsamples them) and raise
+        ValueError.
         """
         self._check_window(r0, r1)
         bands = tuple(bands)
@@ -249,15 +299,15 @@ class BandStack:
         window (for a loaded stack, halo rows included).
 
         The products are summed by ``np.matmul``, in whatever order the BLAS
-        takes. An in-memory stack's rows come through ``rows``; they and the
-        weights are rounded to float32, and the window is reduced once, in
+        takes. A float64-plane stack's rows come through ``rows``; they and
+        the weights are rounded to float32, and the window is reduced once, in
         float32, by one max and one min: its peak is the float32 just above
         its largest magnitude. A window holding a value beyond
         ``_FLOAT32_PEAK`` or not finite (NaN included) is not cast: it yields
         ``sums`` None and peak inf, and ``mlp.threshold_planes`` scores it
-        exactly, where a non-finite value raises. A loaded stack reads digital
-        numbers (DN) with ``_Raster.dn_rows`` and casts them to float32, which
-        is exact; its weights are w / DN_SCALE, divided in float64 and rounded
+        exactly, where a non-finite value raises. A stack of digital numbers
+        reads its digital numbers (DN) with its band reader's ``dn_rows`` and
+        casts them to float32, which is exact; its weights are w / DN_SCALE, divided in float64 and rounded
         to float32, and its peak is the window's largest DN / DN_SCALE. It
         sums its 10 m terms on the 10 m grid and its 20 m terms on the 20 m
         grid, one matrix product on the native rows under the window plus a
@@ -363,19 +413,61 @@ class _Raster:
         return np.divide(self.dn_rows(r0, r1), DN_SCALE, dtype=np.float64)
 
 
+@dataclass(frozen=True)
+class _DnArray:
+    """A band's raster held in memory: ``dn``, a read-only (height, width)
+    uint16 array of digital numbers."""
+
+    dn: np.ndarray
+
+    @property
+    def height(self) -> int:
+        return self.dn.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.dn.shape[1]
+
+    def dn_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 of digital numbers: a read-only view of ``dn``."""
+        return self.dn[r0:r1]
+
+    def scaled_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 divided by DN_SCALE, float64."""
+        return np.divide(self.dn_rows(r0, r1), DN_SCALE, dtype=np.float64)
+
+
 class _DnPlanes:
-    """The band reader of a loaded stack: its bands' open PGM files, read
-    one row window at a time at each band's native resolution (20 m
-    rasters are half the 10 m grid). No raster is held in memory.
+    """The band reader of a stack of digital numbers: each band's raster,
+    an open PGM file (``_Raster``) or an in-memory array (``_DnArray``),
+    read one row window at a time at the band's native resolution.
 
     ``window`` reads the digital numbers under a row window and builds
-    float64 windows on the 10 m grid. ``files`` (which closes the band
-    files) is closed when the reader is dropped.
+    float64 windows on the 10 m grid. Every 10 m raster must have B2's
+    shape, and every 20 m raster exactly half of it, which is checked
+    here (DimensionError).
     """
 
-    def __init__(self, rasters: dict[BandId, _Raster], files: ExitStack):
+    def __init__(self, rasters: dict[BandId, _Raster | _DnArray]):
+        ref10 = (rasters[BandId.B2].height, rasters[BandId.B2].width)
+        for band, raster in rasters.items():
+            shape = (raster.height, raster.width)
+            if band.native_resolution_m == 10:
+                if shape != ref10:
+                    raise DimensionError(
+                        f"10 m band {band.value} is {shape[1]}x{shape[0]}, "
+                        f"expected {ref10[1]}x{ref10[0]} (as B2)"
+                    )
+            else:
+                want = (ref10[0] // 2, ref10[1] // 2)
+                if ref10[0] % 2 or ref10[1] % 2 or shape != want:
+                    raise DimensionError(
+                        f"20 m band {band.value} is {shape[1]}x{shape[0]}, "
+                        f"expected exactly half of the 10 m grid "
+                        f"{ref10[1]}x{ref10[0]}"
+                    )
         self.rasters = rasters
-        weakref.finalize(self, files.close)
+        self.height, self.width = ref10
 
     def native_rows(self, r0: int, r1: int) -> tuple[int, int, int]:
         """(a, b, n): the 20 m rows a..b that rows r0..r1-1 of the 10 m grid
@@ -623,25 +715,8 @@ def load_band_stack(manifest_path) -> BandStack:
             except OSError as exc:
                 raise ManifestError(f"cannot read band {band.value}: {exc}") from exc
             rasters[band] = _Raster(f, band_path, offset, height, width)
-
-        ref10 = (rasters[BandId.B2].height, rasters[BandId.B2].width)
-        for band, raster in rasters.items():
-            shape = (raster.height, raster.width)
-            if band.native_resolution_m == 10:
-                if shape != ref10:
-                    raise DimensionError(
-                        f"10 m band {band.value} is {shape[1]}x{shape[0]}, "
-                        f"expected {ref10[1]}x{ref10[0]} (as B2)"
-                    )
-            else:
-                want = (ref10[0] // 2, ref10[1] // 2)
-                if ref10[0] % 2 or ref10[1] % 2 or shape != want:
-                    raise DimensionError(
-                        f"20 m band {band.value} is {shape[1]}x{shape[0]}, "
-                        f"expected exactly half of the 10 m grid "
-                        f"{ref10[1]}x{ref10[0]}"
-                    )
-        planes = _DnPlanes(rasters, files.pop_all())
+        planes = _DnPlanes(rasters)
+        weakref.finalize(planes, files.pop_all().close)  # closes the band files
 
     geo = None
     geo_entry = manifest.get("geo")
@@ -655,7 +730,7 @@ def load_band_stack(manifest_path) -> BandStack:
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"manifest geo block is malformed: {exc}") from exc
 
-    return BandStack(width=ref10[1], height=ref10[0], pixel_size=PIXEL_SIZE_M,
+    return BandStack(width=planes.width, height=planes.height, pixel_size=PIXEL_SIZE_M,
                      planes=planes, geo=geo)
 
 
@@ -701,6 +776,7 @@ def write_bands(
     over the block sums. Reflectances are converted to digital numbers
     (x10000, rounded half to even, clipped to the 16-bit range). Dimensions
     must be even, which is checked before ``out_dir`` is created.
+    ``BandStack.from_reflectance`` holds in memory what this writes.
     """
     return _write_dn_bands(out_dir, width, height,
                            lambda band: _dn_rows(band, band_rows(band)), geo)
@@ -758,12 +834,13 @@ def save_band_stack(stack: BandStack, out_dir) -> Path:
     """Write a stack as band PGMs plus manifest.json; returns manifest path.
 
     Bands are written one at a time, in the row chunks of ``row_chunks``. A
-    loaded stack copies the digital numbers of its band files at their
-    native resolution (``_Raster.dn_rows``), so saving it is lossless and a
-    save of the saved stack gives the same bytes. An in-memory stack goes
-    through ``write_bands``, read with ``BandStack.rows``: a save/load round
-    trip quantizes its 10 m values to 1e-4 and block-averages its 20 m
-    bands. Stack dimensions must be even.
+    stack of digital numbers (loaded, or from ``BandStack.from_reflectance``)
+    copies them at their native resolution (its band reader's ``dn_rows``),
+    so saving it is lossless and a save of the saved stack gives the same
+    bytes. A stack built from float64 planes goes through ``write_bands``,
+    read with ``BandStack.rows``: a save/load round trip quantizes its 10 m
+    values to 1e-4 and block-averages its 20 m bands. Stack dimensions
+    must be even.
     """
     w, h = stack.width, stack.height
     if isinstance(stack.planes, _DnPlanes):

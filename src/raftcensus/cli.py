@@ -26,7 +26,6 @@ from .bandstack import (
     BandId,
     BandStack,
     GeoRef,
-    check_saveable,
     load_band_stack,
     read_manifest,
     read_pgm16,
@@ -243,7 +242,6 @@ def _cmd_synth(args) -> int:
         spectra=spectra,
         geo=geo,
     )
-    check_saveable(params.width, params.height)  # before drawing anything
     out = Path(args.out)
     centroids = datasets.write_synthetic_scene(params, out)
     print(f"synthesized scene with {len(centroids)} rafts -> {out / 'manifest.json'}")

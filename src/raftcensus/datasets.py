@@ -5,9 +5,11 @@ per-class mean reflectances loaded from a JSON config; every pixel is
 its class mean plus seeded Gaussian noise. Scenes are a land frame
 around a water body with small square rafts placed well inside the
 water, so the whole detection pipeline can be exercised against exact
-ground truth. Scenes are drawn one band and one row chunk at a time, so
+ground truth. Scenes are drawn one band and one row chunk at a time and
+quantized to digital numbers as they are drawn, so
 ``write_synthetic_scene`` writes one to disk holding only its 1 B/px
-class map and chunk buffers.
+class map and chunk buffers, and ``generate_synthetic_scene`` holds the
+same digital numbers in memory, 11 B/px.
 
 Platform training data mirrors the sample-mining procedure: raft
 candidates are the dark holes a closing fills in the water mask
@@ -28,10 +30,10 @@ import numpy as np
 
 from .bandstack import (
     FEATURE_ORDER,
-    PIXEL_SIZE_M,
     BandId,
     BandStack,
     GeoRef,
+    check_saveable,
     row_chunks,
     write_bands,
     write_pgm16_rows,
@@ -116,6 +118,7 @@ class SynthParams:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.width < 24 or self.height < 24:
             raise ValueError("scene must be at least 24x24 pixels")
+        check_saveable(self.width, self.height)
         if self.spectra is not None:
             if not isinstance(self.spectra, dict):
                 raise DatasetError("SynthParams.spectra must be a dict of class spectra")
@@ -275,12 +278,10 @@ class _SceneDrawer:
         self.means = {band: table[:, i] for i, band in enumerate(FEATURE_ORDER)}
         self.sigma = params.noise_sigma
 
-    def draw(self, band: BandId, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows r0..r1-1 of ``band``, drawn into ``out`` (default: a new
-        array)."""
+    def draw(self, band: BandId, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 of ``band``, drawn into a new array."""
         classes = self.class_map[r0:r1]
-        if out is None:
-            out = np.empty(classes.shape)
+        out = np.empty(classes.shape)
         means = self.means[band]
         out.fill(means[0])
         for k in range(1, len(means)):
@@ -302,20 +303,21 @@ class _SceneDrawer:
 def generate_synthetic_scene(params: SynthParams) -> tuple[BandStack, SceneTruth]:
     """Deterministic labeled scene: land frame, water body, raft squares.
 
-    Reflectance is class mean plus Gaussian noise (clipped at zero);
-    with noise_sigma 0 every pixel equals its class mean exactly. The
-    planes are drawn in row chunks, as ``write_synthetic_scene`` draws.
+    The stack holds, in memory, the digital numbers that
+    ``write_synthetic_scene`` writes: reflectance is drawn as class mean
+    plus Gaussian noise (clipped at zero), in the same row chunks from the
+    same generator, and quantized by ``BandStack.from_reflectance`` as
+    ``write_bands`` quantizes it. So its census equals the census of the
+    written scene loaded, and ``save_band_stack`` of it writes the same
+    band files. With noise_sigma 0 a 10 m pixel is its class mean rounded
+    to a digital number, and a 20 m cell the mean of its 2x2 block of
+    class means, rounded.
     """
     scene = _SceneDrawer(params)
     h, w = params.height, params.width
-    planes = {}
-    for band in FEATURE_ORDER:
-        plane = np.empty((h, w))
-        for r0, r1 in row_chunks(w, h):
-            scene.draw(band, r0, r1, out=plane[r0:r1])
-        planes[band] = plane
-    stack = BandStack(
-        width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=params.geo
+    stack = BandStack.from_reflectance(
+        w, h, lambda band: (scene.draw(band, r0, r1) for r0, r1 in row_chunks(w, h)),
+        params.geo,
     )
     return stack, SceneTruth(raft_centroids=scene.centroids, class_map=scene.class_map)
 

@@ -17,10 +17,10 @@ A mask pixel (``threshold_planes``) is ``forward_batch`` of its
 ``BandStack.rows`` features >= thr. Most pixels are decided without that
 score, from float32 BLAS matrix products, which are several times
 cheaper and whose rounding depends on the BLAS. Each row window
-(``BandStack.windows``) is screened in float32 first: a loaded stack from
-its digital numbers, cast exactly, with first-layer weights divided by
-DN_SCALE; hidden units as 1 / (1 + exp(-z)), by exp, an addition and a
-reciprocal in place; and no output sigmoid, as the screen stops at the
+(``BandStack.windows``) is screened in float32 first: a stack of digital
+numbers (a DN stack: loaded, or generated in memory) from them, cast
+exactly, with first-layer weights divided by DN_SCALE; hidden units as
+1 / (1 + exp(-z)), by exp, an addition and a reciprocal in place; and no output sigmoid, as the screen stops at the
 output unit's pre-activation. Proven bounds (``_Float32Net``) on that
 pre-activation's float32 error and on the exact score's float64 error
 give two cuts, and a pixel whose pre-activation lies beyond either is
@@ -370,7 +370,7 @@ class _Float32Net:
     and stops at the output pre-activation v32 = w2 h + b2. The exact
     score s64 is ``forward_batch``'s, in float64. Both approximate the
     real-valued computation from the float64 parameters and the real
-    inputs x*: an in-memory stack's float64 values, or a loaded stack's
+    inputs x*: a float-plane stack's float64 values, or a DN stack's
     exactly upsampled DN / DN_SCALE (the upsampler is linear, with weights
     that sum to 1). There v* is the output pre-activation and s* =
     sigmoid(v*). For unit roundoff u (u32 = 2^-24, u64 = 2^-53) and
@@ -384,12 +384,12 @@ class _Float32Net:
       roundings on a term's path, gamma_N = N u / (1 - N u). This covers any
       BLAS. Float32 hidden sums: N = n + 8 (two roundings of input and
       weight, the n-term sum, the upsampler, the 20 m + 10 m addition and
-      the bias). On an in-memory stack the input and the weight are each
-      rounded to float32; on a loaded stack the DN casts exactly and the
+      the bias). On a float-plane stack the input and the weight are each
+      rounded to float32; on a DN stack the DN casts exactly and the
       weight is rounded twice, fl32(fl64(w / DN_SCALE)), off by at most
       u32 + 2 u64 relative, which gamma_N's slack over (1 + u32)^N - 1
       covers. Float64 hidden sums, ``forward_batch`` of ``BandStack.rows``:
-      N = n + 6 (fl64(DN / DN_SCALE) of a loaded stack's input, the
+      N = n + 6 (fl64(DN / DN_SCALE) of a DN stack's input, the
       upsampler, one product and n - 1 additions, the bias). Output sums:
       N = H + 3 for both.
     - The upsampler: one product and one addition per axis, columns then
@@ -400,7 +400,7 @@ class _Float32Net:
     - Underflow: each rounding may instead add an absolute eta, scaled by at
       most a weight or M: 2 N eta (1 + |w1_j|_1 + |b1_j|) (1 + M) per hidden
       sum, 2 (H + 3) eta (1 + |w2|_1 + |b2|) per output sum. In float32,
-      eta is taken as DN_SCALE * 2^-149, since a loaded stack's rounded
+      eta is taken as DN_SCALE * 2^-149, since a DN stack's rounded
       weight w / DN_SCALE meets DN of up to DN_SCALE * M.
     - Sigmoid slope <= 1/4: an error d in a unit's sum moves its output by at
       most d / 4; hidden outputs lie in [0, 1], so output sums are off by at
@@ -420,7 +420,7 @@ class _Float32Net:
     the first makes s* >= thr + ds64, so s64 >= thr, and v32 below the
     second makes s64 < thr. All four coefficients are raised by a factor
     1 + 2^-30, which covers their own float64 rounding, that of evaluating
-    them at M, and a loaded stack's peak, max DN / DN_SCALE rounded to
+    them at M, and a DN stack's peak, max DN / DN_SCALE rounded to
     float64; ``cuts`` rounds the rest outward.
     """
 

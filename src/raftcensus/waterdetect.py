@@ -152,11 +152,12 @@ def water_mask_ndwi(s: BandStack) -> BitMask:
     straight into the rows of a whole-scene uint8 array, which Otsu's
     threshold t needs; the histogram sums the windows' counts. Then each
     window's bins > t are packed into the words of the BitMask returned,
-    so no whole-scene bool mask is built. An in-memory stack's windows are
-    binned from their reflectances, by
+    so no whole-scene bool mask is built. A stack built from float64 planes
+    has its windows binned from their reflectances, by
     ``quantize_ndwi(compute_ndwi(green, nir))``.
 
-    A loaded stack's green and NIR reflectances are its digital numbers G
+    A stack of digital numbers (loaded, or generated in memory by
+    ``BandStack.from_reflectance``) has green and NIR reflectances G
     and N divided by 10000, and each of its bins equals that float64
     route's, quantize_ndwi(compute_ndwi(G / 10000, N / 10000)), but is
     computed from G and N (``BandStack.dn_rows``): x = 128 (G - N) / (G +

@@ -400,16 +400,26 @@ def ref_load_band_stack(manifest_path) -> BandStack:
     to a whole float64 plane on load (well-formed manifests only)."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
-    planes = {}
-    for band in BandId:
-        plane = read_pgm16(manifest_path.parent / manifest["bands"][band.value])
-        plane = plane.astype(np.float64) / DN_SCALE
-        planes[band] = plane if band.native_resolution_m == 10 else ref_bilinear_gathers(plane, 2)
+    planes = ref_scaled_planes({
+        band: read_pgm16(manifest_path.parent / manifest["bands"][band.value])
+        for band in BandId
+    })
     geo = manifest.get("geo")
     if geo is not None:
         geo = GeoRef(float(geo["origin_easting"]), float(geo["origin_northing"]), str(geo["crs"]))
     h, w = planes[BandId.B2].shape
     return BandStack(width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=geo)
+
+
+def ref_scaled_planes(dn: dict) -> dict:
+    """Float64 planes on the 10 m grid from each band's digital numbers at
+    its native resolution: DN / DN_SCALE, and for 20 m bands that
+    upsampled by ``ref_bilinear_gathers``."""
+    planes = {}
+    for band, x in dn.items():
+        x = x.astype(np.float64) / DN_SCALE
+        planes[band] = x if band.native_resolution_m == 10 else ref_bilinear_gathers(x, 2)
+    return planes
 
 
 def ref_water_mask_ndwi(s: BandStack) -> np.ndarray:
@@ -547,17 +557,25 @@ def ref_report_to_json(report) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def ref_save_band_stack(stack: BandStack, out_dir) -> None:
-    """Band PGMs and manifest: 20 m bands reduced by a 2x2 block ``mean``,
-    then every band scaled, rounded and clipped into fresh arrays."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bands_entry = {}
+def ref_dn_planes(stack: BandStack) -> dict:
+    """Each band's digital numbers at its native resolution, uint16: 20 m
+    bands reduced by a 2x2 block ``mean``, then every band scaled, rounded
+    and clipped into fresh arrays."""
+    dn = {}
     for band, plane in stack.rows(0, stack.height, BandId).items():
         if band.native_resolution_m == 20:
             h, w = plane.shape
             plane = plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-        dn = np.clip(np.rint(plane * DN_SCALE), 0, 65535).astype(np.uint16)
+        dn[band] = np.clip(np.rint(plane * DN_SCALE), 0, 65535).astype(np.uint16)
+    return dn
+
+
+def ref_save_band_stack(stack: BandStack, out_dir) -> None:
+    """Band PGMs of ``ref_dn_planes``, and the manifest."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    bands_entry = {}
+    for band, dn in ref_dn_planes(stack).items():
         name = f"{band.value.lower()}.pgm"
         h, w = dn.shape
         header = f"P5\n{w} {h}\n65535\n".encode("ascii")
@@ -630,6 +648,15 @@ def ref_generate_synthetic_scene(params):
     stack = BandStack(width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=params.geo)
     truth = SceneTruth(tuple(centroids), class_map)
     return stack, truth
+
+
+def ref_quantized_scene(params):
+    """(stack, truth): the float64 planes of ``ref_generate_synthetic_scene``
+    as its saved and loaded twin reads them, ``ref_scaled_planes`` of
+    ``ref_dn_planes``, in a float-plane stack."""
+    stack, truth = ref_generate_synthetic_scene(params)
+    planes = ref_scaled_planes(ref_dn_planes(stack))
+    return replace(stack, planes=planes), truth
 
 
 def ref_write_synthetic_scene(params, out_dir) -> None:

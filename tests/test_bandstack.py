@@ -453,6 +453,68 @@ class TestSave:
         assert_band_files_equal(path, tmp_path / "lib" / "manifest.json")
 
 
+class TestFromReflectance:
+    """``BandStack.from_reflectance`` holds in memory what ``write_bands``
+    writes: every reader gives what it gives on the written files, loaded."""
+
+    @staticmethod
+    def chunked(planes, w, h):
+        return lambda band: (planes[band][r0:r1] for r0, r1 in bandstack.row_chunks(w, h))
+
+    @pytest.mark.parametrize("pattern", sorted(SAVE_PATTERNS))
+    @pytest.mark.parametrize("h,w,rows", [(64, 64, None), (22, 40, 5), (2, 2, None)])
+    def test_every_reader_equals_the_written_stack_loaded(self, tmp_path, rng, monkeypatch,
+                                                          pattern, h, w, rows):
+        if rows:  # chunks of 4 rows
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * w)
+        planes = {b: SAVE_PATTERNS[pattern](rng, h, w) for b in BandId}
+        geo = GeoRef(500000.0, 4680000.0, "EPSG:32629")
+        s = BandStack.from_reflectance(w, h, self.chunked(planes, w, h), geo)
+        path = bandstack.write_bands(tmp_path / "written", w, h, self.chunked(planes, w, h), geo)
+        loaded = load_band_stack(path)
+        assert (s.width, s.height, s.pixel_size, s.geo) == (w, h, 10.0, geo)
+        save_band_stack(s, tmp_path / "saved")
+        for f in (tmp_path / "written").iterdir():
+            assert (tmp_path / "saved" / f.name).read_bytes() == f.read_bytes(), f.name
+        tens = (BandId.B2, BandId.B3, BandId.B4, BandId.B8)
+        weights = rng.normal(size=(3, len(BandId)))
+        for (r0, r1, got), (_, _, want) in zip(s.windows(), loaded.windows(), strict=True):
+            for b in BandId:
+                assert np.array_equal(bits(got[b]), bits(want[b])), (b, r0)
+            got_dn, want_dn = s.dn_rows(r0, r1, tens), loaded.dn_rows(r0, r1, tens)
+            for b in tens:
+                assert got_dn[b].dtype == np.uint16 and not got_dn[b].flags.writeable
+                assert np.array_equal(got_dn[b], want_dn[b])
+        for (_, _, got, got_peak), (_, _, want, want_peak) in zip(
+                s.float32_sums(weights), loaded.float32_sums(weights), strict=True):
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            assert got_peak == want_peak
+        rows_, cols = rng.integers(0, h, 50), rng.integers(0, w, 50)
+        assert np.array_equal(bits(s.features(rows_, cols)), bits(loaded.features(rows_, cols)))
+
+    @pytest.mark.parametrize("w,h", [(3, 4), (4, 5), (97, 130)])
+    def test_odd_sizes_rejected_before_any_rows(self, w, h):
+        asked = []
+        with pytest.raises(DimensionError, match=f"cannot export a {w}x{h} stack"):
+            BandStack.from_reflectance(w, h, asked.append)
+        assert asked == []
+
+    @pytest.mark.parametrize("chunks,message", [
+        ([np.zeros((2, 8))], "2 rows of a raster 4 high"),
+        ([np.zeros((4, 8)), np.zeros((2, 8))], "at row 4 of a 8x4 raster"),
+        ([np.zeros((4, 6))], r"row chunk of shape \(4, 6\)"),
+    ])
+    def test_chunks_that_do_not_fill_the_raster_rejected(self, chunks, message):
+        with pytest.raises(DimensionError, match=message):
+            BandStack.from_reflectance(8, 4, lambda band: iter(chunks))
+
+    def test_digital_numbers_are_read_only(self, rng):
+        planes = {b: rng.uniform(0, 1, (4, 4)) for b in BandId}
+        s = BandStack.from_reflectance(4, 4, lambda band: [planes[band]])
+        with pytest.raises(ValueError, match="read-only"):
+            s.dn_rows(0, 2, (BandId.B3,))[BandId.B3][0, 0] = 1
+
+
 def assert_band_files_equal(manifest_a, manifest_b):
     """Every band file of two manifests holds the same bytes."""
     (_, a), (_, b) = read_manifest(manifest_a), read_manifest(manifest_b)

@@ -290,7 +290,7 @@ class TestSynth:
         assert "noise_sigma" in err and "Traceback" not in err
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("width,height", [(65, 64), (64, 47)])
+    @pytest.mark.parametrize("width,height", [(65, 64), (64, 47), (97, 130)])
     def test_odd_size_rejected_before_drawing(self, tmp_path, capsys, monkeypatch, width, height):
         drawn = []
         monkeypatch.setattr(datasets, "write_synthetic_scene", lambda *a: drawn.append(a))

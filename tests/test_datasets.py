@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from raftcensus import (
     compute_ndwi,
     extract_platform_samples,
     generate_synthetic_scene,
+    load_band_stack,
     load_spectra,
+    read_pgm16,
+    save_band_stack,
     synthetic_pixel_dataset,
     water_mask_ndwi,
 )
@@ -26,9 +30,15 @@ from raftcensus.datasets import (
     save_labeled_csv,
     write_synthetic_scene,
 )
-from raftcensus.errors import DatasetError
+from raftcensus.errors import DatasetError, DimensionError
 
-from oracles import ref_generate_synthetic_scene, ref_place_rafts, ref_write_synthetic_scene
+from oracles import (
+    ref_place_rafts,
+    ref_quantized_scene,
+    ref_write_synthetic_scene,
+)
+
+TEN_METER = (BandId.B2, BandId.B3, BandId.B4, BandId.B8)
 
 
 class TestSpectra:
@@ -107,11 +117,12 @@ class TestSpectraInParams:
             stack, _ = generate_synthetic_scene(
                 SynthParams(width=32, height=32, raft_count=1, seed=1, spectra=given)
             )
-            ref, _ = ref_generate_synthetic_scene(
+            ref, _ = ref_quantized_scene(
                 SynthParams(width=32, height=32, raft_count=1, seed=1, spectra=spectra)
             )
+            got = stack.rows(0, 32)
             for b in BandId:
-                assert np.array_equal(stack.planes[b], ref.planes[b])
+                assert np.array_equal(got[b], ref.planes[b])
 
     def test_layout_errors_come_before_the_directory(self, tmp_path):
         out = tmp_path / "scene"
@@ -140,18 +151,69 @@ def bits(a):
 
 
 class TestStreamedScene:
+    # 98 wide is not a multiple of 64, the width of a BitMask word.
     @pytest.mark.parametrize("rows", CHUNK_ROWS)
-    @pytest.mark.parametrize("kw", SCENES + [dict(width=97, height=130, raft_count=5, seed=13)])
+    @pytest.mark.parametrize("kw", SCENES + [dict(width=98, height=130, raft_count=5, seed=13)])
     def test_planes_and_truth_equal_whole_plane_reference(self, monkeypatch, kw, rows):
         if rows:
             monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * kw["width"])
         stack, truth = generate_synthetic_scene(SynthParams(**kw))
-        ref, ref_truth = ref_generate_synthetic_scene(SynthParams(**kw))
+        ref, ref_truth = ref_quantized_scene(SynthParams(**kw))
+        got = stack.rows(0, stack.height)
         for b in BandId:
-            assert np.array_equal(bits(stack.planes[b]), bits(ref.planes[b])), b
+            assert np.array_equal(bits(got[b]), bits(ref.planes[b])), b
         for name in ("water_mask", "raft_mask", "class_map"):
             assert np.array_equal(getattr(truth, name), getattr(ref_truth, name))
         assert truth.raft_centroids == ref_truth.raft_centroids
+
+    @pytest.mark.parametrize("rows", CHUNK_ROWS)
+    @pytest.mark.parametrize("kw", SCENES)
+    def test_generated_stack_is_the_written_scene(self, tmp_path, monkeypatch, kw, rows):
+        """save_band_stack of the generated stack writes the band files and
+        manifest of write_synthetic_scene, and its windows read as the
+        written scene's, loaded, read them."""
+        if rows:
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * kw["width"])
+        params = SynthParams(**kw, geo=GeoRef(500000.0, 4680000.0, "EPSG:32629"))
+        stack, _ = generate_synthetic_scene(params)
+        write_synthetic_scene(params, tmp_path / "written")
+        save_band_stack(stack, tmp_path / "saved")
+        names = sorted(f.name for f in (tmp_path / "saved").iterdir())
+        assert len(names) == 11
+        for name in names:
+            assert ((tmp_path / "saved" / name).read_bytes()
+                    == (tmp_path / "written" / name).read_bytes()), name
+        loaded = load_band_stack(tmp_path / "written" / "manifest.json")
+        assert (stack.width, stack.height, stack.geo) == (loaded.width, loaded.height, loaded.geo)
+        for (r0, r1, got), (_, _, want) in zip(stack.windows(), loaded.windows(), strict=True):
+            for b in BandId:
+                assert np.array_equal(bits(got[b]), bits(want[b])), (b, r0)
+            got_dn, want_dn = stack.dn_rows(r0, r1, TEN_METER), loaded.dn_rows(r0, r1, TEN_METER)
+            for b in TEN_METER:
+                assert np.array_equal(got_dn[b], want_dn[b]), (b, r0)
+
+    def test_generated_stack_holds_only_digital_numbers(self):
+        """A 512x512 scene holds 11 B/px: the read-only uint16 digital numbers
+        of four 10 m bands and of six 20 m bands at half size. With its 1 B/px
+        class map, that is all the memory the scene keeps: no float array."""
+        n = 512 * 512
+        tracemalloc.start()
+        try:
+            stack, truth = generate_synthetic_scene(SynthParams(width=512, height=512, seed=1))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [raster.dn for raster in stack.planes.rasters.values()]
+        assert len(arrays) == len(BandId)
+        assert all(a.dtype == np.uint16 and not a.flags.writeable for a in arrays)
+        assert sum(a.nbytes for a in arrays) == 11 * n
+        assert truth.class_map.nbytes == n
+        assert 12 * n <= held < 12 * n + 2**16
+
+    def test_odd_size_rejected_before_drawing(self):
+        for width, height in ((97, 64), (64, 97)):
+            with pytest.raises(DimensionError, match=f"cannot export a {width}x{height} stack"):
+                SynthParams(width=width, height=height)
 
     @pytest.mark.parametrize("rows", CHUNK_ROWS)
     @pytest.mark.parametrize("kw", SCENES)
@@ -177,15 +239,23 @@ class TestStreamedScene:
 
 
 class TestSyntheticScene:
-    def test_zero_noise_equals_class_means(self):
+    def test_zero_noise_equals_class_means(self, tmp_path):
+        """A noiseless 10 m pixel is its class mean rounded to a digital
+        number; a 20 m cell is the mean of its 2x2 block of class means,
+        rounded."""
         params = SynthParams(width=64, height=64, raft_count=4, noise_sigma=0.0, seed=2)
         stack, truth = generate_synthetic_scene(params)
-        spectra = load_spectra()
+        table = np.stack([load_spectra()[name] for name in WATER_CLASS_NAMES])
+        means = table[truth.class_map]  # (64, 64, 10)
+        dn = stack.dn_rows(0, 64, TEN_METER)
+        save_band_stack(stack, tmp_path)
         for i, band in enumerate(BandId):
-            plane = stack.planes[band]
-            for ci, name in enumerate(WATER_CLASS_NAMES):
-                sel = truth.class_map == ci
-                assert (plane[sel] == spectra[name][i]).all()
+            if band in TEN_METER:
+                got, want = dn[band], means[..., i]
+            else:
+                got = read_pgm16(tmp_path / f"{band.value.lower()}.pgm")
+                want = means[..., i].reshape(32, 2, 32, 2).mean(axis=(1, 3))
+            assert np.array_equal(got, np.rint(want * 10000)), band
 
     def test_no_rafts(self):
         stack, truth = generate_synthetic_scene(
@@ -203,8 +273,9 @@ class TestSyntheticScene:
         params = SynthParams(width=64, height=64, raft_count=5, seed=9)
         s1, t1 = generate_synthetic_scene(params)
         s2, t2 = generate_synthetic_scene(params)
+        p1, p2 = s1.rows(0, 64), s2.rows(0, 64)
         for b in BandId:
-            assert np.array_equal(s1.planes[b], s2.planes[b])
+            assert np.array_equal(p1[b], p2[b])
         assert t1.raft_centroids == t2.raft_centroids
 
     def test_rafts_inside_water_with_gaps(self):
@@ -235,7 +306,8 @@ class TestSyntheticScene:
         stack, truth = generate_synthetic_scene(
             SynthParams(width=48, height=48, raft_count=0, noise_sigma=0.0, seed=0)
         )
-        ndwi = compute_ndwi(stack.planes[BandId.B3], stack.planes[BandId.B8])
+        planes = stack.rows(0, 48, (BandId.B3, BandId.B8))
+        ndwi = compute_ndwi(planes[BandId.B3], planes[BandId.B8])
         assert ndwi[truth.water_mask].min() - ndwi[truth.class_map == 0].max() > 0.2
 
 

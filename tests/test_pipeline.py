@@ -33,6 +33,7 @@ from raftcensus import (
     water_mask_ndwi,
 )
 from raftcensus import bandstack
+from raftcensus.datasets import write_synthetic_scene
 from raftcensus.errors import DimensionError, RaftCensusError
 from raftcensus.mlp import WATER_LAYERS
 from raftcensus.pipeline import Census, CensusRecord
@@ -42,6 +43,7 @@ from oracles import (
     ref_forward_batch,
     ref_gather_mask,
     ref_load_band_stack,
+    ref_quantized_scene,
     ref_water_mask_ndwi,
     ref_whole_image_mask,
 )
@@ -99,19 +101,19 @@ class TestPlatformMask:
             platform_mask(stack, np.ones((48, 40), dtype=bool), census_cfg)
 
     def test_matches_gather_reference(self, census_cfg, rng):
-        stack, _ = generate_synthetic_scene(
-            SynthParams(width=256, height=200, raft_count=12, seed=21)
-        )
+        params = SynthParams(width=256, height=200, raft_count=12, seed=21)
+        stack, _ = generate_synthetic_scene(params)
+        ref, _ = ref_quantized_scene(params)
         water = clean_water_mask(water_mask_ndwi(stack))
         model = census_cfg.platform_model
         rows, cols = np.nonzero(water)
-        x = np.stack([stack.planes[b][rows, cols] for b in FEATURE_ORDER], axis=1)
+        x = np.stack([ref.planes[b][rows, cols] for b in FEATURE_ORDER], axis=1)
         scores = ref_forward_batch(model, x)[:, 0]
         for thr in [0.5, *scores[rng.integers(0, len(scores), size=4)]]:
             cfg = replace(census_cfg, platform_threshold=thr)
             assert np.array_equal(
                 platform_mask(stack, water, cfg),
-                ref_gather_mask(model, stack.planes, 0, thr, water),
+                ref_gather_mask(model, ref.planes, 0, thr, water),
             )
 
 
@@ -460,6 +462,35 @@ class TestLoadedStackCensus:
             np.asarray(water_mask_ndwi(stack))
         assert census_to_csv(run_census(stack, cfg)) == want
         assert census_to_csv(run_census(ref_load_band_stack(manifest), cfg)) == want
+
+
+class TestGeneratedSceneCensus:
+    """A generated scene holds the digital numbers that write_synthetic_scene
+    writes, so its census is the census of the written scene, loaded, byte
+    for byte, on both water routes."""
+
+    GEO = GeoRef(500000.0, 4680000.0, "EPSG:32629")
+    PARAMS = [
+        SynthParams(width=256, height=200, raft_count=12, seed=21, geo=GEO),
+        SynthParams(width=130, height=98, raft_count=6, seed=5, geo=GEO),
+    ]
+
+    @pytest.mark.parametrize("route", ["ndwi", "mlp"])
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_census_equals_loaded_twin(self, tmp_path, params, route, platform_model,
+                                       water_model):
+        method = NdwiOtsu() if route == "ndwi" else MlpWater(model=water_model)
+        cfg = CensusConfig(water_method=method, platform_model=platform_model)
+        stack, _ = generate_synthetic_scene(params)
+        write_synthetic_scene(params, tmp_path)
+        got = run_pipeline(stack, cfg, source="scene")
+        want = run_pipeline(load_band_stack(tmp_path / "manifest.json"), cfg, source="scene")
+        assert np.array_equal(got.water_mask, want.water_mask)
+        assert np.array_equal(got.platform_mask, want.platform_mask)
+        assert got.census.count == want.census.count > 0
+        assert census_to_csv(got.census) == census_to_csv(want.census)
+        assert (census_to_geojson(got.census, self.GEO.crs)
+                == census_to_geojson(want.census, self.GEO.crs))
 
 
 class TestMemory:

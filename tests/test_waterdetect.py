@@ -24,6 +24,7 @@ from oracles import (
     ref_forward_batch,
     ref_load_band_stack,
     ref_otsu,
+    ref_quantized_scene,
     ref_whole_image_mask,
     write_dn_scene,
 )
@@ -314,13 +315,16 @@ class TestWaterMaskMlp:
         assert not (np.asarray(hi) & ~np.asarray(lo)).any()
 
     def test_matches_whole_image_reference(self, water_model, rng):
-        stack, _ = generate_synthetic_scene(SynthParams(width=97, height=130, raft_count=5, seed=13))
-        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1)
+        # 98 wide is not a multiple of 64, the width of a BitMask word.
+        params = SynthParams(width=98, height=130, raft_count=5, seed=13)
+        stack, _ = generate_synthetic_scene(params)
+        ref, _ = ref_quantized_scene(params)
+        x = np.stack([ref.planes[b] for b in FEATURE_ORDER], axis=-1)
         scores = ref_forward_batch(water_model, x.reshape(-1, 10))[:, 2]
         for thr in [0.5, 0.9, *scores[rng.integers(0, len(scores), size=4)]]:
             assert np.array_equal(
                 water_mask_mlp(stack, water_model, 3, thr),
-                ref_whole_image_mask(water_model, stack.planes, 2, thr),
+                ref_whole_image_mask(water_model, ref.planes, 2, thr),
             )
 
     def test_bad_class_index(self, water_model):
