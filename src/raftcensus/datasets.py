@@ -98,7 +98,12 @@ class LabeledPixels:
 
 @dataclass(frozen=True)
 class SynthParams:
-    """Synthetic scene layout and noise settings."""
+    """Synthetic scene layout and noise settings.
+
+    Width and height must be even, as ``check_saveable`` requires
+    (DimensionError): a scene's 20 m bands are held and written at half
+    resolution.
+    """
 
     width: int = 512
     height: int = 512

@@ -20,8 +20,11 @@ placement tests each candidate against every raft placed so far, and the
 band writer reduces 20 m bands with ``mean`` and scales into fresh
 arrays, as the library once did. The scene generator gathers class means
 into whole float64 planes and draws each band's noise in one ``normal``
-call, the PGM reader parses a whole-file copy, and the overlay renders
-from B3's whole plane: the library's former code. The library must match
+call, and ``ref_quantized_scene`` takes those planes through the band
+writer's quantization and the loader's scaling and upsampling, which is
+what the library's generated stack holds. The PGM reader parses a
+whole-file copy, and the overlay renders from B3's whole plane: the
+library's former code. The library must match
 all of these bit for bit.
 
 The long-double output pre-activations (``ref_preactivations`` of
