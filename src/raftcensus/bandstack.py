@@ -306,14 +306,14 @@ class BandStack:
         ``_FLOAT32_PEAK`` or not finite (NaN included) is not cast: it yields
         ``sums`` None and peak inf, and ``mlp.threshold_planes`` scores it
         exactly, where a non-finite value raises. A stack of digital numbers
-        reads its digital numbers (DN) with its band reader's ``dn_rows`` and
-        casts them to float32, which is exact; its weights are w / DN_SCALE, divided in float64 and rounded
-        to float32, and its peak is the window's largest DN / DN_SCALE. It
-        sums its 10 m terms on the 10 m grid and its 20 m terms on the 20 m
-        grid, one matrix product on the native rows under the window plus a
-        one-row halo on either side, and upsamples each plane's 20 m sum with
-        the x2 bilinear upsampler, in float32: it upsamples len(w) planes, not
-        one per 20 m band. The 10 m product is added to that. Each window
+        reads them (DN) with its band reader's ``dn_rows`` and casts them to
+        float32, which is exact; its weights are w / DN_SCALE, divided in
+        float64 and rounded to float32, and its peak is the window's largest
+        DN / DN_SCALE. It sums its 10 m terms on the 10 m grid and its 20 m
+        terms on the 20 m grid, one matrix product on the native rows under
+        the window plus a one-row halo on either side, and upsamples each
+        plane's 20 m sum with the x2 bilinear upsampler, in float32: it
+        upsamples len(w) planes, not one per 20 m band. The 10 m product is added to that. Each window
         reads its own rows once; a skipped window reads none. So a term of a
         sum meets at most 16 float32 roundings (input, weight, product, nine
         additions with the 20 m + 10 m one among them, two per upsampled axis;

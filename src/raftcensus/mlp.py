@@ -20,8 +20,9 @@ cheaper and whose rounding depends on the BLAS. Each row window
 (``BandStack.windows``) is screened in float32 first: a stack of digital
 numbers (a DN stack: loaded, or generated in memory) from them, cast
 exactly, with first-layer weights divided by DN_SCALE; hidden units as
-1 / (1 + exp(-z)), by exp, an addition and a reciprocal in place; and no output sigmoid, as the screen stops at the
-output unit's pre-activation. Proven bounds (``_Float32Net``) on that
+1 / (1 + exp(-z)), by exp, an addition and a reciprocal in place; and
+no output sigmoid, as the screen stops at the output unit's
+pre-activation. Proven bounds (``_Float32Net``) on that
 pre-activation's float32 error and on the exact score's float64 error
 give two cuts, and a pixel whose pre-activation lies beyond either is
 decided; a window holding any other pixel, or a value the screen does
