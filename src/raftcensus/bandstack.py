@@ -33,17 +33,19 @@ holds each band's digital numbers, at its native resolution, in a
 read-only uint16 array (2 B per 10 m pixel, 0.5 B per 10 m pixel for a
 20 m band). The band reader reads that array as it reads a file, so such
 a stack takes every route a loaded one takes, with the same values.
-Only a stack built from user-given float64 planes has no digital
-numbers: its ``dn_rows`` gives None, and its readers take ``rows``.
+Only a stack built directly from float64 planes has no digital numbers:
+it is read through ``rows``, ``windows`` and ``features`` alone. Its
+``dn_rows`` gives None, ``float32_sums`` yields no window for it (so
+``mlp.threshold_planes`` scores it exactly), and ``save_band_stack``
+refuses it.
 
-Writing goes one band and one row chunk at a time: ``write_bands`` turns
-even-height reflectance row chunks (``row_chunks``) into digital numbers
-at each band's native resolution and appends them to the band's PGM, so
-``save_band_stack`` builds no whole float plane either; for a stack of
-digital numbers it copies them unchanged. Each PGM is written to a
-temporary file beside it and then renamed over it, so a stack still
-reading the old file (``import`` into its own directory) keeps reading
-the old data.
+Writing goes one band and one row chunk at a time, so no whole plane is
+built: ``write_bands`` turns even-height reflectance row chunks
+(``row_chunks``) into digital numbers at each band's native resolution
+and appends them to the band's PGM, and ``save_band_stack`` copies a
+stack's digital numbers unchanged. Each PGM is written to a temporary
+file beside it and then renamed over it, so a stack still reading the
+old file (``import`` into its own directory) keeps reading the old data.
 
 Manifest schema::
 
@@ -101,10 +103,6 @@ PIXEL_SIZE_M = 10.0
 # of four, and ran the in-memory water net as fast; at 65536 the water
 # net's larger window arrays slowed it by about 5%.
 _BLOCK_PIXELS = 32768
-# Largest magnitude ``BandStack.float32_sums`` casts to float32: with
-# weights whose row sums stay below 2**60 (``mlp`` checks), no float32 sum
-# comes near overflow.
-_FLOAT32_PEAK = 2.0**64
 
 
 class BandId(str, Enum):
@@ -153,14 +151,16 @@ class GeoRef:
 class BandStack:
     """Ten co-registered reflectance planes on a common 10 m grid.
 
-    ``planes`` maps every band to a float64 plane of shape (height,
-    width), row-major, finite and non-negative. A stack of digital
-    numbers, from ``load_band_stack`` or ``from_reflectance``, holds its
-    private band reader there instead, read only through ``rows``,
-    ``windows``, ``dn_rows``, ``float32_sums`` and ``features``; a whole
-    band is ``rows(0, height, (band,))``. Census stages walk a stack
-    through ``windows``, which sets the window size. Treat instances as
-    immutable.
+    Every package route builds a stack of digital numbers, with
+    ``load_band_stack`` or ``from_reflectance``: ``planes`` holds its
+    private band reader, read only through ``rows``, ``windows``,
+    ``dn_rows``, ``float32_sums`` and ``features``; a whole band is
+    ``rows(0, height, (band,))``. A stack may also be built here from a
+    mapping of every band to a float64 plane of shape (height, width),
+    row-major, finite and non-negative; such a stack is read through
+    ``rows`` alone, gets no float32 screen and cannot be saved. Census
+    stages walk a stack through ``windows``, which sets the window size.
+    Treat instances as immutable.
     """
 
     width: int
@@ -290,57 +290,44 @@ class BandStack:
 
     def float32_sums(
         self, w: np.ndarray, where=None
-    ) -> Iterator[tuple[int, int, np.ndarray | None, float]]:
+    ) -> Iterator[tuple[int, int, np.ndarray, float]]:
         """Yield ``(r0, r1, sums, peak)`` for the row windows of ``windows``,
         skipped by ``where`` as there: ``sums`` is a float32 (len(w), r1 - r0,
         width) array whose plane j is the sum over k of w[j, k] times band
         ``FEATURE_ORDER[k]`` on rows r0..r1-1, a new array the caller may
         overwrite. ``peak`` bounds the magnitude of every value read for the
-        window (for a loaded stack, halo rows included).
+        window, halo rows included. A stack built from float64 planes has no
+        digital numbers and yields no window: ``mlp.threshold_planes`` scores
+        all of it exactly.
 
         The products are summed by ``np.matmul``, in whatever order the BLAS
-        takes. A float64-plane stack's rows come through ``rows``; they and
-        the weights are rounded to float32, and the window is reduced once, in
-        float32, by one max and one min: its peak is the float32 just above
-        its largest magnitude. A window holding a value beyond
-        ``_FLOAT32_PEAK`` or not finite (NaN included) is not cast: it yields
-        ``sums`` None and peak inf, and ``mlp.threshold_planes`` scores it
-        exactly, where a non-finite value raises. A stack of digital numbers
-        reads them (DN) with its band reader's ``dn_rows`` and casts them to
-        float32, which is exact; its weights are w / DN_SCALE, divided in
-        float64 and rounded to float32, and its peak is the window's largest
-        DN / DN_SCALE. It sums its 10 m terms on the 10 m grid and its 20 m
-        terms on the 20 m grid, one matrix product on the native rows under
-        the window plus a one-row halo on either side, and upsamples each
-        plane's 20 m sum with the x2 bilinear upsampler, in float32: it
-        upsamples len(w) planes, not one per 20 m band. The 10 m product is added to that. Each window
-        reads its own rows once; a skipped window reads none. So a term of a
-        sum meets at most 16 float32 roundings (input, weight, product, nine
-        additions with the 20 m + 10 m one among them, two per upsampled axis;
-        a DN casts exactly, but its weight is rounded twice, to float64 and
-        then to float32), and every term's magnitude is at most |w[j, k]| *
-        peak: ``mlp.threshold_planes`` bounds the error from that.
+        takes. The digital numbers (DN) are read with the band reader's
+        ``dn_rows`` and cast to float32, which is exact; the weights are w /
+        DN_SCALE, divided in float64 and rounded to float32, and the peak is
+        the window's largest DN / DN_SCALE. The 10 m terms are summed on the
+        10 m grid and the 20 m terms on the 20 m grid, one matrix product on
+        the native rows under the window plus a one-row halo on either side;
+        each plane's 20 m sum is upsampled with the x2 bilinear upsampler, in
+        float32 (len(w) planes, not one per 20 m band), and the 10 m product
+        is added to that. Each window reads its own rows once; a skipped
+        window reads none. So a term of a sum meets at most 16 float32
+        roundings (weight twice, to float64 and then to float32, product,
+        nine additions with the 20 m + 10 m one among them, two per upsampled
+        axis), and every term's magnitude is at most |w[j, k]| * peak:
+        ``mlp.threshold_planes`` bounds the error from that.
         """
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[1] != len(FEATURE_ORDER):
             raise ValueError(f"weights of shape {w.shape} for {len(FEATURE_ORDER)} bands")
         planes = self.planes
-        dn = isinstance(planes, _DnPlanes)
-        coarse = [k for k, b in enumerate(FEATURE_ORDER) if dn and b.native_resolution_m == 20]
+        if not isinstance(planes, _DnPlanes):
+            return
+        coarse = [k for k, b in enumerate(FEATURE_ORDER) if b.native_resolution_m == 20]
         fine = [k for k in range(len(FEATURE_ORDER)) if k not in coarse]
-        w = (w / DN_SCALE if dn else w).astype(np.float32)
+        w = (w / DN_SCALE).astype(np.float32)
         w_coarse, w_fine = w[:, coarse], w[:, fine]
         for r0, r1, _ in self.windows((), where):
             shape = (r1 - r0, self.width)
-            if not dn:
-                x32 = _cast32(list(self.rows(r0, r1).values()), shape)
-                hi, lo = x32.max(initial=0.0), x32.min(initial=0.0)
-                if -_FLOAT32_PEAK <= lo and hi <= _FLOAT32_PEAK:  # NaN fails both
-                    yield (r0, r1, (w @ x32).reshape(len(w), *shape),
-                           float(np.nextafter(max(hi, -lo), np.float32(np.inf))))
-                else:
-                    yield r0, r1, None, math.inf
-                continue
             a, b, n = planes.native_rows(r0, r1)
             half = (b + 1 - a, self.width // 2)
             native = [planes.rasters[FEATURE_ORDER[k]].dn_rows(a, b + 1) for k in coarse]
@@ -488,13 +475,11 @@ class _DnPlanes:
 
 
 def _cast32(xs: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
-    """The ``shape`` rows of ``xs`` cast to float32, one per row of a
-    (len(xs), shape[0] * shape[1]) array. Digital numbers (uint16) cast
-    exactly; a float beyond float32 casts to inf."""
+    """The ``shape`` uint16 rows of ``xs`` cast to float32, which is exact,
+    one per row of a (len(xs), shape[0] * shape[1]) array."""
     x32 = np.empty((len(xs), shape[0] * shape[1]), np.float32)
-    with np.errstate(over="ignore"):  # such a window is not scored in float32
-        for k, x in enumerate(xs):
-            np.copyto(x32[k].reshape(shape), x, casting="same_kind")
+    for k, x in enumerate(xs):
+        np.copyto(x32[k].reshape(shape), x, casting="same_kind")
     return x32
 
 
@@ -831,28 +816,26 @@ def _dn_rows(band: BandId, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]
 
 
 def save_band_stack(stack: BandStack, out_dir) -> Path:
-    """Write a stack as band PGMs plus manifest.json; returns manifest path.
+    """Write a stack of digital numbers (loaded, or from
+    ``BandStack.from_reflectance``) as band PGMs plus manifest.json; returns
+    the manifest path.
 
-    Bands are written one at a time, in the row chunks of ``row_chunks``. A
-    stack of digital numbers (loaded, or from ``BandStack.from_reflectance``)
-    copies them at their native resolution (its band reader's ``dn_rows``),
-    so saving it is lossless and a save of the saved stack gives the same
-    bytes. A stack built from float64 planes goes through ``write_bands``,
-    read with ``BandStack.rows``: a save/load round trip quantizes its 10 m
-    values to 1e-4 and block-averages its 20 m bands. Stack dimensions
-    must be even.
+    Bands are written one at a time, in the row chunks of ``row_chunks``:
+    the digital numbers are copied at their native resolution (the band
+    reader's ``dn_rows``), so saving is lossless and a save of the saved
+    stack gives the same bytes. A stack built from float64 planes holds no
+    digital numbers and raises ValueError, before ``out_dir`` is created;
+    its reflectances are quantized by ``BandStack.from_reflectance`` or
+    written by ``write_bands``.
     """
+    if not isinstance(stack.planes, _DnPlanes):
+        raise ValueError("save_band_stack writes a stack of digital numbers; quantize "
+                         "float64 planes with BandStack.from_reflectance or write_bands")
     w, h = stack.width, stack.height
-    if isinstance(stack.planes, _DnPlanes):
-        rasters = stack.planes.rasters
+    rasters = stack.planes.rasters
 
-        def dn_chunks(band: BandId) -> Iterator[np.ndarray]:
-            f = band.native_resolution_m // 10
-            return (rasters[band].dn_rows(r0 // f, r1 // f) for r0, r1 in row_chunks(w, h))
+    def dn_chunks(band: BandId) -> Iterator[np.ndarray]:
+        f = band.native_resolution_m // 10
+        return (rasters[band].dn_rows(r0 // f, r1 // f) for r0, r1 in row_chunks(w, h))
 
-        return _write_dn_bands(out_dir, w, h, dn_chunks, stack.geo)
-    return write_bands(
-        out_dir, w, h,
-        lambda band: (stack.rows(r0, r1, (band,))[band] for r0, r1 in row_chunks(w, h)),
-        stack.geo,
-    )
+    return _write_dn_bands(out_dir, w, h, dn_chunks, stack.geo)

@@ -17,18 +17,19 @@ A mask pixel (``threshold_planes``) is ``forward_batch`` of its
 ``BandStack.rows`` features >= thr. Most pixels are decided without that
 score, from float32 BLAS matrix products, which are several times
 cheaper and whose rounding depends on the BLAS. Each row window
-(``BandStack.windows``) is screened in float32 first: a stack of digital
-numbers (a DN stack: loaded, or generated in memory) from them, cast
-exactly, with first-layer weights divided by DN_SCALE; hidden units as
-1 / (1 + exp(-z)), by exp, an addition and a reciprocal in place; and
-no output sigmoid, as the screen stops at the output unit's
-pre-activation. Proven bounds (``_Float32Net``) on that
-pre-activation's float32 error and on the exact score's float64 error
-give two cuts, and a pixel whose pre-activation lies beyond either is
-decided; a window holding any other pixel, or a value the screen does
-not cast (beyond 2^64 or not finite), is scored again by
-``forward_batch``, which raises on a non-finite input. So the masks do
-not depend on the BLAS either.
+(``BandStack.windows``) of a stack of digital numbers (a DN stack: every
+stack the package builds, loaded or generated in memory) is screened in
+float32 first: from its DN, cast exactly, with first-layer weights
+divided by DN_SCALE; hidden units as 1 / (1 + exp(-z)), by exp, an
+addition and a reciprocal in place; and no output sigmoid, as the screen
+stops at the output unit's pre-activation. Proven bounds
+(``_Float32Net``) on that pre-activation's float32 error and on the
+exact score's float64 error give two cuts, and a pixel whose
+pre-activation lies beyond either is decided. Every other window (one
+holding an undecided pixel, every window of a stack built from float64
+planes, which has no DN, and every window for a model too large to cast)
+is scored by ``forward_batch``, which raises on a non-finite input. So
+the masks do not depend on the BLAS either.
 Training stays on float64 matrix products, with its work arrays
 allocated once per call, not per epoch.
 
@@ -244,22 +245,23 @@ def threshold_planes(
     A mask pixel is ``forward_batch`` of its ``BandStack.rows`` features
     >= thr, so its result depends neither on its window nor on BLAS.
 
-    Exact scores are formed only where they are needed. Every window is
-    first scored in float32 by matrix products (``BandStack.float32_sums``,
-    then one matrix product for the output unit), up to the output unit's
-    pre-activation v32: the output sigmoid is monotone, so it is compared
-    with cuts instead (``_Float32Net.cuts``). ``_Float32Net`` bounds
-    |v32 - v*| by dy32(M) and |exact score - s*| by ds64(M), with s* =
-    sigmoid(v*) the real-valued score and M the window's peak input
-    magnitude. A pixel is decided true when v32 >= logit(thr + ds64) +
-    dy32 and false when v32 < logit(thr - ds64) - dy32, both cuts rounded
-    outward to float32; NaN decides nothing. The rows of every window that
-    holds an undecided pixel, or a value beyond 2^64 or not finite, are
-    flagged (for a model too large to cast, every row holding a pixel of
-    ``where``), and one pass of ``forward_batch`` scores the flagged
-    windows; its exact results replace the float32 ones, and a non-finite
-    input raises ``ValueError`` there. The float32
-    screen computes output ``out_index`` only.
+    Exact scores are formed only where they are needed. Every row that
+    holds a pixel to decide (every row, or each row holding a pixel of
+    ``where``) starts flagged. The windows of ``BandStack.float32_sums``
+    are scored in float32 by matrix products (then one matrix product for
+    the output unit), up to the output unit's pre-activation v32: the
+    output sigmoid is monotone, so it is compared with cuts instead
+    (``_Float32Net.cuts``). ``_Float32Net`` bounds |v32 - v*| by dy32(M)
+    and |exact score - s*| by ds64(M), with s* = sigmoid(v*) the
+    real-valued score and M the window's peak input magnitude. A pixel is
+    decided true when v32 >= logit(thr + ds64) + dy32 and false when v32
+    < logit(thr - ds64) - dy32, both cuts rounded outward to float32; NaN
+    decides nothing. A window whose pixels are all decided has its rows'
+    flags cleared, and one pass of ``forward_batch`` scores the windows
+    still flagged: those holding an undecided pixel, and every window the
+    screen yields none for (a stack built from float64 planes, or a model
+    too large to cast). A non-finite input raises ``ValueError`` there.
+    The float32 screen computes output ``out_index`` only.
 
     With an (H, W) ``where``, a BitMask or a 2-D array that is packed into
     one (nonzero is True), windows holding no true pixel are neither read
@@ -275,19 +277,16 @@ def threshold_planes(
             raise DimensionError(f"mask shape {where.shape} does not match {(s.height, s.width)}")
         flags = where.words.any(axis=1)
     out = np.zeros((s.height, -(-s.width // 64)), dtype="<u8")
+    redo = np.ones(s.height, dtype=bool) if where is None else flags.copy()
     net = _float32_net(m, out_index)
-    if net is None:  # every window that holds a pixel of ``where``
-        redo = np.ones(s.height, dtype=bool) if where is None else flags
-    else:
-        redo = np.zeros(s.height, dtype=bool)
-        for r0, r1, v, peak in _float32_scores(net, s, flags):
-            inside = None if where is None else where.rows(r0, r1)
-            hit = np.empty((r1 - r0, s.width), dtype=bool)
-            if v is not None and _decide(v, *net.cuts(thr, peak), hit.reshape(-1),
-                                         None if inside is None else inside.reshape(-1)):
-                _pack_rows(out, r0, hit, inside)
-            else:
-                redo[r0:r1] = True
+    screened = () if net is None else _float32_scores(net, s, flags)
+    for r0, r1, v, peak in screened:
+        inside = None if where is None else where.rows(r0, r1)
+        hit = np.empty((r1 - r0, s.width), dtype=bool)
+        if _decide(v, *net.cuts(thr, peak), hit.reshape(-1),
+                   None if inside is None else inside.reshape(-1)):
+            _pack_rows(out, r0, hit, inside)
+            redo[r0:r1] = False
     for r0, r1, block in s.windows(FEATURE_ORDER, redo):
         x = np.stack([block[b].reshape(-1) for b in FEATURE_ORDER])
         hit = (forward_batch(m, x.T)[:, out_index] >= thr).reshape(r1 - r0, s.width)
@@ -348,8 +347,10 @@ def _logit_bound(p: float, d: float, up: bool) -> float:
 _U32, _U64 = 2.0**-24, 2.0**-53
 _ETA32, _ETA64 = 2.0**-149, 2.0**-1074
 _EXP_ULPS = 8  # allowance for np.exp, in units in the last place
-# Largest parameter row sum scored in float32: with inputs of magnitude at
-# most bandstack's float32 peak (2**64), every float32 sum stays below 2**125.
+# Largest parameter row sum scored in float32: the screen's inputs are
+# digital numbers of at most 65535 against first-layer weights divided by
+# DN_SCALE, and hidden outputs in [0, 1], so every float32 sum stays below
+# 2**63.
 _FLOAT32_PARAMS = 2.0**60
 
 
@@ -371,28 +372,25 @@ class _Float32Net:
     and stops at the output pre-activation v32 = w2 h + b2. The exact
     score s64 is ``forward_batch``'s, in float64. Both approximate the
     real-valued computation from the float64 parameters and the real
-    inputs x*: a float-plane stack's float64 values, or a DN stack's
-    exactly upsampled DN / DN_SCALE (the upsampler is linear, with weights
-    that sum to 1). There v* is the output pre-activation and s* =
-    sigmoid(v*). For unit roundoff u (u32 = 2^-24, u64 = 2^-53) and
-    smallest subnormal eta (2^-149, 2^-1074), each path is bounded term by
-    term. Here n = n_in, H = n_hid, w1_j is hidden unit j's weight row and
-    w2, b2 the output unit's parameters.
+    inputs x*, a DN stack's exactly upsampled DN / DN_SCALE (the upsampler
+    is linear, with weights that sum to 1). There v* is the output
+    pre-activation and s* = sigmoid(v*). For unit roundoff u (u32 =
+    2^-24, u64 = 2^-53) and smallest subnormal eta (2^-149, 2^-1074), each
+    path is bounded term by term. Here n = n_in, H = n_hid, w1_j is hidden
+    unit j's weight row and w2, b2 the output unit's parameters.
 
     - Dot products (Higham, Accuracy and Stability of Numerical Algorithms,
       2nd ed., section 3.1): a sum of products in any order, with or without
       FMA, is off by at most gamma_N * sum |terms|, where N counts the
       roundings on a term's path, gamma_N = N u / (1 - N u). This covers any
-      BLAS. Float32 hidden sums: N = n + 8 (two roundings of input and
-      weight, the n-term sum, the upsampler, the 20 m + 10 m addition and
-      the bias). On a float-plane stack the input and the weight are each
-      rounded to float32; on a DN stack the DN casts exactly and the
-      weight is rounded twice, fl32(fl64(w / DN_SCALE)), off by at most
-      u32 + 2 u64 relative, which gamma_N's slack over (1 + u32)^N - 1
-      covers. Float64 hidden sums, ``forward_batch`` of ``BandStack.rows``:
-      N = n + 6 (fl64(DN / DN_SCALE) of a DN stack's input, the
-      upsampler, one product and n - 1 additions, the bias). Output sums:
-      N = H + 3 for both.
+      BLAS. Float32 hidden sums: N = n + 8 (two roundings of the weight,
+      the n-term sum, the upsampler, the 20 m + 10 m addition and the
+      bias). The DN casts exactly and the weight is rounded twice,
+      fl32(fl64(w / DN_SCALE)), off by at most u32 + 2 u64 relative, which
+      gamma_N's slack over (1 + u32)^N - 1 covers. Float64 hidden sums,
+      ``forward_batch`` of ``BandStack.rows``: N = n + 6 (fl64(DN /
+      DN_SCALE) of the input, the upsampler, one product and n - 1
+      additions, the bias). Output sums: N = H + 3 for both.
     - The upsampler: one product and one addition per axis, columns then
       rows, so 4 of those N roundings. In float32 they fall on each hidden
       unit's 20 m sum, in float64 on each 20 m input. Its weights are
@@ -401,8 +399,8 @@ class _Float32Net:
     - Underflow: each rounding may instead add an absolute eta, scaled by at
       most a weight or M: 2 N eta (1 + |w1_j|_1 + |b1_j|) (1 + M) per hidden
       sum, 2 (H + 3) eta (1 + |w2|_1 + |b2|) per output sum. In float32,
-      eta is taken as DN_SCALE * 2^-149, since a DN stack's rounded
-      weight w / DN_SCALE meets DN of up to DN_SCALE * M.
+      eta is taken as DN_SCALE * 2^-149, since a rounded weight w /
+      DN_SCALE meets DN of up to DN_SCALE * M.
     - Sigmoid slope <= 1/4: an error d in a unit's sum moves its output by at
       most d / 4; hidden outputs lie in [0, 1], so output sums are off by at
       most sum_j |w2_j| (error of h_j) plus their own rounding.
@@ -421,8 +419,8 @@ class _Float32Net:
     the first makes s* >= thr + ds64, so s64 >= thr, and v32 below the
     second makes s64 < thr. All four coefficients are raised by a factor
     1 + 2^-30, which covers their own float64 rounding, that of evaluating
-    them at M, and a DN stack's peak, max DN / DN_SCALE rounded to
-    float64; ``cuts`` rounds the rest outward.
+    them at M, and the peak, max DN / DN_SCALE rounded to float64;
+    ``cuts`` rounds the rest outward.
     """
 
     w1: np.ndarray  # float64 (n_hid, n_in): the negated hidden weights
@@ -489,12 +487,9 @@ def _float32_net(m: MlpModel, out_index: int) -> _Float32Net | None:
 def _float32_scores(net: _Float32Net, s: BandStack, where=None) -> Iterator:
     """Yield ``(r0, r1, v, peak)`` for the windows of
     ``BandStack.float32_sums``: ``v`` is a float32 (n,) array of the net's
-    output pre-activation for the window's pixels, or None where the
-    window was not cast; ``peak`` is M of its bounds."""
+    output pre-activation for the window's pixels; ``peak`` is M of its
+    bounds."""
     for r0, r1, z, peak in s.float32_sums(net.w1, where):
-        if z is None:
-            yield r0, r1, None, peak
-            continue
         z = z.reshape(len(z), -1)
         z += net.b1  # z' = -(w1 x + b1)
         with np.errstate(over="ignore"):  # exp(z') = inf: the unit reads 0

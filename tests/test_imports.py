@@ -84,3 +84,58 @@ def test_unlisted_public_names_are_caught():
     )
     assert unlisted_public_names(source) == ["unlisted", "Unlisted"]
     assert unlisted_public_names("def f(): pass\n") == ["f"]
+
+
+def band_stack_constructions(source: str) -> list[int]:
+    """Line numbers of the calls in ``source`` that build a ``BandStack``
+    from its fields: ``BandStack(...)``, ``<module>.BandStack(...)``, and
+    ``dataclasses.replace`` under any name it is imported as, which copies
+    a stack with new fields. Class methods such as
+    ``BandStack.from_reflectance`` are not such calls."""
+    tree = ast.parse(source)
+    copiers = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        for alias in node.names
+        if alias.name == "replace"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and (f.id == "BandStack" or f.id in copiers)) or (
+            isinstance(f, ast.Attribute) and (
+                f.attr == "BandStack"
+                or (f.attr == "replace" and isinstance(f.value, ast.Name)
+                    and f.value.id == "dataclasses"))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_bandstack_builds_a_band_stack():
+    # Every stack a package route builds holds digital numbers, from
+    # ``load_band_stack`` or ``BandStack.from_reflectance``: the float32
+    # screen and ``save_band_stack`` take no other. So no module but
+    # ``bandstack`` builds a stack from its fields.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "bandstack.py")
+    assert modules
+    offenders = {p.name: band_stack_constructions(p.read_text()) for p in modules}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_band_stack_construction_forms_are_caught():
+    source = (
+        "from dataclasses import dataclass, replace as copy_with\n"
+        "import dataclasses\n"
+        "a = BandStack(width=2, height=2, pixel_size=10.0, planes=p)\n"
+        "b = bandstack.BandStack(2, 2, 10.0, p)\n"
+        "c = copy_with(a, planes=p)\n"
+        "d = dataclasses.replace(a, planes=p)\n"
+        "e = BandStack.from_reflectance(2, 2, rows)\n"
+        "f = load_band_stack(path)\n"
+        "g = flag.replace('_', '-')\n"
+        "h = replace(a)\n"
+    )
+    assert band_stack_constructions(source) == [3, 4, 5, 6]

@@ -18,7 +18,6 @@ from raftcensus import (
     load_band_stack,
     load_model,
     loss_and_gradient,
-    save_band_stack,
     save_model,
     train,
 )
@@ -58,10 +57,30 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def random_reflectances(rng, h, w):
+    """``write_bands``' row source of one chunk per band, of reflectances
+    uniform in [0, 1.5)."""
+    planes = {b: rng.uniform(0.0, 1.5, size=(h, w)) for b in BandId}
+    return lambda band: [planes[band]]
+
+
 def random_stack(rng, h, w):
-    """In-memory stack of reflectances uniform in [0, 1.5)."""
+    """In-memory stack of digital numbers, ``BandStack.from_reflectance`` of
+    reflectances uniform in [0, 1.5); ``h`` and ``w`` must be even."""
+    return BandStack.from_reflectance(w, h, random_reflectances(rng, h, w))
+
+
+def float_stack(rng, h, w):
+    """Stack of float64 planes uniform in [0, 1.5), of any size: it has no
+    float32 screen, so ``threshold_planes`` scores all of it exactly."""
     planes = {b: rng.uniform(0.0, 1.5, size=(h, w)) for b in BandId}
     return BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
+
+
+def stack_features(stack):
+    """(H * W, 10) features of every pixel of ``stack``, in row-major order."""
+    planes = stack.rows(0, stack.height)
+    return np.stack([planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
 
 
 def scaled_model(layers, seed, scale):
@@ -291,29 +310,30 @@ class TestThresholdPlanes:
         assert np.array_equal(bits(forward_batch(m, x[pick])), bits(want[pick]))
 
     @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
-    @pytest.mark.parametrize("shape", [(50, 700), (1, 20000), (2 * BLOCK + 9, 1),
-                                       (BLOCK + 1, 1), (1, 1), (7, 3)])
+    @pytest.mark.parametrize("shape", [(50, 700), (2, 20000), (2 * BLOCK + 10, 2),
+                                       (BLOCK + 2, 2), (2, 2), (8, 6)])
     def test_matches_whole_image_reference(self, rng, layers, seed, scale, shape):
         m = scaled_model(layers, seed, scale)
         stack = random_stack(rng, *shape)
-        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
-        scores = ref_forward_batch(m, x)
+        planes = stack.rows(0, stack.height)
+        scores = ref_forward_batch(m, stack_features(stack))
         for out_index in range(m.n_out):
             # Thresholds equal to actual scores put pixels exactly on the
             # boundary, where a one-ulp difference would flip the result.
-            picks = rng.integers(0, len(x), size=3)
+            picks = rng.integers(0, len(scores), size=3)
             for thr in [0.5, *scores[picks, out_index]]:
                 got = threshold_planes(m, stack, out_index, thr)
                 assert got.shape == shape and isinstance(got, BitMask)
-                assert np.array_equal(got, ref_whole_image_mask(m, stack.planes, out_index, thr))
+                assert np.array_equal(got, ref_whole_image_mask(m, planes, out_index, thr))
 
     @pytest.mark.parametrize("layers,seed,scale", SCORING_MODELS)
     def test_where_matches_gather_reference(self, rng, layers, seed, scale):
-        h, w = 203, 512  # not a multiple of the 32-row block size
+        h, w = 202, 512  # not a multiple of the 32-row block size
         m = scaled_model(layers, seed, scale)
         stack = random_stack(rng, h, w)
+        planes = stack.rows(0, h)
         few = np.zeros((h, w), dtype=bool)
-        few[40, 7] = few[41, 500] = few[150:152, 100:300] = few[202, :] = True
+        few[40, 7] = few[41, 500] = few[150:152, 100:300] = few[201, :] = True
         wheres = {
             "none": np.zeros((h, w), dtype=bool),
             "all": np.ones((h, w), dtype=bool),
@@ -323,7 +343,7 @@ class TestThresholdPlanes:
         for name, where in wheres.items():
             for thr in (0.2, 0.5, 0.9):
                 got = threshold_planes(m, stack, m.n_out - 1, thr, where=where)
-                want = ref_gather_mask(m, stack.planes, m.n_out - 1, thr, where)
+                want = ref_gather_mask(m, planes, m.n_out - 1, thr, where)
                 assert np.array_equal(got, want), name
 
     @pytest.mark.parametrize("odd_shape", [(1, 1), (4, 1)])
@@ -343,8 +363,7 @@ class TestThresholdPlanes:
         m = scaled_model((10, 8, 3), 5, 40.0)
         h, w = 100, 300
         stack = random_stack(rng, h, w)
-        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
-        scores = ref_forward_batch(m, x)[:, 2].reshape(h, w)
+        scores = ref_forward_batch(m, stack_features(stack))[:, 2].reshape(h, w)
         where = rng.random((h, w)) < 0.5
         for r, c in [(0, 0), (57, 123), (99, 299)]:
             thr = scores[r, c]  # the pixel sits exactly on the threshold
@@ -370,9 +389,8 @@ class TestThresholdPlanes:
     def test_one_pixel_tail_block_scores_like_the_reference(self, rng, block_scores,
                                                             layers, seed, scale):
         m = scaled_model(layers, seed, scale)
-        stack = random_stack(rng, BLOCK + 1, 1)
-        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
-        want = ref_forward_batch(m, x)
+        stack = float_stack(rng, BLOCK + 1, 1)
+        want = ref_forward_batch(m, stack_features(stack))
         thr = want[-1, -1]
         got = np.asarray(threshold_planes(m, stack, m.n_out - 1, thr))
         assert [r1 - r0 for (r0, r1), _ in block_scores] == [BLOCK, 1]
@@ -385,8 +403,8 @@ class TestThresholdPlanes:
         from raftcensus import bandstack
 
         m = scaled_model(layers, 3, 40.0)
-        stack = random_stack(rng, 69, 1)
-        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
+        stack = float_stack(rng, 69, 1)
+        x = stack_features(stack)
         whole = forward_batch(m, x)
         assert np.array_equal(bits(whole), bits(ref_forward_batch(m, x)))
         for i in range(len(x)):
@@ -406,20 +424,19 @@ class TestThresholdPlanes:
         # shorter block follows taller ones in the same buffers.
         m = scaled_model((10, 8, 3), 3, 40.0)
         h, w = 10, BLOCK // 3
-        stack = random_stack(rng, h, w)
+        stack = float_stack(rng, h, w)
         threshold_planes(m, stack, 2, 0.5)
         assert [rows for rows, _ in block_scores] == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(-1, 10)
         assert np.array_equal(bits(np.concatenate([yb for _, yb in block_scores])),
-                              bits(ref_forward_batch(m, x)))
+                              bits(ref_forward_batch(m, stack_features(stack))))
 
     def test_skipped_middle_blocks_leave_no_stale_rows(self, rng, block_scores):
         m = scaled_model((10, 8, 3), 2, 1.0)
         h, w = 10, BLOCK // 3  # blocks of rows 0-2, 3-5, 6-8, 9
-        stack = random_stack(rng, h, w)
+        stack = float_stack(rng, h, w)
         where = np.zeros((h, w), dtype=bool)
         where[3, 10] = where[9, :] = True  # blocks 1 and 3 only
-        x = np.stack([stack.planes[b] for b in FEATURE_ORDER], axis=-1).reshape(h, w, 10)
+        x = stack_features(stack).reshape(h, w, 10)
         scores = ref_forward_batch(m, x.reshape(-1, 10))[:, 1].reshape(h, w)
         for thr in (0.5, scores[3, 10], scores[9, 77]):
             block_scores.clear()
@@ -434,20 +451,22 @@ class TestThresholdPlanes:
         stack = random_stack(rng, 70, 600)
         models = [scaled_model((10, 2, 1), 1, 1.0), scaled_model((10, 8, 3), 3, 40.0),
                   scaled_model((10, 2, 1), 4, 400.0), scaled_model((10, 8, 3), 2, 1.0)]
+        planes = stack.rows(0, stack.height)
         for m in models + models[::-1]:
             out_index = m.n_out - 1
             assert np.array_equal(threshold_planes(m, stack, out_index, 0.5),
-                                  ref_whole_image_mask(m, stack.planes, out_index, 0.5))
+                                  ref_whole_image_mask(m, planes, out_index, 0.5))
 
     def test_inputs_left_unmodified(self, rng):
         m = scaled_model((10, 8, 3), 3, 40.0)
-        stack = random_stack(rng, 40, 900)
         where = rng.random((40, 900)) < 0.5
-        before = {b: p.copy() for b, p in stack.planes.items()}
         where_before = where.copy()
-        threshold_planes(m, stack, 2, 0.5)
-        threshold_planes(m, stack, 2, 0.5, where=where)
-        assert all(np.array_equal(bits(stack.planes[b]), bits(before[b])) for b in BandId)
+        for stack in (random_stack(rng, 40, 900), float_stack(rng, 40, 900)):
+            before = stack.rows(0, stack.height)
+            threshold_planes(m, stack, 2, 0.5)
+            threshold_planes(m, stack, 2, 0.5, where=where)
+            after = stack.rows(0, stack.height)
+            assert all(np.array_equal(bits(after[b]), bits(before[b])) for b in BandId)
         assert np.array_equal(where, where_before)
         x = rng.uniform(0.0, 1.5, size=(33, 10))
         x_before = x.copy()
@@ -458,9 +477,9 @@ class TestThresholdPlanes:
     @pytest.mark.parametrize("too_large", [False, True], ids=["screened", "too-large model"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixel_in_scored_block_rejected(self, rng, bad, too_large):
-        # The float32 screen leaves such a window uncast, or a model too
-        # large to cast has every window scored exactly: either way the
-        # exact pass rejects the value.
+        # A stack of float64 planes gets no float32 screen, and a model too
+        # large to cast gets none either: the exact pass scores every
+        # window and rejects the value.
         m = init_model((10, 2, 1), seed=0)
         if too_large:
             w1 = m.weights[0].copy()
@@ -468,7 +487,7 @@ class TestThresholdPlanes:
             m = MlpModel(m.layer_sizes, (w1, m.weights[1]), m.biases)
         assert (mlp._float32_net(m, 0) is None) == too_large
         h, w = 10, BLOCK // 3
-        stack = random_stack(rng, h, w)
+        stack = float_stack(rng, h, w)
         # Written after the stack checked its planes; in the third block, rows 6-8.
         stack.planes[BandId.B11][8, 5] = bad
         with pytest.raises(ValueError, match="inputs must be finite"):
@@ -500,18 +519,19 @@ class TestThresholdPlanes:
         want = threshold_planes(m, stack, 2, 0.5, where=where)
         got = threshold_planes(m, stack, 2, 0.5, where=BitMask.pack(where))
         assert np.array_equal(got.words, want.words)
-        assert np.array_equal(got, ref_gather_mask(m, stack.planes, 2, 0.5, where))
+        assert np.array_equal(got, ref_gather_mask(m, stack.rows(0, 40), 2, 0.5, where))
 
     def test_where_shape_mismatch_rejected(self, rng):
         m = init_model((10, 2, 1), seed=0)
         with pytest.raises(DimensionError, match="shape"):
-            threshold_planes(m, random_stack(rng, 4, 5), 0, 0.5,
-                             where=np.ones((5, 4), dtype=bool))
+            threshold_planes(m, random_stack(rng, 4, 6), 0, 0.5,
+                             where=np.ones((6, 4), dtype=bool))
 
 
 def saved_random_stack(rng, tmp_path, h, w):
-    """(loaded stack, manifest path) of a ``random_stack`` saved to disk."""
-    manifest = save_band_stack(random_stack(rng, h, w), tmp_path)
+    """(loaded stack, manifest path) of the files ``write_bands`` writes for
+    a ``random_stack``."""
+    manifest = bandstack.write_bands(tmp_path, w, h, random_reflectances(rng, h, w))
     return load_band_stack(manifest), manifest
 
 
@@ -603,15 +623,17 @@ def exact_scores(m, stack):
 
 
 def small_stack(x, tmp, loaded):
-    """Stack of the (10, h, w) reflectances ``x``, held in memory or saved
-    to ``tmp`` and loaded."""
+    """Stack of the digital numbers of the (10, h, w) reflectances ``x``,
+    even-sized: held in memory (``BandStack.from_reflectance``), or written
+    to ``tmp`` by ``write_bands`` and loaded."""
+    h, w = x.shape[1:]
     planes = dict(zip(BandId, x))
-    stack = BandStack(width=x.shape[2], height=x.shape[1], pixel_size=10.0, planes=planes)
-    return load_band_stack(save_band_stack(stack, tmp)) if loaded else stack
+    if loaded:
+        return load_band_stack(bandstack.write_bands(tmp, w, h, lambda b: [planes[b]]))
+    return BandStack.from_reflectance(w, h, lambda b: [planes[b]])
 
 
-# Reflectances up to the largest digital number, with exact zeros (and,
-# in memory, subnormals) among them.
+# Reflectances up to the largest digital number, with exact zeros among them.
 REFLECTANCES = st.one_of(st.just(0.0), st.floats(0.0, 6.5535))
 
 
@@ -649,9 +671,12 @@ class TestFloat32Bound:
         m = scaled_model(layers, seed, scale)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(bandstack, "_BLOCK_PIXELS", window_rows * w)
-            stack = small_stack(x, tmp, loaded)
-            real = ref_real_planes(Path(tmp) / "manifest.json") if loaded else stack.planes
-            assert_within_dy32(m, stack, real)
+            # Written to ``tmp`` for the reference: the in-memory stack holds
+            # the same digital numbers.
+            stack = small_stack(x, tmp, True)
+            if not loaded:
+                stack = small_stack(x, None, False)
+            assert_within_dy32(m, stack, ref_real_planes(Path(tmp) / "manifest.json"))
 
     @given(model=st.sampled_from(SCORING_MODELS),
            shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -787,25 +812,33 @@ class TestFloat32Bound:
         rows = range(h) if where is None else where_rows
         assert rescored == sorted({(r - r % 3, r - r % 3 + 3) for r in rows})
 
-    @pytest.mark.parametrize("value", [1e38, 2.0**64 * 1.5, 1e300])
-    def test_window_beyond_float32_range_is_scored_exactly(self, rng, monkeypatch, rescored,
-                                                           value):
-        m = scaled_model((10, 2, 1), 1, 1.0)
+    @pytest.mark.parametrize("where_rows", [None, [0, 7]])
+    def test_float_plane_stack_is_scored_exactly(self, rng, monkeypatch, rescored, where_rows):
+        # A stack of float64 planes has no digital numbers: the float32
+        # screen yields no window for it, and the exact pass scores every
+        # window that holds a pixel to decide. Its masks are those of the
+        # exact scores, pixels on the threshold included.
+        m = scaled_model((10, 8, 3), 2, 1.0)
         h, w = 12, 6
         monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
-        x = rng.uniform(0.0, 1.5, size=(10, h, w))
-        x[4, 7, 5] = value  # B6, in the window of rows 6-8
-        stack = small_stack(x, None, False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = threshold_planes(m, stack, 0, 0.5)
-            sums = [(r0, z is None, peak)
-                    for r0, _, z, peak in stack.float32_sums(np.ones((2, 10)))]
-        assert np.array_equal(got, exact_scores(m, stack)[..., 0] >= 0.5)
-        assert rescored == [(6, 9)]
-        assert [(r0, none) for r0, none, _ in sums] == [(0, False), (3, False), (6, True),
-                                                        (9, False)]
-        assert sums[2][2] == np.inf
+        stack = float_stack(rng, h, w)
+        assert list(stack.float32_sums(np.ones((2, 10)))) == []
+        assert list(mlp._float32_scores(mlp._float32_net(m, 2), stack)) == []
+        where = None
+        if where_rows is not None:
+            where = np.zeros((h, w), dtype=bool)
+            where[where_rows, 2] = True
+        scores = exact_scores(m, stack)[..., 2]
+        rows = range(h) if where is None else where_rows
+        for thr in (0.5, scores[7, 2], 2.0):
+            rescored.clear()
+            got = threshold_planes(m, stack, 2, thr, where=where)
+            if where is None:
+                want = ref_whole_image_mask(m, stack.planes, 2, thr)
+            else:
+                want = ref_gather_mask(m, stack.planes, 2, thr, where)
+            assert np.array_equal(got, want)
+            assert rescored == sorted({(r - r % 3, r - r % 3 + 3) for r in rows})
 
     @pytest.mark.parametrize("band", [BandId.B4, BandId.B8A])
     def test_screen_never_scales_a_loaded_band(self, rng, tmp_path, monkeypatch, band):

@@ -395,8 +395,10 @@ def saved_scene(tmp_path_factory, name, params):
 
 
 class TestLoadedStackCensus:
-    """A census over a loaded stack, which scales and upsamples one row
-    window at a time, equals the census over whole float64 planes."""
+    """A census over a loaded stack, which screens each row window's
+    digital numbers in float32 and scales and upsamples the windows it
+    re-scores, equals the census over whole float64 planes, which
+    ``forward_batch`` alone scores."""
 
     GEO = GeoRef(500000.0, 4680000.0, "EPSG:32629")
     BLOCK = 16384  # ``_BLOCK_PIXELS`` here: a scene one window wide stays small
