@@ -848,6 +848,34 @@ class TestFloat32Sums:
         with pytest.raises(ValueError, match="weights"):
             next(s.float32_sums(np.ones((2, 9))))
 
+    @pytest.mark.parametrize("value", [2.0**64 * 1.01, 1e38, 1e300])
+    def test_leave_values_beyond_their_peak_uncast(self, rng, monkeypatch, value):
+        # A float-plane stack is never cast to float32, however large its
+        # values: it yields no window, so nothing overflows or warns.
+        h, w = 9, 4
+        planes = {b: rng.uniform(0, 1.5, size=(h, w)) for b in BandId}
+        planes[BandId.B12][4, 1] = value
+        s = BandStack(width=w, height=h, pixel_size=10.0, planes=planes)
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(s.float32_sums(np.ones((2, 10)))) == []
+        assert s.rows(3, 6)[BandId.B12][1, 1] == value
+
+    @pytest.mark.parametrize("band", [BandId.B3, BandId.B11], ids=["10m", "20m"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_memory_rows_left_uncast(self, rng, monkeypatch, bad, band):
+        # ``mlp.threshold_planes`` scores such a stack exactly, and
+        # ``forward_batch`` rejects the value there.
+        planes = {b: rng.uniform(0, 1.5, size=(6, 4)) for b in BandId}
+        s = BandStack(width=4, height=6, pixel_size=10.0, planes=planes)
+        planes[band][5, 3] = bad  # written after the stack checked its planes
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(s.float32_sums(np.ones((2, 10)))) == []
+            assert list(s.float32_sums(np.ones((2, 10)), where=np.arange(6) == 5)) == []
+
     @pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
     def test_pixel_where_skips_as_its_row_flags(self, tmp_path, rng, monkeypatch, loaded):
         # ``mlp.threshold_planes`` screens with an (H, W) ``where`` and

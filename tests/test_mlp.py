@@ -840,6 +840,23 @@ class TestFloat32Bound:
             assert np.array_equal(got, want)
             assert rescored == sorted({(r - r % 3, r - r % 3 + 3) for r in rows})
 
+    @pytest.mark.parametrize("value", [1e38, 2.0**64 * 1.5, 1e300])
+    def test_window_beyond_float32_range_is_scored_exactly(self, rng, monkeypatch, rescored,
+                                                           value):
+        # A float-plane stack gets no float32 screen, so a value beyond
+        # float32's range is never cast: every window is scored exactly.
+        m = scaled_model((10, 2, 1), 1, 1.0)
+        h, w = 12, 6
+        monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", 3 * w)
+        stack = float_stack(rng, h, w)
+        stack.planes[BandId.B6][7, 5] = value  # in the window of rows 6-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = threshold_planes(m, stack, 0, 0.5)
+            assert list(stack.float32_sums(np.ones((2, 10)))) == []
+        assert np.array_equal(got, exact_scores(m, stack)[..., 0] >= 0.5)
+        assert rescored == [(r0, r0 + 3) for r0 in range(0, h, 3)]
+
     @pytest.mark.parametrize("band", [BandId.B4, BandId.B8A])
     def test_screen_never_scales_a_loaded_band(self, rng, tmp_path, monkeypatch, band):
         # A band's scaled rows are read only by the exact pass.
