@@ -66,6 +66,7 @@ from .pipeline import (
     CensusConfig,
     CensusRecord,
     PipelineArtifacts,
+    RejectedBlob,
     census_to_csv,
     census_to_geojson,
     platform_mask,

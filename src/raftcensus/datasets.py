@@ -5,11 +5,13 @@ per-class mean reflectances loaded from a JSON config; every pixel is
 its class mean plus seeded Gaussian noise. Scenes are a land frame
 around a water body with small square rafts placed well inside the
 water, so the whole detection pipeline can be exercised against exact
-ground truth. Scenes are drawn one band and one row chunk at a time and
-quantized to digital numbers as they are drawn, so
-``write_synthetic_scene`` writes one to disk holding only its 1 B/px
-class map and chunk buffers, and ``generate_synthetic_scene`` holds the
-same digital numbers in memory, 11 B/px.
+ground truth. A scene is kept as that layout (``SceneTruth``), never as
+a whole-scene class map: it is drawn one band and one row chunk at a
+time, each chunk's classes painted from the layout, and quantized to
+digital numbers as it is drawn. So ``write_synthetic_scene`` writes one
+to disk holding only chunk buffers and the layout, and
+``generate_synthetic_scene`` holds the same digital numbers in memory,
+11 B/px, with nothing else that grows with the scene's area.
 
 Platform training data mirrors the sample-mining procedure: raft
 candidates are the dark holes a closing fills in the water mask
@@ -23,6 +25,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -132,10 +135,61 @@ class SynthParams:
 
 @dataclass(frozen=True)
 class SceneTruth:
-    """Exact per-pixel ground truth for a generated scene."""
+    """Exact ground truth for a generated scene: the raft layout it is
+    drawn from.
+
+    The scene is land around a water body (a land frame
+    ``max(4, min(width, height) // 16)`` px wide), with ``raft_size_px``
+    square rafts inside the water whose top-left corners are
+    ``raft_corners``, in placement order. Per-pixel classes (0 land,
+    1 raft, 2 water: WATER_CLASS_NAMES order) are built from the layout
+    when asked for: ``class_rows`` for a band of rows, and ``class_map``,
+    ``water_mask`` and ``raft_mask`` (1 B/px each) for the whole scene.
+    A truth holds no whole-scene array.
+    """
 
     raft_centroids: tuple[tuple[float, float], ...]  # (row, col) per raft
-    class_map: np.ndarray  # 0 land, 1 raft, 2 water (WATER_CLASS_NAMES order)
+    height: int
+    width: int
+    raft_size_px: int
+    raft_corners: tuple[tuple[int, int], ...]  # (row, col) top-left per raft
+
+    @cached_property
+    def _raft_pixels(self) -> np.ndarray:
+        """Flat indices (row * width + col) of every raft pixel, ascending."""
+        size = self.raft_size_px
+        corners = np.array(self.raft_corners, dtype=np.int64).reshape(-1, 2)
+        dr, dc = np.divmod(np.arange(size * size), size)
+        return np.sort((corners[:, :1] + dr) * self.width + corners[:, 1:] + dc, axis=None)
+
+    def _paint(self, out: np.ndarray, r0: int, values) -> None:
+        """Fill ``out``, a C-ordered (rows, width) array holding scene rows
+        r0 onward, with ``values`` = (land, raft, water) by class: land
+        everywhere, then the water frame's rows, then the raft pixels among
+        them, found by bisecting ``_raft_pixels``."""
+        land, raft, water = values
+        h, w = self.height, self.width
+        r1 = r0 + len(out)
+        border = _border_width(w, h)
+        top = min(max(border, r0), r1)
+        bottom = max(min(h - border, r1), top)
+        out.fill(land)
+        out[top - r0 : bottom - r0, border : w - border] = water
+        pixels = self._raft_pixels
+        lo, hi = np.searchsorted(pixels, (r0 * w, r1 * w))
+        out.reshape(-1)[pixels[lo:hi] - r0 * w] = raft
+
+    def class_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Classes of scene rows r0..r1-1 as an int8 (r1 - r0, width) array."""
+        if not 0 <= r0 <= r1 <= self.height:
+            raise ValueError(f"rows {r0}..{r1} outside a scene {self.height} high")
+        out = np.empty((r1 - r0, self.width), dtype=np.int8)
+        self._paint(out, r0, (0, 1, 2))
+        return out
+
+    @property
+    def class_map(self) -> np.ndarray:
+        return self.class_rows(0, self.height)
 
     @property
     def water_mask(self) -> np.ndarray:  # water-class pixels (rafts excluded)
@@ -246,53 +300,41 @@ def _place_rafts(params: SynthParams, rng: np.random.Generator) -> list[tuple[in
     return corners
 
 
-def _scene_layout(
-    params: SynthParams, rng: np.random.Generator
-) -> tuple[np.ndarray, tuple[tuple[float, float], ...]]:
-    """Class map (0 land, 1 raft, 2 water; 1 B/px) and raft centroids."""
-    h, w = params.height, params.width
-    border = _border_width(w, h)
-    class_map = np.zeros((h, w), dtype=np.int8)  # land
-    class_map[border : h - border, border : w - border] = 2  # water
-    centroids = []
-    size = params.raft_size_px
-    for r, c in _place_rafts(params, rng):
-        class_map[r : r + size, c : c + size] = 1
-        centroids.append((r + (size - 1) / 2.0, c + (size - 1) / 2.0))
-    return class_map, tuple(centroids)
-
-
 class _SceneDrawer:
     """A scene's layout, and its bands drawn one row chunk at a time from
     the scene's generator.
 
-    A chunk gets its class means by masked copies, then noise sigma * z
-    with z from ``standard_normal`` in C order, then a clip at zero.
-    ``Generator.normal(0, sigma)`` computes 0.0 + sigma * z from the same
-    stream, and adding 0.0 + sigma * z to a mean gives what adding
-    sigma * z does. So drawing the bands in FEATURE_ORDER, each top to
-    bottom, gives the values of one whole-plane ``normal`` draw per band,
-    bitwise, whatever the chunk heights.
+    A chunk gets its class means painted from the layout (``SceneTruth``),
+    then noise sigma * z with z from ``standard_normal`` in C order, then a
+    clip at zero. ``Generator.normal(0, sigma)`` computes 0.0 + sigma * z
+    from the same stream, and adding 0.0 + sigma * z to a mean gives what
+    adding sigma * z does. So drawing the bands in FEATURE_ORDER, each top
+    to bottom, gives the values of one whole-plane ``normal`` draw per
+    band, bitwise, whatever the chunk heights.
     """
 
     def __init__(self, params: SynthParams):
         spectra = params.spectra if params.spectra is not None else load_spectra()
         self.rng = np.random.default_rng(params.seed)
-        self.class_map, self.centroids = _scene_layout(params, self.rng)
+        size = params.raft_size_px
+        corners = tuple(_place_rafts(params, self.rng))
+        self.truth = SceneTruth(
+            raft_centroids=tuple((r + (size - 1) / 2.0, c + (size - 1) / 2.0) for r, c in corners),
+            height=params.height,
+            width=params.width,
+            raft_size_px=size,
+            raft_corners=corners,
+        )
         table = np.stack([spectra[name] for name in WATER_CLASS_NAMES])  # (3, 10)
         self.means = {band: table[:, i] for i, band in enumerate(FEATURE_ORDER)}
         self.sigma = params.noise_sigma
 
     def draw(self, band: BandId, r0: int, r1: int) -> np.ndarray:
         """Rows r0..r1-1 of ``band``, drawn into a new array."""
-        classes = self.class_map[r0:r1]
-        out = np.empty(classes.shape)
-        means = self.means[band]
-        out.fill(means[0])
-        for k in range(1, len(means)):
-            np.copyto(out, means[k], where=classes == k)
+        out = np.empty((r1 - r0, self.truth.width))
+        self.truth._paint(out, r0, self.means[band])
         if self.sigma > 0:
-            z = self.rng.standard_normal(classes.shape)
+            z = self.rng.standard_normal(out.shape)
             try:
                 with np.errstate(over="raise"):
                     z *= self.sigma
@@ -324,7 +366,7 @@ def generate_synthetic_scene(params: SynthParams) -> tuple[BandStack, SceneTruth
         w, h, lambda band: (scene.draw(band, r0, r1) for r0, r1 in row_chunks(w, h)),
         params.geo,
     )
-    return stack, SceneTruth(raft_centroids=scene.centroids, class_map=scene.class_map)
+    return stack, scene.truth
 
 
 def write_synthetic_scene(params: SynthParams, out_dir) -> tuple[tuple[float, float], ...]:
@@ -334,9 +376,11 @@ def write_synthetic_scene(params: SynthParams, out_dir) -> tuple[tuple[float, fl
     Writes what ``save_band_stack`` writes for that stack, byte for byte,
     plus ``truth_water.pgm`` and ``truth_rafts.pgm`` (65535 on the class,
     0 elsewhere) and ``truth.json``. Bands are drawn and written one at a
-    time, one row chunk at a time, so memory is the 1 B/px class map plus
-    chunk buffers. Every error of the parameters or the raft layout comes
-    before ``out_dir`` is created.
+    time, one row chunk at a time, and the truth masks one chunk's
+    ``SceneTruth.class_rows`` at a time, so memory is the chunk buffers
+    plus the raft layout (8 B per raft pixel), whatever the scene's area.
+    Every error of the parameters or the raft layout comes before
+    ``out_dir`` is created.
     """
     scene = _SceneDrawer(params)
     h, w = params.height, params.width
@@ -347,22 +391,23 @@ def write_synthetic_scene(params: SynthParams, out_dir) -> tuple[tuple[float, fl
         lambda band: (scene.draw(band, r0, r1) for r0, r1 in chunks),
         params.geo,
     )
+    truth = scene.truth
     on, off = np.uint16(65535), np.uint16(0)
     for name, k in (("truth_water.pgm", 2), ("truth_rafts.pgm", 1)):
         write_pgm16_rows(
             out_dir / name, w, h,
-            (np.where(scene.class_map[r0:r1] == k, on, off) for r0, r1 in chunks),
+            (np.where(truth.class_rows(r0, r1) == k, on, off) for r0, r1 in chunks),
         )
-    truth = {
-        "raft_centroids": [[r, c] for r, c in scene.centroids],
-        "raft_count": len(scene.centroids),
+    payload = {
+        "raft_centroids": [[r, c] for r, c in truth.raft_centroids],
+        "raft_count": len(truth.raft_centroids),
         "raft_size_px": params.raft_size_px,
         "seed": params.seed,
         "width": w,
         "height": h,
     }
-    (out_dir / "truth.json").write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n")
-    return scene.centroids
+    (out_dir / "truth.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return truth.raft_centroids
 
 
 def extract_platform_samples(

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import astuple, dataclass, field
+from typing import NamedTuple
 
 from .bandstack import BandStack
 from .blobs import BlobFilter, filter_blobs, label_components
@@ -35,6 +36,7 @@ __all__ = [
     "CensusRecord",
     "Census",
     "PipelineArtifacts",
+    "RejectedBlob",
     "platform_mask",
     "run_pipeline",
     "run_census",
@@ -143,16 +145,28 @@ def _build_water_mask(s: BandStack, cfg: CensusConfig) -> BitMask:
     )
 
 
+class RejectedBlob(NamedTuple):
+    """One labeled blob the filter turned down."""
+
+    centroid: tuple[float, float]  # (row, col)
+    area: int
+    reason: str  # the first failing criterion in blobs.REJECT_ORDER
+
+
 @dataclass(frozen=True)
 class PipelineArtifacts:
-    """Census plus the intermediate masks, for inspection or rendering.
+    """Census plus the intermediate masks and the rejected blobs, for
+    inspection or rendering.
 
-    The masks are bit-packed (``np.asarray`` unpacks one to bool).
+    The masks are bit-packed (``np.asarray`` unpacks one to bool). Every
+    blob labeled in ``platform_mask`` is either a census record or one of
+    ``rejected``, which keeps label order.
     """
 
     water_mask: BitMask  # cleaned
     platform_mask: BitMask  # after the merging closing
     census: Census
+    rejected: tuple[RejectedBlob, ...]
 
 
 def run_census(s: BandStack, cfg: CensusConfig, source: str = "") -> Census:
@@ -161,13 +175,14 @@ def run_census(s: BandStack, cfg: CensusConfig, source: str = "") -> Census:
 
 
 def run_pipeline(s: BandStack, cfg: CensusConfig, source: str = "") -> PipelineArtifacts:
-    """Like run_census, but also returns the water and platform masks."""
+    """Like run_census, but also returns the water and platform masks and
+    the blobs the filter rejected."""
     # The raw water mask is freed once cleaned, before scoring and closing.
     cleaned = clean_water_mask(_build_water_mask(s, cfg), cfg.water_se, cfg.coast_erode_se)
     pmask = platform_mask(s, cleaned, cfg)
     pmask = closing(pmask, cfg.platform_close_se)
 
-    accepted, _ = filter_blobs(label_components(pmask), cfg.blob_filter)
+    accepted, rejected = filter_blobs(label_components(pmask), cfg.blob_filter)
 
     accepted.sort(key=lambda b: b.centroid)
     records = []
@@ -193,7 +208,12 @@ def run_pipeline(s: BandStack, cfg: CensusConfig, source: str = "") -> PipelineA
         source=source,
         config_digest=cfg.digest(),
     )
-    return PipelineArtifacts(water_mask=cleaned, platform_mask=pmask, census=census)
+    return PipelineArtifacts(
+        water_mask=cleaned,
+        platform_mask=pmask,
+        census=census,
+        rejected=tuple(RejectedBlob(b.centroid, b.area, reason) for b, reason in rejected),
+    )
 
 
 def census_to_csv(census: Census) -> str:

@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,6 @@ from raftcensus.datasets import (
     _RAFT_COAST_MARGIN_PX,
     _RAFT_GAP_PX,
     WATER_CLASS_NAMES,
-    SceneTruth,
     _border_width,
     load_spectra,
 )
@@ -625,9 +624,26 @@ def ref_place_rafts(params, rng: np.random.Generator) -> list[tuple[int, int]]:
     return corners
 
 
+@dataclass(frozen=True)
+class RefTruth:
+    """A scene's truth held whole: raft centroids and the class map
+    (0 land, 1 raft, 2 water), with its masks."""
+
+    raft_centroids: tuple[tuple[float, float], ...]
+    class_map: np.ndarray
+
+    @property
+    def water_mask(self) -> np.ndarray:
+        return self.class_map == 2
+
+    @property
+    def raft_mask(self) -> np.ndarray:
+        return self.class_map == 1
+
+
 def ref_generate_synthetic_scene(params):
-    """(stack, truth) with whole float64 planes: class means gathered
-    through the class map, then one ``normal`` draw per band, added and
+    """(stack, RefTruth) with whole float64 planes: a whole class map, class
+    means gathered through it, then one ``normal`` draw per band, added and
     clipped at zero into fresh planes."""
     spectra = params.spectra if params.spectra is not None else load_spectra()
     rng = np.random.default_rng(params.seed)
@@ -649,7 +665,7 @@ def ref_generate_synthetic_scene(params):
             plane = np.maximum(plane, 0.0)
         planes[band] = plane
     stack = BandStack(width=w, height=h, pixel_size=PIXEL_SIZE_M, planes=planes, geo=params.geo)
-    truth = SceneTruth(tuple(centroids), class_map)
+    truth = RefTruth(tuple(centroids), class_map)
     return stack, truth
 
 

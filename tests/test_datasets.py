@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -33,6 +34,7 @@ from raftcensus.datasets import (
 from raftcensus.errors import DatasetError, DimensionError
 
 from oracles import (
+    ref_generate_synthetic_scene,
     ref_place_rafts,
     ref_quantized_scene,
     ref_write_synthetic_scene,
@@ -192,10 +194,46 @@ class TestStreamedScene:
             for b in TEN_METER:
                 assert np.array_equal(got_dn[b], want_dn[b]), (b, r0)
 
+    @pytest.mark.parametrize("rows", CHUNK_ROWS)
+    @pytest.mark.parametrize("kw", SCENES)
+    def test_class_rows_equal_whole_reference_map_chunk_by_chunk(self, monkeypatch, kw, rows):
+        if rows:
+            monkeypatch.setattr(bandstack, "_BLOCK_PIXELS", rows * kw["width"])
+        _, truth = generate_synthetic_scene(SynthParams(**kw))
+        _, ref_truth = ref_generate_synthetic_scene(SynthParams(**kw))
+        for r0, r1 in bandstack.row_chunks(kw["width"], kw["height"]):
+            got = truth.class_rows(r0, r1)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, ref_truth.class_map[r0:r1]), r0
+
+    def test_some_raft_of_each_size_crosses_a_chunk_boundary(self, monkeypatch):
+        """The SCENES x CHUNK_ROWS cases above split, for both raft sizes,
+        some raft between two row chunks."""
+        crossing = set()
+        for kw, rows in itertools.product(SCENES, CHUNK_ROWS):
+            params = SynthParams(**kw)
+            with monkeypatch.context() as patch:
+                if rows:
+                    patch.setattr(bandstack, "_BLOCK_PIXELS", rows * params.width)
+                starts = [r0 for r0, _ in bandstack.row_chunks(params.width, params.height)]
+            size = params.raft_size_px
+            for r, _ in ref_place_rafts(params, np.random.default_rng(params.seed)):
+                if any(r < r0 < r + size for r0 in starts):
+                    crossing.add(size)
+        assert crossing == {2, 3}
+
+    def test_class_rows_outside_the_scene_rejected(self):
+        _, truth = generate_synthetic_scene(SynthParams(width=32, height=32, raft_count=1))
+        for r0, r1 in ((-1, 4), (4, 33), (5, 4)):
+            with pytest.raises(ValueError, match="outside a scene 32 high"):
+                truth.class_rows(r0, r1)
+
     def test_generated_stack_holds_only_digital_numbers(self):
         """A 512x512 scene holds 11 B/px: the read-only uint16 digital numbers
-        of four 10 m bands and of six 20 m bands at half size. With its 1 B/px
-        class map, that is all the memory the scene keeps: no float array."""
+        of four 10 m bands and of six 20 m bands at half size. That is all
+        the memory the scene keeps, within 64 KiB: no float array, and no
+        whole-scene class map (its truth is the raft layout, and builds a
+        1 B/px class map only when asked)."""
         n = 512 * 512
         tracemalloc.start()
         try:
@@ -207,8 +245,8 @@ class TestStreamedScene:
         assert len(arrays) == len(BandId)
         assert all(a.dtype == np.uint16 and not a.flags.writeable for a in arrays)
         assert sum(a.nbytes for a in arrays) == 11 * n
+        assert 11 * n <= held < 11 * n + 2**16
         assert truth.class_map.nbytes == n
-        assert 12 * n <= held < 12 * n + 2**16
 
     def test_odd_size_rejected_before_drawing(self):
         for width, height in ((97, 64), (64, 97)):

@@ -33,6 +33,7 @@ from raftcensus import (
     water_mask_ndwi,
 )
 from raftcensus import bandstack
+from raftcensus.blobs import REJECT_ORDER
 from raftcensus.datasets import write_synthetic_scene
 from raftcensus.errors import DimensionError, RaftCensusError
 from raftcensus.mlp import WATER_LAYERS
@@ -40,6 +41,8 @@ from raftcensus.pipeline import Census, CensusRecord
 
 from oracles import (
     ref_census_to_geojson,
+    ref_compute_features,
+    ref_label_components,
     ref_forward_batch,
     ref_gather_mask,
     ref_load_band_stack,
@@ -359,6 +362,45 @@ class TestRunPipeline:
         assert result.census.count == 4
         report = evaluate_census(result.census, truth.raft_centroids)
         assert report.missed == 0 and report.false_detections == 0
+
+    def test_rejected_blobs_complete_the_labeled_ones(self, census_cfg):
+        """At noise 0.08 the platform mask breaks into thousands of blobs.
+        Each one labeled is a census record or a rejection, with the reason
+        and in the order a reference labeling and filter give, and the census
+        CSV and GeoJSON are those of the reference's accepted blobs."""
+        params = SynthParams(width=512, height=512, raft_count=12, noise_sigma=0.08, seed=3,
+                             geo=GeoRef(500000.0, 4680000.0, "EPSG:32629"))
+        stack, _ = generate_synthetic_scene(params)
+        result = run_pipeline(stack, census_cfg, source="noisy")
+        f = census_cfg.blob_filter
+
+        def reason(b):
+            failed = (not b.area < f.max_area,
+                      not b.equivalent_diameter < f.max_equivalent_diameter,
+                      b.euler_number != f.required_euler,
+                      not b.solidity > f.min_solidity)
+            return next((r for r, bad in zip(REJECT_ORDER, failed) if bad), None)
+
+        blobs = [ref_compute_features(b)
+                 for b in ref_label_components(np.asarray(result.platform_mask))]
+        accepted = sorted((b for b in blobs if reason(b) is None), key=lambda b: b.centroid)
+        assert result.census.count + len(result.rejected) == len(blobs)
+        assert result.rejected == tuple(
+            (b.centroid, b.area, reason(b)) for b in blobs if reason(b) is not None
+        )
+        assert {r.reason for r in result.rejected} >= {"area", "solidity"}
+        want = Census(
+            records=tuple(
+                CensusRecord(id=i, centroid_px=b.centroid, area_px=b.area, bbox=b.bbox,
+                             centroid_geo=(500000.0 + (b.centroid[1] + 0.5) * 10.0,
+                                           4680000.0 - (b.centroid[0] + 0.5) * 10.0))
+                for i, b in enumerate(accepted, start=1)
+            ),
+            count=len(accepted), source="noisy", config_digest=census_cfg.digest(),
+        )
+        assert census_to_csv(result.census) == census_to_csv(want)
+        assert (census_to_geojson(result.census, "EPSG:32629")
+                == ref_census_to_geojson(want, "EPSG:32629"))
 
 
 class TestThreeByThreeRafts:
